@@ -8,15 +8,15 @@ from .allocation import (AllocationDomainError, AllocationResult,
                          allocate_suboptimal)
 from .ao import (AoResult, DegenerateObjectiveError, SubproblemError,
                  ao_minimize_crb, default_phase_profile,
-                 gaussian_randomization, irs_subproblem, last_irs_solution,
-                 last_transmit_solution, sdr_objective, transmit_subproblem)
+                 gaussian_randomization, irs_subproblem, sdr_objective,
+                 transmit_subproblem)
 from .arrays import (centered_index, large_scale_path_loss, path_gain,
                      steering_derivative, target_steering, ula_steering)
 from .channel import rician_channel
 from .cli import cli_main
 from .config import (ChannelRealization, PointTargetScene, SystemConfig,
-                     db_to_linear, dbm_to_watt, linear_to_db, make_rng,
-                     point_scene, watt_to_dbm)
+                     db_to_linear, dbm_to_watt, derive_seed, linear_to_db,
+                     make_rng, point_scene, watt_to_dbm)
 from .conic import (ConicProgram, ConicSolution, KktResiduals, complexify,
                     dump_program, embed_hermitian, hermitian_functional,
                     kkt_residuals, solve)

@@ -17,7 +17,6 @@ final answer is never worse than the initialization.
 
 from __future__ import annotations
 
-import threading
 import time
 from dataclasses import dataclass, field
 from typing import Callable, Literal
@@ -28,23 +27,14 @@ from . import conic
 from .arrays import centered_index, target_steering
 from .config import PointTargetScene, SystemConfig, make_rng
 from .conic import ConicProgram, ConicSolution, complexify, hermitian_functional
-from .pointcrb import (PhaseProfile, TransmitCovariance, crb_point_closed,
-                       steered_gram)
+from .pointcrb import (PhaseProfile, TransmitCovariance, _bound_from_info,
+                       crb_point_closed, steered_gram)
 
 SUBPROBLEM_TOL = 1e-9
+# A solve that stalls at the solver's numerical floor is kept when its KKT
+# residual is at most this; the residual stays on the returned solution.
+SUBPROBLEM_FLOOR = 1e-8
 IMAG_RESIDUE_RTOL = 1e-9
-
-# per-thread record of the most recent subproblem solves, for diagnostics
-_last_solutions = threading.local()
-
-
-def last_transmit_solution() -> ConicSolution | None:
-    return getattr(_last_solutions, "transmit", None)
-
-
-def last_irs_solution() -> ConicSolution | None:
-    return getattr(_last_solutions, "irs", None)
-
 
 class DegenerateObjectiveError(ArithmeticError):
     """The reflected power term of the objective is not positive."""
@@ -135,8 +125,9 @@ def _schur_program(quad_obj: np.ndarray, cross_kernel: np.ndarray,
 def transmit_subproblem(v_lifted: np.ndarray, a: np.ndarray, g: np.ndarray,
                         k: int, p0: float,
                         solver: Callable[..., ConicSolution] = conic.solve,
-                        tol: float = SUBPROBLEM_TOL) -> TransmitCovariance:
-    """Best transmit covariance for a fixed (possibly lifted) profile."""
+                        tol: float = SUBPROBLEM_TOL
+                        ) -> tuple[TransmitCovariance, ConicSolution]:
+    """Best transmit covariance for a fixed (possibly lifted) profile, and its solve."""
     a = np.asarray(a, dtype=complex)
     g = np.asarray(g, dtype=complex)
     v_l = np.asarray(v_lifted, dtype=complex)
@@ -153,19 +144,16 @@ def transmit_subproblem(v_lifted: np.ndarray, a: np.ndarray, g: np.ndarray,
 
     program = _schur_program(quad_obj, cross_kernel, power_kernel, order=g.shape[1])
     program.add_ineq({0: hermitian_functional(np.eye(g.shape[1], dtype=complex))}, p0)
-    sol = solver(program, tol=tol)
-    if sol.status != "optimal":
-        raise SubproblemError(f"transmit subproblem ended with status {sol.status}")
+    sol = _checked(solver(program, tol=tol), "transmit")
     r_x = complexify(sol.blocks[0])
     r_x = _psd_clip(r_x)
-    _last_solutions.transmit = sol
-    return TransmitCovariance(matrix=r_x, budget=p0)
+    return TransmitCovariance(matrix=r_x, budget=p0), sol
 
 
 def irs_subproblem(r_x, a: np.ndarray, g: np.ndarray, k: int,
                    solver: Callable[..., ConicSolution] = conic.solve,
-                   tol: float = SUBPROBLEM_TOL) -> np.ndarray:
-    """Best lifted reflection profile for a fixed transmit covariance."""
+                   tol: float = SUBPROBLEM_TOL) -> tuple[np.ndarray, ConicSolution]:
+    """Best lifted reflection profile for a fixed transmit covariance, and its solve."""
     a = np.asarray(a, dtype=complex)
     g = np.asarray(g, dtype=complex)
     n = a.shape[0]
@@ -178,12 +166,17 @@ def irs_subproblem(r_x, a: np.ndarray, g: np.ndarray, k: int,
         e_ii = np.zeros((n, n), dtype=complex)
         e_ii[i, i] = 1.0
         program.add_eq({0: hermitian_functional(e_ii)}, 1.0)
-    sol = solver(program, tol=tol)
-    if sol.status != "optimal":
-        raise SubproblemError(f"reflection subproblem ended with status {sol.status}")
+    sol = _checked(solver(program, tol=tol), "reflection")
     v_l = complexify(sol.blocks[0])
-    _last_solutions.irs = sol
-    return (v_l + v_l.conj().T) / 2.0
+    return (v_l + v_l.conj().T) / 2.0, sol
+
+
+def _checked(sol: ConicSolution, label: str) -> ConicSolution:
+    if sol.status != "optimal" and (sol.status == "infeasible"
+                                    or sol.kkt.max() > SUBPROBLEM_FLOOR):
+        raise SubproblemError(f"{label} subproblem ended with status {sol.status} "
+                              f"(KKT residual {sol.kkt.max():.3g})")
+    return sol
 
 
 def _psd_clip(mat: np.ndarray) -> np.ndarray:
@@ -270,20 +263,20 @@ def ao_minimize_crb(scene: PointTargetScene, g: np.ndarray,
     seconds: list[float] = []
     residual_max = 0.0
 
-    def half_step(fn, last, *args):
+    def half_step(fn, *args):
         nonlocal residual_max
         tic = time.perf_counter()
         try:
-            out = fn(*args)
+            out, sol = fn(*args)
         except SubproblemError as exc:
             exc.objective_trace = list(trace)
             raise
         seconds.append(time.perf_counter() - tic)
-        residual_max = max(residual_max, last().kkt.max())
+        residual_max = max(residual_max, sol.kkt.max())
         return out
 
     v_lifted = np.outer(init.v, init.v.conj())
-    r_x = half_step(transmit_subproblem, last_transmit_solution, v_lifted, a, g, k, p0)
+    r_x = half_step(transmit_subproblem, v_lifted, a, g, k, p0)
     trace.append(sdr_objective(r_x, v_lifted, a, g, k))
     incumbent = (r_x, init.v, trace[0])
 
@@ -291,9 +284,9 @@ def ao_minimize_crb(scene: PointTargetScene, g: np.ndarray,
     f_prev = trace[0]
     iterations = 0
     for iterations in range(1, max_iter + 1):
-        v_lifted = half_step(irs_subproblem, last_irs_solution, r_x, a, g, k)
+        v_lifted = half_step(irs_subproblem, r_x, a, g, k)
         trace.append(sdr_objective(r_x, v_lifted, a, g, k))
-        r_x = half_step(transmit_subproblem, last_transmit_solution, v_lifted, a, g, k, p0)
+        r_x = half_step(transmit_subproblem, v_lifted, a, g, k, p0)
         f_cur = sdr_objective(r_x, v_lifted, a, g, k)
         trace.append(f_cur)
         if abs(f_cur - f_prev) <= tol * max(1e-300, abs(f_prev)):
@@ -310,8 +303,8 @@ def ao_minimize_crb(scene: PointTargetScene, g: np.ndarray,
               for i, v in enumerate(candidates)]
     _, _, v_star = max(scored, key=lambda t: (t[0], -t[1]))
 
-    r_star = half_step(transmit_subproblem, last_transmit_solution,
-                       np.outer(v_star, v_star.conj()), a, g, k, p0)
+    r_star = half_step(transmit_subproblem, np.outer(v_star, v_star.conj()),
+                       a, g, k, p0)
     f_star = sdr_objective(r_star, np.outer(v_star, v_star.conj()), a, g, k)
     if f_star < incumbent[2]:
         r_star, v_star, f_star = incumbent
@@ -337,12 +330,8 @@ def ao_minimize_crb(scene: PointTargetScene, g: np.ndarray,
 def _write_trace(path: str, trace: list[float], scene: PointTargetScene,
                  config: SystemConfig) -> None:
     """Per-half-iteration CSV rows (iteration, f, crb bound implied by f)."""
-    cos2 = np.cos(scene.theta) ** 2
-    front = (2.0 * config.T * abs(scene.alpha) ** 2 * np.pi ** 2
-             * config.spacing ** 2 * cos2 * config.K)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("iteration,f,crb\n")
         for i, f_val in enumerate(trace):
-            crb = (config.noise_power * config.wavelength ** 2
-                   / (front * f_val)) if f_val > 0 else float("inf")
+            crb = _bound_from_info(scene, config, config.K * f_val)
             fh.write(f"{i},{f_val:.17e},{crb:.17e}\n")

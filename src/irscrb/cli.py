@@ -21,13 +21,12 @@ import numpy as np
 
 from .allocation import (AllocationDomainError, allocate_exhaustive,
                          allocate_optimal, allocate_suboptimal)
-from .ao import SubproblemError, ao_minimize_crb
+from .ao import SubproblemError
 from .channel import rician_channel
-from .config import SystemConfig, point_scene, watt_to_dbm
-from .extended import EstimabilityError, crb_extended_iso, crb_extended_opt, gap_db
-from .pointcrb import single_antenna_optimum
-from .sweep import (POINT_SCHEMES, SweepSpec, emit_csv, load_config,
-                    run_sweep)
+from .config import SystemConfig
+from .extended import EstimabilityError, gap_db
+from .sweep import (AO_SAMPLES, POINT_SCHEMES, SCHEMES, SweepSpec, emit_csv,
+                    load_config, run_sweep)
 
 USAGE_EXIT = 1
 NUMERICAL_EXIT = 2
@@ -65,7 +64,9 @@ def _build_parser() -> _Parser:
     p_crb.add_argument("--scheme", default=None,
                        help="point target only; defaults to proposed_ao "
                             "(single_antenna_closed when M = 1)")
-    p_crb.add_argument("--seed", type=int, default=0)
+    p_crb.add_argument("--seed", type=int, default=0,
+                       help="channel seed; a scheme's own draws derive from "
+                            "it as in trial 0 of a sweep")
 
     p_self = sub.add_parser("selftest", help="run the monotone-trend checks")
     p_self.add_argument("--fast", action="store_true",
@@ -131,35 +132,25 @@ def _cmd_allocate(args) -> int:
 def _cmd_crb(args) -> int:
     base, theta, _ = load_config(args.config)
     ch = rician_channel(base, seed=args.seed)
+
+    def bound(scheme: str) -> float:
+        return SCHEMES[scheme].evaluate(base, ch, theta, args.seed, 0, AO_SAMPLES)
+
     if args.target == "extended":
         try:
-            opt = crb_extended_opt(ch.G, base.P0, base.K, base.T, base.noise_power)
-            iso = crb_extended_iso(ch.G, base.P0, base.M, base.K, base.T,
-                                   base.noise_power)
-            print(f"crb_opt = {opt.crb:.6e}  ({10 * np.log10(opt.crb):.3f} dB)")
-            print(f"crb_iso = {iso.crb:.6e}  ({10 * np.log10(iso.crb):.3f} dB)")
+            opt, iso = bound("extended_opt"), bound("extended_iso")
+            print(f"crb_opt = {opt:.6e}  ({10 * np.log10(opt):.3f} dB)")
+            print(f"crb_iso = {iso:.6e}  ({10 * np.log10(iso):.3f} dB)")
             print(f"gap     = {gap_db(ch.G, base.M):.4f} dB")
         except EstimabilityError:
             print("crb_opt = inf  (rank-deficient channel)")
         return 0
 
-    scene = point_scene(base, theta)
     scheme = args.scheme or ("single_antenna_closed" if base.M == 1
                              else "proposed_ao")
     if scheme not in POINT_SCHEMES:
         raise _UsageError(f"unknown point scheme {scheme!r}")
-    if scheme == "single_antenna_closed":
-        if base.M != 1:
-            raise _UsageError("single_antenna_closed requires m = 1 in the config")
-        _, _, crb = single_antenna_optimum(scene, ch.h_bi, base)
-    elif scheme == "proposed_ao":
-        crb = ao_minimize_crb(scene, ch.G, base, seed=args.seed).crb
-    else:
-        spec = SweepSpec(base=base, theta=theta, vary="P0",
-                         values=(watt_to_dbm(base.P0),), scheme=scheme,
-                         seed=args.seed, average_alpha=False)
-        from .sweep import _point_unit_crb
-        crb = _point_unit_crb(spec, base, trial=0)
+    crb = bound(scheme)
     if np.isfinite(crb):
         print(f"crb = {crb:.6e} rad^2  ({10 * np.log10(crb):.3f} dB)")
     else:

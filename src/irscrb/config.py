@@ -121,15 +121,23 @@ class ChannelRealization:
             raise ValueError("h_bi is only defined for a single-antenna BS")
 
 
+def _seed_sequence(seed: int, stream: tuple[int, ...]) -> np.random.SeedSequence:
+    return np.random.SeedSequence(entropy=int(seed), spawn_key=tuple(int(s) for s in stream))
+
+
 def make_rng(seed: int, *stream: int) -> np.random.Generator:
     """Counter-based generator for the given seed and stream indices.
 
-    Every random draw in the library goes through this helper so that each
-    (seed, stream) pair owns an independent, reproducible stream; there is no
-    hidden global state.
+    Every random draw in the library goes through this helper (or
+    :func:`derive_seed`) so that each (seed, stream) pair owns an
+    independent, reproducible stream; there is no hidden global state.
     """
-    ss = np.random.SeedSequence(entropy=int(seed), spawn_key=tuple(int(s) for s in stream))
-    return np.random.Generator(np.random.Philox(ss))
+    return np.random.Generator(np.random.Philox(_seed_sequence(seed, stream)))
+
+
+def derive_seed(seed: int, *stream: int) -> int:
+    """64-bit integer seed of the (seed, stream) pair, for seeded callees."""
+    return int(_seed_sequence(seed, stream).generate_state(1, np.uint64)[0])
 
 
 # -- unit conversions --------------------------------------------------------

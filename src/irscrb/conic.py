@@ -25,6 +25,7 @@ The solver is deterministic: identical programs produce identical iterates.
 
 from __future__ import annotations
 
+import logging
 from dataclasses import dataclass, field
 from typing import Literal
 
@@ -35,6 +36,8 @@ DEFAULT_TOL = 1e-8
 DEFAULT_MAX_ITER = 200
 STEP_FRACTION = 0.98
 SYMMETRY_ATOL = 1e-10
+
+_log = logging.getLogger(__name__)
 
 
 # -- complex embedding -------------------------------------------------------
@@ -269,7 +272,7 @@ def _lyapunov_rhs(lam: np.ndarray, rhs: np.ndarray) -> np.ndarray:
 
 
 def solve(program: ConicProgram, tol: float = DEFAULT_TOL,
-          max_iter: int = DEFAULT_MAX_ITER, verbose: bool = False) -> ConicSolution:
+          max_iter: int = DEFAULT_MAX_ITER) -> ConicSolution:
     """Run the NT predictor-corrector iteration on ``program``.
 
     On ``status == "optimal"`` every normalized KKT residual is at most
@@ -330,9 +333,8 @@ def solve(program: ConicProgram, tol: float = DEFAULT_TOL,
         dual_res = np.sqrt(sum(np.linalg.norm(r) ** 2 for r in rd)) / c_scale
         gap_res = max(abs(pobj - dobj), abs(mu * n_tot)) / (1.0 + abs(pobj))
 
-        if verbose:
-            print(f"iter {iterations:3d}  mu {mu:9.2e}  prim {prim_res:9.2e}  "
-                  f"dual {dual_res:9.2e}  gap {gap_res:9.2e}  obj {pobj:+.9e}")
+        _log.debug("iter %3d  mu %9.2e  prim %9.2e  dual %9.2e  gap %9.2e  obj %+.9e",
+                   iterations, mu, prim_res, dual_res, gap_res, pobj)
         metric = max(prim_res, dual_res, gap_res)
         if metric < best_metric:
             best_metric = metric

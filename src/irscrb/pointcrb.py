@@ -179,9 +179,18 @@ def crb_point_closed(scene: PointTargetScene, r_x, v, g: np.ndarray,
     k = config.K
     bracket = ((k ** 3 - k) / 3.0) * p_reflect + k * p_taper \
         - k * abs(cross) ** 2 / p_reflect
+    return _bound_from_info(scene, config, bracket)
+
+
+def _bound_from_info(scene: PointTargetScene, config: SystemConfig,
+                     info: float) -> float:
+    """Bound sigma^2 lambda^2 / (2 T |alpha|^2 pi^2 d^2 cos^2(theta) info).
+
+    Returns ``inf`` when the information is not positive.
+    """
     cos2 = np.cos(scene.theta) ** 2
     denom = (2.0 * config.T * abs(scene.alpha) ** 2 * np.pi ** 2
-             * config.spacing ** 2 * cos2 * bracket)
+             * config.spacing ** 2 * cos2 * info)
     if denom <= 0.0:
         return float("inf")
     return float(config.noise_power * config.wavelength ** 2 / denom)
@@ -208,10 +217,5 @@ def single_antenna_optimum(scene: PointTargetScene, h_bi: np.ndarray,
 
     coherent_gain = float(np.sum(np.abs(h))) ** 2
     k = config.K
-    denom = (2.0 * config.T * abs(scene.alpha) ** 2 * np.pi ** 2
-             * np.cos(scene.theta) ** 2 * config.spacing ** 2
-             * p_x * (k ** 3 - k) * coherent_gain)
-    if denom <= 0.0:
-        return p_x, phases, float("inf")
-    crb = 3.0 * config.noise_power * config.wavelength ** 2 / denom
-    return p_x, phases, float(crb)
+    info = p_x * (k ** 3 - k) * coherent_gain / 3.0
+    return p_x, phases, _bound_from_info(scene, config, info)

@@ -51,19 +51,15 @@ wall_ms``, one row per (value, scheme), floats in full-precision scientific
 notation, infinite bounds spelled ``inf`` with status ``rank_deficient``,
 UTF-8 with LF line endings.  All columns except ``wall_ms`` are
 deterministic for a fixed config and seed.
-
-Set ``IRSCRB_WORKERS`` to evaluate independent (value, trial) items in a
-thread pool; results are merged in deterministic order either way.
 """
 
 from __future__ import annotations
 
 import configparser
 import csv
-import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -71,20 +67,18 @@ from .allocation import allocate_optimal
 from .ao import ao_minimize_crb, gaussian_randomization, irs_subproblem, transmit_subproblem
 from .arrays import target_steering
 from .channel import rician_channel
-from .config import (SystemConfig, db_to_linear, dbm_to_watt, make_rng,
-                     point_scene)
+from .config import (SystemConfig, db_to_linear, dbm_to_watt, derive_seed,
+                     make_rng, point_scene)
 from .extended import (EstimabilityError, FullyPassiveConfig, crb_extended_iso,
                        crb_extended_opt, crb_fully_passive,
                        optimal_transmit_extended)
 from .pointcrb import crb_point_closed, single_antenna_optimum
 
-POINT_SCHEMES = ("proposed_ao", "random_phase", "isotropic_tx",
-                 "single_antenna_closed")
-EXTENDED_SCHEMES = ("extended_opt", "extended_iso", "fully_passive")
 VARY_CHOICES = ("P0", "M", "N", "K", "beta_BI", "W_I", "Q_tot")
 
 CSV_HEADER = ("vary", "value", "scheme", "crb", "crb_db", "trials", "status",
               "wall_ms")
+AO_SAMPLES = 200                    # Gaussian randomization draws per instance
 
 # stream tags for the per-trial substreams
 _CHANNEL, _AO, _PHASE, _RANDOMIZE, _ALPHA, _RETURN = range(6)
@@ -122,12 +116,12 @@ class SweepSpec:
     q_tot: float = 600.0            # allocation-driven sweeps only
     w_i: float = 1.0
     w_s: float = 1.0
-    ao_samples: int = 200
+    ao_samples: int = AO_SAMPLES
 
     def __post_init__(self):
         if self.vary not in VARY_CHOICES:
             raise ValueError(f"unknown vary {self.vary!r}; choose from {VARY_CHOICES}")
-        if self.scheme not in POINT_SCHEMES + EXTENDED_SCHEMES:
+        if self.scheme not in SCHEMES:
             raise ValueError(f"unknown scheme {self.scheme!r}")
         if len(self.values) == 0:
             raise ValueError("value list must be non-empty")
@@ -135,12 +129,12 @@ class SweepSpec:
             raise ValueError("values must be strictly increasing")
         if self.trials < 1:
             raise ValueError("trials must be at least 1")
-        if self.vary in ("W_I", "Q_tot") and self.scheme in EXTENDED_SCHEMES:
+        if self.vary in ("W_I", "Q_tot") and self.target == "extended":
             raise ValueError("allocation sweeps apply to the point-target model")
 
     @property
     def target(self) -> str:
-        return "point" if self.scheme in POINT_SCHEMES else "extended"
+        return SCHEMES[self.scheme].target
 
 
 @dataclass(frozen=True)
@@ -176,33 +170,77 @@ def _config_for(spec: SweepSpec, value: float) -> SystemConfig:
     return replace(base, N=n, K=k)
 
 
-def _point_unit_crb(spec: SweepSpec, cfg: SystemConfig, trial: int) -> float:
-    """Bound for a unit small-scale draw (alpha0 = 1)."""
-    scene = point_scene(cfg, spec.theta, alpha0=1.0 + 0j)
-    ch = rician_channel(cfg, seed=_derive_seed(spec.seed, trial, _CHANNEL))
-    if spec.scheme == "proposed_ao":
-        res = ao_minimize_crb(scene, ch.G, cfg,
-                              samples=spec.ao_samples,
-                              seed=_derive_seed(spec.seed, trial, _AO))
-        return res.crb
-    a = target_steering(scene.theta, cfg.N, cfg.spacing, cfg.wavelength)
-    if spec.scheme == "random_phase":
-        rng = make_rng(spec.seed, trial, _PHASE)
-        v = np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, cfg.N))
-        r_x = transmit_subproblem(np.outer(v, v.conj()), a, ch.G, cfg.K, cfg.P0)
-        return crb_point_closed(scene, r_x, v, ch.G, cfg)
-    if spec.scheme == "isotropic_tx":
-        r_iso = (cfg.P0 / cfg.M) * np.eye(cfg.M, dtype=complex)
-        lifted = irs_subproblem(r_iso, a, ch.G, cfg.K)
-        profile = gaussian_randomization(lifted, r_iso, a, ch.G, cfg.K,
-                                         spec.ao_samples,
-                                         _derive_seed(spec.seed, trial, _RANDOMIZE))
-        return crb_point_closed(scene, r_iso, profile.v, ch.G, cfg)
-    # single_antenna_closed
+# -- schemes ------------------------------------------------------------------
+
+class Scheme(NamedTuple):
+    """A bounding scheme: the target model it applies to and its evaluator.
+
+    ``evaluate(cfg, ch, theta, seed, trial, samples)`` returns the bound for
+    the channel draw ``ch``; point-target bounds are for a unit small-scale
+    draw (alpha0 = 1).  Any further randomness comes from the (seed, trial)
+    substreams.
+    """
+
+    target: str                         # "point" | "extended"
+    evaluate: Callable[..., float]
+
+
+def _proposed_ao(cfg, ch, theta, seed, trial, samples) -> float:
+    return ao_minimize_crb(point_scene(cfg, theta), ch.G, cfg, samples=samples,
+                           seed=derive_seed(seed, trial, _AO)).crb
+
+
+def _random_phase(cfg, ch, theta, seed, trial, samples) -> float:
+    a = target_steering(theta, cfg.N, cfg.spacing, cfg.wavelength)
+    v = np.exp(1j * make_rng(seed, trial, _PHASE).uniform(0.0, 2.0 * np.pi, cfg.N))
+    r_x, _ = transmit_subproblem(np.outer(v, v.conj()), a, ch.G, cfg.K, cfg.P0)
+    return crb_point_closed(point_scene(cfg, theta), r_x, v, ch.G, cfg)
+
+
+def _isotropic_tx(cfg, ch, theta, seed, trial, samples) -> float:
+    a = target_steering(theta, cfg.N, cfg.spacing, cfg.wavelength)
+    r_iso = (cfg.P0 / cfg.M) * np.eye(cfg.M, dtype=complex)
+    lifted, _ = irs_subproblem(r_iso, a, ch.G, cfg.K)
+    profile = gaussian_randomization(lifted, r_iso, a, ch.G, cfg.K, samples,
+                                     derive_seed(seed, trial, _RANDOMIZE))
+    return crb_point_closed(point_scene(cfg, theta), r_iso, profile.v, ch.G, cfg)
+
+
+def _single_antenna_closed(cfg, ch, theta, seed, trial, samples) -> float:
     if cfg.M != 1:
         raise ValueError("single_antenna_closed requires a config with M = 1")
-    _, _, crb = single_antenna_optimum(scene, ch.h_bi, cfg)
-    return crb
+    return single_antenna_optimum(point_scene(cfg, theta), ch.h_bi, cfg)[2]
+
+
+def _extended_opt(cfg, ch, theta, seed, trial, samples) -> float:
+    return crb_extended_opt(ch.G, cfg.P0, cfg.K, cfg.T, cfg.noise_power).crb
+
+
+def _extended_iso(cfg, ch, theta, seed, trial, samples) -> float:
+    return crb_extended_iso(ch.G, cfg.P0, cfg.M, cfg.K, cfg.T, cfg.noise_power).crb
+
+
+def _fully_passive(cfg, ch, theta, seed, trial, samples) -> float:
+    # echoes return through the IRS to K BS receive antennas; the transmit
+    # side reuses the optimal covariance.
+    back_cfg = replace(cfg, M=cfg.K)
+    g_r = rician_channel(back_cfg, seed=derive_seed(seed, trial, _RETURN)).G.T
+    fp = FullyPassiveConfig(m_r=cfg.K, g_r=g_r)
+    r_x = optimal_transmit_extended(ch.G, cfg.P0)
+    return crb_fully_passive(r_x, ch.G, fp, cfg.T, cfg.noise_power)
+
+
+SCHEMES = {
+    "proposed_ao": Scheme("point", _proposed_ao),
+    "random_phase": Scheme("point", _random_phase),
+    "isotropic_tx": Scheme("point", _isotropic_tx),
+    "single_antenna_closed": Scheme("point", _single_antenna_closed),
+    "extended_opt": Scheme("extended", _extended_opt),
+    "extended_iso": Scheme("extended", _extended_iso),
+    "fully_passive": Scheme("extended", _fully_passive),
+}
+POINT_SCHEMES = tuple(name for name, s in SCHEMES.items() if s.target == "point")
+EXTENDED_SCHEMES = tuple(name for name, s in SCHEMES.items() if s.target == "extended")
 
 
 def _alpha_factor(spec: SweepSpec, trial: int) -> float:
@@ -217,35 +255,13 @@ def _alpha_factor(spec: SweepSpec, trial: int) -> float:
     return float(np.mean(1.0 / np.abs(a0) ** 2))
 
 
-def _extended_crb(spec: SweepSpec, cfg: SystemConfig, trial: int) -> float:
-    ch = rician_channel(cfg, seed=_derive_seed(spec.seed, trial, _CHANNEL))
-    if spec.scheme == "extended_opt":
-        return crb_extended_opt(ch.G, cfg.P0, cfg.K, cfg.T, cfg.noise_power).crb
-    if spec.scheme == "extended_iso":
-        return crb_extended_iso(ch.G, cfg.P0, cfg.M, cfg.K, cfg.T,
-                                cfg.noise_power).crb
-    # fully_passive reference: echoes return through the IRS to K BS
-    # receive antennas; the transmit side reuses the optimal covariance.
-    back_cfg = replace(cfg, M=cfg.K)
-    g_r = rician_channel(back_cfg, seed=_derive_seed(spec.seed, trial, _RETURN)).G.T
-    fp = FullyPassiveConfig(m_r=cfg.K, g_r=g_r)
-    r_x = optimal_transmit_extended(ch.G, cfg.P0)
-    return crb_fully_passive(r_x, ch.G, fp, cfg.T, cfg.noise_power)
-
-
-def _derive_seed(seed: int, *key: int) -> int:
-    ss = np.random.SeedSequence(entropy=int(seed), spawn_key=tuple(key))
-    return int(ss.generate_state(1, np.uint64)[0])
-
-
 def _run_trial(spec: SweepSpec, cfg: SystemConfig, trial: int) -> tuple[float, str]:
+    scheme = SCHEMES[spec.scheme]
     try:
-        if spec.target == "point":
-            crb = _point_unit_crb(spec, cfg, trial)
-            if np.isfinite(crb):
-                crb *= _alpha_factor(spec, trial)
-        else:
-            crb = _extended_crb(spec, cfg, trial)
+        ch = rician_channel(cfg, seed=derive_seed(spec.seed, trial, _CHANNEL))
+        crb = scheme.evaluate(cfg, ch, spec.theta, spec.seed, trial, spec.ao_samples)
+        if scheme.target == "point" and np.isfinite(crb):
+            crb *= _alpha_factor(spec, trial)
     except EstimabilityError:
         return float("inf"), "rank_deficient"
     except (ArithmeticError, RuntimeError) as exc:
@@ -257,34 +273,13 @@ def _run_trial(spec: SweepSpec, cfg: SystemConfig, trial: int) -> tuple[float, s
 
 def run_sweep(spec: SweepSpec) -> list[SweepRecord]:
     """Evaluate the scheme over all (value, trial) items and average."""
-    workers = int(os.environ.get("IRSCRB_WORKERS", "1"))
-    configs = [_config_for(spec, value) for value in spec.values]
-
-    value_ms = {}
-    if workers > 1:
-        items = [(vi, trial) for vi in range(len(spec.values))
-                 for trial in range(spec.trials)]
-        start = time.perf_counter()
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            futures = {
-                (vi, trial): pool.submit(_run_trial, spec, configs[vi], trial)
-                for vi, trial in items
-            }
-            results = {key: fut.result() for key, fut in futures.items()}
-        elapsed = (time.perf_counter() - start) * 1e3
-        value_ms = {vi: elapsed / len(spec.values) for vi in range(len(spec.values))}
-    else:
-        results = {}
-        for vi in range(len(spec.values)):
-            tic = time.perf_counter()
-            for trial in range(spec.trials):
-                results[(vi, trial)] = _run_trial(spec, configs[vi], trial)
-            value_ms[vi] = (time.perf_counter() - tic) * 1e3
-
     records = []
-    for vi, value in enumerate(spec.values):
-        crbs = [results[(vi, trial)][0] for trial in range(spec.trials)]
-        statuses = [results[(vi, trial)][1] for trial in range(spec.trials)]
+    for value in spec.values:
+        cfg = _config_for(spec, value)
+        tic = time.perf_counter()
+        results = [_run_trial(spec, cfg, trial) for trial in range(spec.trials)]
+        wall_ms = (time.perf_counter() - tic) * 1e3
+        statuses = [status for _, status in results]
         if any(s.startswith("error") for s in statuses):
             status = next(s for s in statuses if s.startswith("error"))
             mean = float("nan")
@@ -293,12 +288,12 @@ def run_sweep(spec: SweepSpec) -> list[SweepRecord]:
             mean = float("inf")
         else:
             status = "ok"
-            mean = float(np.mean(crbs))
+            mean = float(np.mean([crb for crb, _ in results]))
         crb_db = 10.0 * np.log10(mean) if mean > 0 else float("nan")
         records.append(SweepRecord(
             vary=spec.vary, value=float(value), scheme=spec.scheme,
             crb_mean=mean, crb_db=float(crb_db), trials_used=spec.trials,
-            wall_ms=value_ms[vi], status=status,
+            wall_ms=wall_ms, status=status,
         ))
     return records
 

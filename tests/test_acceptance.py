@@ -12,9 +12,7 @@ import pytest
 from irscrb.allocation import (allocate_exhaustive, allocate_optimal,
                                allocate_suboptimal)
 from irscrb.ao import (ao_minimize_crb, gaussian_randomization,
-                       irs_subproblem, last_irs_solution,
-                       last_transmit_solution, sdr_objective,
-                       transmit_subproblem)
+                       irs_subproblem, sdr_objective, transmit_subproblem)
 from irscrb.arrays import target_steering
 from irscrb.channel import rician_channel
 from irscrb.config import PointTargetScene, SystemConfig, make_rng, point_scene
@@ -68,10 +66,10 @@ def ao_instances():
             rng = make_rng(7000 + seed, size)
             v_rand = np.exp(1j * rng.uniform(0, 2 * np.pi, size))
             a = target_steering(scene.theta, size, cfg.spacing, cfg.wavelength)
-            r_rand = transmit_subproblem(np.outer(v_rand, v_rand.conj()), a,
-                                         ch.G, size, cfg.P0)
+            r_rand, sol = transmit_subproblem(np.outer(v_rand, v_rand.conj()),
+                                              a, ch.G, size, cfg.P0)
             crb_rand = crb_point_closed(scene, r_rand, v_rand, ch.G, cfg)
-            baseline_kkt = last_transmit_solution().kkt.max()
+            baseline_kkt = sol.kkt.max()
             runs.append((res, crb_rand, baseline_kkt))
     return runs
 
@@ -85,8 +83,8 @@ def sdr_probes():
         theta = float(rng.uniform(-1.0, 1.0))
         a = target_steering(theta, 4, 0.1, 0.2)
         r_x = random_covariance(rng, 3, 1.0)
-        lifted = irs_subproblem(r_x, a, g, 4)
-        kkt = last_irs_solution().kkt.max()
+        lifted, sol = irs_subproblem(r_x, a, g, 4)
+        kkt = sol.kkt.max()
 
         def objective(v, r_x=r_x, a=a, g=g):
             return sdr_objective(r_x, np.outer(v, v.conj()), a, g, 4)

@@ -1,13 +1,15 @@
 import numpy as np
 import pytest
 
-from irscrb.ao import (DegenerateObjectiveError, ao_minimize_crb,
+from irscrb.ao import (SUBPROBLEM_FLOOR, SUBPROBLEM_TOL,
+                       DegenerateObjectiveError, ao_minimize_crb,
                        default_phase_profile, gaussian_randomization,
                        irs_subproblem, sdr_objective, transmit_subproblem)
 from irscrb.arrays import target_steering
 from irscrb.channel import rician_channel
-from irscrb.config import PointTargetScene, SystemConfig, point_scene
+from irscrb.config import PointTargetScene, SystemConfig, make_rng, point_scene
 from irscrb.pointcrb import crb_point_closed, single_antenna_optimum
+from irscrb.sweep import reference_config
 
 from oracles import (exhaustive_phase_grid, point_bracket,
                      random_covariance, random_unit_profile)
@@ -77,7 +79,7 @@ class TestTransmitSubproblem:
         g, a, _, _ = _instance(3, 4, 4, seed=5)
         v = random_unit_profile(np.random.default_rng(5), 4)
         lifted = np.outer(v, v.conj())
-        r_star = transmit_subproblem(lifted, a, g, 4, 1.0)
+        r_star, _ = transmit_subproblem(lifted, a, g, 4, 1.0)
         f_star = sdr_objective(r_star, lifted, a, g, 4)
         rng = np.random.default_rng(6)
         for _ in range(50):
@@ -87,13 +89,13 @@ class TestTransmitSubproblem:
     def test_budget_binds(self):
         g, a, _, _ = _instance(3, 4, 4, seed=7)
         v = random_unit_profile(np.random.default_rng(7), 4)
-        r_star = transmit_subproblem(np.outer(v, v.conj()), a, g, 4, 2.5)
+        r_star, _ = transmit_subproblem(np.outer(v, v.conj()), a, g, 4, 2.5)
         assert np.real(np.trace(r_star.matrix)) == pytest.approx(2.5, rel=1e-6)
 
     def test_single_antenna_reduces_to_full_power(self):
         g, a, _, _ = _instance(1, 4, 4, seed=8)
         v = random_unit_profile(np.random.default_rng(8), 4)
-        r_star = transmit_subproblem(np.outer(v, v.conj()), a, g, 4, 1.7)
+        r_star, _ = transmit_subproblem(np.outer(v, v.conj()), a, g, 4, 1.7)
         assert r_star.matrix.shape == (1, 1)
         assert r_star.matrix[0, 0].real == pytest.approx(1.7, rel=1e-6)
 
@@ -102,17 +104,29 @@ class TestTransmitSubproblem:
         with pytest.raises(ValueError, match="unit diagonal"):
             transmit_subproblem(2.0 * np.eye(3, dtype=complex), a, g, 4, 1.0)
 
+    def test_solve_stalled_at_its_floor_is_kept(self):
+        # the random-phase program of `irscrb crb point --seed 0` at
+        # M = 2, N = K = 4 stalls just above the 1e-9 solver tolerance
+        cfg = reference_config(M=2, N=4, K=4)
+        ch = rician_channel(cfg, seed=0)
+        a = target_steering(np.deg2rad(60.0), 4, cfg.spacing, cfg.wavelength)
+        v = np.exp(1j * make_rng(0, 0, 2).uniform(0.0, 2.0 * np.pi, 4))
+        r_x, sol = transmit_subproblem(np.outer(v, v.conj()), a, ch.G, 4, cfg.P0)
+        assert sol.status == "max_iter"
+        assert SUBPROBLEM_TOL < sol.kkt.max() <= SUBPROBLEM_FLOOR
+        assert np.real(np.trace(r_x.matrix)) == pytest.approx(cfg.P0, rel=1e-6)
+
 
 class TestIrsSubproblem:
     def test_unit_diagonal(self):
         g, a, r_x, _ = _instance(3, 5, 4, seed=10)
-        lifted = irs_subproblem(r_x, a, g, 4)
+        lifted, _ = irs_subproblem(r_x, a, g, 4)
         np.testing.assert_allclose(np.diag(lifted).real, 1.0, atol=1e-8)
         np.testing.assert_allclose(np.diag(lifted).imag, 0.0, atol=1e-8)
 
     def test_relaxation_dominates_unit_modulus_profiles(self):
         g, a, r_x, _ = _instance(3, 5, 4, seed=11)
-        lifted = irs_subproblem(r_x, a, g, 4)
+        lifted, _ = irs_subproblem(r_x, a, g, 4)
         f_star = sdr_objective(r_x, lifted, a, g, 4)
         rng = np.random.default_rng(12)
         for _ in range(100):
@@ -122,7 +136,7 @@ class TestIrsSubproblem:
 
     def test_single_element(self):
         g, a, r_x, _ = _instance(2, 1, 4, seed=13)
-        lifted = irs_subproblem(r_x, a, g, 4)
+        lifted, _ = irs_subproblem(r_x, a, g, 4)
         np.testing.assert_allclose(lifted, [[1.0]], atol=1e-8)
         direct = sdr_objective(r_x, np.array([[1.0 + 0j]]), a, g, 4)
         assert sdr_objective(r_x, lifted, a, g, 4) == pytest.approx(direct, rel=1e-8)
@@ -139,7 +153,7 @@ class TestGaussianRandomization:
 
     def test_best_objective_grows_with_samples(self):
         g, a, r_x, _ = _instance(3, 5, 4, seed=15)
-        lifted = irs_subproblem(r_x, a, g, 4)
+        lifted, _ = irs_subproblem(r_x, a, g, 4)
         values = []
         for samples in (1, 5, 20, 100, 200):
             profile = gaussian_randomization(lifted, r_x, a, g, 4,
@@ -151,7 +165,7 @@ class TestGaussianRandomization:
     def test_close_to_exhaustive_grid_at_small_size(self):
         # four elements, sixteen phase levels: the full grid is enumerable
         g, a, r_x, _ = _instance(3, 4, 4, seed=16)
-        lifted = irs_subproblem(r_x, a, g, 4)
+        lifted, _ = irs_subproblem(r_x, a, g, 4)
 
         def objective(v):
             return sdr_objective(r_x, np.outer(v, v.conj()), a, g, 4)
@@ -207,8 +221,8 @@ class TestAlternatingMinimizer:
                                                      cfg.spacing, cfg.wavelength))
         res = ao_minimize_crb(scene, ch.G, cfg, init=init, seed=5)
         a = target_steering(scene.theta, cfg.N, cfg.spacing, cfg.wavelength)
-        r_init = transmit_subproblem(np.outer(init.v, init.v.conj()), a, ch.G,
-                                     cfg.K, cfg.P0)
+        r_init, _ = transmit_subproblem(np.outer(init.v, init.v.conj()), a,
+                                        ch.G, cfg.K, cfg.P0)
         crb_init = crb_point_closed(scene, r_init, init.v, ch.G, cfg)
         assert res.crb <= crb_init * (1 + 1e-9)
 
@@ -230,6 +244,21 @@ class TestAlternatingMinimizer:
         assert lines[0] == "iteration,f,crb"
         assert len(lines) >= 3
 
+    def test_trace_row_zero_is_the_bound_at_the_initial_pair(self, tmp_path):
+        cfg = SystemConfig(M=2, N=3, K=4, T=16)
+        scene = point_scene(cfg, 0.2)
+        ch = rician_channel(cfg, seed=61)
+        out = tmp_path / "trace.csv"
+        ao_minimize_crb(scene, ch.G, cfg, seed=6, trace_path=str(out))
+        a = target_steering(scene.theta, cfg.N, cfg.spacing, cfg.wavelength)
+        init = default_phase_profile(ch.G, a)
+        r_init, _ = transmit_subproblem(np.outer(init.v, init.v.conj()), a,
+                                        ch.G, cfg.K, cfg.P0)
+        row0 = out.read_text().splitlines()[1].split(",")
+        assert row0[0] == "0"
+        assert float(row0[2]) == pytest.approx(
+            crb_point_closed(scene, r_init, init.v, ch.G, cfg), rel=1e-12)
+
 
 class TestDefaultProfile:
     def test_single_antenna_alignment_is_exact_optimum(self):
@@ -243,14 +272,11 @@ class TestDefaultProfile:
 
 def test_desk_scale_reflection_subproblem():
     # order-32 lifted profile (64 real) stays within solver tolerance
-    from irscrb.ao import last_irs_solution
-
     cfg = SystemConfig(M=8, N=32, K=8, T=64)
     ch = rician_channel(cfg, seed=1)
     a = target_steering(np.deg2rad(60.0), 32, cfg.spacing, cfg.wavelength)
     r_x = random_covariance(np.random.default_rng(0), 8, 1.0)
-    lifted = irs_subproblem(r_x, a, ch.G, 8)
-    sol = last_irs_solution()
+    lifted, sol = irs_subproblem(r_x, a, ch.G, 8)
     assert sol.status == "optimal"
     assert sol.kkt.max() <= 1e-9
     np.testing.assert_allclose(np.diag(lifted).real, 1.0, atol=1e-8)
@@ -263,6 +289,17 @@ def test_reference_scale_alternating_run():
     res = ao_minimize_crb(scene, ch.G, cfg, seed=0)
     assert res.status == "converged"
     assert res.solver_residual_max <= 1e-8
+    assert np.isfinite(res.crb) and res.crb > 0
+
+
+def test_desk_scale_run_through_a_stalled_transmit_solve():
+    # a transmit solve of this run stalls at a KKT residual near 5.6e-9
+    cfg = SystemConfig(M=8, N=16, K=8, T=64, P0=1.0)
+    scene = point_scene(cfg, np.deg2rad(60.0))
+    ch = rician_channel(cfg, seed=1)
+    res = ao_minimize_crb(scene, ch.G, cfg, seed=0)
+    assert res.status == "converged"
+    assert SUBPROBLEM_TOL < res.solver_residual_max <= SUBPROBLEM_FLOOR
     assert np.isfinite(res.crb) and res.crb > 0
 
 

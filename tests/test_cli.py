@@ -1,6 +1,8 @@
 import re
 
+from irscrb.channel import rician_channel
 from irscrb.cli import cli_main
+from irscrb.sweep import AO_SAMPLES, SCHEMES, load_config
 
 POINT_CONFIG = """
 [system]
@@ -87,6 +89,20 @@ def test_crb_point_optimizing_schemes(tmp_path, capsys):
                        "--scheme", scheme])
         assert rc == 0
         assert "crb =" in capsys.readouterr().out
+
+
+def test_crb_point_random_phase_uses_the_seeded_channel(tmp_path, capsys):
+    # every point scheme evaluates rician_channel(base, seed=--seed)
+    cfg = tmp_path / "cfg.ini"
+    cfg.write_text(POINT_CONFIG.replace("m = 1", "m = 2"))
+    base, theta, _ = load_config(str(cfg))
+    for seed in range(4):
+        rc = cli_main(["crb", "point", "--config", str(cfg),
+                       "--scheme", "random_phase", "--seed", str(seed)])
+        assert rc == 0
+        ch = rician_channel(base, seed=seed)
+        crb = SCHEMES["random_phase"].evaluate(base, ch, theta, seed, 0, AO_SAMPLES)
+        assert f"crb = {crb:.6e} rad^2" in capsys.readouterr().out
 
 
 def test_crb_point_bad_scheme_is_usage_error(tmp_path):

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from irscrb.config import (SpacingWarning, SystemConfig, db_to_linear,
-                           dbm_to_watt, linear_to_db, make_rng, watt_to_dbm)
+                           dbm_to_watt, derive_seed, linear_to_db, make_rng,
+                           watt_to_dbm)
 
 
 class TestSystemConfig:
@@ -47,6 +48,16 @@ class TestRng:
         a = make_rng(5, 1).standard_normal(8)
         b = make_rng(5, 2).standard_normal(8)
         assert not np.array_equal(a, b)
+
+    def test_pinned_draws(self):
+        # every sweep's channel and scheme draws depend on these values
+        assert derive_seed(1234, 0, 0) == 3390605987580608350
+        assert derive_seed(1234, 0, 5) == 6784569483849476395
+        assert derive_seed(1234, 1, 0) == 16274685030245454228
+        assert derive_seed(1234, 2, 1) == 13268625995465548875
+        assert derive_seed(1234, 2, 5) == 5967699405446740694
+        assert make_rng(1234, 0, 4).standard_normal(2).tolist() == \
+            [-0.12493815363234342, 1.7631375607643325]
 
 
 class TestUnits:

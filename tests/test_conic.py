@@ -1,3 +1,5 @@
+import logging
+
 import numpy as np
 import pytest
 
@@ -126,6 +128,14 @@ class TestSolve:
         assert sol1.iterations == sol2.iterations
         assert np.array_equal(sol1.blocks[0], sol2.blocks[0])
         assert np.array_equal(sol1.y, sol2.y)
+
+    def test_iterations_logged_at_debug_level(self, caplog):
+        c = _random_symmetric(4, np.random.default_rng(3))
+        with caplog.at_level(logging.DEBUG, logger="irscrb.conic"):
+            sol = solve(_eigen_sdp(c))
+        lines = [r.getMessage() for r in caplog.records if r.name == "irscrb.conic"]
+        assert len(lines) == sol.iterations
+        assert lines[0].startswith("iter   1  mu ")
 
     def test_multiple_blocks(self):
         # block-diagonal eigenvalue problem: the mass moves to the block

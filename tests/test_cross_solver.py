@@ -60,7 +60,7 @@ def test_transmit_subproblem_matches_cvxpy(m, n, seed):
     problem.solve(solver=cp.CLARABEL)
     assert problem.status == "optimal"
 
-    ours = transmit_subproblem(lifted, a, g, k, p0)
+    ours, _ = transmit_subproblem(lifted, a, g, k, p0)
     f_ours = sdr_objective(ours, lifted, a, g, k)
     assert f_ours == pytest.approx(problem.value, rel=1e-6)
 
@@ -80,7 +80,7 @@ def test_irs_subproblem_matches_cvxpy(m, n, seed):
     # clarabel occasionally reports optimal_inaccurate at ~1e-9 agreement
     assert problem.status in ("optimal", "optimal_inaccurate")
 
-    lifted = irs_subproblem(r_x, a, g, k)
+    lifted, _ = irs_subproblem(r_x, a, g, k)
     f_ours = sdr_objective(r_x, lifted, a, g, k)
     assert f_ours == pytest.approx(problem.value, rel=1e-6)
 
@@ -99,6 +99,6 @@ def test_desk_scale_irs_subproblem_matches_cvxpy():
                          [v_var >> 0, cp.diag(v_var) == 1.0])
     problem.solve(solver=cp.CLARABEL)
 
-    lifted = irs_subproblem(r_x, a, ch.G, 8)
+    lifted, _ = irs_subproblem(r_x, a, ch.G, 8)
     f_ours = scale * sdr_objective(r_x, lifted, a, ch.G, 8)
     assert f_ours == pytest.approx(problem.value, rel=1e-6)
