@@ -13,7 +13,6 @@ from .ao import (AoResult, DegenerateObjectiveError, SubproblemError,
 from .arrays import (centered_index, large_scale_path_loss, path_gain,
                      steering_derivative, target_steering, ula_steering)
 from .channel import rician_channel
-from .cli import cli_main
 from .config import (ChannelRealization, PointTargetScene, SystemConfig,
                      db_to_linear, dbm_to_watt, derive_seed, linear_to_db,
                      make_rng, point_scene, watt_to_dbm)

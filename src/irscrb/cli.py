@@ -23,10 +23,9 @@ from .allocation import (AllocationDomainError, allocate_exhaustive,
                          allocate_optimal, allocate_suboptimal)
 from .ao import SubproblemError
 from .channel import rician_channel
-from .config import SystemConfig
 from .extended import EstimabilityError, gap_db
 from .sweep import (AO_SAMPLES, POINT_SCHEMES, SCHEMES, SweepSpec, emit_csv,
-                    load_config, run_sweep)
+                    load_config, reference_config, run_sweep)
 
 USAGE_EXIT = 1
 NUMERICAL_EXIT = 2
@@ -169,7 +168,7 @@ def _trend(name: str, values, crbs, direction: str) -> bool:
 
 
 def _cmd_selftest(args) -> int:
-    base = _selftest_base()
+    base = reference_config(M=4, N=4, K=4)
     theta = np.deg2rad(60.0)
     trials, draws = (2, 10)
     scheme = "isotropic_tx" if args.fast else "proposed_ao"
@@ -204,12 +203,6 @@ def _cmd_selftest(args) -> int:
 
     print("selftest:", "PASS" if ok else "FAIL")
     return 0 if ok else NUMERICAL_EXIT
-
-
-def _selftest_base() -> SystemConfig:
-    from .sweep import reference_config
-
-    return reference_config(M=4, N=4, K=4)
 
 
 def main() -> None:

@@ -15,6 +15,13 @@ scaled variables both primal and dual blocks equal the same diagonal, which
 keeps the corrector step a cheap elementwise division.  A Mehrotra
 predictor picks the centering weight.
 
+The solver stacks the constraints once per block b into a dense array of
+shape (m, n_b, n_b): row j is constraint j's coefficient on b, zero where
+the constraint does not touch b, and a slack block holds a 1 in its
+inequality's row.  Each operator of the iteration (the constraint map, its
+adjoint, the Schur complement and the Newton right-hand side) is then one
+contraction over that array per block.
+
 Complex Hermitian data enters through :func:`embed_hermitian`; the real
 embedding doubles traces, so functional coefficients built from Hermitian
 matrices should use :func:`hermitian_functional`, and solutions map back via
@@ -101,30 +108,30 @@ def _check_coeffs(blocks: list[int], coeffs: dict[int, np.ndarray]) -> dict[int,
 
 @dataclass
 class ConicProgram:
-    """A minimization over PSD blocks with linear equalities/inequalities."""
+    """A minimization over PSD blocks with linear equalities/inequalities.
+
+    Only ``blocks`` is a constructor argument; the objective and the
+    constraints enter through the checking methods below.
+    """
 
     blocks: list[int]
-    objective: list[dict[int, np.ndarray]] = field(default_factory=list)
-    eq: list[tuple[dict[int, np.ndarray], float]] = field(default_factory=list)
-    ineq: list[tuple[dict[int, np.ndarray], float]] = field(default_factory=list)
+    objective: dict[int, np.ndarray] = field(init=False, default_factory=dict)
+    eq: list[tuple[dict[int, np.ndarray], float]] = field(init=False, default_factory=list)
+    ineq: list[tuple[dict[int, np.ndarray], float]] = field(init=False, default_factory=list)
 
     def __post_init__(self):
         if not self.blocks or any(int(n) < 1 for n in self.blocks):
             raise ValueError("every block order must be a positive integer")
         self.blocks = [int(n) for n in self.blocks]
-        self._objective: dict[int, np.ndarray] = {}
 
     def set_objective(self, coeffs: dict[int, np.ndarray]) -> None:
-        self._objective = _check_coeffs(self.blocks, coeffs)
+        self.objective = _check_coeffs(self.blocks, coeffs)
 
     def add_eq(self, coeffs: dict[int, np.ndarray], rhs: float) -> None:
         self.eq.append((_check_coeffs(self.blocks, coeffs), float(rhs)))
 
     def add_ineq(self, coeffs: dict[int, np.ndarray], rhs: float) -> None:
         self.ineq.append((_check_coeffs(self.blocks, coeffs), float(rhs)))
-
-    def objective_matrices(self) -> dict[int, np.ndarray]:
-        return self._objective
 
 
 @dataclass(frozen=True)
@@ -151,25 +158,23 @@ class ConicSolution:
 # -- residual bookkeeping ----------------------------------------------------
 
 def _program_arrays(program: ConicProgram):
-    """Augment inequalities with 1x1 slack blocks; return dense solver data."""
-    orders = list(program.blocks)
-    n_decl = len(orders)
-    cons: list[dict[int, np.ndarray]] = []
-    rhs: list[float] = []
-    for coeffs, r in program.eq:
-        cons.append(dict(coeffs))
-        rhs.append(r)
-    for j, (coeffs, r) in enumerate(program.ineq):
-        slack_idx = n_decl + j
-        orders.append(1)
-        aug = dict(coeffs)
-        aug[slack_idx] = np.array([[1.0]])
-        cons.append(aug)
-        rhs.append(r)
-    c_mats = {b: np.zeros((n, n)) for b, n in enumerate(orders)}
-    for b, mat in program.objective_matrices().items():
-        c_mats[b] = mat
-    return orders, c_mats, cons, np.asarray(rhs, dtype=float), n_decl
+    """Dense solver data, with a 1x1 slack block appended per inequality.
+
+    Returns the block orders, the objective matrix and the stacked
+    ``(m, n_b, n_b)`` constraint array of every block, and the m right-hand
+    sides (equalities first, then inequalities).
+    """
+    rows = program.eq + program.ineq
+    n_decl, m_eq = len(program.blocks), len(program.eq)
+    orders = program.blocks + [1] * len(program.ineq)
+    c_mats = [program.objective.get(b, np.zeros((n, n))) for b, n in enumerate(orders)]
+    a_stack = [np.zeros((len(rows), n, n)) for n in orders]
+    for j, (coeffs, _) in enumerate(rows):
+        for b, a in coeffs.items():
+            a_stack[b][j] = a
+    for i in range(len(program.ineq)):
+        a_stack[n_decl + i][m_eq + i] = 1.0
+    return orders, c_mats, a_stack, np.array([r for _, r in rows], dtype=float)
 
 
 def kkt_residuals(program: ConicProgram, sol: ConicSolution) -> KktResiduals:
@@ -187,7 +192,7 @@ def kkt_residuals(program: ConicProgram, sol: ConicSolution) -> KktResiduals:
     m_eq = len(program.eq)
 
     pobj = sum(float(np.tensordot(c, xs[b], axes=2))
-               for b, c in program.objective_matrices().items())
+               for b, c in program.objective.items())
 
     primal = 0.0
     for (coeffs, rhs) in program.eq:
@@ -203,7 +208,7 @@ def kkt_residuals(program: ConicProgram, sol: ConicSolution) -> KktResiduals:
     c_norm = 1.0
     duals = []
     for b in range(len(program.blocks)):
-        c = program.objective_matrices().get(b)
+        c = program.objective.get(b)
         d = -ss[b] if c is None else c - ss[b]
         duals.append(d)
         if c is not None:
@@ -257,10 +262,10 @@ def _chol(mat: np.ndarray) -> np.ndarray:
         raise
 
 
-def _max_step(lam: np.ndarray, delta_scaled: np.ndarray) -> float:
+def _max_step(lam: np.ndarray, delta: np.ndarray) -> float:
     """Largest step keeping diag(lam) + alpha * delta positive definite."""
     root = 1.0 / np.sqrt(lam)
-    ev_min = np.linalg.eigvalsh(root[:, None] * delta_scaled * root[None, :]).min()
+    ev_min = np.linalg.eigvalsh(root[:, None] * delta * root[None, :]).min()
     if ev_min >= -1e-14:
         return 1.0
     return min(1.0, -STEP_FRACTION / ev_min)
@@ -280,15 +285,12 @@ def solve(program: ConicProgram, tol: float = DEFAULT_TOL,
     dual values is bounded by ``tol * (1 + |objective|)``, so
     ``[primal - gap, dual + gap]`` brackets the true optimum.
     """
-    orders, c_mats, cons, rhs, n_decl = _program_arrays(program)
-    m = len(cons)
-    n_blocks = len(orders)
+    orders, c_mats, a_stack, rhs = _program_arrays(program)
+    m = len(rhs)
+    n_blocks, n_decl = len(orders), len(program.blocks)
 
-    a_norms = np.array([
-        max((np.linalg.norm(a) for a in coeffs.values()), default=0.0)
-        for coeffs in cons
-    ])
-    c_norm = max((np.linalg.norm(c) for c in c_mats.values()), default=0.0)
+    a_norms = np.max([np.linalg.norm(a, axis=(1, 2)) for a in a_stack], axis=0)
+    c_norm = max(np.linalg.norm(c) for c in c_mats)
     if m:
         x0 = max(10.0, float(np.max((1.0 + np.abs(rhs)) / (1.0 + a_norms))))
     else:
@@ -301,17 +303,10 @@ def solve(program: ConicProgram, tol: float = DEFAULT_TOL,
     n_tot = sum(orders)
 
     def apply_con(mats: list[np.ndarray]) -> np.ndarray:
-        return np.array([
-            sum(float(np.tensordot(a, mats[b], axes=2)) for b, a in coeffs.items())
-            for coeffs in cons
-        ])
+        return sum(np.tensordot(a, x, axes=2) for a, x in zip(a_stack, mats))
 
     def adjoint(yv: np.ndarray) -> list[np.ndarray]:
-        out = [np.zeros((n, n)) for n in orders]
-        for j, coeffs in enumerate(cons):
-            for b, a in coeffs.items():
-                out[b] += yv[j] * a
-        return out
+        return [np.tensordot(yv, a, axes=1) for a in a_stack]
 
     status: Literal["optimal", "max_iter", "infeasible"] = "max_iter"
     iterations = 0
@@ -339,6 +334,8 @@ def solve(program: ConicProgram, tol: float = DEFAULT_TOL,
         if metric < best_metric:
             best_metric = metric
             best_state = ([x.copy() for x in xs], y.copy(), [s.copy() for s in ss])
+        if mu <= 0.0:
+            break    # <X, S> > 0 for PD iterates, so this is the numerical floor
         if metric <= tol:
             status = "optimal"
             break
@@ -358,20 +355,9 @@ def solve(program: ConicProgram, tol: float = DEFAULT_TOL,
                 g, lam = _nt_scaling(xs[b], ss[b])
                 gs.append(g)
                 lams.append(lam)
-            a_scaled = [
-                {b: gs[b].T @ a @ gs[b] for b, a in coeffs.items()}
-                for coeffs in cons
-            ]
+            fs = [(g.T @ a @ g).reshape(m, g.size) for g, a in zip(gs, a_stack)]
             rd_scaled = [gs[b].T @ rd[b] @ gs[b] for b in range(n_blocks)]
-
-            schur = np.zeros((m, m))
-            for j in range(m):
-                for k in range(j, m):
-                    val = sum(
-                        float(np.tensordot(a_scaled[j][b], a_scaled[k][b], axes=2))
-                        for b in a_scaled[j] if b in a_scaled[k]
-                    )
-                    schur[j, k] = schur[k, j] = val
+            schur = sum(f @ f.T for f in fs)
             reg = 1e-14 * max(schur.diagonal().max(initial=0.0), 1.0)
             schur_cho = scipy.linalg.cho_factor(schur + reg * np.eye(m))
 
@@ -383,11 +369,8 @@ def solve(program: ConicProgram, tol: float = DEFAULT_TOL,
 
             def newton(theta: list[np.ndarray]):
                 """Direction for a scaled centering residual theta (per block)."""
-                rhs_y = rp - np.array([
-                    sum(float(np.tensordot(a_scaled[j][b], theta[b] - rd_scaled[b], axes=2))
-                        for b in a_scaled[j])
-                    for j in range(m)
-                ])
+                rhs_y = rp - sum(fs[b] @ (theta[b] - rd_scaled[b]).ravel()
+                                 for b in range(n_blocks))
                 dy = schur_solve(rhs_y)
                 at_dy = adjoint(dy)
                 ds = [rd[b] - at_dy[b] for b in range(n_blocks)]
@@ -436,12 +419,12 @@ def solve(program: ConicProgram, tol: float = DEFAULT_TOL,
         xs, y, ss = best_state
     pobj = sum(float(np.tensordot(c_mats[b], xs[b], axes=2)) for b in range(n_blocks))
     sol = ConicSolution(
-        blocks=[xs[b] for b in range(n_decl)],
+        blocks=xs[:n_decl],
         objective=float(pobj),
         status=status,
         kkt=KktResiduals(0.0, 0.0, 0.0),
         y=y.copy(),
-        dual_blocks=[ss[b] for b in range(n_decl)],
+        dual_blocks=ss[:n_decl],
         iterations=iterations,
     )
     sol.kkt = kkt_residuals(program, sol)
@@ -478,21 +461,11 @@ def dump_program(program: ConicProgram) -> str:
                     if mat[i, j] != 0.0:
                         lines.append(f"{tag} {b} {i} {j} {float(mat[i, j])!r}")
 
-    triplets("obj", program.objective_matrices())
+    triplets("obj", program.objective)
     for idx, (coeffs, rhs) in enumerate(program.eq):
         lines.append(f"eq {idx} {float(rhs)!r}")
-        for b in sorted(coeffs):
-            mat = coeffs[b]
-            for i in range(mat.shape[0]):
-                for j in range(i, mat.shape[1]):
-                    if mat[i, j] != 0.0:
-                        lines.append(f"eqterm {idx} {b} {i} {j} {float(mat[i, j])!r}")
+        triplets(f"eqterm {idx}", coeffs)
     for idx, (coeffs, rhs) in enumerate(program.ineq):
         lines.append(f"ineq {idx} {float(rhs)!r}")
-        for b in sorted(coeffs):
-            mat = coeffs[b]
-            for i in range(mat.shape[0]):
-                for j in range(i, mat.shape[1]):
-                    if mat[i, j] != 0.0:
-                        lines.append(f"ineqterm {idx} {b} {i} {j} {float(mat[i, j])!r}")
+        triplets(f"ineqterm {idx}", coeffs)
     return "\n".join(lines) + "\n"

@@ -1,5 +1,10 @@
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
+import irscrb
 from irscrb.channel import rician_channel
 from irscrb.cli import cli_main
 from irscrb.sweep import AO_SAMPLES, SCHEMES, load_config
@@ -150,3 +155,18 @@ def test_selftest_fast(capsys):
     out = capsys.readouterr().out
     assert rc == 0
     assert "selftest: PASS" in out
+
+
+def test_module_entry_point_runs_without_runpy_warning():
+    # the package must not import irscrb.cli, or `python -m irscrb.cli`
+    # finds it in sys.modules and warns before running it
+    src = str(Path(irscrb.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-m", "irscrb.cli", "allocate", "--qtot", "600",
+         "--wi", "1", "--ws", "1"],
+        capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0
+    assert "optimal" in proc.stdout
+    assert "RuntimeWarning" not in proc.stderr

@@ -149,6 +149,22 @@ class TestSolve:
         expected = min(np.linalg.eigvalsh(c1).min(), np.linalg.eigvalsh(c2).min())
         assert sol.objective == pytest.approx(expected, abs=1e-8)
 
+    def test_constraint_leaving_a_block_row_zero(self):
+        # separable program: each equality touches one block, and the
+        # inactive inequality's slack block sits beside the two declared
+        rng = np.random.default_rng(8)
+        c1, c2 = _random_symmetric(3, rng), _random_symmetric(4, rng)
+        p = ConicProgram([3, 4])
+        p.set_objective({0: c1, 1: c2})
+        p.add_eq({0: np.eye(3)}, 1.0)
+        p.add_eq({1: np.eye(4)}, 2.0)
+        p.add_ineq({1: np.eye(4)}, 5.0)
+        sol = solve(p, tol=1e-9)
+        assert sol.status == "optimal"
+        expected = np.linalg.eigvalsh(c1).min() + 2.0 * np.linalg.eigvalsh(c2).min()
+        assert sol.objective == pytest.approx(expected, abs=1e-8)
+        assert len(sol.blocks) == 2 and sol.y.shape == (3,)
+
     def test_infeasible_program(self):
         p = ConicProgram([2])
         p.set_objective({0: np.zeros((2, 2))})
@@ -159,6 +175,12 @@ class TestSolve:
         p = ConicProgram([2])
         with pytest.raises(ValueError, match="symmetric"):
             p.add_eq({0: np.array([[0.0, 1.0], [0.0, 0.0]])}, 0.0)
+
+    def test_data_enters_only_through_the_checking_methods(self):
+        with pytest.raises(TypeError):
+            ConicProgram([1], objective=[{0: [[-2.0]]}])
+        with pytest.raises(TypeError):
+            ConicProgram([2], eq=[({0: [[1, 5], [0, 1]]}, 1.0)])
 
     def test_rejects_bad_block_order(self):
         with pytest.raises(ValueError, match="block order"):
