@@ -16,9 +16,8 @@ from .channel import rician_channel
 from .config import (ChannelRealization, PointTargetScene, SystemConfig,
                      db_to_linear, dbm_to_watt, derive_seed, linear_to_db,
                      make_rng, point_scene, watt_to_dbm)
-from .conic import (ConicProgram, ConicSolution, KktResiduals, complexify,
-                    dump_program, embed_hermitian, hermitian_functional,
-                    kkt_residuals, solve)
+from .conic import (ConicProgram, ConicSolution, KktResiduals, kkt_residuals,
+                    solve)
 from .extended import (EstimabilityError, ExtendedCrbReport,
                        FullyPassiveConfig, crb_extended, crb_extended_iso,
                        crb_extended_opt, crb_fully_passive, fim_extended,

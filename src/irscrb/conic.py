@@ -7,7 +7,10 @@ Solves
                 sum_b <A_jb, X_b> <=  u_j      (inequalities)
                 X_b PSD for every block b
 
-over one or more dense real symmetric blocks.  Inequalities are converted
+over one or more dense blocks, with the real inner product
+<A, X> = Re tr(A^H X).  The blocks are complex Hermitian when any
+coefficient is complex and real symmetric otherwise, so a complex program
+is solved on its native Hermitian blocks.  Inequalities are converted
 internally to equalities with 1x1 slack blocks, so the cone is always a
 product of PSD blocks.  The search direction is the Nesterov-Todd direction,
 computed per iteration from the scaling point W with W S W = X; with the
@@ -21,11 +24,6 @@ the constraint does not touch b, and a slack block holds a 1 in its
 inequality's row.  Each operator of the iteration (the constraint map, its
 adjoint, the Schur complement and the Newton right-hand side) is then one
 contraction over that array per block.
-
-Complex Hermitian data enters through :func:`embed_hermitian`; the real
-embedding doubles traces, so functional coefficients built from Hermitian
-matrices should use :func:`hermitian_functional`, and solutions map back via
-:func:`complexify`.
 
 The solver is deterministic: identical programs produce identical iterates.
 """
@@ -47,47 +45,6 @@ SYMMETRY_ATOL = 1e-10
 _log = logging.getLogger(__name__)
 
 
-# -- complex embedding -------------------------------------------------------
-
-def embed_hermitian(h: np.ndarray) -> np.ndarray:
-    """Real symmetric embedding [[Re H, -Im H], [Im H, Re H]] of Hermitian H.
-
-    The embedding is PSD iff H is, each eigenvalue of H appears twice, and
-    the trace doubles.
-    """
-    h = np.asarray(h, dtype=complex)
-    if h.ndim != 2 or h.shape[0] != h.shape[1]:
-        raise ValueError("embed_hermitian expects a square matrix")
-    scale = max(np.abs(h).max(), 1.0)
-    if np.abs(h - h.conj().T).max() > SYMMETRY_ATOL * scale:
-        raise ValueError("matrix is not Hermitian")
-    re, im = h.real, h.imag
-    return np.block([[re, -im], [im, re]])
-
-
-def hermitian_functional(h: np.ndarray) -> np.ndarray:
-    """Coefficient F with <F, embed(X)> = tr(H X) for Hermitian H and X."""
-    return embed_hermitian(h) / 2.0
-
-
-def complexify(y: np.ndarray) -> np.ndarray:
-    """Hermitian matrix recovered from a real symmetric embedded block.
-
-    For a generic symmetric argument this averages over the embedding's
-    structure group, so it is the exact inverse on embedded matrices and an
-    orthogonal projection otherwise.
-    """
-    y = np.asarray(y, dtype=float)
-    n2 = y.shape[0]
-    if n2 % 2:
-        raise ValueError("embedded block must have even order")
-    n = n2 // 2
-    re = (y[:n, :n] + y[n:, n:]) / 2.0
-    im = (y[n:, :n] - y[n:, :n].T) / 2.0
-    re = (re + re.T) / 2.0
-    return re + 1j * im
-
-
 # -- program container -------------------------------------------------------
 
 def _check_coeffs(blocks: list[int], coeffs: dict[int, np.ndarray]) -> dict[int, np.ndarray]:
@@ -95,15 +52,20 @@ def _check_coeffs(blocks: list[int], coeffs: dict[int, np.ndarray]) -> dict[int,
     for idx, mat in coeffs.items():
         if not 0 <= idx < len(blocks):
             raise ValueError(f"block index {idx} out of range")
-        m = np.asarray(mat, dtype=float)
+        m = np.asarray(mat, dtype=complex if np.iscomplexobj(mat) else float)
         n = blocks[idx]
         if m.shape != (n, n):
             raise ValueError(f"coefficient for block {idx} must be {n}x{n}, got {m.shape}")
         scale = max(np.abs(m).max(), 1.0)
-        if np.abs(m - m.T).max() > SYMMETRY_ATOL * scale:
-            raise ValueError(f"coefficient for block {idx} is not symmetric")
-        out[idx] = (m + m.T) / 2.0
+        if np.abs(m - m.conj().T).max() > SYMMETRY_ATOL * scale:
+            raise ValueError(f"coefficient for block {idx} is not Hermitian symmetric")
+        out[idx] = (m + m.conj().T) / 2.0
     return out
+
+
+def _inner(a: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Re tr(A^H X) over the last two axes; ``a`` may be a stack of blocks."""
+    return np.tensordot(a, x.conj(), axes=2).real
 
 
 @dataclass
@@ -162,13 +124,17 @@ def _program_arrays(program: ConicProgram):
 
     Returns the block orders, the objective matrix and the stacked
     ``(m, n_b, n_b)`` constraint array of every block, and the m right-hand
-    sides (equalities first, then inequalities).
+    sides (equalities first, then inequalities).  The matrices are complex
+    if any coefficient is complex and float64 otherwise.
     """
     rows = program.eq + program.ineq
     n_decl, m_eq = len(program.blocks), len(program.eq)
     orders = program.blocks + [1] * len(program.ineq)
-    c_mats = [program.objective.get(b, np.zeros((n, n))) for b, n in enumerate(orders)]
-    a_stack = [np.zeros((len(rows), n, n)) for n in orders]
+    dtype = np.result_type(float, *program.objective.values(),
+                           *(a for coeffs, _ in rows for a in coeffs.values()))
+    c_mats = [np.asarray(program.objective.get(b, np.zeros((n, n))), dtype)
+              for b, n in enumerate(orders)]
+    a_stack = [np.zeros((len(rows), n, n), dtype) for n in orders]
     for j, (coeffs, _) in enumerate(rows):
         for b, a in coeffs.items():
             a_stack[b][j] = a
@@ -186,23 +152,22 @@ def kkt_residuals(program: ConicProgram, sol: ConicSolution) -> KktResiduals:
     mismatch |primal - dual| and complementarity <X, S>, both relative to
     1 + |primal objective|.
     """
-    xs = [np.asarray(x, dtype=float) for x in sol.blocks]
-    ss = [np.asarray(s, dtype=float) for s in sol.dual_blocks]
+    xs = [np.asarray(x) for x in sol.blocks]
+    ss = [np.asarray(s) for s in sol.dual_blocks]
     y = np.asarray(sol.y, dtype=float)
     m_eq = len(program.eq)
 
-    pobj = sum(float(np.tensordot(c, xs[b], axes=2))
-               for b, c in program.objective.items())
+    pobj = sum(float(_inner(c, xs[b])) for b, c in program.objective.items())
 
     primal = 0.0
     for (coeffs, rhs) in program.eq:
-        val = sum(float(np.tensordot(a, xs[b], axes=2)) for b, a in coeffs.items())
+        val = sum(float(_inner(a, xs[b])) for b, a in coeffs.items())
         primal = max(primal, abs(val - rhs) / (1.0 + abs(rhs)))
     for (coeffs, rhs) in program.ineq:
-        val = sum(float(np.tensordot(a, xs[b], axes=2)) for b, a in coeffs.items())
+        val = sum(float(_inner(a, xs[b])) for b, a in coeffs.items())
         primal = max(primal, max(0.0, val - rhs) / (1.0 + abs(rhs)))
     for x in xs:
-        lam = np.linalg.eigvalsh((x + x.T) / 2.0).min()
+        lam = np.linalg.eigvalsh((x + x.conj().T) / 2.0).min()
         primal = max(primal, max(0.0, -lam) / (1.0 + np.linalg.norm(x)))
 
     c_norm = 1.0
@@ -219,7 +184,7 @@ def kkt_residuals(program: ConicProgram, sol: ConicSolution) -> KktResiduals:
                 duals[b] = duals[b] - y[j] * a
     dual = np.sqrt(sum(np.linalg.norm(d) ** 2 for d in duals)) / c_norm
     for s in ss:
-        lam = np.linalg.eigvalsh((s + s.T) / 2.0).min()
+        lam = np.linalg.eigvalsh((s + s.conj().T) / 2.0).min()
         dual = max(dual, max(0.0, -lam) / (1.0 + np.linalg.norm(s)))
     if len(y) > m_eq:
         dual = max(dual, float(np.max(np.maximum(y[m_eq:], 0.0)))
@@ -227,7 +192,7 @@ def kkt_residuals(program: ConicProgram, sol: ConicSolution) -> KktResiduals:
 
     dobj = float(np.dot(y[:m_eq], [r for _, r in program.eq]))
     dobj += float(np.dot(y[m_eq:], [r for _, r in program.ineq]))
-    compl = sum(float(np.tensordot(x, s, axes=2)) for x, s in zip(xs, ss))
+    compl = sum(float(_inner(x, s)) for x, s in zip(xs, ss))
     gap = max(abs(pobj - dobj), abs(compl)) / (1.0 + abs(pobj))
     return KktResiduals(primal=float(primal), dual=float(dual), gap=float(gap))
 
@@ -235,16 +200,16 @@ def kkt_residuals(program: ConicProgram, sol: ConicSolution) -> KktResiduals:
 # -- the interior-point iteration -------------------------------------------
 
 def _nt_scaling(x: np.ndarray, s: np.ndarray):
-    """Factor G of the NT scaling point W = G G^T, with the scaled spectrum.
+    """Factor G of the NT scaling point W = G G^H, with the scaled spectrum.
 
-    Built from Cholesky factors X = Lx Lx^T, S = Ls Ls^T and the SVD
-    Ls^T Lx = U diag(sig) V^T as G = Lx V diag(sig^{-1/2}); then
-    G^{-1} X G^{-T} = G^T S G = diag(sig).
+    Built from Cholesky factors X = Lx Lx^H, S = Ls Ls^H and the SVD
+    Ls^H Lx = U diag(sig) V^H as G = Lx V diag(sig^{-1/2}); then
+    G^{-1} X G^{-H} = G^H S G = diag(sig).
     """
     lx = _chol(x)
     ls = _chol(s)
-    _, sig, vt = np.linalg.svd(ls.T @ lx)
-    g = lx @ vt.T / np.sqrt(sig)
+    _, sig, vh = np.linalg.svd(ls.conj().T @ lx)
+    g = lx @ vh.conj().T / np.sqrt(sig)
     return g, sig
 
 
@@ -253,7 +218,7 @@ def _chol(mat: np.ndarray) -> np.ndarray:
         return np.linalg.cholesky(mat)
     except np.linalg.LinAlgError:
         n = mat.shape[0]
-        base = max(np.trace(mat) / n, 1e-30)
+        base = max(np.trace(mat).real / n, 1e-30)
         for jitter in (1e-14, 1e-11, 1e-8):
             try:
                 return np.linalg.cholesky(mat + jitter * base * np.eye(n))
@@ -272,7 +237,7 @@ def _max_step(lam: np.ndarray, delta: np.ndarray) -> float:
 
 
 def _lyapunov_rhs(lam: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Solve (U diag(lam) + diag(lam) U) / 2 = rhs for symmetric U."""
+    """Solve (U diag(lam) + diag(lam) U) / 2 = rhs for Hermitian U."""
     return 2.0 * rhs / (lam[:, None] + lam[None, :])
 
 
@@ -297,13 +262,13 @@ def solve(program: ConicProgram, tol: float = DEFAULT_TOL,
         x0 = 10.0
     s0 = max(10.0, c_norm)
 
-    xs = [x0 * np.eye(n) for n in orders]
-    ss = [s0 * np.eye(n) for n in orders]
+    xs = [x0 * np.eye(n, dtype=c_mats[0].dtype) for n in orders]
+    ss = [s0 * np.eye(n, dtype=c_mats[0].dtype) for n in orders]
     y = np.zeros(m)
     n_tot = sum(orders)
 
     def apply_con(mats: list[np.ndarray]) -> np.ndarray:
-        return sum(np.tensordot(a, x, axes=2) for a, x in zip(a_stack, mats))
+        return sum(_inner(a, x) for a, x in zip(a_stack, mats))
 
     def adjoint(yv: np.ndarray) -> list[np.ndarray]:
         return [np.tensordot(yv, a, axes=1) for a in a_stack]
@@ -319,9 +284,9 @@ def solve(program: ConicProgram, tol: float = DEFAULT_TOL,
         rp = rhs - apply_con(xs)
         aty = adjoint(y)
         rd = [c_mats[b] - ss[b] - aty[b] for b in range(n_blocks)]
-        mu = sum(float(np.tensordot(xs[b], ss[b], axes=2)) for b in range(n_blocks)) / n_tot
+        mu = sum(float(_inner(xs[b], ss[b])) for b in range(n_blocks)) / n_tot
 
-        pobj = sum(float(np.tensordot(c_mats[b], xs[b], axes=2)) for b in range(n_blocks))
+        pobj = sum(float(_inner(c_mats[b], xs[b])) for b in range(n_blocks))
         dobj = float(rhs @ y)
         prim_res = max(np.linalg.norm(rp) / b_scale,
                        float(np.max(np.abs(rp) / (1.0 + np.abs(rhs)))) if m else 0.0)
@@ -355,9 +320,10 @@ def solve(program: ConicProgram, tol: float = DEFAULT_TOL,
                 g, lam = _nt_scaling(xs[b], ss[b])
                 gs.append(g)
                 lams.append(lam)
-            fs = [(g.T @ a @ g).reshape(m, g.size) for g, a in zip(gs, a_stack)]
-            rd_scaled = [gs[b].T @ rd[b] @ gs[b] for b in range(n_blocks)]
-            schur = sum(f @ f.T for f in fs)
+            fs = [g.conj().T @ a @ g for g, a in zip(gs, a_stack)]
+            rd_scaled = [gs[b].conj().T @ rd[b] @ gs[b] for b in range(n_blocks)]
+            flat = [f.reshape(m, -1) for f in fs]
+            schur = sum((f @ f.conj().T).real for f in flat)
             reg = 1e-14 * max(schur.diagonal().max(initial=0.0), 1.0)
             schur_cho = scipy.linalg.cho_factor(schur + reg * np.eye(m))
 
@@ -369,14 +335,14 @@ def solve(program: ConicProgram, tol: float = DEFAULT_TOL,
 
             def newton(theta: list[np.ndarray]):
                 """Direction for a scaled centering residual theta (per block)."""
-                rhs_y = rp - sum(fs[b] @ (theta[b] - rd_scaled[b]).ravel()
+                rhs_y = rp - sum(_inner(fs[b], theta[b] - rd_scaled[b])
                                  for b in range(n_blocks))
                 dy = schur_solve(rhs_y)
                 at_dy = adjoint(dy)
                 ds = [rd[b] - at_dy[b] for b in range(n_blocks)]
-                ds_scaled = [gs[b].T @ ds[b] @ gs[b] for b in range(n_blocks)]
+                ds_scaled = [gs[b].conj().T @ ds[b] @ gs[b] for b in range(n_blocks)]
                 dx_scaled = [theta[b] - ds_scaled[b] for b in range(n_blocks)]
-                dx = [gs[b] @ dx_scaled[b] @ gs[b].T for b in range(n_blocks)]
+                dx = [gs[b] @ dx_scaled[b] @ gs[b].conj().T for b in range(n_blocks)]
                 return dy, ds, dx, dx_scaled, ds_scaled
 
             # Predictor: pure affine step (sigma = 0).
@@ -386,8 +352,8 @@ def solve(program: ConicProgram, tol: float = DEFAULT_TOL,
             alpha_p = min(_max_step(lams[b], dxs_aff[b]) for b in range(n_blocks))
             alpha_d = min(_max_step(lams[b], dss_aff[b]) for b in range(n_blocks))
             mu_aff = sum(
-                float(np.tensordot(np.diag(lams[b]) + alpha_p * dxs_aff[b],
-                                   np.diag(lams[b]) + alpha_d * dss_aff[b], axes=2))
+                float(_inner(np.diag(lams[b]) + alpha_p * dxs_aff[b],
+                             np.diag(lams[b]) + alpha_d * dss_aff[b]))
                 for b in range(n_blocks)
             ) / n_tot
             sigma = min(1.0, max(mu_aff / mu, 0.0) ** 3)
@@ -397,7 +363,7 @@ def solve(program: ConicProgram, tol: float = DEFAULT_TOL,
             for b in range(n_blocks):
                 cross = dxs_aff[b] @ dss_aff[b]
                 resid = (sigma * mu * np.eye(orders[b]) - np.diag(lams[b] ** 2)
-                         - (cross + cross.T) / 2.0)
+                         - (cross + cross.conj().T) / 2.0)
                 theta.append(_lyapunov_rhs(lams[b], resid))
             dy, ds, dx, dxs, dss = newton(theta)
             alpha_p = min(_max_step(lams[b], dxs[b]) for b in range(n_blocks))
@@ -407,9 +373,9 @@ def solve(program: ConicProgram, tol: float = DEFAULT_TOL,
 
         for b in range(n_blocks):
             xs[b] = xs[b] + alpha_p * dx[b]
-            xs[b] = (xs[b] + xs[b].T) / 2.0
+            xs[b] = (xs[b] + xs[b].conj().T) / 2.0
             ss[b] = ss[b] + alpha_d * ds[b]
-            ss[b] = (ss[b] + ss[b].T) / 2.0
+            ss[b] = (ss[b] + ss[b].conj().T) / 2.0
         y = y + alpha_d * dy
 
         if alpha_p < 1e-8 and alpha_d < 1e-8:
@@ -417,7 +383,7 @@ def solve(program: ConicProgram, tol: float = DEFAULT_TOL,
 
     if status != "infeasible" and best_state is not None:
         xs, y, ss = best_state
-    pobj = sum(float(np.tensordot(c_mats[b], xs[b], axes=2)) for b in range(n_blocks))
+    pobj = sum(float(_inner(c_mats[b], xs[b])) for b in range(n_blocks))
     sol = ConicSolution(
         blocks=xs[:n_decl],
         objective=float(pobj),
@@ -431,41 +397,3 @@ def solve(program: ConicProgram, tol: float = DEFAULT_TOL,
     if status != "infeasible":
         sol.status = "optimal" if sol.kkt.max() <= tol else "max_iter"
     return sol
-
-
-# -- textual dump ------------------------------------------------------------
-
-def dump_program(program: ConicProgram) -> str:
-    """Sparse-triplet text form of a program, for external cross-checking.
-
-    Line grammar (fields are whitespace separated, ``#`` starts a comment):
-
-        blocks <order> <order> ...
-        obj <block> <row> <col> <value>
-        eq <index> <rhs>
-        eqterm <index> <block> <row> <col> <value>
-        ineq <index> <rhs>
-        ineqterm <index> <block> <row> <col> <value>
-
-    Only upper-triangle entries are emitted; off-diagonal entries are
-    implied symmetric.
-    """
-    lines = ["# conic program, triplet format v1"]
-    lines.append("blocks " + " ".join(str(n) for n in program.blocks))
-
-    def triplets(tag: str, mats: dict[int, np.ndarray]):
-        for b in sorted(mats):
-            mat = mats[b]
-            for i in range(mat.shape[0]):
-                for j in range(i, mat.shape[1]):
-                    if mat[i, j] != 0.0:
-                        lines.append(f"{tag} {b} {i} {j} {float(mat[i, j])!r}")
-
-    triplets("obj", program.objective)
-    for idx, (coeffs, rhs) in enumerate(program.eq):
-        lines.append(f"eq {idx} {float(rhs)!r}")
-        triplets(f"eqterm {idx}", coeffs)
-    for idx, (coeffs, rhs) in enumerate(program.ineq):
-        lines.append(f"ineq {idx} {float(rhs)!r}")
-        triplets(f"ineqterm {idx}", coeffs)
-    return "\n".join(lines) + "\n"

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from irscrb import conic
 from irscrb.ao import (SUBPROBLEM_FLOOR, SUBPROBLEM_TOL,
                        DegenerateObjectiveError, ao_minimize_crb,
                        default_phase_profile, gaussian_randomization,
@@ -104,20 +105,28 @@ class TestTransmitSubproblem:
         with pytest.raises(ValueError, match="unit diagonal"):
             transmit_subproblem(2.0 * np.eye(3, dtype=complex), a, g, 4, 1.0)
 
-    def test_solve_stalled_at_its_floor_is_kept(self):
-        # the random-phase program of `irscrb crb point --seed 0` at
-        # M = 2, N = K = 4 stalls just above the 1e-9 solver tolerance
-        cfg = reference_config(M=2, N=4, K=4)
-        ch = rician_channel(cfg, seed=0)
+    @staticmethod
+    def _random_phase_program(m, seed):
+        # the random-phase transmit solve of the reference system at N = K = 4
+        cfg = reference_config(M=m, N=4, K=4)
+        ch = rician_channel(cfg, seed=seed)
         a = target_steering(np.deg2rad(60.0), 4, cfg.spacing, cfg.wavelength)
-        v = np.exp(1j * make_rng(0, 0, 2).uniform(0.0, 2.0 * np.pi, 4))
+        v = np.exp(1j * make_rng(seed, 0, 2).uniform(0.0, 2.0 * np.pi, 4))
         r_x, sol = transmit_subproblem(np.outer(v, v.conj()), a, ch.G, 4, cfg.P0)
+        return r_x, sol, cfg.P0
+
+    def test_solve_stalled_at_its_floor_is_kept(self):
+        # M = 16, seed 37 stalls just above the 1e-9 solver tolerance
+        r_x, sol, p0 = self._random_phase_program(16, 37)
         assert sol.status == "max_iter"
         assert SUBPROBLEM_TOL < sol.kkt.max() <= SUBPROBLEM_FLOOR
         # the solver stops once <X, S> is no longer positive instead of
         # iterating past its floor until the step length collapses
         assert sol.iterations <= 20
-        assert np.real(np.trace(r_x.matrix)) == pytest.approx(cfg.P0, rel=1e-6)
+        assert np.real(np.trace(r_x.matrix)) == pytest.approx(p0, rel=1e-6)
+        # M = 2, seed 0 (`irscrb crb point --seed 0`) meets the tolerance only
+        # with each row of the Schur block normalized on its own
+        assert self._random_phase_program(2, 0)[1].status == "optimal"
 
 
 class TestIrsSubproblem:
@@ -274,7 +283,7 @@ class TestDefaultProfile:
 
 
 def test_desk_scale_reflection_subproblem():
-    # order-32 lifted profile (64 real) stays within solver tolerance
+    # order-32 lifted profile stays within solver tolerance
     cfg = SystemConfig(M=8, N=32, K=8, T=64)
     ch = rician_channel(cfg, seed=1)
     a = target_steering(np.deg2rad(60.0), 32, cfg.spacing, cfg.wavelength)
@@ -295,14 +304,48 @@ def test_reference_scale_alternating_run():
     assert np.isfinite(res.crb) and res.crb > 0
 
 
+def test_subproblems_solve_native_hermitian_blocks():
+    g, a, r_x, _ = _instance(3, 5, 4, seed=10)
+    orders = []
+
+    def recording(program, **kwargs):
+        orders.append(program.blocks + [1] * len(program.ineq))
+        return conic.solve(program, **kwargs)
+
+    v = random_unit_profile(np.random.default_rng(10), 5)
+    transmit_subproblem(np.outer(v, v.conj()), a, g, 4, 1.0, solver=recording)
+    irs_subproblem(r_x, a, g, 4, solver=recording)
+    assert orders == [[3, 2, 1], [5, 2]]
+
+
 def test_desk_scale_run_through_a_stalled_transmit_solve():
-    # a transmit solve of this run stalls at a KKT residual near 5.6e-9
-    cfg = SystemConfig(M=8, N=16, K=8, T=64, P0=1.0)
+    # two transmit solves of this run stall at a KKT residual near 5.1e-9
+    cfg = SystemConfig(M=8, N=16, K=8, T=64, P0=100.0)
     scene = point_scene(cfg, np.deg2rad(60.0))
-    ch = rician_channel(cfg, seed=1)
+    ch = rician_channel(cfg, seed=4)
     res = ao_minimize_crb(scene, ch.G, cfg, seed=0)
     assert res.status == "converged"
     assert SUBPROBLEM_TOL < res.solver_residual_max <= SUBPROBLEM_FLOOR
+    assert np.isfinite(res.crb) and res.crb > 0
+
+
+@pytest.mark.parametrize("n", [4, 8, 16, 32])
+def test_no_abort_on_the_desk_scale_grid(n):
+    for seed in range(3):
+        cfg = SystemConfig(M=8, N=n, K=8, T=64, P0=1.0)
+        ch = rician_channel(cfg, seed=seed)
+        res = ao_minimize_crb(point_scene(cfg, np.deg2rad(60.0)), ch.G, cfg, seed=0)
+        assert res.solver_residual_max <= SUBPROBLEM_FLOOR
+        assert np.isfinite(res.crb) and res.crb > 0
+
+
+def test_sixty_four_element_run_returns():
+    # returns only with each row of the Schur block normalized on its own;
+    # under one shared scale a transmit solve stalls at a KKT residual of 1.3e-7
+    cfg = SystemConfig(M=8, N=64, K=8, T=64, P0=1.0)
+    ch = rician_channel(cfg, seed=1)
+    res = ao_minimize_crb(point_scene(cfg, np.deg2rad(60.0)), ch.G, cfg, seed=0)
+    assert res.solver_residual_max <= SUBPROBLEM_FLOOR
     assert np.isfinite(res.crb) and res.crb > 0
 
 

@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 
 from irscrb.conic import (ConicProgram, ConicSolution, KktResiduals,
-                          complexify, dump_program, embed_hermitian,
-                          hermitian_functional, kkt_residuals, solve)
+                          kkt_residuals, solve)
 
 from oracles import dual_grid_sdp
 
@@ -29,44 +28,6 @@ def _eigen_sdp(c):
     return p
 
 
-class TestEmbedding:
-    def test_identity(self):
-        np.testing.assert_array_equal(embed_hermitian(np.eye(3)), np.eye(6))
-
-    def test_eigenvalues_duplicate(self):
-        h = _random_hermitian(4)
-        ev_h = np.sort(np.linalg.eigvalsh(h))
-        ev_e = np.sort(np.linalg.eigvalsh(embed_hermitian(h)))
-        np.testing.assert_allclose(np.repeat(ev_h, 2), ev_e, atol=1e-12)
-
-    def test_minimum_eigenvalue_sign_agreement(self):
-        for _ in range(20):
-            h = _random_hermitian(5)
-            lam_h = np.linalg.eigvalsh(h).min()
-            lam_e = np.linalg.eigvalsh(embed_hermitian(h)).min()
-            assert np.sign(lam_h) == np.sign(lam_e)
-            assert lam_e == pytest.approx(lam_h, rel=1e-10)
-
-    def test_trace_doubles(self):
-        h = _random_hermitian(3)
-        assert np.trace(embed_hermitian(h)) == pytest.approx(
-            2.0 * np.trace(h).real, rel=1e-12)
-
-    def test_rejects_non_hermitian(self):
-        with pytest.raises(ValueError, match="Hermitian"):
-            embed_hermitian(np.array([[0.0, 1.0], [2.0, 0.0]]))
-
-    def test_complexify_inverts(self):
-        h = _random_hermitian(4)
-        np.testing.assert_allclose(complexify(embed_hermitian(h)), h, atol=1e-14)
-
-    def test_functional_pairing(self):
-        h = _random_hermitian(3)
-        x = _random_hermitian(3)
-        lhs = float(np.tensordot(hermitian_functional(h), embed_hermitian(x), axes=2))
-        assert lhs == pytest.approx(np.trace(h @ x).real, rel=1e-12)
-
-
 class TestSolve:
     def test_eigenvalue_sdp(self):
         for seed in range(8):
@@ -75,6 +36,7 @@ class TestSolve:
             sol = solve(_eigen_sdp(c), tol=1e-9)
             lam, vec = np.linalg.eigh(c)
             assert sol.status == "optimal"
+            assert sol.blocks[0].dtype == np.float64
             assert sol.objective == pytest.approx(lam[0], abs=1e-8)
             # solution is the eigenprojector of the smallest eigenvalue
             proj = np.outer(vec[:, 0], vec[:, 0])
@@ -106,11 +68,14 @@ class TestSolve:
             assert sol.objective == pytest.approx(oracle, abs=1e-4)
 
     def test_hermitian_block_through_embedding(self):
+        # complex data is solved on its native Hermitian block
         h = _random_hermitian(4)
-        p = ConicProgram([8])
-        p.set_objective({0: hermitian_functional(h)})
-        p.add_eq({0: hermitian_functional(np.eye(4))}, 1.0)
+        p = ConicProgram([4])
+        p.set_objective({0: h})
+        p.add_eq({0: np.eye(4)}, 1.0)
         sol = solve(p, tol=1e-9)
+        assert sol.status == "optimal"
+        assert sol.blocks[0].dtype == np.complex128
         assert sol.objective == pytest.approx(np.linalg.eigvalsh(h).min(), abs=1e-8)
 
     def test_certified_interval(self):
@@ -172,9 +137,12 @@ class TestSolve:
         assert solve(p).status == "infeasible"
 
     def test_rejects_asymmetric_coefficients(self):
+        # the complex coefficient is symmetric but not Hermitian
         p = ConicProgram([2])
-        with pytest.raises(ValueError, match="symmetric"):
-            p.add_eq({0: np.array([[0.0, 1.0], [0.0, 0.0]])}, 0.0)
+        for coeff in (np.array([[0.0, 1.0], [0.0, 0.0]]),
+                      np.array([[1.0, 1j], [1j, 0.0]])):
+            with pytest.raises(ValueError, match="symmetric"):
+                p.add_eq({0: coeff}, 0.0)
 
     def test_data_enters_only_through_the_checking_methods(self):
         with pytest.raises(TypeError):
@@ -217,21 +185,3 @@ class TestKktResiduals:
                             y=np.zeros(1), dual_blocks=[np.eye(3)])
         res = kkt_residuals(_eigen_sdp(c), sol)
         assert res.primal > 0.0
-
-
-class TestDump:
-    def test_format_and_roundtrippable_fields(self):
-        p = ConicProgram([2, 1])
-        p.set_objective({0: np.array([[1.0, 0.5], [0.5, 0.0]])})
-        p.add_eq({0: np.eye(2)}, 1.0)
-        p.add_ineq({1: np.array([[2.0]])}, 3.0)
-        text = dump_program(p)
-        lines = text.strip().splitlines()
-        assert lines[1] == "blocks 2 1"
-        assert "obj 0 0 0 1.0" in text
-        assert "obj 0 0 1 0.5" in text
-        assert "eq 0 1.0" in text
-        assert "ineq 0 3.0" in text
-        assert "ineqterm 0 1 0 0 2.0" in text
-        # only upper-triangle entries are listed
-        assert "obj 0 1 0" not in text

@@ -1,7 +1,7 @@
 """Cross-checks of the in-repo interior-point solver against cvxpy.
 
 These tests re-pose the beamforming subproblems in cvxpy (Clarabel backend)
-and compare optima; they validate the solver and the problem embeddings
+and compare optima; they validate the solver and the problem formulations
 together on the exact problem class the optimizer produces.
 """
 
