@@ -38,6 +38,7 @@ usually plotted::
     seed = 1234
     average_alpha = true
     alpha_draws = 50
+    ao_samples = 200    ; Gaussian randomization draws per AO / isotropic_tx
     q_tot = 600         ; only for W_I / Q_tot sweeps
     w_i = 1
     w_s = 1
@@ -45,6 +46,12 @@ usually plotted::
 Sweeps over ``W_I`` or ``Q_tot`` first solve the element/sensor allocation
 for each value, round the continuous split to integers and then evaluate
 the scheme with those counts.
+
+Every bound is homogeneous of degree -1 in the transmit budget, so each
+trial is evaluated at ``P0 = 1 W`` and a row's mean is scaled by ``1/P0``.
+Consecutive values with the same unit-power config reuse the trial results:
+a ``P0`` sweep solves each trial once, and its later rows' ``wall_ms``
+counts only their scaling, so the solve time sits on the first row.
 
 The CSV contract: header ``vary,value,scheme,crb,crb_db,trials,status,
 wall_ms``, one row per (value, scheme), floats in full-precision scientific
@@ -57,6 +64,7 @@ from __future__ import annotations
 
 import configparser
 import csv
+import logging
 import time
 from dataclasses import dataclass, replace
 from typing import Callable, NamedTuple
@@ -79,6 +87,8 @@ VARY_CHOICES = ("P0", "M", "N", "K", "beta_BI", "W_I", "Q_tot")
 CSV_HEADER = ("vary", "value", "scheme", "crb", "crb_db", "trials", "status",
               "wall_ms")
 AO_SAMPLES = 200                    # Gaussian randomization draws per instance
+
+_log = logging.getLogger(__name__)
 
 # stream tags for the per-trial substreams
 _CHANNEL, _AO, _PHASE, _RANDOMIZE, _ALPHA, _RETURN = range(6)
@@ -265,6 +275,9 @@ def _run_trial(spec: SweepSpec, cfg: SystemConfig, trial: int) -> tuple[float, s
     except EstimabilityError:
         return float("inf"), "rank_deficient"
     except (ArithmeticError, RuntimeError) as exc:
+        _log.warning("%s failed at P0=%g M=%d N=%d K=%d, seed %d, trial %d: %s: %s",
+                     spec.scheme, cfg.P0, cfg.M, cfg.N, cfg.K, spec.seed, trial,
+                     type(exc).__name__, exc)
         return float("nan"), f"error:{type(exc).__name__}"
     if not np.isfinite(crb):
         return float("inf"), "rank_deficient"
@@ -272,13 +285,16 @@ def _run_trial(spec: SweepSpec, cfg: SystemConfig, trial: int) -> tuple[float, s
 
 
 def run_sweep(spec: SweepSpec) -> list[SweepRecord]:
-    """Evaluate the scheme over all (value, trial) items and average."""
+    """Evaluate the scheme over all (value, trial) items at 1 W, average, scale by 1/P0."""
     records = []
+    unit_cfg = results = None
     for value in spec.values:
         cfg = _config_for(spec, value)
         tic = time.perf_counter()
-        results = [_run_trial(spec, cfg, trial) for trial in range(spec.trials)]
-        wall_ms = (time.perf_counter() - tic) * 1e3
+        unit = replace(cfg, P0=1.0)
+        if unit != unit_cfg:
+            unit_cfg = unit
+            results = [_run_trial(spec, unit_cfg, trial) for trial in range(spec.trials)]
         statuses = [status for _, status in results]
         if any(s.startswith("error") for s in statuses):
             status = next(s for s in statuses if s.startswith("error"))
@@ -288,12 +304,12 @@ def run_sweep(spec: SweepSpec) -> list[SweepRecord]:
             mean = float("inf")
         else:
             status = "ok"
-            mean = float(np.mean([crb for crb, _ in results]))
+            mean = float(np.mean([crb for crb, _ in results])) / cfg.P0
         crb_db = 10.0 * np.log10(mean) if mean > 0 else float("nan")
         records.append(SweepRecord(
             vary=spec.vary, value=float(value), scheme=spec.scheme,
             crb_mean=mean, crb_db=float(crb_db), trials_used=spec.trials,
-            wall_ms=wall_ms, status=status,
+            wall_ms=(time.perf_counter() - tic) * 1e3, status=status,
         ))
     return records
 

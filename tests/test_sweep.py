@@ -1,10 +1,14 @@
+import logging
+
 import numpy as np
 import pytest
 
+import irscrb.sweep
+from irscrb.ao import SubproblemError
 from irscrb.config import dbm_to_watt
-from irscrb.sweep import (SweepRecord, SweepSpec, _run_trial, _config_for,
-                          emit_csv, load_config, read_csv, reference_config,
-                          run_sweep)
+from irscrb.sweep import (SCHEMES, Scheme, SweepRecord, SweepSpec, _run_trial,
+                          _config_for, emit_csv, load_config, read_csv,
+                          reference_config, run_sweep)
 
 THETA = np.deg2rad(60.0)
 
@@ -136,6 +140,80 @@ class TestRunSweep:
         slope_a = avg[0].crb_db - avg[-1].crb_db
         slope_s = single[0].crb_db - single[-1].crb_db
         assert slope_a == pytest.approx(slope_s, abs=1e-9)
+
+
+class TestUnitPower:
+    SMALL = dict(base=reference_config(M=2, N=4, K=4), alpha_draws=5, ao_samples=50)
+
+    def test_p0_sweep_runs_one_ao_per_trial(self, monkeypatch):
+        calls = []
+        solve = irscrb.sweep.ao_minimize_crb
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return solve(*args, **kwargs)
+
+        monkeypatch.setattr(irscrb.sweep, "ao_minimize_crb", counted)
+        records = run_sweep(_spec(scheme="proposed_ao", **self.SMALL))
+        assert len(calls) == 2          # one per trial, not one per value
+        assert [r.status for r in records] == ["ok"] * 3
+
+    @pytest.mark.parametrize("scheme, base", [
+        ("proposed_ao", reference_config(M=2, N=4, K=4)),
+        ("random_phase", reference_config(M=2, N=4, K=4)),
+        ("isotropic_tx", reference_config(M=2, N=4, K=4)),
+        ("single_antenna_closed", reference_config(M=1, N=4, K=4)),
+        ("extended_opt", reference_config(M=8, N=4, K=4)),
+        ("extended_iso", reference_config(M=8, N=4, K=4)),
+        ("fully_passive", reference_config(M=8, N=4, K=4)),
+    ])
+    def test_bound_times_power_is_the_same_on_every_row(self, scheme, base):
+        records = run_sweep(_spec(scheme=scheme, base=base, alpha_draws=5,
+                                  ao_samples=50))
+        assert [r.status for r in records] == ["ok"] * 3
+        scaled = [r.crb_mean * dbm_to_watt(r.value) for r in records]
+        np.testing.assert_allclose(scaled, scaled[-1], rtol=1e-12)
+
+    def test_matches_evaluation_at_each_value_own_power(self):
+        spec = _spec(scheme="random_phase", values=(10.0, 20.0, 40.0), **self.SMALL)
+        for record in run_sweep(spec):
+            cfg = _config_for(spec, record.value)
+            direct = [_run_trial(spec, cfg, t) for t in range(spec.trials)]
+            assert [status for _, status in direct] == ["ok"] * spec.trials
+            expected = np.mean([crb for crb, _ in direct])
+            assert record.crb_mean == pytest.approx(expected, rel=1e-6)
+
+    @staticmethod
+    def _failing(monkeypatch):
+        def evaluate(cfg, ch, theta, seed, trial, samples):
+            raise SubproblemError("transmit solve ended max_iter, kkt 3.0e-07")
+
+        monkeypatch.setitem(SCHEMES, "random_phase", Scheme("point", evaluate))
+
+    def test_error_status_reaches_every_row(self, monkeypatch):
+        self._failing(monkeypatch)
+        records = run_sweep(_spec(scheme="random_phase", **self.SMALL))
+        assert [r.status for r in records] == ["error:SubproblemError"] * 3
+        assert all(np.isnan(r.crb_mean) for r in records)
+
+    def test_rank_deficient_status_reaches_every_row(self):
+        records = run_sweep(_spec(scheme="extended_opt",
+                                  base=reference_config(M=2, N=4, K=4)))
+        assert [r.status for r in records] == ["rank_deficient"] * 3
+        assert all(np.isinf(r.crb_mean) for r in records)
+
+    def test_failed_trial_logs_the_exception_and_its_instance(self, monkeypatch,
+                                                             caplog):
+        self._failing(monkeypatch)
+        spec = _spec(scheme="random_phase", trials=1, **self.SMALL)
+        with caplog.at_level(logging.WARNING, logger="irscrb.sweep"):
+            crb, status = _run_trial(spec, _config_for(spec, 20.0), 0)
+        assert np.isnan(crb) and status == "error:SubproblemError"
+        (record,) = [r for r in caplog.records if r.name == "irscrb.sweep"]
+        assert record.levelno == logging.WARNING
+        assert record.getMessage() == (
+            "random_phase failed at P0=0.1 M=2 N=4 K=4, seed 11, trial 0: "
+            "SubproblemError: transmit solve ended max_iter, kkt 3.0e-07")
 
 
 class TestCsv:
