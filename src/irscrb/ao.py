@@ -11,8 +11,9 @@ rank-one constraint on V is dropped; with either variable fixed the problem
 is a small semidefinite program (the fractional term enters through a 2x2
 Schur-complement block), so the two subproblems alternate until the
 objective stalls and a unit-modulus profile is then recovered by Gaussian
-randomization.  An incumbent feasible pair is tracked throughout, so the
-final answer is never worse than the initialization.
+randomization.  The first and last transmit steps, at unit-modulus
+profiles, are in closed form.  An incumbent feasible pair is tracked
+throughout, so the final answer is never worse than the initialization.
 """
 
 from __future__ import annotations
@@ -28,13 +29,14 @@ from .arrays import centered_index, target_steering
 from .config import PointTargetScene, SystemConfig, make_rng
 from .conic import ConicProgram, ConicSolution
 from .pointcrb import (PhaseProfile, TransmitCovariance, _bound_from_info,
-                       crb_point_closed, steered_gram)
+                       crb_point_closed, profile_vector, steered_gram)
 
 SUBPROBLEM_TOL = 1e-9
 # A solve that stalls at the solver's numerical floor is kept when its KKT
 # residual is at most this; the residual stays on the returned solution.
 SUBPROBLEM_FLOOR = 1e-8
 IMAG_RESIDUE_RTOL = 1e-9
+SUPREMUM_BEAM_SHARE = 1e-12       # power share left on b when f* is a supremum
 
 class DegenerateObjectiveError(ArithmeticError):
     """The reflected power term of the objective is not positive."""
@@ -57,8 +59,8 @@ class AoResult:
     iterations: int
     randomization_samples: int
     status: Literal["converged", "max_iter"]
-    iter_seconds: list[float] = field(default_factory=list)
-    solver_residual_max: float = 0.0    # worst KKT residual over all solves
+    iter_seconds: list[float] = field(default_factory=list)  # per SDP half-step
+    solver_residual_max: float = 0.0    # worst KKT residual over the SDP half-steps
 
 
 def _real_trace(value: complex, label: str) -> float:
@@ -147,6 +149,36 @@ def transmit_subproblem(v_lifted: np.ndarray, a: np.ndarray, g: np.ndarray,
     return TransmitCovariance(matrix=_psd_clip(sol.blocks[0]), budget=p0), sol
 
 
+def transmit_closed_form(v, a: np.ndarray, g: np.ndarray, k: int, p0: float
+                         ) -> tuple[TransmitCovariance, Literal["attained", "supremum"]]:
+    """Best transmit covariance for a unit-modulus profile, and its regime.
+
+    Let b = (A G)^H conj(v), w = (A G)^H D conj(v), w2 the part of w
+    orthogonal to b, e1 = b/|b|, e2 = w2/|w2| and x_ij = e_i^H R_x e_j / P0.
+    Then f = P0 ((K^2 - 1)/3 |b|^2 x11 + |w2|^2 (x22 - |x12|^2 / x11)), whose
+    supremum is P0 max((K^2 - 1)/3 |b|^2, |w2|^2).  It is "attained" by
+    R_x = P0 e1 e1^H when the first term wins.  Otherwise it is a
+    "supremum", approached as x11 goes to 0, and R_x = P0 (s e1 e1^H +
+    (1 - s) e2 e2^H) with s = ``SUPREMUM_BEAM_SHARE`` is within s of it.
+    """
+    vv = profile_vector(v)
+    ag = np.asarray(a, dtype=complex)[:, None] * np.asarray(g, dtype=complex)
+    b = ag.conj().T @ vv.conj()
+    w = ag.conj().T @ (centered_index(vv.shape[0]) * vv.conj())
+    b_sq = float(np.vdot(b, b).real)
+    if b_sq <= 0.0:
+        raise DegenerateObjectiveError("the profile reflects no power toward the target")
+    e1 = b / np.sqrt(b_sq)
+    w2 = w - np.vdot(e1, w) * e1
+    w2_sq = float(np.vdot(w2, w2).real)
+    if ((k ** 2 - 1) / 3.0) * b_sq >= w2_sq:
+        return TransmitCovariance(p0 * np.outer(e1, e1.conj()), p0), "attained"
+    e2 = w2 / np.sqrt(w2_sq)
+    s = SUPREMUM_BEAM_SHARE
+    matrix = p0 * (s * np.outer(e1, e1.conj()) + (1.0 - s) * np.outer(e2, e2.conj()))
+    return TransmitCovariance(matrix, p0), "supremum"
+
+
 def irs_subproblem(r_x, a: np.ndarray, g: np.ndarray, k: int,
                    solver: Callable[..., ConicSolution] = conic.solve,
                    tol: float = SUBPROBLEM_TOL) -> tuple[np.ndarray, ConicSolution]:
@@ -190,10 +222,11 @@ def gaussian_randomization(v_lifted: np.ndarray, r_x, a: np.ndarray,
     """Recover a unit-modulus profile from a lifted solution.
 
     Draws circular Gaussian vectors with covariance V, projects each onto
-    the unit-modulus set by keeping only its phases, and returns the draw
-    with the best objective.  A numerically rank-one V short-circuits to the
-    phases of its dominant eigenvector.  Draws come from one sequential
-    stream, so a larger ``samples`` extends (never reshuffles) the pool.
+    the unit-modulus set by keeping only its phases, scores all of them at
+    once as quadratic forms and returns the first draw with the best
+    objective.  A numerically rank-one V short-circuits to the phases of its
+    dominant eigenvector.  Draws come from one sequential stream, so a
+    larger ``samples`` extends (never reshuffles) the pool.
     """
     if samples < 1:
         raise ValueError("samples must be at least 1")
@@ -206,19 +239,21 @@ def gaussian_randomization(v_lifted: np.ndarray, r_x, a: np.ndarray,
     if w.shape[0] == 1 or w[1] / w[0] <= 1e-8:
         return PhaseProfile.from_phases(np.angle(q[:, 0]))
 
-    factor = q * np.sqrt(w)
-    rng = make_rng(seed)
     n = v_l.shape[0]
-    best_v = None
-    best_f = -np.inf
-    for _ in range(samples):
-        noise = (rng.standard_normal(n) + 1j * rng.standard_normal(n)) / np.sqrt(2.0)
-        cand = np.exp(1j * np.angle(factor @ noise))
-        f_val = sdr_objective(r_x, np.outer(cand, cand.conj()), a, g, k)
-        if f_val > best_f:
-            best_f = f_val
-            best_v = cand
-    return PhaseProfile(v=best_v)
+    draws = make_rng(seed).standard_normal((samples, 2, n))   # real, imag per draw
+    noise = (draws[:, 0] + 1j * draws[:, 1]) / np.sqrt(2.0)
+    cands = np.exp(1j * np.angle(noise @ (q * np.sqrt(w)).T))
+
+    quad = steered_gram(g, r_x, a)
+    idx = centered_index(n).astype(float)
+    q_v, q_dv = cands @ quad.T, (cands * idx) @ quad.T       # rows Q v and Q D v
+    p_reflect = np.sum(cands.conj() * q_v, axis=1).real
+    if p_reflect.min() <= 0.0:
+        raise DegenerateObjectiveError(f"reflected power term is {p_reflect.min():g}")
+    p_taper = np.sum((cands * idx).conj() * q_dv, axis=1).real
+    cross = np.sum(cands.conj() * q_dv, axis=1)
+    f_vals = ((k ** 2 - 1) / 3.0) * p_reflect + p_taper - np.abs(cross) ** 2 / p_reflect
+    return PhaseProfile(v=cands[np.argmax(f_vals)])
 
 
 def default_phase_profile(g: np.ndarray, a: np.ndarray) -> PhaseProfile:
@@ -246,8 +281,8 @@ def ao_minimize_crb(scene: PointTargetScene, g: np.ndarray,
 
     Alternates the two subproblems until the relative objective improvement
     drops below ``tol``, recovers a unit-modulus profile by randomization,
-    re-optimizes the transmit covariance against it, and reports the bound
-    of the best feasible pair seen (including the initialization).
+    gives it its closed-form transmit covariance, and reports the bound of
+    the best feasible pair seen (including the initialization).
     """
     g = np.asarray(g, dtype=complex)
     a = target_steering(scene.theta, config.N, config.spacing, config.wavelength)
@@ -272,7 +307,7 @@ def ao_minimize_crb(scene: PointTargetScene, g: np.ndarray,
         return out
 
     v_lifted = np.outer(init.v, init.v.conj())
-    r_x = half_step(transmit_subproblem, v_lifted, a, g, k, p0)
+    r_x, _ = transmit_closed_form(init.v, a, g, k, p0)
     trace.append(sdr_objective(r_x, v_lifted, a, g, k))
     incumbent = (r_x, init.v, trace[0])
 
@@ -299,16 +334,14 @@ def ao_minimize_crb(scene: PointTargetScene, g: np.ndarray,
               for i, v in enumerate(candidates)]
     _, _, v_star = max(scored, key=lambda t: (t[0], -t[1]))
 
-    r_star = half_step(transmit_subproblem, np.outer(v_star, v_star.conj()),
-                       a, g, k, p0)
+    r_star, _ = transmit_closed_form(v_star, a, g, k, p0)
     f_star = sdr_objective(r_star, np.outer(v_star, v_star.conj()), a, g, k)
     if f_star < incumbent[2]:
         r_star, v_star, f_star = incumbent
 
     crb = crb_point_closed(scene, r_star, v_star, g, config)
     result = AoResult(
-        R_x=r_star if isinstance(r_star, TransmitCovariance)
-        else TransmitCovariance(r_star, p0),
+        R_x=r_star,
         v=PhaseProfile(v=np.asarray(v_star)),
         crb=crb,
         objective_trace=trace,

@@ -65,7 +65,12 @@ def _check_coeffs(blocks: list[int], coeffs: dict[int, np.ndarray]) -> dict[int,
 
 def _inner(a: np.ndarray, x: np.ndarray) -> np.ndarray:
     """Re tr(A^H X) over the last two axes; ``a`` may be a stack of blocks."""
-    return np.tensordot(a, x.conj(), axes=2).real
+    return (a.reshape(a.shape[:-2] + (-1,)) @ x.conj().ravel()).real
+
+
+def _adjoint(y: np.ndarray, a_stack: list[np.ndarray]) -> list[np.ndarray]:
+    """sum_j y_j A_j per block, from the stacked ``(m, n_b, n_b)`` arrays."""
+    return [(y @ a.reshape(len(y), -1)).reshape(a.shape[1:]) for a in a_stack]
 
 
 @dataclass
@@ -270,9 +275,6 @@ def solve(program: ConicProgram, tol: float = DEFAULT_TOL,
     def apply_con(mats: list[np.ndarray]) -> np.ndarray:
         return sum(_inner(a, x) for a, x in zip(a_stack, mats))
 
-    def adjoint(yv: np.ndarray) -> list[np.ndarray]:
-        return [np.tensordot(yv, a, axes=1) for a in a_stack]
-
     status: Literal["optimal", "max_iter", "infeasible"] = "max_iter"
     iterations = 0
     b_scale = 1.0 + np.linalg.norm(rhs)
@@ -282,7 +284,7 @@ def solve(program: ConicProgram, tol: float = DEFAULT_TOL,
 
     for iterations in range(1, max_iter + 1):
         rp = rhs - apply_con(xs)
-        aty = adjoint(y)
+        aty = _adjoint(y, a_stack)
         rd = [c_mats[b] - ss[b] - aty[b] for b in range(n_blocks)]
         mu = sum(float(_inner(xs[b], ss[b])) for b in range(n_blocks)) / n_tot
 
@@ -338,7 +340,7 @@ def solve(program: ConicProgram, tol: float = DEFAULT_TOL,
                 rhs_y = rp - sum(_inner(fs[b], theta[b] - rd_scaled[b])
                                  for b in range(n_blocks))
                 dy = schur_solve(rhs_y)
-                at_dy = adjoint(dy)
+                at_dy = _adjoint(dy, a_stack)
                 ds = [rd[b] - at_dy[b] for b in range(n_blocks)]
                 ds_scaled = [gs[b].conj().T @ ds[b] @ gs[b] for b in range(n_blocks)]
                 dx_scaled = [theta[b] - ds_scaled[b] for b in range(n_blocks)]

@@ -72,7 +72,9 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .allocation import allocate_optimal
-from .ao import ao_minimize_crb, gaussian_randomization, irs_subproblem, transmit_subproblem
+# transmit_subproblem is not called here; perfbench/tracing.py patches this name
+from .ao import (ao_minimize_crb, gaussian_randomization, irs_subproblem,
+                 transmit_closed_form, transmit_subproblem)
 from .arrays import target_steering
 from .channel import rician_channel
 from .config import (SystemConfig, db_to_linear, dbm_to_watt, derive_seed,
@@ -203,7 +205,7 @@ def _proposed_ao(cfg, ch, theta, seed, trial, samples) -> float:
 def _random_phase(cfg, ch, theta, seed, trial, samples) -> float:
     a = target_steering(theta, cfg.N, cfg.spacing, cfg.wavelength)
     v = np.exp(1j * make_rng(seed, trial, _PHASE).uniform(0.0, 2.0 * np.pi, cfg.N))
-    r_x, _ = transmit_subproblem(np.outer(v, v.conj()), a, ch.G, cfg.K, cfg.P0)
+    r_x, _ = transmit_closed_form(v, a, ch.G, cfg.K, cfg.P0)
     return crb_point_closed(point_scene(cfg, theta), r_x, v, ch.G, cfg)
 
 

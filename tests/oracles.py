@@ -101,6 +101,33 @@ def exhaustive_phase_grid(objective, n: int, levels: int) -> float:
     return best
 
 
+def randomization_by_loop(v_lifted: np.ndarray, objective, samples: int,
+                          rng: np.random.Generator) -> np.ndarray:
+    """Gaussian randomization scored one candidate at a time.
+
+    Each draw takes its own two calls on ``rng`` (real parts, then
+    imaginary parts) and each candidate is scored by ``objective``, a map
+    from a unit-modulus vector to f; the first best candidate wins.  The
+    factor of V and the phase projection are formed as the library forms
+    them, so the candidates agree bit for bit and only the draw order and
+    the scoring are checked.
+    """
+    h = (v_lifted + v_lifted.conj().T) / 2.0
+    w, q = np.linalg.eigh(h)
+    if w.min() < 0.0:
+        w, q = np.linalg.eigh((q * np.maximum(w, 0.0)) @ q.conj().T)
+    w, q = np.maximum(w[::-1], 0.0), q[:, ::-1]
+    n = h.shape[0]
+    noise = np.array([(rng.standard_normal(n) + 1j * rng.standard_normal(n))
+                      / np.sqrt(2.0) for _ in range(samples)])
+    best_v, best_f = None, -np.inf
+    for cand in np.exp(1j * np.angle(noise @ (q * np.sqrt(w)).T)):
+        f_val = objective(cand)
+        if f_val > best_f:
+            best_v, best_f = cand, f_val
+    return best_v
+
+
 def dual_grid_sdp(c: np.ndarray, a: np.ndarray, b: float,
                   rounds: int = 8, resolution: int = 61) -> float:
     """Grid-refined dual bound for min tr(CX) s.t. tr(X)=1, tr(AX)=b, X>=0.

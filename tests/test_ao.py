@@ -5,15 +5,16 @@ from irscrb import conic
 from irscrb.ao import (SUBPROBLEM_FLOOR, SUBPROBLEM_TOL,
                        DegenerateObjectiveError, ao_minimize_crb,
                        default_phase_profile, gaussian_randomization,
-                       irs_subproblem, sdr_objective, transmit_subproblem)
-from irscrb.arrays import target_steering
+                       irs_subproblem, sdr_objective, transmit_closed_form,
+                       transmit_subproblem)
+from irscrb.arrays import centered_index, target_steering
 from irscrb.channel import rician_channel
 from irscrb.config import PointTargetScene, SystemConfig, make_rng, point_scene
 from irscrb.pointcrb import crb_point_closed, single_antenna_optimum
 from irscrb.sweep import reference_config
 
-from oracles import (exhaustive_phase_grid, point_bracket,
-                     random_covariance, random_unit_profile)
+from oracles import (exhaustive_phase_grid, point_bracket, random_covariance,
+                     random_unit_profile, randomization_by_loop)
 
 RNG = np.random.default_rng(7)
 
@@ -25,6 +26,15 @@ def _instance(m, n, k, seed=0, p0=1.0):
     a = target_steering(theta, n, 0.1, 0.2)
     r_x = random_covariance(rng, m, p0)
     return g, a, r_x, theta
+
+
+def _random_phase_instance(m, n, seed):
+    # the random-phase transmit program of the reference system at N = K = n
+    cfg = reference_config(M=m, N=n, K=n)
+    ch = rician_channel(cfg, seed=seed)
+    a = target_steering(np.deg2rad(60.0), n, cfg.spacing, cfg.wavelength)
+    v = np.exp(1j * make_rng(seed, 0, 2).uniform(0.0, 2.0 * np.pi, n))
+    return v, a, ch.G, cfg.P0
 
 
 class TestSdrObjective:
@@ -107,13 +117,9 @@ class TestTransmitSubproblem:
 
     @staticmethod
     def _random_phase_program(m, seed):
-        # the random-phase transmit solve of the reference system at N = K = 4
-        cfg = reference_config(M=m, N=4, K=4)
-        ch = rician_channel(cfg, seed=seed)
-        a = target_steering(np.deg2rad(60.0), 4, cfg.spacing, cfg.wavelength)
-        v = np.exp(1j * make_rng(seed, 0, 2).uniform(0.0, 2.0 * np.pi, 4))
-        r_x, sol = transmit_subproblem(np.outer(v, v.conj()), a, ch.G, 4, cfg.P0)
-        return r_x, sol, cfg.P0
+        v, a, g, p0 = _random_phase_instance(m, 4, seed)
+        r_x, sol = transmit_subproblem(np.outer(v, v.conj()), a, g, 4, p0)
+        return r_x, sol, p0
 
     def test_solve_stalled_at_its_floor_is_kept(self):
         # M = 16, seed 37 stalls just above the 1e-9 solver tolerance
@@ -127,6 +133,40 @@ class TestTransmitSubproblem:
         # M = 2, seed 0 (`irscrb crb point --seed 0`) meets the tolerance only
         # with each row of the Schur block normalized on its own
         assert self._random_phase_program(2, 0)[1].status == "optimal"
+
+
+class TestTransmitClosedForm:
+    @pytest.mark.parametrize("n", [4, 8, 16])
+    @pytest.mark.parametrize("m", [2, 4, 8, 16])
+    def test_matches_the_transmit_program(self, m, n):
+        for seed in range(10):
+            v, a, g, p0 = _random_phase_instance(m, n, seed)
+            lifted = np.outer(v, v.conj())
+            r_x, regime = transmit_closed_form(v, a, g, n, p0)
+            r_sdp, _ = transmit_subproblem(lifted, a, g, n, p0)
+            f_val = sdr_objective(r_x, lifted, a, g, n)
+            assert f_val >= sdr_objective(r_sdp, lifted, a, g, n) * (1 - 1e-9)
+
+            ag = a[:, None] * g
+            b = ag.conj().T @ v.conj()
+            w = ag.conj().T @ (centered_index(n) * v.conj())
+            b_sq = np.linalg.norm(b) ** 2
+            w2_sq = np.linalg.norm(w) ** 2 - abs(np.vdot(b, w)) ** 2 / b_sq
+            gamma = (n ** 2 - 1) / 3.0
+            assert regime == ("attained" if gamma * b_sq >= w2_sq else "supremum")
+            if regime == "supremum":
+                assert f_val == pytest.approx(p0 * w2_sq, rel=1e-12)
+
+            mat = r_x.matrix
+            np.testing.assert_allclose(mat, mat.conj().T, rtol=0.0, atol=1e-15 * p0)
+            assert np.linalg.eigvalsh(mat).min() >= -1e-12 * p0
+            assert np.trace(mat).real == pytest.approx(p0, rel=1e-12)
+
+    def test_profile_reflecting_no_power_is_degenerate(self):
+        # v^T A G = 0: the two rows of G cancel under v = a = (1, 1)
+        g = np.array([[1.0, 2.0], [-1.0, -2.0]], dtype=complex)
+        with pytest.raises(DegenerateObjectiveError):
+            transmit_closed_form(np.ones(2), np.ones(2), g, 4, 1.0)
 
 
 class TestIrsSubproblem:
@@ -188,6 +228,27 @@ class TestGaussianRandomization:
         rand_best = objective(profile.v)
         assert rand_best >= grid_best * 0.97
 
+    @pytest.mark.parametrize("n", [4, 8, 16])
+    @pytest.mark.parametrize("m", [2, 4, 8])
+    def test_matches_scoring_one_candidate_at_a_time(self, m, n):
+        for seed in range(3):
+            g, a, r_x, _ = _instance(m, n, 4, seed)
+            rng = np.random.default_rng(seed + 100)
+            factor = rng.standard_normal((n, 3)) + 1j * rng.standard_normal((n, 3))
+            lifted = factor @ factor.conj().T                # rank 3
+            scale = 1.0 / np.sqrt(np.diag(lifted).real)
+            lifted = scale[:, None] * lifted * scale[None, :]   # unit diagonal
+
+            def objective(v):
+                return sdr_objective(r_x, np.outer(v, v.conj()), a, g, 4)
+
+            # samples = 50 must draw the first 50 candidates of samples = 200
+            for samples in (50, 200):
+                profile = gaussian_randomization(lifted, r_x, a, g, 4, samples, seed)
+                np.testing.assert_array_equal(
+                    profile.v, randomization_by_loop(lifted, objective, samples,
+                                                     make_rng(seed)))
+
     def test_rejects_zero_samples(self):
         with pytest.raises(ValueError, match="samples"):
             gaussian_randomization(np.eye(2, dtype=complex), np.eye(2),
@@ -233,8 +294,7 @@ class TestAlternatingMinimizer:
                                                      cfg.spacing, cfg.wavelength))
         res = ao_minimize_crb(scene, ch.G, cfg, init=init, seed=5)
         a = target_steering(scene.theta, cfg.N, cfg.spacing, cfg.wavelength)
-        r_init, _ = transmit_subproblem(np.outer(init.v, init.v.conj()), a,
-                                        ch.G, cfg.K, cfg.P0)
+        r_init, _ = transmit_closed_form(init.v, a, ch.G, cfg.K, cfg.P0)
         crb_init = crb_point_closed(scene, r_init, init.v, ch.G, cfg)
         assert res.crb <= crb_init * (1 + 1e-9)
 
@@ -264,8 +324,7 @@ class TestAlternatingMinimizer:
         ao_minimize_crb(scene, ch.G, cfg, seed=6, trace_path=str(out))
         a = target_steering(scene.theta, cfg.N, cfg.spacing, cfg.wavelength)
         init = default_phase_profile(ch.G, a)
-        r_init, _ = transmit_subproblem(np.outer(init.v, init.v.conj()), a,
-                                        ch.G, cfg.K, cfg.P0)
+        r_init, _ = transmit_closed_form(init.v, a, ch.G, cfg.K, cfg.P0)
         row0 = out.read_text().splitlines()[1].split(",")
         assert row0[0] == "0"
         assert float(row0[2]) == pytest.approx(
@@ -319,13 +378,22 @@ def test_subproblems_solve_native_hermitian_blocks():
 
 
 def test_desk_scale_run_through_a_stalled_transmit_solve():
-    # two transmit solves of this run stall at a KKT residual near 5.1e-9
+    # the transmit program of this run's initial profile stalls at a KKT
+    # residual near 5.1e-9; the optimizer takes that step in closed form
     cfg = SystemConfig(M=8, N=16, K=8, T=64, P0=100.0)
     scene = point_scene(cfg, np.deg2rad(60.0))
     ch = rician_channel(cfg, seed=4)
+    a = target_steering(scene.theta, cfg.N, cfg.spacing, cfg.wavelength)
+    init = default_phase_profile(ch.G, a)
+    lifted = np.outer(init.v, init.v.conj())
+    r_sdp, sol = transmit_subproblem(lifted, a, ch.G, cfg.K, cfg.P0)
+    assert SUBPROBLEM_TOL < sol.kkt.max() <= SUBPROBLEM_FLOOR
+    r_closed, _ = transmit_closed_form(init.v, a, ch.G, cfg.K, cfg.P0)
+    assert sdr_objective(r_closed, lifted, a, ch.G, cfg.K) >= \
+        sdr_objective(r_sdp, lifted, a, ch.G, cfg.K) * (1 - 1e-9)
     res = ao_minimize_crb(scene, ch.G, cfg, seed=0)
     assert res.status == "converged"
-    assert SUBPROBLEM_TOL < res.solver_residual_max <= SUBPROBLEM_FLOOR
+    assert res.solver_residual_max <= SUBPROBLEM_FLOOR
     assert np.isfinite(res.crb) and res.crb > 0
 
 

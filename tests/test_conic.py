@@ -3,8 +3,8 @@ import logging
 import numpy as np
 import pytest
 
-from irscrb.conic import (ConicProgram, ConicSolution, KktResiduals,
-                          kkt_residuals, solve)
+from irscrb.conic import (ConicProgram, ConicSolution, KktResiduals, _adjoint,
+                          _inner, kkt_residuals, solve)
 
 from oracles import dual_grid_sdp
 
@@ -185,3 +185,23 @@ class TestKktResiduals:
                             y=np.zeros(1), dual_blocks=[np.eye(3)])
         res = kkt_residuals(_eigen_sdp(c), sol)
         assert res.primal > 0.0
+
+
+@pytest.mark.parametrize("complex_data", [False, True])
+def test_contractions_match_explicit_traces(complex_data):
+    rng = np.random.default_rng(5)
+
+    def draw(*shape):
+        x = rng.standard_normal(shape)
+        return x + 1j * rng.standard_normal(shape) if complex_data else x
+
+    stack, y = draw(6, 4, 4), rng.standard_normal(6)
+    for x in (draw(4, 4), draw(4, 4).T):        # contiguous and strided
+        explicit = np.array([np.trace(a.conj().T @ x).real for a in stack])
+        np.testing.assert_allclose(_inner(stack, x), explicit, rtol=1e-13, atol=1e-13)
+        assert _inner(stack[2], x) == pytest.approx(explicit[2], rel=1e-13)
+        adj, = _adjoint(y, [stack])
+        np.testing.assert_allclose(adj, sum(y_j * a for y_j, a in zip(y, stack)),
+                                   rtol=1e-13, atol=1e-13)
+        # <A^*(y), X> = <y, A(X)>
+        assert np.trace(adj.conj().T @ x).real == pytest.approx(y @ explicit, rel=1e-12)
