@@ -63,10 +63,23 @@ class AoResult:
     solver_residual_max: float = 0.0    # worst KKT residual over the SDP half-steps
 
 
-def _real_trace(value: complex, label: str) -> float:
-    if abs(value.imag) > IMAG_RESIDUE_RTOL * (1.0 + abs(value.real)):
-        raise ValueError(f"{label} has non-negligible imaginary part {value.imag:g}")
-    return float(value.real)
+def _real_trace(value, label: str):
+    value = np.asarray(value)
+    if np.any(np.abs(value.imag) > IMAG_RESIDUE_RTOL * (1.0 + np.abs(value.real))):
+        raise ValueError(f"{label} has non-negligible imaginary part "
+                         f"{np.max(np.abs(value.imag)):g}")
+    return value.real
+
+
+def _info_measure(p_reflect, p_taper, cross, k: int):
+    """f from the traces tr(Q V), tr(D Q D V) and tr(Q D V); scalars or arrays."""
+    p_reflect = _real_trace(p_reflect, "reflected power")
+    if np.min(p_reflect) <= 0.0:
+        raise DegenerateObjectiveError(
+            f"reflected power term is {np.min(p_reflect):g}; the objective is undefined"
+        )
+    p_taper = _real_trace(p_taper, "tapered power")
+    return ((k ** 2 - 1) / 3.0) * p_reflect + p_taper - np.abs(cross) ** 2 / p_reflect
 
 
 def sdr_objective(r_x, v_lifted: np.ndarray, a: np.ndarray, g: np.ndarray,
@@ -75,16 +88,9 @@ def sdr_objective(r_x, v_lifted: np.ndarray, a: np.ndarray, g: np.ndarray,
     quad = steered_gram(g, r_x, a)
     idx = centered_index(a.shape[0]).astype(float)
     v_l = np.asarray(v_lifted, dtype=complex)
-
-    p_reflect = _real_trace(complex(np.trace(quad @ v_l)), "reflected power")
-    if p_reflect <= 0.0:
-        raise DegenerateObjectiveError(
-            f"reflected power term is {p_reflect:g}; the objective is undefined"
-        )
     taper_quad = idx[:, None] * quad * idx[None, :]
-    p_taper = _real_trace(complex(np.trace(taper_quad @ v_l)), "tapered power")
-    cross = complex(np.trace((quad * idx[None, :]) @ v_l))
-    return ((k ** 2 - 1) / 3.0) * p_reflect + p_taper - abs(cross) ** 2 / p_reflect
+    return float(_info_measure(np.trace(quad @ v_l), np.trace(taper_quad @ v_l),
+                               np.trace((quad * idx[None, :]) @ v_l), k))
 
 
 def _re_im_kernels(b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -247,12 +253,9 @@ def gaussian_randomization(v_lifted: np.ndarray, r_x, a: np.ndarray,
     quad = steered_gram(g, r_x, a)
     idx = centered_index(n).astype(float)
     q_v, q_dv = cands @ quad.T, (cands * idx) @ quad.T       # rows Q v and Q D v
-    p_reflect = np.sum(cands.conj() * q_v, axis=1).real
-    if p_reflect.min() <= 0.0:
-        raise DegenerateObjectiveError(f"reflected power term is {p_reflect.min():g}")
-    p_taper = np.sum((cands * idx).conj() * q_dv, axis=1).real
-    cross = np.sum(cands.conj() * q_dv, axis=1)
-    f_vals = ((k ** 2 - 1) / 3.0) * p_reflect + p_taper - np.abs(cross) ** 2 / p_reflect
+    f_vals = _info_measure(np.sum(cands.conj() * q_v, axis=1),
+                           np.sum((cands * idx).conj() * q_dv, axis=1),
+                           np.sum(cands.conj() * q_dv, axis=1), k)
     return PhaseProfile(v=cands[np.argmax(f_vals)])
 
 

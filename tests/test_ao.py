@@ -378,7 +378,7 @@ def test_subproblems_solve_native_hermitian_blocks():
 
 
 def test_desk_scale_run_through_a_stalled_transmit_solve():
-    # the transmit program of this run's initial profile stalls at a KKT
+    # the transmit program of channel 4's initial profile stalls at a KKT
     # residual near 5.1e-9; the optimizer takes that step in closed form
     cfg = SystemConfig(M=8, N=16, K=8, T=64, P0=100.0)
     scene = point_scene(cfg, np.deg2rad(60.0))
@@ -391,9 +391,13 @@ def test_desk_scale_run_through_a_stalled_transmit_solve():
     r_closed, _ = transmit_closed_form(init.v, a, ch.G, cfg.K, cfg.P0)
     assert sdr_objective(r_closed, lifted, a, ch.G, cfg.K) >= \
         sdr_objective(r_sdp, lifted, a, ch.G, cfg.K) * (1 - 1e-9)
+
+    # on channel 1 three lifted transmit solves of the run stall, the worst
+    # near 2.9e-9; the optimizer keeps those steps and still converges
+    ch = rician_channel(cfg, seed=1)
     res = ao_minimize_crb(scene, ch.G, cfg, seed=0)
     assert res.status == "converged"
-    assert res.solver_residual_max <= SUBPROBLEM_FLOOR
+    assert SUBPROBLEM_TOL < res.solver_residual_max <= SUBPROBLEM_FLOOR
     assert np.isfinite(res.crb) and res.crb > 0
 
 

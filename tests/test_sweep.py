@@ -117,8 +117,8 @@ class TestRunSweep:
         assert _run_trial(spec2, cfg, 1) == _run_trial(spec5, cfg, 1)
 
     def test_shipped_point_config_random_phase_at_25_dbm(self):
-        # configs/point_p0.ini: trial 1 stalls its transmit solve at a KKT
-        # residual of 1.5e-9, above the solver tolerance, within the floor
+        # configs/point_p0.ini, trial 1: random_phase takes its transmit
+        # step in closed form, so the trial solves no program
         spec = _spec(base=reference_config(M=4, N=8, K=8), values=(25.0,),
                      scheme="random_phase", trials=3, seed=1234)
         crb, status = _run_trial(spec, _config_for(spec, 25.0), 1)
