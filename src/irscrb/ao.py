@@ -11,9 +11,12 @@ rank-one constraint on V is dropped; with either variable fixed the problem
 is a small semidefinite program (the fractional term enters through a 2x2
 Schur-complement block), so the two subproblems alternate until the
 objective stalls and a unit-modulus profile is then recovered by Gaussian
-randomization.  The first and last transmit steps, at unit-modulus
-profiles, are in closed form.  An incumbent feasible pair is tracked
-throughout, so the final answer is never worse than the initialization.
+randomization.  The reflection step solves its program.  The transmit
+steps solve none: the first and last, at unit-modulus profiles, are in
+closed form, and the intermediate ones, at lifted profiles, take the
+certified eigenvalue form of the program, which is solved only when no
+certificate comes.  An incumbent feasible pair is tracked throughout, so
+the final answer is never worse than the initialization.
 """
 
 from __future__ import annotations
@@ -34,9 +37,14 @@ from .pointcrb import (PhaseProfile, TransmitCovariance, _bound_from_info,
 SUBPROBLEM_TOL = 1e-9
 # A solve that stalls at the solver's numerical floor is kept when its KKT
 # residual is at most this; the residual stays on the returned solution.
+# Reflection solves of the optimizer stall at up to about 3e-9.
 SUBPROBLEM_FLOOR = 1e-8
 IMAG_RESIDUE_RTOL = 1e-9
 SUPREMUM_BEAM_SHARE = 1e-12       # power share left on b when f* is a supremum
+EIGEN_GAP_RTOL = 1e-11            # certified gap of a transmit_eigen_form step
+ECHO_BEAM_RTOL = 1e-6             # least x^H P x / max|P| of an accepted beam
+EIGEN_NEWTON_STEPS = 20
+EIGEN_LINE_SEARCH = 40            # step halvings per Newton step
 
 class DegenerateObjectiveError(ArithmeticError):
     """The reflected power term of the objective is not positive."""
@@ -59,6 +67,8 @@ class AoResult:
     iterations: int
     randomization_samples: int
     status: Literal["converged", "max_iter"]
+    # SDP half-steps: the reflection steps, and transmit steps without an
+    # eigenvalue-form certificate
     iter_seconds: list[float] = field(default_factory=list)  # per SDP half-step
     solver_residual_max: float = 0.0    # worst KKT residual over the SDP half-steps
 
@@ -129,30 +139,106 @@ def _schur_program(quad_obj: np.ndarray, cross_kernel: np.ndarray,
     return program
 
 
+def _transmit_kernels(v_lifted: np.ndarray, a: np.ndarray, g: np.ndarray, k: int
+                      ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Kernels (Qo, C, P) of the transmit program at a lifted profile V.
+
+    f(R_x) = tr(Qo R_x) - |tr(C R_x)|^2 / tr(P R_x) with P = (A G)^H V^T (A G),
+    C = (A G)^H V^T D (A G) and Qo = (K^2 - 1)/3 P + (A G)^H D V^T D (A G).
+    """
+    a = np.asarray(a, dtype=complex)
+    g = np.asarray(g, dtype=complex)
+    v_l = np.asarray(v_lifted, dtype=complex)
+    if np.abs(np.diag(v_l).real - 1.0).max() > 1e-6:
+        raise ValueError("lifted profile must have a unit diagonal")
+    idx = centered_index(a.shape[0]).astype(float)
+    ag = a[:, None] * g                                  # A @ G
+    v_t = v_l.T
+    power_kernel = ag.conj().T @ v_t @ ag
+    quad_obj = ((k ** 2 - 1) / 3.0) * power_kernel \
+        + ag.conj().T @ (idx[:, None] * v_t * idx[None, :]) @ ag
+    cross_kernel = ag.conj().T @ v_t @ (idx[:, None] * ag)
+    return quad_obj, cross_kernel, power_kernel
+
+
 def transmit_subproblem(v_lifted: np.ndarray, a: np.ndarray, g: np.ndarray,
                         k: int, p0: float,
                         solver: Callable[..., ConicSolution] = conic.solve,
                         tol: float = SUBPROBLEM_TOL
                         ) -> tuple[TransmitCovariance, ConicSolution]:
     """Best transmit covariance for a fixed (possibly lifted) profile, and its solve."""
-    a = np.asarray(a, dtype=complex)
-    g = np.asarray(g, dtype=complex)
-    v_l = np.asarray(v_lifted, dtype=complex)
-    n = a.shape[0]
-    if np.abs(np.diag(v_l).real - 1.0).max() > 1e-6:
-        raise ValueError("lifted profile must have a unit diagonal")
-    idx = centered_index(n).astype(float)
-    ag = a[:, None] * g                                  # A @ G
-    v_t = v_l.T
-    power_kernel = ag.conj().T @ v_t @ ag                # U_22 kernel
-    quad_obj = ((k ** 2 - 1) / 3.0) * power_kernel \
-        + ag.conj().T @ (idx[:, None] * v_t * idx[None, :]) @ ag
-    cross_kernel = ag.conj().T @ v_t @ (idx[:, None] * ag)
-
-    program = _schur_program(quad_obj, cross_kernel, power_kernel, order=g.shape[1])
-    program.add_ineq({0: np.eye(g.shape[1])}, p0)
+    quad_obj, cross_kernel, power_kernel = _transmit_kernels(v_lifted, a, g, k)
+    order = quad_obj.shape[0]
+    program = _schur_program(quad_obj, cross_kernel, power_kernel, order=order)
+    program.add_ineq({0: np.eye(order)}, p0)
     sol = _checked(solver(program, tol=tol), "transmit")
     return TransmitCovariance(matrix=_psd_clip(sol.blocks[0]), budget=p0), sol
+
+
+def transmit_eigen_form(v_lifted: np.ndarray, a: np.ndarray, g: np.ndarray,
+                        k: int, p0: float) -> TransmitCovariance | None:
+    """Certified rank-one optimum of the transmit program, or None.
+
+    Since -|c|^2/p = min_u (|u|^2 p - 2 Re(conj(u) c)), Sion's minimax
+    theorem makes the program's value min over complex u of P0 lam1(K(u)),
+    with K(u) = Qo + |u|^2 P - conj(u) C - u C^H and lam1 the largest
+    eigenvalue: a convex function of two real parameters.  Damped Newton
+    steps on it start from u = x^H C x / x^H P x, x the top eigenvector of
+    Qo.  The top eigenvector x of each K(u) gives R_x = P0 x x^H with
+    f(R_x) <= value <= P0 lam1, so R_x is returned once the gap
+    P0 lam1 - f(R_x) is at most ``EIGEN_GAP_RTOL`` P0 |lam1| and x^H P x
+    exceeds ``ECHO_BEAM_RTOL`` max|P|.  The second condition rejects a beam
+    orthogonal to the echo, where f is only a supremum.  None means that
+    no certificate came within ``EIGEN_NEWTON_STEPS`` steps; the caller
+    then solves the program.
+    """
+    qo, c, p = _transmit_kernels(v_lifted, a, g, k)
+    c_h = c.conj().T
+    beam_floor = ECHO_BEAM_RTOL * np.abs(p).max()
+
+    def top_pair(u):
+        return np.linalg.eigh(qo + abs(u) ** 2 * p - np.conj(u) * c - u * c_h)
+
+    x = np.linalg.eigh(qo)[1][:, -1]
+    p_x = np.vdot(x, p @ x).real
+    u = np.vdot(x, c @ x) / p_x if p_x > beam_floor else 0.0
+    lam, vec = top_pair(u)
+    for _ in range(EIGEN_NEWTON_STEPS + 1):
+        x, lam1 = vec[:, -1], lam[-1]
+        p_vec, c_vec, ch_vec = p @ x, c @ x, c_h @ x
+        p_x = np.vdot(x, p_vec).real
+        c_x = np.vdot(x, c_vec)
+        if p_x > beam_floor:
+            f_x = np.vdot(x, qo @ x).real - abs(c_x) ** 2 / p_x
+            if lam1 - f_x <= EIGEN_GAP_RTOL * abs(lam1):
+                return TransmitCovariance(p0 * np.outer(x, x.conj()), p0)
+        spread = lam1 - lam[:-1]
+        if spread.size and spread.min() <= EIGEN_GAP_RTOL * abs(lam1):
+            return None                 # lam1 is not simple: no Newton step
+        # d lam1 / d(Re u, Im u) = x^H K_i x, with K_re = 2 Re(u) P - (C + C^H)
+        # and K_im = 2 Im(u) P + i (C - C^H); second order by perturbation.
+        grad_c = 2.0 * (u * p_x - c_x)
+        grad = np.array([grad_c.real, grad_c.imag])
+        k_x = np.stack([2.0 * u.real * p_vec - (c_vec + ch_vec),
+                        2.0 * u.imag * p_vec + 1j * (c_vec - ch_vec)], axis=1)
+        z = vec[:, :-1].conj().T @ k_x / np.sqrt(spread)[:, None]
+        hess = 2.0 * p_x * np.eye(2) + 2.0 * (z.conj().T @ z).real
+        try:
+            step = -np.linalg.solve(hess, grad)
+        except np.linalg.LinAlgError:
+            return None
+        slope = grad @ step
+        t = 1.0
+        for _ in range(EIGEN_LINE_SEARCH):
+            u_try = u + t * complex(step[0], step[1])
+            lam_try, vec_try = top_pair(u_try)
+            if lam_try[-1] <= lam1 + 1e-4 * t * slope:
+                break
+            t /= 2.0
+        else:
+            return None                 # no decrease left at working precision
+        u, lam, vec = u_try, lam_try, vec_try
+    return None
 
 
 def transmit_closed_form(v, a: np.ndarray, g: np.ndarray, k: int, p0: float
@@ -320,7 +406,9 @@ def ao_minimize_crb(scene: PointTargetScene, g: np.ndarray,
     for iterations in range(1, max_iter + 1):
         v_lifted = half_step(irs_subproblem, r_x, a, g, k)
         trace.append(sdr_objective(r_x, v_lifted, a, g, k))
-        r_x = half_step(transmit_subproblem, v_lifted, a, g, k, p0)
+        r_x = transmit_eigen_form(v_lifted, a, g, k, p0)
+        if r_x is None:
+            r_x = half_step(transmit_subproblem, v_lifted, a, g, k, p0)
         f_cur = sdr_objective(r_x, v_lifted, a, g, k)
         trace.append(f_cur)
         if abs(f_cur - f_prev) <= tol * max(1e-300, abs(f_prev)):

@@ -35,7 +35,7 @@ from dataclasses import dataclass, field
 from typing import Literal
 
 import numpy as np
-import scipy.linalg
+from scipy.linalg.lapack import dpotrf, dpotrs
 
 DEFAULT_TOL = 1e-8
 DEFAULT_MAX_ITER = 200
@@ -59,8 +59,12 @@ def _check_coeffs(blocks: list[int], coeffs: dict[int, np.ndarray]) -> dict[int,
         scale = max(np.abs(m).max(), 1.0)
         if np.abs(m - m.conj().T).max() > SYMMETRY_ATOL * scale:
             raise ValueError(f"coefficient for block {idx} is not Hermitian symmetric")
-        out[idx] = (m + m.conj().T) / 2.0
+        out[idx] = _hermitian_part(m)
     return out
+
+
+def _hermitian_part(mat: np.ndarray) -> np.ndarray:
+    return (mat + mat.conj().T) / 2.0
 
 
 def _inner(a: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -172,7 +176,7 @@ def kkt_residuals(program: ConicProgram, sol: ConicSolution) -> KktResiduals:
         val = sum(float(_inner(a, xs[b])) for b, a in coeffs.items())
         primal = max(primal, max(0.0, val - rhs) / (1.0 + abs(rhs)))
     for x in xs:
-        lam = np.linalg.eigvalsh((x + x.conj().T) / 2.0).min()
+        lam = np.linalg.eigvalsh(_hermitian_part(x)).min()
         primal = max(primal, max(0.0, -lam) / (1.0 + np.linalg.norm(x)))
 
     c_norm = 1.0
@@ -189,7 +193,7 @@ def kkt_residuals(program: ConicProgram, sol: ConicSolution) -> KktResiduals:
                 duals[b] = duals[b] - y[j] * a
     dual = np.sqrt(sum(np.linalg.norm(d) ** 2 for d in duals)) / c_norm
     for s in ss:
-        lam = np.linalg.eigvalsh((s + s.conj().T) / 2.0).min()
+        lam = np.linalg.eigvalsh(_hermitian_part(s)).min()
         dual = max(dual, max(0.0, -lam) / (1.0 + np.linalg.norm(s)))
     if len(y) > m_eq:
         dual = max(dual, float(np.max(np.maximum(y[m_eq:], 0.0)))
@@ -232,13 +236,36 @@ def _chol(mat: np.ndarray) -> np.ndarray:
         raise
 
 
-def _max_step(lam: np.ndarray, delta: np.ndarray) -> float:
-    """Largest step keeping diag(lam) + alpha * delta positive definite."""
+def _max_steps(lam: np.ndarray, dx: np.ndarray, ds: np.ndarray) -> list[float]:
+    """Largest steps keeping diag(lam) + alpha * dx and + alpha * ds positive definite."""
     root = 1.0 / np.sqrt(lam)
-    ev_min = np.linalg.eigvalsh(root[:, None] * delta * root[None, :]).min()
-    if ev_min >= -1e-14:
-        return 1.0
-    return min(1.0, -STEP_FRACTION / ev_min)
+    ev_mins = np.linalg.eigvalsh(root[:, None] * np.array((dx, ds)) * root[None, :])
+    return [1.0 if ev >= -1e-14 else min(1.0, -STEP_FRACTION / ev)
+            for ev in ev_mins.min(axis=1).tolist()]
+
+
+def _finite(vec: np.ndarray) -> np.ndarray:
+    """Reject a non-finite Schur matrix or right-hand side."""
+    if not np.isfinite(vec).all():
+        raise ValueError("array must not contain infs or NaNs")
+    return vec
+
+
+def _cholesky_solver(mat: np.ndarray):
+    """Solve with an upper Cholesky factor of ``mat`` (LAPACK potrf/potrs)."""
+    factor, info = dpotrf(_finite(mat), lower=0, clean=0, overwrite_a=0)
+    if info > 0:
+        raise np.linalg.LinAlgError(
+            f"{info}-th leading minor of the array is not positive definite")
+    if info < 0:
+        raise ValueError(f"illegal value in {-info}th argument of internal potrf")
+
+    def solve_with(rhs: np.ndarray) -> np.ndarray:
+        out, info = dpotrs(factor, _finite(rhs), lower=0, overwrite_b=0)
+        if info != 0:
+            raise ValueError(f"illegal value in {-info}th argument of internal potrs")
+        return out
+    return solve_with
 
 
 def _lyapunov_rhs(lam: np.ndarray, rhs: np.ndarray) -> np.ndarray:
@@ -300,7 +327,7 @@ def solve(program: ConicProgram, tol: float = DEFAULT_TOL,
         metric = max(prim_res, dual_res, gap_res)
         if metric < best_metric:
             best_metric = metric
-            best_state = ([x.copy() for x in xs], y.copy(), [s.copy() for s in ss])
+            best_state = (xs, y, ss)
         if mu <= 0.0:
             break    # <X, S> > 0 for PD iterates, so this is the numerical floor
         if metric <= tol:
@@ -327,12 +354,12 @@ def solve(program: ConicProgram, tol: float = DEFAULT_TOL,
             flat = [f.reshape(m, -1) for f in fs]
             schur = sum((f @ f.conj().T).real for f in flat)
             reg = 1e-14 * max(schur.diagonal().max(initial=0.0), 1.0)
-            schur_cho = scipy.linalg.cho_factor(schur + reg * np.eye(m))
+            schur_cho = _cholesky_solver(schur + reg * np.eye(m))
 
             def schur_solve(rhs_y: np.ndarray) -> np.ndarray:
-                dy = scipy.linalg.cho_solve(schur_cho, rhs_y)
+                dy = schur_cho(rhs_y)
                 for _ in range(2):   # iterative refinement against the raw matrix
-                    dy = dy + scipy.linalg.cho_solve(schur_cho, rhs_y - schur @ dy)
+                    dy = dy + schur_cho(rhs_y - schur @ dy)
                 return dy
 
             def newton(theta: list[np.ndarray]):
@@ -351,8 +378,8 @@ def solve(program: ConicProgram, tol: float = DEFAULT_TOL,
             theta_aff = [_lyapunov_rhs(lams[b], -np.diag(lams[b] ** 2))
                          for b in range(n_blocks)]
             _, _, _, dxs_aff, dss_aff = newton(theta_aff)
-            alpha_p = min(_max_step(lams[b], dxs_aff[b]) for b in range(n_blocks))
-            alpha_d = min(_max_step(lams[b], dss_aff[b]) for b in range(n_blocks))
+            alpha_p, alpha_d = map(min, zip(*(_max_steps(lams[b], dxs_aff[b], dss_aff[b])
+                                             for b in range(n_blocks))))
             mu_aff = sum(
                 float(_inner(np.diag(lams[b]) + alpha_p * dxs_aff[b],
                              np.diag(lams[b]) + alpha_d * dss_aff[b]))
@@ -365,19 +392,17 @@ def solve(program: ConicProgram, tol: float = DEFAULT_TOL,
             for b in range(n_blocks):
                 cross = dxs_aff[b] @ dss_aff[b]
                 resid = (sigma * mu * np.eye(orders[b]) - np.diag(lams[b] ** 2)
-                         - (cross + cross.conj().T) / 2.0)
+                         - _hermitian_part(cross))
                 theta.append(_lyapunov_rhs(lams[b], resid))
             dy, ds, dx, dxs, dss = newton(theta)
-            alpha_p = min(_max_step(lams[b], dxs[b]) for b in range(n_blocks))
-            alpha_d = min(_max_step(lams[b], dss[b]) for b in range(n_blocks))
-        except (np.linalg.LinAlgError, scipy.linalg.LinAlgError):
+            alpha_p, alpha_d = map(min, zip(*(_max_steps(lams[b], dxs[b], dss[b])
+                                             for b in range(n_blocks))))
+        except np.linalg.LinAlgError:
             break    # numerical floor; fall back to the best iterate seen
 
-        for b in range(n_blocks):
-            xs[b] = xs[b] + alpha_p * dx[b]
-            xs[b] = (xs[b] + xs[b].conj().T) / 2.0
-            ss[b] = ss[b] + alpha_d * ds[b]
-            ss[b] = (ss[b] + ss[b].conj().T) / 2.0
+        # The iterates are rebound, never mutated, so best_state keeps references.
+        xs = [_hermitian_part(x + alpha_p * d) for x, d in zip(xs, dx)]
+        ss = [_hermitian_part(s + alpha_d * d) for s, d in zip(ss, ds)]
         y = y + alpha_d * dy
 
         if alpha_p < 1e-8 and alpha_d < 1e-8:

@@ -1,12 +1,13 @@
 import numpy as np
 import pytest
 
+import irscrb.ao
 from irscrb import conic
 from irscrb.ao import (SUBPROBLEM_FLOOR, SUBPROBLEM_TOL,
                        DegenerateObjectiveError, ao_minimize_crb,
                        default_phase_profile, gaussian_randomization,
                        irs_subproblem, sdr_objective, transmit_closed_form,
-                       transmit_subproblem)
+                       transmit_eigen_form, transmit_subproblem)
 from irscrb.arrays import centered_index, target_steering
 from irscrb.channel import rician_channel
 from irscrb.config import PointTargetScene, SystemConfig, make_rng, point_scene
@@ -156,6 +157,13 @@ class TestTransmitClosedForm:
             assert regime == ("attained" if gamma * b_sq >= w2_sq else "supremum")
             if regime == "supremum":
                 assert f_val == pytest.approx(p0 * w2_sq, rel=1e-12)
+            # the eigenvalue form certifies exactly the attained optima
+            r_eig = transmit_eigen_form(lifted, a, g, n, p0)
+            if regime == "supremum":
+                assert r_eig is None
+            else:
+                assert sdr_objective(r_eig, lifted, a, g, n) == \
+                    pytest.approx(f_val, rel=1e-10)
 
             mat = r_x.matrix
             np.testing.assert_allclose(mat, mat.conj().T, rtol=0.0, atol=1e-15 * p0)
@@ -167,6 +175,67 @@ class TestTransmitClosedForm:
         g = np.array([[1.0, 2.0], [-1.0, -2.0]], dtype=complex)
         with pytest.raises(DegenerateObjectiveError):
             transmit_closed_form(np.ones(2), np.ones(2), g, 4, 1.0)
+
+
+class TestTransmitEigenForm:
+    @pytest.mark.parametrize("p0", [1.0, 100.0])
+    @pytest.mark.parametrize("n", [4, 8, 16])
+    @pytest.mark.parametrize("m", [2, 4, 8])
+    def test_matches_the_transmit_program_on_lifted_profiles(self, m, n, p0):
+        # lifted profiles of the optimizer's first reflection step
+        for seed in range(3):
+            cfg = SystemConfig(M=m, N=n, K=8, T=64, P0=p0)
+            g = rician_channel(cfg, seed=seed).G
+            a = target_steering(np.deg2rad(60.0), n, cfg.spacing, cfg.wavelength)
+            r_init, _ = transmit_closed_form(default_phase_profile(g, a), a, g, 8, p0)
+            lifted, _ = irs_subproblem(r_init, a, g, 8)
+            r_eig = transmit_eigen_form(lifted, a, g, 8, p0)
+            r_sdp, _ = transmit_subproblem(lifted, a, g, 8, p0)
+            assert sdr_objective(r_eig, lifted, a, g, 8) >= \
+                sdr_objective(r_sdp, lifted, a, g, 8) * (1 - 1e-9)
+
+            mat = r_eig.matrix
+            np.testing.assert_allclose(mat, mat.conj().T, rtol=0.0, atol=1e-15 * p0)
+            eigs = np.linalg.eigvalsh(mat)
+            assert eigs.min() >= -1e-12 * p0
+            assert eigs[-2] <= 1e-12 * eigs[-1]
+            assert np.trace(mat).real == pytest.approx(p0, rel=1e-12)
+
+    def test_optimizer_solves_no_transmit_program(self, monkeypatch):
+        # at the shape of point_p0.ini every lifted transmit step is certified
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return transmit_subproblem(*args, **kwargs)
+
+        monkeypatch.setattr(irscrb.ao, "transmit_subproblem", counting)
+        for seed in range(4):
+            cfg = SystemConfig(M=4, N=8, K=8, T=64, P0=1.0)
+            ch = rician_channel(cfg, seed=seed)
+            ao_minimize_crb(point_scene(cfg, np.deg2rad(60.0)), ch.G, cfg, seed=0)
+        assert calls == []
+
+    def test_optimizer_falls_back_to_the_transmit_program(self, monkeypatch):
+        # without a certificate every lifted transmit step solves the program,
+        # and the run repeats the values of an optimizer that always solved it
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return transmit_subproblem(*args, **kwargs)
+
+        monkeypatch.setattr(irscrb.ao, "transmit_eigen_form", lambda *args: None)
+        monkeypatch.setattr(irscrb.ao, "transmit_subproblem", counting)
+        cfg = SystemConfig(M=4, N=8, K=8, T=64, P0=1.0)
+        ch = rician_channel(cfg, seed=7)
+        res = ao_minimize_crb(point_scene(cfg, np.deg2rad(60.0)), ch.G, cfg, seed=0)
+        assert len(calls) == res.iterations == 2
+        assert res.crb == pytest.approx(0.019868817110810337, rel=1e-12)
+        np.testing.assert_allclose(
+            res.objective_trace,
+            [0.00012619140822647904, 0.00012619361728607707, 0.00012619374152238218,
+             0.00012619375054349316, 0.00012619375135312574], rtol=1e-12)
 
 
 class TestIrsSubproblem:
@@ -392,10 +461,12 @@ def test_desk_scale_run_through_a_stalled_transmit_solve():
     assert sdr_objective(r_closed, lifted, a, ch.G, cfg.K) >= \
         sdr_objective(r_sdp, lifted, a, ch.G, cfg.K) * (1 - 1e-9)
 
-    # on channel 1 three lifted transmit solves of the run stall, the worst
-    # near 2.9e-9; the optimizer keeps those steps and still converges
-    ch = rician_channel(cfg, seed=1)
-    res = ao_minimize_crb(scene, ch.G, cfg, seed=0)
+    # the optimizer's lifted transmit steps solve no program; at the shape of
+    # point_p0.ini channel 7 passes through a reflection solve that stalls
+    # near 2.9e-9, and the optimizer keeps that step and still converges
+    cfg = SystemConfig(M=4, N=8, K=8, T=64, P0=1.0)
+    ch = rician_channel(cfg, seed=7)
+    res = ao_minimize_crb(point_scene(cfg, np.deg2rad(60.0)), ch.G, cfg, seed=0)
     assert res.status == "converged"
     assert SUBPROBLEM_TOL < res.solver_residual_max <= SUBPROBLEM_FLOOR
     assert np.isfinite(res.crb) and res.crb > 0

@@ -150,6 +150,14 @@ class TestSolve:
         with pytest.raises(TypeError):
             ConicProgram([2], eq=[({0: [[1, 5], [0, 1]]}, 1.0)])
 
+    def test_non_finite_data_raises(self):
+        # a NaN objective reaches the Schur right-hand side and is refused there
+        p = ConicProgram([2])
+        p.set_objective({0: np.array([[np.nan, 0.0], [0.0, 1.0]])})
+        p.add_eq({0: np.eye(2)}, 1.0)
+        with pytest.raises(ValueError, match="infs or NaNs"):
+            solve(p)
+
     def test_rejects_bad_block_order(self):
         with pytest.raises(ValueError, match="block order"):
             ConicProgram([0])
