@@ -31,8 +31,8 @@ from . import conic
 from .arrays import centered_index, target_steering
 from .config import PointTargetScene, SystemConfig, make_rng
 from .conic import ConicProgram, ConicSolution
-from .pointcrb import (PhaseProfile, TransmitCovariance, _bound_from_info,
-                       crb_point_closed, profile_vector, steered_gram)
+from .pointcrb import (PhaseProfile, TransmitCovariance, crb_point_closed,
+                       profile_vector, steered_gram)
 
 SUBPROBLEM_TOL = 1e-9
 # A solve that stalls at the solver's numerical floor is kept when its KKT
@@ -53,10 +53,6 @@ class DegenerateObjectiveError(ArithmeticError):
 class SubproblemError(RuntimeError):
     """A beamforming subproblem did not reach an optimal solver status."""
 
-    def __init__(self, message: str, objective_trace: list[float] | None = None):
-        super().__init__(message)
-        self.objective_trace = objective_trace or []
-
 
 @dataclass
 class AoResult:
@@ -65,7 +61,6 @@ class AoResult:
     crb: float                          # rad^2
     objective_trace: list[float]        # f value per half-iteration
     iterations: int
-    randomization_samples: int
     status: Literal["converged", "max_iter"]
     # SDP half-steps: the reflection steps, and transmit steps without an
     # eigenvalue-form certificate
@@ -166,13 +161,21 @@ def transmit_subproblem(v_lifted: np.ndarray, a: np.ndarray, g: np.ndarray,
                         solver: Callable[..., ConicSolution] = conic.solve,
                         tol: float = SUBPROBLEM_TOL
                         ) -> tuple[TransmitCovariance, ConicSolution]:
-    """Best transmit covariance for a fixed (possibly lifted) profile, and its solve."""
+    """Best transmit covariance for a fixed (possibly lifted) profile, and its solve.
+
+    f is homogeneous of degree 1 in R_x, so the budget binds and the best
+    R_x is P0 times the best X of unit trace.  The program is posed at that
+    unit power, with the equality tr X = 1, so it is the same program at
+    every budget; ``sol`` is its solution X.  X meets tr X = 1 only to the
+    solver's tolerance, so R_x is X rescaled to trace P0.
+    """
     quad_obj, cross_kernel, power_kernel = _transmit_kernels(v_lifted, a, g, k)
     order = quad_obj.shape[0]
     program = _schur_program(quad_obj, cross_kernel, power_kernel, order=order)
-    program.add_ineq({0: np.eye(order)}, p0)
+    program.add_eq({0: np.eye(order)}, 1.0)
     sol = _checked(solver(program, tol=tol), "transmit")
-    return TransmitCovariance(matrix=_psd_clip(sol.blocks[0]), budget=p0), sol
+    x = _psd_clip(sol.blocks[0])
+    return TransmitCovariance(matrix=(p0 / np.trace(x).real) * x, budget=p0), sol
 
 
 def transmit_eigen_form(v_lifted: np.ndarray, a: np.ndarray, g: np.ndarray,
@@ -364,8 +367,7 @@ def default_phase_profile(g: np.ndarray, a: np.ndarray) -> PhaseProfile:
 def ao_minimize_crb(scene: PointTargetScene, g: np.ndarray,
                     config: SystemConfig, init: PhaseProfile | None = None,
                     tol: float = 1e-6, max_iter: int = 50,
-                    samples: int = 200, seed: int = 0,
-                    trace_path: str | None = None) -> AoResult:
+                    samples: int = 200, seed: int = 0) -> AoResult:
     """Alternating minimization of the point-target DoA bound.
 
     Alternates the two subproblems until the relative objective improvement
@@ -386,11 +388,7 @@ def ao_minimize_crb(scene: PointTargetScene, g: np.ndarray,
     def half_step(fn, *args):
         nonlocal residual_max
         tic = time.perf_counter()
-        try:
-            out, sol = fn(*args)
-        except SubproblemError as exc:
-            exc.objective_trace = list(trace)
-            raise
+        out, sol = fn(*args)
         seconds.append(time.perf_counter() - tic)
         residual_max = max(residual_max, sol.kkt.max())
         return out
@@ -431,27 +429,13 @@ def ao_minimize_crb(scene: PointTargetScene, g: np.ndarray,
         r_star, v_star, f_star = incumbent
 
     crb = crb_point_closed(scene, r_star, v_star, g, config)
-    result = AoResult(
+    return AoResult(
         R_x=r_star,
         v=PhaseProfile(v=np.asarray(v_star)),
         crb=crb,
         objective_trace=trace,
         iterations=iterations,
-        randomization_samples=samples,
         status=status,
         iter_seconds=seconds,
         solver_residual_max=residual_max,
     )
-    if trace_path is not None:
-        _write_trace(trace_path, trace, scene, config)
-    return result
-
-
-def _write_trace(path: str, trace: list[float], scene: PointTargetScene,
-                 config: SystemConfig) -> None:
-    """Per-half-iteration CSV rows (iteration, f, crb bound implied by f)."""
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("iteration,f,crb\n")
-        for i, f_val in enumerate(trace):
-            crb = _bound_from_info(scene, config, config.K * f_val)
-            fh.write(f"{i},{f_val:.17e},{crb:.17e}\n")

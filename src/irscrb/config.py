@@ -48,7 +48,7 @@ class SystemConfig:
         if self.K < 2:
             raise ValueError(f"K must be at least 2, got {self.K}")
         for name in ("P0", "wavelength", "spacing", "noise_power", "d_bi",
-                     "d_it", "rcs"):
+                     "d_it", "c0", "rcs"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be strictly positive")
         if self.rician_factor < 0:

@@ -3,16 +3,15 @@
 Solves
 
     minimize    sum_b <C_b, X_b>
-    subject to  sum_b <A_jb, X_b>  =  b_j      (equalities)
-                sum_b <A_jb, X_b> <=  u_j      (inequalities)
+    subject to  sum_b <A_jb, X_b>  =  b_j      for every row j
                 X_b PSD for every block b
 
 over one or more dense blocks, with the real inner product
 <A, X> = Re tr(A^H X).  The blocks are complex Hermitian when any
 coefficient is complex and real symmetric otherwise, so a complex program
-is solved on its native Hermitian blocks.  Inequalities are converted
-internally to equalities with 1x1 slack blocks, so the cone is always a
-product of PSD blocks.  The search direction is the Nesterov-Todd direction,
+is solved on its native Hermitian blocks.  The rows are equalities only;
+an inequality is posed by declaring its own 1x1 slack block and giving it
+a 1 in its row.  The search direction is the Nesterov-Todd direction,
 computed per iteration from the scaling point W with W S W = X; with the
 scaled variables both primal and dual blocks equal the same diagonal, which
 keeps the corrector step a cheap elementwise division.  A Mehrotra
@@ -20,10 +19,9 @@ predictor picks the centering weight.
 
 The solver stacks the constraints once per block b into a dense array of
 shape (m, n_b, n_b): row j is constraint j's coefficient on b, zero where
-the constraint does not touch b, and a slack block holds a 1 in its
-inequality's row.  Each operator of the iteration (the constraint map, its
-adjoint, the Schur complement and the Newton right-hand side) is then one
-contraction over that array per block.
+the constraint does not touch b.  Each operator of the iteration (the
+constraint map, its adjoint, the Schur complement and the Newton
+right-hand side) is then one contraction over that array per block.
 
 The solver is deterministic: identical programs produce identical iterates.
 """
@@ -79,7 +77,7 @@ def _adjoint(y: np.ndarray, a_stack: list[np.ndarray]) -> list[np.ndarray]:
 
 @dataclass
 class ConicProgram:
-    """A minimization over PSD blocks with linear equalities/inequalities.
+    """A minimization over PSD blocks with linear equality rows.
 
     Only ``blocks`` is a constructor argument; the objective and the
     constraints enter through the checking methods below.
@@ -88,7 +86,6 @@ class ConicProgram:
     blocks: list[int]
     objective: dict[int, np.ndarray] = field(init=False, default_factory=dict)
     eq: list[tuple[dict[int, np.ndarray], float]] = field(init=False, default_factory=list)
-    ineq: list[tuple[dict[int, np.ndarray], float]] = field(init=False, default_factory=list)
 
     def __post_init__(self):
         if not self.blocks or any(int(n) < 1 for n in self.blocks):
@@ -100,9 +97,6 @@ class ConicProgram:
 
     def add_eq(self, coeffs: dict[int, np.ndarray], rhs: float) -> None:
         self.eq.append((_check_coeffs(self.blocks, coeffs), float(rhs)))
-
-    def add_ineq(self, coeffs: dict[int, np.ndarray], rhs: float) -> None:
-        self.ineq.append((_check_coeffs(self.blocks, coeffs), float(rhs)))
 
 
 @dataclass(frozen=True)
@@ -121,50 +115,45 @@ class ConicSolution:
     objective: float
     status: Literal["optimal", "max_iter", "infeasible"]
     kkt: KktResiduals
-    y: np.ndarray                       # multipliers, equalities then inequalities
-    dual_blocks: list[np.ndarray]       # dual slack S per declared block
+    y: np.ndarray                       # one multiplier per equality row
+    dual_blocks: list[np.ndarray]       # dual slack S per block
     iterations: int = 0
 
 
 # -- residual bookkeeping ----------------------------------------------------
 
 def _program_arrays(program: ConicProgram):
-    """Dense solver data, with a 1x1 slack block appended per inequality.
+    """Dense solver data of ``program``.
 
-    Returns the block orders, the objective matrix and the stacked
-    ``(m, n_b, n_b)`` constraint array of every block, and the m right-hand
-    sides (equalities first, then inequalities).  The matrices are complex
-    if any coefficient is complex and float64 otherwise.
+    Returns the objective matrix and the stacked ``(m, n_b, n_b)``
+    constraint array of every block, and the m right-hand sides.  The
+    matrices are complex if any coefficient is complex and float64
+    otherwise.
     """
-    rows = program.eq + program.ineq
-    n_decl, m_eq = len(program.blocks), len(program.eq)
-    orders = program.blocks + [1] * len(program.ineq)
+    rows = program.eq
     dtype = np.result_type(float, *program.objective.values(),
                            *(a for coeffs, _ in rows for a in coeffs.values()))
     c_mats = [np.asarray(program.objective.get(b, np.zeros((n, n))), dtype)
-              for b, n in enumerate(orders)]
-    a_stack = [np.zeros((len(rows), n, n), dtype) for n in orders]
+              for b, n in enumerate(program.blocks)]
+    a_stack = [np.zeros((len(rows), n, n), dtype) for n in program.blocks]
     for j, (coeffs, _) in enumerate(rows):
         for b, a in coeffs.items():
             a_stack[b][j] = a
-    for i in range(len(program.ineq)):
-        a_stack[n_decl + i][m_eq + i] = 1.0
-    return orders, c_mats, a_stack, np.array([r for _, r in rows], dtype=float)
+    return c_mats, a_stack, np.array([r for _, r in rows], dtype=float)
 
 
 def kkt_residuals(program: ConicProgram, sol: ConicSolution) -> KktResiduals:
     """Normalized primal/dual/gap residuals of a candidate primal-dual pair.
 
     Primal: worst constraint violation and cone violation of the primal
-    blocks.  Dual: Frobenius residual of sum_j y_j A_j + S = C, cone
-    violation of S, and the sign of inequality multipliers.  Gap: objective
+    blocks.  Dual: Frobenius residual of sum_j y_j A_j + S = C and cone
+    violation of S.  Gap: objective
     mismatch |primal - dual| and complementarity <X, S>, both relative to
     1 + |primal objective|.
     """
     xs = [np.asarray(x) for x in sol.blocks]
     ss = [np.asarray(s) for s in sol.dual_blocks]
     y = np.asarray(sol.y, dtype=float)
-    m_eq = len(program.eq)
 
     pobj = sum(float(_inner(c, xs[b])) for b, c in program.objective.items())
 
@@ -172,9 +161,6 @@ def kkt_residuals(program: ConicProgram, sol: ConicSolution) -> KktResiduals:
     for (coeffs, rhs) in program.eq:
         val = sum(float(_inner(a, xs[b])) for b, a in coeffs.items())
         primal = max(primal, abs(val - rhs) / (1.0 + abs(rhs)))
-    for (coeffs, rhs) in program.ineq:
-        val = sum(float(_inner(a, xs[b])) for b, a in coeffs.items())
-        primal = max(primal, max(0.0, val - rhs) / (1.0 + abs(rhs)))
     for x in xs:
         lam = np.linalg.eigvalsh(_hermitian_part(x)).min()
         primal = max(primal, max(0.0, -lam) / (1.0 + np.linalg.norm(x)))
@@ -187,20 +173,15 @@ def kkt_residuals(program: ConicProgram, sol: ConicSolution) -> KktResiduals:
         duals.append(d)
         if c is not None:
             c_norm += np.linalg.norm(c)
-    for j, (coeffs, _) in enumerate(list(program.eq) + list(program.ineq)):
+    for j, (coeffs, _) in enumerate(program.eq):
         for b, a in coeffs.items():
-            if b < len(program.blocks):
-                duals[b] = duals[b] - y[j] * a
+            duals[b] = duals[b] - y[j] * a
     dual = np.sqrt(sum(np.linalg.norm(d) ** 2 for d in duals)) / c_norm
     for s in ss:
         lam = np.linalg.eigvalsh(_hermitian_part(s)).min()
         dual = max(dual, max(0.0, -lam) / (1.0 + np.linalg.norm(s)))
-    if len(y) > m_eq:
-        dual = max(dual, float(np.max(np.maximum(y[m_eq:], 0.0)))
-                   / (1.0 + float(np.abs(y).max())))
 
-    dobj = float(np.dot(y[:m_eq], [r for _, r in program.eq]))
-    dobj += float(np.dot(y[m_eq:], [r for _, r in program.ineq]))
+    dobj = float(np.dot(y, [r for _, r in program.eq]))
     compl = sum(float(_inner(x, s)) for x, s in zip(xs, ss))
     gap = max(abs(pobj - dobj), abs(compl)) / (1.0 + abs(pobj))
     return KktResiduals(primal=float(primal), dual=float(dual), gap=float(gap))
@@ -282,9 +263,10 @@ def solve(program: ConicProgram, tol: float = DEFAULT_TOL,
     dual values is bounded by ``tol * (1 + |objective|)``, so
     ``[primal - gap, dual + gap]`` brackets the true optimum.
     """
-    orders, c_mats, a_stack, rhs = _program_arrays(program)
+    orders = program.blocks
+    c_mats, a_stack, rhs = _program_arrays(program)
     m = len(rhs)
-    n_blocks, n_decl = len(orders), len(program.blocks)
+    n_blocks = len(orders)
 
     a_norms = np.max([np.linalg.norm(a, axis=(1, 2)) for a in a_stack], axis=0)
     c_norm = max(np.linalg.norm(c) for c in c_mats)
@@ -412,12 +394,12 @@ def solve(program: ConicProgram, tol: float = DEFAULT_TOL,
         xs, y, ss = best_state
     pobj = sum(float(_inner(c_mats[b], xs[b])) for b in range(n_blocks))
     sol = ConicSolution(
-        blocks=xs[:n_decl],
+        blocks=xs,
         objective=float(pobj),
         status=status,
         kkt=KktResiduals(0.0, 0.0, 0.0),
         y=y.copy(),
-        dual_blocks=ss[:n_decl],
+        dual_blocks=ss,
         iterations=iterations,
     )
     sol.kkt = kkt_residuals(program, sol)

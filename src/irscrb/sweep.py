@@ -97,21 +97,8 @@ _CHANNEL, _AO, _PHASE, _RANDOMIZE, _ALPHA, _RETURN = range(6)
 
 
 def reference_config(**overrides) -> SystemConfig:
-    """Desk-scale default setup (theta is a scene parameter, not here)."""
-    defaults = dict(
-        M=4, N=4, K=4, T=64,
-        P0=dbm_to_watt(30.0),
-        wavelength=0.2,
-        spacing=0.1,
-        noise_power=dbm_to_watt(-90.0),
-        d_bi=60.0, d_it=20.0,
-        c0=db_to_linear(-30.0),
-        alpha_bi=2.5,
-        rician_factor=db_to_linear(5.0),
-        rcs=db_to_linear(7.0),
-    )
-    defaults.update(overrides)
-    return SystemConfig(**defaults)
+    """The desk-scale ``SystemConfig`` defaults with ``overrides`` applied."""
+    return SystemConfig(**overrides)
 
 
 @dataclass(frozen=True)
@@ -252,7 +239,6 @@ SCHEMES = {
     "fully_passive": Scheme("extended", _fully_passive),
 }
 POINT_SCHEMES = tuple(name for name, s in SCHEMES.items() if s.target == "point")
-EXTENDED_SCHEMES = tuple(name for name, s in SCHEMES.items() if s.target == "extended")
 
 
 def _alpha_factor(spec: SweepSpec, trial: int) -> float:
@@ -352,6 +338,9 @@ def read_csv(path: str) -> list[SweepRecord]:
         if tuple(header) != CSV_HEADER:
             raise ValueError(f"unexpected header {header}")
         for row in reader:
+            if len(row) != len(CSV_HEADER):
+                raise ValueError(f"line {reader.line_num} has {len(row)} fields, "
+                                 f"expected {len(CSV_HEADER)}")
             records.append(SweepRecord(
                 vary=row[0], value=float(row[1]), scheme=row[2],
                 crb_mean=float(row[3]), crb_db=float(row[4]),
@@ -413,7 +402,7 @@ def load_config(path: str) -> tuple[SystemConfig, float, list[SweepSpec]]:
                 q_tot=float(sweep_sec.get("q_tot", 600.0)),
                 w_i=float(sweep_sec.get("w_i", 1.0)),
                 w_s=float(sweep_sec.get("w_s", 1.0)),
-                ao_samples=int(sweep_sec.get("ao_samples", 200)),
+                ao_samples=int(sweep_sec.get("ao_samples", AO_SAMPLES)),
             ))
         target = sweep_sec.get("target")
         if target is not None:

@@ -2,12 +2,17 @@
 
 Everything here is intentionally built from first principles (explicit
 model assembly, finite differences, grid refinement, projected gradient)
-rather than through the code paths under test.
+rather than through the code paths under test.  The exception is
+``parent_transmit_program``, which poses the library's own transmit program
+in its former inequality form.
 """
 
 from __future__ import annotations
 
 import numpy as np
+
+from irscrb.ao import _schur_program, _transmit_kernels
+from irscrb.conic import ConicProgram
 
 
 def steering_direct(theta: float, count: int, d_hat: float,
@@ -210,3 +215,25 @@ def _simplex_projection(w: np.ndarray, total: float) -> np.ndarray:
     rho = np.max(np.nonzero(cond)[0]) + 1
     tau = css[rho - 1] / rho
     return np.maximum(w - tau, 0.0)
+
+
+def parent_transmit_program(v_lifted: np.ndarray, a: np.ndarray, g: np.ndarray,
+                            k: int, p0: float) -> ConicProgram:
+    """The transmit program at budget P0 with tr X <= P0 as an inequality.
+
+    This is how the transmit step was posed before it moved to unit power.
+    The inequality is written out as the solver used to build it
+    internally: a declared 1x1 slack block s after the epigraph blocks and
+    the row tr X + s = P0 after the three epigraph rows, so the blocks are
+    ``[M, 2, 1]``.  The kernels and the epigraph rows are the library's;
+    only the budget row differs from ``transmit_subproblem``.
+    """
+    kernels = _transmit_kernels(v_lifted, a, g, k)
+    m = kernels[0].shape[0]
+    epigraph = _schur_program(*kernels, order=m)
+    program = ConicProgram(epigraph.blocks + [1])
+    program.set_objective(epigraph.objective)
+    for coeffs, rhs in epigraph.eq:
+        program.add_eq(coeffs, rhs)
+    program.add_eq({0: np.eye(m), 2: np.ones((1, 1))}, p0)
+    return program

@@ -4,18 +4,21 @@ import pytest
 import irscrb.ao
 from irscrb import conic
 from irscrb.ao import (SUBPROBLEM_FLOOR, SUBPROBLEM_TOL,
-                       DegenerateObjectiveError, ao_minimize_crb,
-                       default_phase_profile, gaussian_randomization,
-                       irs_subproblem, sdr_objective, transmit_closed_form,
-                       transmit_eigen_form, transmit_subproblem)
+                       DegenerateObjectiveError, SubproblemError, _checked,
+                       _psd_clip, ao_minimize_crb, default_phase_profile,
+                       gaussian_randomization, irs_subproblem, sdr_objective,
+                       transmit_closed_form, transmit_eigen_form,
+                       transmit_subproblem)
 from irscrb.arrays import centered_index, target_steering
 from irscrb.channel import rician_channel
 from irscrb.config import PointTargetScene, SystemConfig, make_rng, point_scene
-from irscrb.pointcrb import crb_point_closed, single_antenna_optimum
+from irscrb.pointcrb import (TransmitCovariance, _bound_from_info,
+                             crb_point_closed, single_antenna_optimum)
 from irscrb.sweep import reference_config
 
-from oracles import (exhaustive_phase_grid, point_bracket, random_covariance,
-                     random_unit_profile, randomization_by_loop)
+from oracles import (exhaustive_phase_grid, parent_transmit_program,
+                     point_bracket, random_covariance, random_unit_profile,
+                     randomization_by_loop)
 
 RNG = np.random.default_rng(7)
 
@@ -36,6 +39,13 @@ def _random_phase_instance(m, n, seed):
     a = target_steering(np.deg2rad(60.0), n, cfg.spacing, cfg.wavelength)
     v = np.exp(1j * make_rng(seed, 0, 2).uniform(0.0, 2.0 * np.pi, n))
     return v, a, ch.G, cfg.P0
+
+
+def _parent_transmit_solve(v_lifted, a, g, k, p0):
+    # the transmit step as it was solved at budget P0 with tr X <= P0
+    program = parent_transmit_program(v_lifted, a, g, k, p0)
+    sol = _checked(conic.solve(program, tol=SUBPROBLEM_TOL), "transmit")
+    return TransmitCovariance(matrix=_psd_clip(sol.blocks[0]), budget=p0), sol
 
 
 class TestSdrObjective:
@@ -119,11 +129,12 @@ class TestTransmitSubproblem:
     @staticmethod
     def _random_phase_program(m, seed):
         v, a, g, p0 = _random_phase_instance(m, 4, seed)
-        r_x, sol = transmit_subproblem(np.outer(v, v.conj()), a, g, 4, p0)
+        r_x, sol = _parent_transmit_solve(np.outer(v, v.conj()), a, g, 4, p0)
         return r_x, sol, p0
 
     def test_solve_stalled_at_its_floor_is_kept(self):
-        # M = 16, seed 37 stalls just above the 1e-9 solver tolerance
+        # M = 16, seed 37 stalls just above the 1e-9 solver tolerance when
+        # the budget is the inequality tr X <= P0
         r_x, sol, p0 = self._random_phase_program(16, 37)
         assert sol.status == "max_iter"
         assert SUBPROBLEM_TOL < sol.kkt.max() <= SUBPROBLEM_FLOOR
@@ -134,6 +145,23 @@ class TestTransmitSubproblem:
         # M = 2, seed 0 (`irscrb crb point --seed 0`) meets the tolerance only
         # with each row of the Schur block normalized on its own
         assert self._random_phase_program(2, 0)[1].status == "optimal"
+
+    @pytest.mark.parametrize("seed", [4, 5])
+    def test_unit_power_program_is_the_same_at_every_budget(self, seed):
+        # under tr X <= P0 at P0 = 100 W these two programs end above the
+        # acceptance floor; at unit power they meet it, and the program and
+        # its solution do not depend on the budget
+        v, a, g, _ = _random_phase_instance(16, 4, seed)
+        lifted = np.outer(v, v.conj())
+        with pytest.raises(SubproblemError):
+            _parent_transmit_solve(lifted, a, g, 4, 100.0)
+        blocks = []
+        for p0 in (0.01, 1.0, 100.0):
+            r_x, sol = transmit_subproblem(lifted, a, g, 4, p0)
+            assert sol.kkt.max() <= SUBPROBLEM_FLOOR
+            assert np.trace(r_x.matrix).real == pytest.approx(p0, rel=1e-12)
+            blocks.append(sol.blocks[0])
+        assert all(np.array_equal(blocks[0], b) for b in blocks[1:])
 
 
 class TestTransmitClosedForm:
@@ -219,11 +247,12 @@ class TestTransmitEigenForm:
     def test_optimizer_falls_back_to_the_transmit_program(self, monkeypatch):
         # without a certificate every lifted transmit step solves the program,
         # and the run repeats the values of an optimizer that always solved it
+        # (there with tr X <= P0 at budget P0, which the stand-in solves)
         calls = []
 
         def counting(*args, **kwargs):
             calls.append(args)
-            return transmit_subproblem(*args, **kwargs)
+            return _parent_transmit_solve(*args)
 
         monkeypatch.setattr(irscrb.ao, "transmit_eigen_form", lambda *args: None)
         monkeypatch.setattr(irscrb.ao, "transmit_subproblem", counting)
@@ -232,10 +261,16 @@ class TestTransmitEigenForm:
         res = ao_minimize_crb(point_scene(cfg, np.deg2rad(60.0)), ch.G, cfg, seed=0)
         assert len(calls) == res.iterations == 2
         assert res.crb == pytest.approx(0.019868817110810337, rel=1e-12)
-        np.testing.assert_allclose(
-            res.objective_trace,
-            [0.00012619140822647904, 0.00012619361728607707, 0.00012619374152238218,
-             0.00012619375054349316, 0.00012619375135312574], rtol=1e-12)
+        golden = [0.00012619140822647904, 0.00012619361728607707,
+                  0.00012619374152238218, 0.00012619375054349316,
+                  0.00012619375135312574]
+        np.testing.assert_allclose(res.objective_trace, golden, rtol=1e-12)
+
+        # the unit-power program, solved to its own tolerance, agrees
+        monkeypatch.setattr(irscrb.ao, "transmit_subproblem", transmit_subproblem)
+        res = ao_minimize_crb(point_scene(cfg, np.deg2rad(60.0)), ch.G, cfg, seed=0)
+        assert res.iterations == 2
+        np.testing.assert_allclose(res.objective_trace, golden, rtol=1e-10)
 
 
 class TestIrsSubproblem:
@@ -375,28 +410,18 @@ class TestAlternatingMinimizer:
         assert 0.0 < res.solver_residual_max <= 1e-8
         assert len(res.iter_seconds) >= 2
 
-    def test_trace_csv_emission(self, tmp_path):
+    def test_trace_row_zero_is_the_bound_at_the_initial_pair(self):
         cfg = SystemConfig(M=2, N=3, K=4, T=16)
         scene = point_scene(cfg, 0.2)
         ch = rician_channel(cfg, seed=61)
-        out = tmp_path / "trace.csv"
-        ao_minimize_crb(scene, ch.G, cfg, seed=6, trace_path=str(out))
-        lines = out.read_text().strip().splitlines()
-        assert lines[0] == "iteration,f,crb"
-        assert len(lines) >= 3
-
-    def test_trace_row_zero_is_the_bound_at_the_initial_pair(self, tmp_path):
-        cfg = SystemConfig(M=2, N=3, K=4, T=16)
-        scene = point_scene(cfg, 0.2)
-        ch = rician_channel(cfg, seed=61)
-        out = tmp_path / "trace.csv"
-        ao_minimize_crb(scene, ch.G, cfg, seed=6, trace_path=str(out))
+        res = ao_minimize_crb(scene, ch.G, cfg, seed=6)
         a = target_steering(scene.theta, cfg.N, cfg.spacing, cfg.wavelength)
         init = default_phase_profile(ch.G, a)
         r_init, _ = transmit_closed_form(init.v, a, ch.G, cfg.K, cfg.P0)
-        row0 = out.read_text().splitlines()[1].split(",")
-        assert row0[0] == "0"
-        assert float(row0[2]) == pytest.approx(
+        f0 = res.objective_trace[0]
+        assert f0 == pytest.approx(sdr_objective(r_init, np.outer(init.v, init.v.conj()),
+                                                 a, ch.G, cfg.K), rel=1e-12)
+        assert _bound_from_info(scene, cfg, cfg.K * f0) == pytest.approx(
             crb_point_closed(scene, r_init, init.v, ch.G, cfg), rel=1e-12)
 
 
@@ -437,25 +462,26 @@ def test_subproblems_solve_native_hermitian_blocks():
     orders = []
 
     def recording(program, **kwargs):
-        orders.append(program.blocks + [1] * len(program.ineq))
+        orders.append(program.blocks)
         return conic.solve(program, **kwargs)
 
     v = random_unit_profile(np.random.default_rng(10), 5)
     transmit_subproblem(np.outer(v, v.conj()), a, g, 4, 1.0, solver=recording)
     irs_subproblem(r_x, a, g, 4, solver=recording)
-    assert orders == [[3, 2, 1], [5, 2]]
+    assert orders == [[3, 2], [5, 2]]
 
 
 def test_desk_scale_run_through_a_stalled_transmit_solve():
-    # the transmit program of channel 4's initial profile stalls at a KKT
-    # residual near 5.1e-9; the optimizer takes that step in closed form
+    # the transmit program of channel 4's initial profile, posed with
+    # tr X <= P0 at P0 = 100 W, stalls at a KKT residual near 5.1e-9; the
+    # optimizer takes that step in closed form
     cfg = SystemConfig(M=8, N=16, K=8, T=64, P0=100.0)
     scene = point_scene(cfg, np.deg2rad(60.0))
     ch = rician_channel(cfg, seed=4)
     a = target_steering(scene.theta, cfg.N, cfg.spacing, cfg.wavelength)
     init = default_phase_profile(ch.G, a)
     lifted = np.outer(init.v, init.v.conj())
-    r_sdp, sol = transmit_subproblem(lifted, a, ch.G, cfg.K, cfg.P0)
+    r_sdp, sol = _parent_transmit_solve(lifted, a, ch.G, cfg.K, cfg.P0)
     assert SUBPROBLEM_TOL < sol.kkt.max() <= SUBPROBLEM_FLOOR
     r_closed, _ = transmit_closed_form(init.v, a, ch.G, cfg.K, cfg.P0)
     assert sdr_objective(r_closed, lifted, a, ch.G, cfg.K) >= \

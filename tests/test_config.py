@@ -33,6 +33,12 @@ class TestSystemConfig:
             with pytest.raises(ValueError):
                 SystemConfig(**{field: 0.0})
 
+    def test_reference_gain_positive(self):
+        # c0 <= 0 would give an all-zero or all-NaN channel
+        for c0 in (0.0, -1e-3):
+            with pytest.raises(ValueError, match="c0"):
+                SystemConfig(c0=c0)
+
     def test_negative_rician_factor_rejected(self):
         with pytest.raises(ValueError, match="rician"):
             SystemConfig(rician_factor=-0.1)

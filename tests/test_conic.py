@@ -43,9 +43,10 @@ class TestSolve:
             assert np.linalg.norm(sol.blocks[0] - proj) < 1e-6
 
     def test_scalar_block_is_a_bounded_lp(self):
-        p = ConicProgram([1])
+        # x <= 3 posed as x + s = 3 with a declared slack block s
+        p = ConicProgram([1, 1])
         p.set_objective({0: np.array([[-2.0]])})
-        p.add_ineq({0: np.array([[1.0]])}, 3.0)
+        p.add_eq({0: np.array([[1.0]]), 1: np.array([[1.0]])}, 3.0)
         sol = solve(p)
         assert sol.status == "optimal"
         assert sol.objective == pytest.approx(-6.0, abs=1e-8)
@@ -116,19 +117,20 @@ class TestSolve:
 
     def test_constraint_leaving_a_block_row_zero(self):
         # separable program: each equality touches one block, and the
-        # inactive inequality's slack block sits beside the two declared
+        # inactive inequality tr X_1 <= 5 is posed with a declared slack
+        # block that only its own row touches
         rng = np.random.default_rng(8)
         c1, c2 = _random_symmetric(3, rng), _random_symmetric(4, rng)
-        p = ConicProgram([3, 4])
+        p = ConicProgram([3, 4, 1])
         p.set_objective({0: c1, 1: c2})
         p.add_eq({0: np.eye(3)}, 1.0)
         p.add_eq({1: np.eye(4)}, 2.0)
-        p.add_ineq({1: np.eye(4)}, 5.0)
+        p.add_eq({1: np.eye(4), 2: np.array([[1.0]])}, 5.0)
         sol = solve(p, tol=1e-9)
         assert sol.status == "optimal"
         expected = np.linalg.eigvalsh(c1).min() + 2.0 * np.linalg.eigvalsh(c2).min()
         assert sol.objective == pytest.approx(expected, abs=1e-8)
-        assert len(sol.blocks) == 2 and sol.y.shape == (3,)
+        assert len(sol.blocks) == 3 and sol.y.shape == (3,)
 
     def test_infeasible_program(self):
         p = ConicProgram([2])

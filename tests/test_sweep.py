@@ -5,10 +5,10 @@ import pytest
 
 import irscrb.sweep
 from irscrb.ao import SubproblemError
-from irscrb.config import dbm_to_watt
-from irscrb.sweep import (SCHEMES, Scheme, SweepRecord, SweepSpec, _run_trial,
-                          _config_for, emit_csv, load_config, read_csv,
-                          reference_config, run_sweep)
+from irscrb.config import SystemConfig, dbm_to_watt
+from irscrb.sweep import (AO_SAMPLES, SCHEMES, Scheme, SweepRecord, SweepSpec,
+                          _config_for, _run_trial, emit_csv, load_config,
+                          read_csv, reference_config, run_sweep)
 
 THETA = np.deg2rad(60.0)
 
@@ -231,6 +231,15 @@ class TestCsv:
         parsed = read_csv(str(path))
         assert parsed == records
 
+    def test_short_row_names_its_line(self, tmp_path):
+        path = tmp_path / "short.csv"
+        emit_csv(run_sweep(_spec(base=reference_config(M=1, N=4, K=4))), str(path))
+        lines = path.read_text(encoding="utf-8").splitlines()
+        lines[2] = ",".join(lines[2].split(",")[:5])
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        with pytest.raises(ValueError, match="line 3 has 5 fields"):
+            read_csv(str(path))
+
     def test_infinite_bound_serialization(self, tmp_path):
         rec = SweepRecord(vary="K", value=4.0, scheme="extended_opt",
                           crb_mean=float("inf"), crb_db=float("inf"),
@@ -306,6 +315,14 @@ alpha_draws = 5
         path.write_text(self.CONFIG.replace("target = point", "target = extended"))
         with pytest.raises(ValueError, match="target"):
             load_config(str(path))
+
+    def test_defaults_are_the_system_defaults(self, tmp_path):
+        assert reference_config() == SystemConfig()
+        path = tmp_path / "cfg.ini"
+        path.write_text("[sweep]\nvalues = 10\nschemes = random_phase\n")
+        base, _, specs = load_config(str(path))
+        assert base == SystemConfig()
+        assert specs[0].ao_samples == AO_SAMPLES
 
     def test_missing_file(self):
         with pytest.raises(FileNotFoundError):
