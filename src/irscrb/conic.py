@@ -17,11 +17,18 @@ scaled variables both primal and dual blocks equal the same diagonal, which
 keeps the corrector step a cheap elementwise division.  A Mehrotra
 predictor picks the centering weight.
 
-The solver stacks the constraints once per block b into a dense array of
-shape (m, n_b, n_b): row j is constraint j's coefficient on b, zero where
-the constraint does not touch b.  Each operator of the iteration (the
-constraint map, its adjoint, the Schur complement and the Newton
-right-hand side) is then one contraction over that array per block.
+The solver places the declared blocks on the diagonal of one matrix of
+order n = sum of the block orders: one objective matrix and one stacked
+constraint array of shape (m, n, n), row j holding constraint j's
+coefficients on the diagonal slices of the blocks it touches and zeros
+elsewhere.  It iterates on that single block, and slices the declared
+blocks of X and S back out at the end.  This is exact: every coefficient
+is block diagonal, so the NT scaling point, the Schur complement, the
+direction and mu = <X, S> / n are those of the per-block iteration, and
+so are both step lengths, since the least eigenvalue of the union is the
+least over the blocks.  Each operator (the constraint map, its adjoint,
+the Schur complement and the Newton right-hand side) is one contraction
+over the stacked array.
 
 The solver is deterministic: identical programs produce identical iterates.
 """
@@ -70,9 +77,9 @@ def _inner(a: np.ndarray, x: np.ndarray) -> np.ndarray:
     return (a.reshape(a.shape[:-2] + (-1,)) @ x.conj().ravel()).real
 
 
-def _adjoint(y: np.ndarray, a_stack: list[np.ndarray]) -> list[np.ndarray]:
-    """sum_j y_j A_j per block, from the stacked ``(m, n_b, n_b)`` arrays."""
-    return [(y @ a.reshape(len(y), -1)).reshape(a.shape[1:]) for a in a_stack]
+def _adjoint(y: np.ndarray, a_stack: np.ndarray) -> np.ndarray:
+    """sum_j y_j A_j from the stacked ``(m, n, n)`` array."""
+    return (y @ a_stack.reshape(len(y), -1)).reshape(a_stack.shape[1:])
 
 
 @dataclass
@@ -122,24 +129,34 @@ class ConicSolution:
 
 # -- residual bookkeeping ----------------------------------------------------
 
-def _program_arrays(program: ConicProgram):
-    """Dense solver data of ``program``.
+def _diagonal_slices(orders: list[int]) -> list[slice]:
+    """Index ranges of the declared blocks on the diagonal of one matrix."""
+    ends = np.cumsum(orders).tolist()
+    return [slice(end - n, end) for n, end in zip(orders, ends)]
 
-    Returns the objective matrix and the stacked ``(m, n_b, n_b)``
-    constraint array of every block, and the m right-hand sides.  The
+
+def _program_arrays(program: ConicProgram):
+    """Dense solver data of ``program`` as one block-diagonal block.
+
+    Returns the order-n objective matrix and the stacked ``(m, n, n)``
+    constraint array, n = sum(program.blocks), with each declared block on
+    its diagonal slice and zeros elsewhere, and the m right-hand sides.  The
     matrices are complex if any coefficient is complex and float64
     otherwise.
     """
     rows = program.eq
     dtype = np.result_type(float, *program.objective.values(),
                            *(a for coeffs, _ in rows for a in coeffs.values()))
-    c_mats = [np.asarray(program.objective.get(b, np.zeros((n, n))), dtype)
-              for b, n in enumerate(program.blocks)]
-    a_stack = [np.zeros((len(rows), n, n), dtype) for n in program.blocks]
+    cuts = _diagonal_slices(program.blocks)
+    n = sum(program.blocks)
+    c_mat = np.zeros((n, n), dtype)
+    for b, c in program.objective.items():
+        c_mat[cuts[b], cuts[b]] = c
+    a_stack = np.zeros((len(rows), n, n), dtype)
     for j, (coeffs, _) in enumerate(rows):
         for b, a in coeffs.items():
-            a_stack[b][j] = a
-    return c_mats, a_stack, np.array([r for _, r in rows], dtype=float)
+            a_stack[j, cuts[b], cuts[b]] = a
+    return c_mat, a_stack, np.array([r for _, r in rows], dtype=float)
 
 
 def kkt_residuals(program: ConicProgram, sol: ConicSolution) -> KktResiduals:
@@ -263,26 +280,18 @@ def solve(program: ConicProgram, tol: float = DEFAULT_TOL,
     dual values is bounded by ``tol * (1 + |objective|)``, so
     ``[primal - gap, dual + gap]`` brackets the true optimum.
     """
-    orders = program.blocks
-    c_mats, a_stack, rhs = _program_arrays(program)
-    m = len(rhs)
-    n_blocks = len(orders)
+    if not program.eq:
+        raise ValueError("program has no equality rows")
+    c_mat, a_stack, rhs = _program_arrays(program)
+    m, n = a_stack.shape[:2]
 
-    a_norms = np.max([np.linalg.norm(a, axis=(1, 2)) for a in a_stack], axis=0)
-    c_norm = max(np.linalg.norm(c) for c in c_mats)
-    if m:
-        x0 = max(10.0, float(np.max((1.0 + np.abs(rhs)) / (1.0 + a_norms))))
-    else:
-        x0 = 10.0
+    c_norm = np.linalg.norm(c_mat)
+    a_norms = np.linalg.norm(a_stack.reshape(m, -1), axis=1)
+    x0 = max(10.0, float(np.max((1.0 + np.abs(rhs)) / (1.0 + a_norms))))
     s0 = max(10.0, c_norm)
-
-    xs = [x0 * np.eye(n, dtype=c_mats[0].dtype) for n in orders]
-    ss = [s0 * np.eye(n, dtype=c_mats[0].dtype) for n in orders]
+    x = x0 * np.eye(n, dtype=c_mat.dtype)
+    s = s0 * np.eye(n, dtype=c_mat.dtype)
     y = np.zeros(m)
-    n_tot = sum(orders)
-
-    def apply_con(mats: list[np.ndarray]) -> np.ndarray:
-        return sum(_inner(a, x) for a, x in zip(a_stack, mats))
 
     status: Literal["optimal", "max_iter", "infeasible"] = "max_iter"
     iterations = 0
@@ -292,114 +301,92 @@ def solve(program: ConicProgram, tol: float = DEFAULT_TOL,
     best_state = None
 
     for iterations in range(1, max_iter + 1):
-        rp = rhs - apply_con(xs)
+        rp = rhs - _inner(a_stack, x)
         aty = _adjoint(y, a_stack)
-        rd = [c_mats[b] - ss[b] - aty[b] for b in range(n_blocks)]
-        mu = sum(float(_inner(xs[b], ss[b])) for b in range(n_blocks)) / n_tot
+        rd = c_mat - s - aty
+        mu = float(_inner(x, s)) / n
 
-        pobj = sum(float(_inner(c_mats[b], xs[b])) for b in range(n_blocks))
+        pobj = float(_inner(c_mat, x))
         dobj = float(rhs @ y)
         prim_res = max(np.linalg.norm(rp) / b_scale,
-                       float(np.max(np.abs(rp) / (1.0 + np.abs(rhs)))) if m else 0.0)
-        dual_res = np.sqrt(sum(np.linalg.norm(r) ** 2 for r in rd)) / c_scale
-        gap_res = max(abs(pobj - dobj), abs(mu * n_tot)) / (1.0 + abs(pobj))
+                       float(np.max(np.abs(rp) / (1.0 + np.abs(rhs)))))
+        dual_res = np.linalg.norm(rd) / c_scale
+        gap_res = max(abs(pobj - dobj), abs(mu * n)) / (1.0 + abs(pobj))
 
         _log.debug("iter %3d  mu %9.2e  prim %9.2e  dual %9.2e  gap %9.2e  obj %+.9e",
                    iterations, mu, prim_res, dual_res, gap_res, pobj)
         metric = max(prim_res, dual_res, gap_res)
         if metric < best_metric:
             best_metric = metric
-            best_state = (xs, y, ss)
+            best_state = (x, y, s)
         if mu <= 0.0:
             break    # <X, S> > 0 for PD iterates, so this is the numerical floor
         if metric <= tol:
             status = "optimal"
             break
         # Dual improving ray: unbounded dual certifies primal infeasibility.
-        y_mag = float(np.abs(y).max()) if m else 0.0
-        if dobj > 1e9 * c_scale and y_mag > 0:
-            ray_res = np.sqrt(sum(np.linalg.norm(ss[b] + aty[b]) ** 2
-                                  for b in range(n_blocks)))
-            if ray_res <= 1e-6 * y_mag:
-                status = "infeasible"
-                break
+        y_mag = float(np.abs(y).max())
+        if dobj > 1e9 * c_scale and y_mag > 0 and np.linalg.norm(s + aty) <= 1e-6 * y_mag:
+            status = "infeasible"
+            break
 
         try:
-            # NT scaling per block; scaled data for the Schur complement.
-            gs, lams = [], []
-            for b in range(n_blocks):
-                g, lam = _nt_scaling(xs[b], ss[b])
-                gs.append(g)
-                lams.append(lam)
-            fs = [g.conj().T @ a @ g for g, a in zip(gs, a_stack)]
-            rd_scaled = [gs[b].conj().T @ rd[b] @ gs[b] for b in range(n_blocks)]
-            flat = [f.reshape(m, -1) for f in fs]
-            schur = sum((f @ f.conj().T).real for f in flat)
-            reg = 1e-14 * max(schur.diagonal().max(initial=0.0), 1.0)
+            # NT scaling; scaled data for the Schur complement.
+            g, lam = _nt_scaling(x, s)
+            g_h = g.conj().T
+            f = g_h @ a_stack @ g
+            rd_scaled = g_h @ rd @ g
+            # Re <F_j, F_k> is the real dot product of the real and imaginary
+            # parts side by side, which matmul takes as one symmetric product.
+            f_real = f.reshape(m, -1).view(float)
+            schur = f_real @ f_real.T
+            reg = 1e-14 * max(schur.diagonal().max(), 1.0)
             schur_cho = _cholesky_solver(schur + reg * np.eye(m))
 
-            def schur_solve(rhs_y: np.ndarray) -> np.ndarray:
+            def newton(theta: np.ndarray):
+                """Direction for a scaled centering residual theta."""
+                rhs_y = rp - _inner(f, theta - rd_scaled)
                 dy = schur_cho(rhs_y)
                 for _ in range(2):   # iterative refinement against the raw matrix
                     dy = dy + schur_cho(rhs_y - schur @ dy)
-                return dy
-
-            def newton(theta: list[np.ndarray]):
-                """Direction for a scaled centering residual theta (per block)."""
-                rhs_y = rp - sum(_inner(fs[b], theta[b] - rd_scaled[b])
-                                 for b in range(n_blocks))
-                dy = schur_solve(rhs_y)
-                at_dy = _adjoint(dy, a_stack)
-                ds = [rd[b] - at_dy[b] for b in range(n_blocks)]
-                ds_scaled = [gs[b].conj().T @ ds[b] @ gs[b] for b in range(n_blocks)]
-                dx_scaled = [theta[b] - ds_scaled[b] for b in range(n_blocks)]
-                dx = [gs[b] @ dx_scaled[b] @ gs[b].conj().T for b in range(n_blocks)]
-                return dy, ds, dx, dx_scaled, ds_scaled
+                ds = rd - _adjoint(dy, a_stack)
+                ds_scaled = g_h @ ds @ g
+                dx_scaled = theta - ds_scaled
+                return dy, ds, g @ dx_scaled @ g_h, dx_scaled, ds_scaled
 
             # Predictor: pure affine step (sigma = 0).
-            theta_aff = [_lyapunov_rhs(lams[b], -np.diag(lams[b] ** 2))
-                         for b in range(n_blocks)]
-            _, _, _, dxs_aff, dss_aff = newton(theta_aff)
-            alpha_p, alpha_d = map(min, zip(*(_max_steps(lams[b], dxs_aff[b], dss_aff[b])
-                                             for b in range(n_blocks))))
-            mu_aff = sum(
-                float(_inner(np.diag(lams[b]) + alpha_p * dxs_aff[b],
-                             np.diag(lams[b]) + alpha_d * dss_aff[b]))
-                for b in range(n_blocks)
-            ) / n_tot
+            _, _, _, dxs_aff, dss_aff = newton(_lyapunov_rhs(lam, -np.diag(lam ** 2)))
+            alpha_p, alpha_d = _max_steps(lam, dxs_aff, dss_aff)
+            mu_aff = float(_inner(np.diag(lam) + alpha_p * dxs_aff,
+                                  np.diag(lam) + alpha_d * dss_aff)) / n
             sigma = min(1.0, max(mu_aff / mu, 0.0) ** 3)
 
             # Corrector with the Mehrotra second-order term.
-            theta = []
-            for b in range(n_blocks):
-                cross = dxs_aff[b] @ dss_aff[b]
-                resid = (sigma * mu * np.eye(orders[b]) - np.diag(lams[b] ** 2)
-                         - _hermitian_part(cross))
-                theta.append(_lyapunov_rhs(lams[b], resid))
-            dy, ds, dx, dxs, dss = newton(theta)
-            alpha_p, alpha_d = map(min, zip(*(_max_steps(lams[b], dxs[b], dss[b])
-                                             for b in range(n_blocks))))
+            resid = (sigma * mu * np.eye(n) - np.diag(lam ** 2)
+                     - _hermitian_part(dxs_aff @ dss_aff))
+            dy, ds, dx, dxs, dss = newton(_lyapunov_rhs(lam, resid))
+            alpha_p, alpha_d = _max_steps(lam, dxs, dss)
         except np.linalg.LinAlgError:
             break    # numerical floor; fall back to the best iterate seen
 
         # The iterates are rebound, never mutated, so best_state keeps references.
-        xs = [_hermitian_part(x + alpha_p * d) for x, d in zip(xs, dx)]
-        ss = [_hermitian_part(s + alpha_d * d) for s, d in zip(ss, ds)]
+        x = _hermitian_part(x + alpha_p * dx)
+        s = _hermitian_part(s + alpha_d * ds)
         y = y + alpha_d * dy
 
         if alpha_p < 1e-8 and alpha_d < 1e-8:
             break
 
     if status != "infeasible" and best_state is not None:
-        xs, y, ss = best_state
-    pobj = sum(float(_inner(c_mats[b], xs[b])) for b in range(n_blocks))
+        x, y, s = best_state
+    cuts = _diagonal_slices(program.blocks)
     sol = ConicSolution(
-        blocks=xs,
-        objective=float(pobj),
+        blocks=[x[c, c].copy() for c in cuts],
+        objective=float(_inner(c_mat, x)),
         status=status,
         kkt=KktResiduals(0.0, 0.0, 0.0),
         y=y.copy(),
-        dual_blocks=ss,
+        dual_blocks=[s[c, c].copy() for c in cuts],
         iterations=iterations,
     )
     sol.kkt = kkt_residuals(program, sol)

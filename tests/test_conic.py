@@ -2,6 +2,7 @@ import logging
 
 import numpy as np
 import pytest
+from scipy.linalg import block_diag
 
 from irscrb.conic import (ConicProgram, ConicSolution, KktResiduals, _adjoint,
                           _inner, kkt_residuals, solve)
@@ -160,6 +161,12 @@ class TestSolve:
         with pytest.raises(ValueError, match="infs or NaNs"):
             solve(p)
 
+    def test_program_without_equality_rows_is_refused(self):
+        p = ConicProgram([2])
+        p.set_objective({0: np.eye(2)})
+        with pytest.raises(ValueError, match="no equality rows"):
+            solve(p)
+
     def test_rejects_bad_block_order(self):
         with pytest.raises(ValueError, match="block order"):
             ConicProgram([0])
@@ -210,8 +217,41 @@ def test_contractions_match_explicit_traces(complex_data):
         explicit = np.array([np.trace(a.conj().T @ x).real for a in stack])
         np.testing.assert_allclose(_inner(stack, x), explicit, rtol=1e-13, atol=1e-13)
         assert _inner(stack[2], x) == pytest.approx(explicit[2], rel=1e-13)
-        adj, = _adjoint(y, [stack])
+        adj = _adjoint(y, stack)
         np.testing.assert_allclose(adj, sum(y_j * a for y_j, a in zip(y, stack)),
                                    rtol=1e-13, atol=1e-13)
         # <A^*(y), X> = <y, A(X)>
         assert np.trace(adj.conj().T @ x).real == pytest.approx(y @ explicit, rel=1e-12)
+
+
+def test_declared_blocks_solve_as_one_block_diagonal_block():
+    # the same data posed on blocks [3, 4, 1] and as one order-8 block with
+    # block-diagonal coefficients runs the same iteration
+    rng = np.random.default_rng(11)
+    orders = [3, 4, 1]
+    objective = {0: _random_symmetric(3, rng), 1: _random_symmetric(4, rng)}
+    a0, a1 = _random_symmetric(3, rng), _random_symmetric(4, rng)
+    # strictly feasible at X_0 = 0.2 I, X_1 = 0.35 I, s = 0.1
+    rows = [({0: np.eye(3), 1: np.eye(4)}, 2.0),
+            ({1: np.eye(4), 2: np.eye(1)}, 1.5),
+            ({0: a0, 1: a1}, 0.2 * np.trace(a0) + 0.35 * np.trace(a1))]
+
+    def diagonal(coeffs):
+        return block_diag(*(coeffs.get(b, np.zeros((n, n))) for b, n in enumerate(orders)))
+
+    declared, one = ConicProgram(orders), ConicProgram([8])
+    declared.set_objective(objective)
+    one.set_objective({0: diagonal(objective)})
+    for coeffs, rhs in rows:
+        declared.add_eq(coeffs, rhs)
+        one.add_eq({0: diagonal(coeffs)}, rhs)
+    sol, sol_one = solve(declared, tol=1e-9), solve(one, tol=1e-9)
+    assert sol.status == sol_one.status == "optimal"
+    assert sol.iterations == sol_one.iterations
+    assert sol.objective == sol_one.objective
+    assert np.array_equal(sol.y, sol_one.y)
+    ends = np.cumsum(orders)
+    for b, (n, end) in enumerate(zip(orders, ends)):
+        cut = slice(end - n, end)
+        assert np.array_equal(sol.blocks[b], sol_one.blocks[0][cut, cut])
+        assert np.array_equal(sol.dual_blocks[b], sol_one.dual_blocks[0][cut, cut])
