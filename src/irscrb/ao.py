@@ -1,14 +1,10 @@
 """Joint transmit/reflect beamforming for the point-target DoA bound.
 
 Minimizing the closed-form bound is equivalent to maximizing the reflected
-information measure
-
-    f(R_x, V) = (K^2 - 1)/3 * tr(Q V) + tr(D Q D V) - |tr(Q D V)|^2 / tr(Q V)
-
-over the transmit covariance R_x and the lifted profile V = v v^H, where Q
-is the steered channel Gram matrix and D the centered index taper.  The
-rank-one constraint on V is dropped; with either variable fixed the problem
-is a small semidefinite program (the fractional term enters through a 2x2
+information measure f(R_x, V) of :mod:`irscrb.pointcrb` over the transmit
+covariance R_x and the lifted profile V = v v^H.  The rank-one constraint
+on V is dropped; with either variable fixed the problem is a small
+semidefinite program (the fractional term enters through a 2x2
 Schur-complement block), so the two subproblems alternate until the
 objective stalls and a unit-modulus profile is then recovered by Gaussian
 randomization.  The reflection step solves its program.  The transmit
@@ -31,24 +27,22 @@ from . import conic
 from .arrays import centered_index, target_steering
 from .config import PointTargetScene, SystemConfig, make_rng
 from .conic import ConicProgram, ConicSolution
-from .pointcrb import (PhaseProfile, TransmitCovariance, crb_point_closed,
-                       profile_vector, steered_gram)
+from .pointcrb import (DegenerateObjectiveError, PhaseProfile,
+                       TransmitCovariance, _info_kernels, _info_measure,
+                       _profile_scores, crb_point_closed, profile_vector)
 
+AO_TOL = 1e-6                     # relative objective change that ends the AO
+AO_MAX_ITER = 50
 SUBPROBLEM_TOL = 1e-9
 # A solve that stalls at the solver's numerical floor is kept when its KKT
 # residual is at most this; the residual stays on the returned solution.
 # Reflection solves of the optimizer stall at up to about 3e-9.
 SUBPROBLEM_FLOOR = 1e-8
-IMAG_RESIDUE_RTOL = 1e-9
 SUPREMUM_BEAM_SHARE = 1e-12       # power share left on b when f* is a supremum
 EIGEN_GAP_RTOL = 1e-11            # certified gap of a transmit_eigen_form step
 ECHO_BEAM_RTOL = 1e-6             # least x^H P x / max|P| of an accepted beam
 EIGEN_NEWTON_STEPS = 20
 EIGEN_LINE_SEARCH = 40            # step halvings per Newton step
-
-class DegenerateObjectiveError(ArithmeticError):
-    """The reflected power term of the objective is not positive."""
-
 
 class SubproblemError(RuntimeError):
     """A beamforming subproblem did not reach an optimal solver status."""
@@ -59,7 +53,9 @@ class AoResult:
     R_x: TransmitCovariance
     v: PhaseProfile
     crb: float                          # rad^2
-    objective_trace: list[float]        # f value per half-iteration
+    # relaxed (SDR) f per half-iteration: row 0 at the initial pair, then at
+    # each lifted iterate; not the f of the returned design
+    objective_trace: list[float]
     iterations: int
     status: Literal["converged", "max_iter"]
     # SDP half-steps: the reflection steps, and transmit steps without an
@@ -68,34 +64,12 @@ class AoResult:
     solver_residual_max: float = 0.0    # worst KKT residual over the SDP half-steps
 
 
-def _real_trace(value, label: str):
-    value = np.asarray(value)
-    if np.any(np.abs(value.imag) > IMAG_RESIDUE_RTOL * (1.0 + np.abs(value.real))):
-        raise ValueError(f"{label} has non-negligible imaginary part "
-                         f"{np.max(np.abs(value.imag)):g}")
-    return value.real
-
-
-def _info_measure(p_reflect, p_taper, cross, k: int):
-    """f from the traces tr(Q V), tr(D Q D V) and tr(Q D V); scalars or arrays."""
-    p_reflect = _real_trace(p_reflect, "reflected power")
-    if np.min(p_reflect) <= 0.0:
-        raise DegenerateObjectiveError(
-            f"reflected power term is {np.min(p_reflect):g}; the objective is undefined"
-        )
-    p_taper = _real_trace(p_taper, "tapered power")
-    return ((k ** 2 - 1) / 3.0) * p_reflect + p_taper - np.abs(cross) ** 2 / p_reflect
-
-
 def sdr_objective(r_x, v_lifted: np.ndarray, a: np.ndarray, g: np.ndarray,
                   k: int) -> float:
     """Reflected information measure f(R_x, V); larger is better."""
-    quad = steered_gram(g, r_x, a)
-    idx = centered_index(a.shape[0]).astype(float)
-    v_l = np.asarray(v_lifted, dtype=complex)
-    taper_quad = idx[:, None] * quad * idx[None, :]
-    return float(_info_measure(np.trace(quad @ v_l), np.trace(taper_quad @ v_l),
-                               np.trace((quad * idx[None, :]) @ v_l), k))
+    v_t = np.asarray(v_lifted, dtype=complex).T
+    return float(_info_measure(*(np.sum(kern * v_t)
+                                 for kern in _info_kernels(g, r_x, a, k))))
 
 
 def _re_im_kernels(b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -158,8 +132,7 @@ def _transmit_kernels(v_lifted: np.ndarray, a: np.ndarray, g: np.ndarray, k: int
 
 def transmit_subproblem(v_lifted: np.ndarray, a: np.ndarray, g: np.ndarray,
                         k: int, p0: float,
-                        solver: Callable[..., ConicSolution] = conic.solve,
-                        tol: float = SUBPROBLEM_TOL
+                        solver: Callable[..., ConicSolution] = conic.solve
                         ) -> tuple[TransmitCovariance, ConicSolution]:
     """Best transmit covariance for a fixed (possibly lifted) profile, and its solve.
 
@@ -173,7 +146,7 @@ def transmit_subproblem(v_lifted: np.ndarray, a: np.ndarray, g: np.ndarray,
     order = quad_obj.shape[0]
     program = _schur_program(quad_obj, cross_kernel, power_kernel, order=order)
     program.add_eq({0: np.eye(order)}, 1.0)
-    sol = _checked(solver(program, tol=tol), "transmit")
+    sol = _checked(solver(program, tol=SUBPROBLEM_TOL), "transmit")
     x = _psd_clip(sol.blocks[0])
     return TransmitCovariance(matrix=(p0 / np.trace(x).real) * x, budget=p0), sol
 
@@ -212,7 +185,7 @@ def transmit_eigen_form(v_lifted: np.ndarray, a: np.ndarray, g: np.ndarray,
         p_x = np.vdot(x, p_vec).real
         c_x = np.vdot(x, c_vec)
         if p_x > beam_floor:
-            f_x = np.vdot(x, qo @ x).real - abs(c_x) ** 2 / p_x
+            f_x = _info_measure(np.vdot(x, qo @ x), c_x, p_x)
             if lam1 - f_x <= EIGEN_GAP_RTOL * abs(lam1):
                 return TransmitCovariance(p0 * np.outer(x, x.conj()), p0)
         spread = lam1 - lam[:-1]
@@ -275,22 +248,16 @@ def transmit_closed_form(v, a: np.ndarray, g: np.ndarray, k: int, p0: float
 
 
 def irs_subproblem(r_x, a: np.ndarray, g: np.ndarray, k: int,
-                   solver: Callable[..., ConicSolution] = conic.solve,
-                   tol: float = SUBPROBLEM_TOL) -> tuple[np.ndarray, ConicSolution]:
+                   solver: Callable[..., ConicSolution] = conic.solve
+                   ) -> tuple[np.ndarray, ConicSolution]:
     """Best lifted reflection profile for a fixed transmit covariance, and its solve."""
-    a = np.asarray(a, dtype=complex)
-    g = np.asarray(g, dtype=complex)
-    n = a.shape[0]
-    idx = centered_index(n).astype(float)
-    quad = steered_gram(g, r_x, a)
-    quad_obj = ((k ** 2 - 1) / 3.0) * quad + idx[:, None] * quad * idx[None, :]
-    cross_kernel = idx[:, None] * quad                   # D Q, for tr(D Q V)
-    program = _schur_program(quad_obj, cross_kernel, quad, order=n)
+    n = np.asarray(a).shape[0]
+    program = _schur_program(*_info_kernels(g, r_x, a, k), order=n)
     for i in range(n):
         e_ii = np.zeros((n, n))
         e_ii[i, i] = 1.0
         program.add_eq({0: e_ii}, 1.0)
-    sol = _checked(solver(program, tol=tol), "reflection")
+    sol = _checked(solver(program, tol=SUBPROBLEM_TOL), "reflection")
     return sol.blocks[0], sol
 
 
@@ -338,13 +305,7 @@ def gaussian_randomization(v_lifted: np.ndarray, r_x, a: np.ndarray,
     draws = make_rng(seed).standard_normal((samples, 2, n))   # real, imag per draw
     noise = (draws[:, 0] + 1j * draws[:, 1]) / np.sqrt(2.0)
     cands = np.exp(1j * np.angle(noise @ (q * np.sqrt(w)).T))
-
-    quad = steered_gram(g, r_x, a)
-    idx = centered_index(n).astype(float)
-    q_v, q_dv = cands @ quad.T, (cands * idx) @ quad.T       # rows Q v and Q D v
-    f_vals = _info_measure(np.sum(cands.conj() * q_v, axis=1),
-                           np.sum((cands * idx).conj() * q_dv, axis=1),
-                           np.sum(cands.conj() * q_dv, axis=1), k)
+    f_vals = _profile_scores(_info_kernels(g, r_x, a, k), cands)
     return PhaseProfile(v=cands[np.argmax(f_vals)])
 
 
@@ -366,14 +327,14 @@ def default_phase_profile(g: np.ndarray, a: np.ndarray) -> PhaseProfile:
 
 def ao_minimize_crb(scene: PointTargetScene, g: np.ndarray,
                     config: SystemConfig, init: PhaseProfile | None = None,
-                    tol: float = 1e-6, max_iter: int = 50,
                     samples: int = 200, seed: int = 0) -> AoResult:
     """Alternating minimization of the point-target DoA bound.
 
-    Alternates the two subproblems until the relative objective improvement
-    drops below ``tol``, recovers a unit-modulus profile by randomization,
-    gives it its closed-form transmit covariance, and reports the bound of
-    the best feasible pair seen (including the initialization).
+    Alternates the two subproblems, at most ``AO_MAX_ITER`` times, until the
+    relative objective improvement drops below ``AO_TOL``, recovers a
+    unit-modulus profile by randomization, gives it its closed-form transmit
+    covariance, and reports the bound of the best feasible pair seen
+    (including the initialization).
     """
     g = np.asarray(g, dtype=complex)
     a = target_steering(scene.theta, config.N, config.spacing, config.wavelength)
@@ -401,7 +362,7 @@ def ao_minimize_crb(scene: PointTargetScene, g: np.ndarray,
     status: Literal["converged", "max_iter"] = "max_iter"
     f_prev = trace[0]
     iterations = 0
-    for iterations in range(1, max_iter + 1):
+    for iterations in range(1, AO_MAX_ITER + 1):
         v_lifted = half_step(irs_subproblem, r_x, a, g, k)
         trace.append(sdr_objective(r_x, v_lifted, a, g, k))
         r_x = transmit_eigen_form(v_lifted, a, g, k, p0)
@@ -409,19 +370,18 @@ def ao_minimize_crb(scene: PointTargetScene, g: np.ndarray,
             r_x = half_step(transmit_subproblem, v_lifted, a, g, k, p0)
         f_cur = sdr_objective(r_x, v_lifted, a, g, k)
         trace.append(f_cur)
-        if abs(f_cur - f_prev) <= tol * max(1e-300, abs(f_prev)):
+        if abs(f_cur - f_prev) <= AO_TOL * max(1e-300, abs(f_prev)):
             status = "converged"
             break
         f_prev = f_cur
 
     # Candidate unit-modulus profiles: randomization winner, the dominant
-    # eigenvector's phases and the initialization.
+    # eigenvector's phases and the initialization; the first best one wins.
     best = gaussian_randomization(v_lifted, r_x, a, g, k, samples, seed)
     w, q = np.linalg.eigh(_psd_clip(v_lifted))
-    candidates = [best.v, np.exp(1j * np.angle(q[:, -1])), init.v]
-    scored = [(sdr_objective(r_x, np.outer(v, v.conj()), a, g, k), i, v)
-              for i, v in enumerate(candidates)]
-    _, _, v_star = max(scored, key=lambda t: (t[0], -t[1]))
+    candidates = np.stack([best.v, np.exp(1j * np.angle(q[:, -1])), init.v])
+    v_star = candidates[np.argmax(_profile_scores(_info_kernels(g, r_x, a, k),
+                                                  candidates))]
 
     r_star, _ = transmit_closed_form(v_star, a, g, k, p0)
     f_star = sdr_objective(r_star, np.outer(v_star, v_star.conj()), a, g, k)

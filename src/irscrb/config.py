@@ -8,7 +8,7 @@ at the bottom of this module.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -99,26 +99,19 @@ def point_scene(config: SystemConfig, theta: float,
 
 @dataclass(frozen=True)
 class ChannelRealization:
-    """One draw of the BS-to-IRS channel.
-
-    ``h_bi`` is only populated for a single-antenna BS, where it equals the
-    single column of ``G``.
-    """
+    """One draw of the BS-to-IRS channel."""
 
     G: np.ndarray               # [N, M] complex
     seed: int
-    h_bi: np.ndarray | None = field(default=None)
 
     def __post_init__(self):
         if self.G.ndim != 2:
             raise ValueError("G must be a matrix")
-        if self.G.shape[1] == 1:
-            if self.h_bi is None:
-                object.__setattr__(self, "h_bi", self.G[:, 0].copy())
-            elif not np.array_equal(self.h_bi, self.G[:, 0]):
-                raise ValueError("h_bi must equal the single column of G")
-        elif self.h_bi is not None:
-            raise ValueError("h_bi is only defined for a single-antenna BS")
+
+    @property
+    def h_bi(self) -> np.ndarray | None:
+        """The single column of ``G`` for a single-antenna BS, else None."""
+        return self.G[:, 0] if self.G.shape[1] == 1 else None
 
 
 def _seed_sequence(seed: int, stream: tuple[int, ...]) -> np.random.SeedSequence:

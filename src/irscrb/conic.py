@@ -271,9 +271,8 @@ def _lyapunov_rhs(lam: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     return 2.0 * rhs / (lam[:, None] + lam[None, :])
 
 
-def solve(program: ConicProgram, tol: float = DEFAULT_TOL,
-          max_iter: int = DEFAULT_MAX_ITER) -> ConicSolution:
-    """Run the NT predictor-corrector iteration on ``program``.
+def solve(program: ConicProgram, tol: float = DEFAULT_TOL) -> ConicSolution:
+    """Run at most ``DEFAULT_MAX_ITER`` NT predictor-corrector steps on ``program``.
 
     On ``status == "optimal"`` every normalized KKT residual is at most
     ``tol``; in particular the objective mismatch between the primal and
@@ -300,7 +299,7 @@ def solve(program: ConicProgram, tol: float = DEFAULT_TOL,
     best_metric = np.inf
     best_state = None
 
-    for iterations in range(1, max_iter + 1):
+    for iterations in range(1, DEFAULT_MAX_ITER + 1):
         rp = rhs - _inner(a_stack, x)
         aty = _adjoint(y, a_stack)
         rd = c_mat - s - aty

@@ -58,6 +58,21 @@ def _singular_values(g: np.ndarray) -> tuple[np.ndarray, int]:
     return sv, n - min(rank, n)
 
 
+def _inverse_trace(gram: np.ndarray) -> tuple[float, int]:
+    """(tr(gram^{-1}), rank deficiency) of a Hermitian PSD matrix; inf when singular."""
+    ev = np.linalg.eigvalsh((gram + gram.conj().T) / 2.0)
+    deficiency = int(np.sum(ev <= RANK_RTOL * max(ev.max(initial=0.0), 0.0)))
+    if ev.size == 0 or deficiency:
+        return float("inf"), max(deficiency, 1)
+    return float(np.sum(1.0 / ev)), 0
+
+
+def _gap_db(sv: np.ndarray, m: int) -> float:
+    """Isotropic-over-optimal bound ratio in dB from the singular values of G."""
+    ratio = m * float(np.sum(1.0 / sv ** 2)) / float(np.sum(1.0 / sv)) ** 2
+    return float(10.0 * np.log10(ratio))
+
+
 def fim_extended(r_x, v, g: np.ndarray, k: int, t: int,
                  sigma2: float) -> np.ndarray:
     """Dense 2KN x 2KN Fisher information of the stacked real parameters.
@@ -94,15 +109,9 @@ def crb_extended(r_x, g: np.ndarray, k: int, t: int,
     g = np.asarray(g, dtype=complex)
     rx = covariance_matrix(r_x)
     sv, _ = _singular_values(g)
-    gram = g @ rx.conj().T @ g.conj().T
-    ev = np.linalg.eigvalsh((gram + gram.conj().T) / 2.0)
-    deficiency = int(np.sum(ev <= RANK_RTOL * max(ev.max(initial=0.0), 0.0)))
-    if ev.size == 0 or ev.min() <= RANK_RTOL * max(ev.max(), 0.0):
-        return ExtendedCrbReport(crb=float("inf"), mode="generic",
-                                 singular_values=sv,
-                                 rank_deficiency=max(deficiency, 1))
-    crb = sigma2 * k / t * float(np.sum(1.0 / ev))
-    return ExtendedCrbReport(crb=crb, mode="generic", singular_values=sv)
+    inv_trace, deficiency = _inverse_trace(g @ rx.conj().T @ g.conj().T)
+    return ExtendedCrbReport(crb=sigma2 * k / t * inv_trace, mode="generic",
+                             singular_values=sv, rank_deficiency=deficiency)
 
 
 def optimal_transmit_extended(g: np.ndarray, p0: float) -> TransmitCovariance:
@@ -140,7 +149,7 @@ def crb_extended_opt(g: np.ndarray, p0: float, k: int, t: int,
         raise EstimabilityError("optimal bound needs M >= N and full-rank G")
     crb = sigma2 * k / (p0 * t) * float(np.sum(1.0 / sv)) ** 2
     return ExtendedCrbReport(crb=crb, mode="optimal", singular_values=sv,
-                             gap_db=gap_db(g, g.shape[1]))
+                             gap_db=_gap_db(sv, g.shape[1]))
 
 
 def crb_extended_iso(g: np.ndarray, p0: float, m: int, k: int, t: int,
@@ -156,7 +165,7 @@ def crb_extended_iso(g: np.ndarray, p0: float, m: int, k: int, t: int,
                                  rank_deficiency=deficiency)
     crb = sigma2 * k * m / (p0 * t) * float(np.sum(1.0 / sv ** 2))
     return ExtendedCrbReport(crb=crb, mode="isotropic", singular_values=sv,
-                             gap_db=gap_db(g, m))
+                             gap_db=_gap_db(sv, m))
 
 
 def gap_db(g: np.ndarray, m: int) -> float:
@@ -167,8 +176,7 @@ def gap_db(g: np.ndarray, m: int) -> float:
     sv, deficiency = _singular_values(g)
     if deficiency > 0:
         raise EstimabilityError("gap is undefined for a rank-deficient channel")
-    ratio = m * float(np.sum(1.0 / sv ** 2)) / float(np.sum(1.0 / sv)) ** 2
-    return float(10.0 * np.log10(ratio))
+    return _gap_db(sv, m)
 
 
 def crb_fully_passive(r_x, g: np.ndarray, fp: FullyPassiveConfig, t: int,
@@ -180,14 +188,9 @@ def crb_fully_passive(r_x, g: np.ndarray, fp: FullyPassiveConfig, t: int,
     """
     g = np.asarray(g, dtype=complex)
     rx = covariance_matrix(r_x)
-    gram_tx = g @ rx.conj().T @ g.conj().T
-    ev_tx = np.linalg.eigvalsh((gram_tx + gram_tx.conj().T) / 2.0)
-    gram_rx = fp.g_r.conj().T @ fp.g_r
-    ev_rx = np.linalg.eigvalsh((gram_rx + gram_rx.conj().T) / 2.0)
-    for ev in (ev_tx, ev_rx):
-        if ev.min() <= RANK_RTOL * max(ev.max(), 0.0):
-            return float("inf")
-    return float(sigma2 / t * np.sum(1.0 / ev_tx) * np.sum(1.0 / ev_rx))
+    inv_tx, _ = _inverse_trace(g @ rx.conj().T @ g.conj().T)
+    inv_rx, _ = _inverse_trace(fp.g_r.conj().T @ fp.g_r)
+    return float(sigma2 / t * inv_tx * inv_rx)
 
 
 def semi_passive_preferred(k: int, fp: FullyPassiveConfig) -> bool:
@@ -195,8 +198,5 @@ def semi_passive_preferred(k: int, fp: FullyPassiveConfig) -> bool:
 
     The semi-passive bound is lower exactly when K < tr((G_r^H G_r)^{-1}).
     """
-    gram_rx = fp.g_r.conj().T @ fp.g_r
-    ev = np.linalg.eigvalsh((gram_rx + gram_rx.conj().T) / 2.0)
-    if ev.min() <= RANK_RTOL * max(ev.max(), 0.0):
-        return True
-    return k < float(np.sum(1.0 / ev))
+    inv_rx, _ = _inverse_trace(fp.g_r.conj().T @ fp.g_r)
+    return k < inv_rx

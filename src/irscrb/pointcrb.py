@@ -3,8 +3,10 @@
 The received echo mean is alpha * vec(E X) with the effective matrix
 E = b a^T diag(v) G.  Because the steering vectors are centroid-referenced,
 the 3x3 Fisher information over (theta, Re alpha, Im alpha) collapses into a
-scalar bound on theta whose denominator is a quadratic form in the IRS
-profile v; that closed form is evaluated here next to the full
+scalar bound on theta whose denominator is K times the reflected
+information measure f(R_x, V) = tr(W V) - |tr(C V)|^2 / tr(Q V) at
+V = v v^H.  This module owns f, which also scores every design of the
+beamforming optimizer.  The closed form is evaluated next to the full
 matrix-inverse route so the two can cross-check each other.
 """
 
@@ -21,7 +23,11 @@ HERMITIAN_RTOL = 1e-12
 EIG_FLOOR_RTOL = 1e-9
 TRACE_SLACK_RTOL = 1e-8
 UNIT_MODULUS_ATOL = 1e-10
-LIFTED_ATOL = 1e-9
+IMAG_RESIDUE_RTOL = 1e-9
+
+
+class DegenerateObjectiveError(ArithmeticError):
+    """The reflected power term of the objective is not positive."""
 
 
 @dataclass(frozen=True)
@@ -47,19 +53,15 @@ class TransmitCovariance:
 
 @dataclass(frozen=True)
 class PhaseProfile:
-    """Unit-modulus IRS reflection vector, optionally with its lifted matrix."""
+    """Unit-modulus IRS reflection vector."""
 
     v: np.ndarray               # [N] complex, |v_n| = 1
-    lifted: np.ndarray | None = None  # [N, N], v v^H when present
 
     def __post_init__(self):
         v = np.asarray(self.v, dtype=complex)
         object.__setattr__(self, "v", v)
         if np.abs(np.abs(v) - 1.0).max() > UNIT_MODULUS_ATOL:
             raise ValueError("every reflection coefficient must be unit modulus")
-        if self.lifted is not None:
-            if np.linalg.norm(self.lifted - np.outer(v, v.conj())) > LIFTED_ATOL:
-                raise ValueError("lifted matrix does not match v v^H")
 
     @classmethod
     def from_phases(cls, phases: np.ndarray) -> "PhaseProfile":
@@ -132,6 +134,41 @@ def steered_gram(g: np.ndarray, r_x, a: np.ndarray) -> np.ndarray:
     return ag.conj() @ rx.T @ ag.T
 
 
+def _info_kernels(g: np.ndarray, r_x, a: np.ndarray, k: int
+                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Kernels of f: Q = :func:`steered_gram`, W = (K^2 - 1)/3 Q + D Q D, C = D Q."""
+    quad = steered_gram(g, r_x, a)
+    idx = centered_index(np.asarray(a).shape[0]).astype(float)
+    quad_obj = ((k ** 2 - 1) / 3.0) * quad + idx[:, None] * quad * idx[None, :]
+    return quad_obj, idx[:, None] * quad, quad
+
+
+def _real_trace(value, label: str):
+    value = np.asarray(value)
+    if np.any(np.abs(value.imag) > IMAG_RESIDUE_RTOL * (1.0 + np.abs(value.real))):
+        raise ValueError(f"{label} has non-negligible imaginary part "
+                         f"{np.max(np.abs(value.imag)):g}")
+    return value.real
+
+
+def _info_measure(w_trace, c_trace, q_trace):
+    """f from the traces tr(W V), tr(C V) and tr(Q V); scalars or arrays."""
+    q_trace = _real_trace(q_trace, "reflected power")
+    if np.min(q_trace) <= 0.0:
+        raise DegenerateObjectiveError(
+            f"reflected power term is {np.min(q_trace):g}; the objective is undefined"
+        )
+    return _real_trace(w_trace, "information term") - np.abs(c_trace) ** 2 / q_trace
+
+
+def _profile_scores(kernels: tuple[np.ndarray, np.ndarray, np.ndarray],
+                   profiles: np.ndarray) -> np.ndarray:
+    """f at V = v v^H for each row v of ``profiles``, from :func:`_info_kernels`."""
+    conj = profiles.conj()
+    return _info_measure(*(np.sum(conj * (profiles @ kern.T), axis=1)
+                          for kern in kernels))
+
+
 def fim_point(scene: PointTargetScene, r_x, v, g: np.ndarray,
               config: SystemConfig) -> PointFim:
     """Fisher information for (theta, Re alpha, Im alpha)."""
@@ -165,21 +202,13 @@ def crb_point_closed(scene: PointTargetScene, r_x, v, g: np.ndarray,
     nulls the reflected power) instead of raising, so sweeps can record the
     point.
     """
-    vv = profile_vector(v)
     a = target_steering(scene.theta, config.N, config.spacing, config.wavelength)
-    quad = steered_gram(g, r_x, a)
-    idx_a = centered_index(config.N).astype(float)
-
-    p_reflect = float(np.real(vv.conj() @ quad @ vv))
-    if p_reflect <= 0.0:
+    kernels = _info_kernels(g, r_x, a, config.K)
+    try:
+        info = _profile_scores(kernels, profile_vector(v)[None, :])[0]
+    except DegenerateObjectiveError:
         return float("inf")
-    p_taper = float(np.real(vv.conj() @ (idx_a[:, None] * quad * idx_a[None, :]) @ vv))
-    cross = vv.conj() @ (idx_a[:, None] * quad) @ vv
-
-    k = config.K
-    bracket = ((k ** 3 - k) / 3.0) * p_reflect + k * p_taper \
-        - k * abs(cross) ** 2 / p_reflect
-    return _bound_from_info(scene, config, bracket)
+    return _bound_from_info(scene, config, config.K * float(info))
 
 
 def _bound_from_info(scene: PointTargetScene, config: SystemConfig,

@@ -13,7 +13,8 @@ from irscrb.arrays import centered_index, target_steering
 from irscrb.channel import rician_channel
 from irscrb.config import PointTargetScene, SystemConfig, make_rng, point_scene
 from irscrb.pointcrb import (TransmitCovariance, _bound_from_info,
-                             crb_point_closed, single_antenna_optimum)
+                             _info_kernels, _profile_scores, crb_point_closed,
+                             single_antenna_optimum)
 from irscrb.sweep import reference_config
 
 from oracles import (exhaustive_phase_grid, parent_transmit_program,
@@ -50,13 +51,19 @@ def _parent_transmit_solve(v_lifted, a, g, k, p0):
 
 class TestSdrObjective:
     def test_rank_one_profile_matches_bound_bracket(self):
+        cfg = SystemConfig(M=3, N=5, K=4)
         for seed in range(10):
-            g, a, r_x, _ = _instance(3, 5, 4, seed)
+            g, a, r_x, theta = _instance(3, 5, 4, seed)
             v = random_unit_profile(np.random.default_rng(seed + 50), 5)
             k = 4
             f_val = sdr_objective(r_x, np.outer(v, v.conj()), a, g, k)
             assert k * f_val == pytest.approx(point_bracket(v, g, r_x, a, k),
                                               rel=1e-10)
+            scene = PointTargetScene(theta=theta, alpha=0.5 + 0.3j)
+            assert crb_point_closed(scene, r_x, v, g, cfg) == pytest.approx(
+                _bound_from_info(scene, cfg, k * f_val), rel=1e-12)
+            score = _profile_scores(_info_kernels(g, r_x, a, k), v[None, :])
+            assert score[0] == pytest.approx(f_val, rel=1e-12)
 
     def test_maximizing_f_minimizes_the_bound(self):
         # perfect inverse rank ordering over random pairs

@@ -3,7 +3,7 @@ import pytest
 
 from irscrb.arrays import large_scale_path_loss
 from irscrb.channel import rician_channel
-from irscrb.config import ChannelRealization, SystemConfig
+from irscrb.config import SystemConfig
 
 
 def _config(**kw):
@@ -54,9 +54,6 @@ def test_single_antenna_column_alias():
 def test_multi_antenna_has_no_column_alias():
     ch = rician_channel(_config(M=2), seed=9)
     assert ch.h_bi is None
-    with pytest.raises(ValueError):
-        ChannelRealization(G=np.ones((4, 2), dtype=complex), seed=0,
-                           h_bi=np.ones(4, dtype=complex))
 
 
 def test_los_angles_shift_the_dyad():

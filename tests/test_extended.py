@@ -221,9 +221,10 @@ class TestGap:
         ref = gap_db(g, 6)
         for p0 in (0.01, 0.1, 1.0):
             for k in (4, 8, 16):
-                opt = crb_extended_opt(g, p0, k, 8, 0.4).crb
-                iso = crb_extended_iso(g, p0, 6, k, 8, 0.4).crb
-                assert 10 * np.log10(iso / opt) == pytest.approx(ref, abs=1e-9)
+                opt = crb_extended_opt(g, p0, k, 8, 0.4)
+                iso = crb_extended_iso(g, p0, 6, k, 8, 0.4)
+                assert opt.gap_db == ref and iso.gap_db == ref
+                assert 10 * np.log10(iso.crb / opt.crb) == pytest.approx(ref, abs=1e-9)
 
 
 class TestFullyPassive:

@@ -45,12 +45,6 @@ class TestDomainTypes:
         with pytest.raises(ValueError, match="unit modulus"):
             PhaseProfile(v=np.array([1.0, 0.5], dtype=complex))
 
-    def test_profile_lifted_consistency(self):
-        v = random_unit_profile(RNG, 4)
-        PhaseProfile(v=v, lifted=np.outer(v, v.conj()))
-        with pytest.raises(ValueError, match="lifted"):
-            PhaseProfile(v=v, lifted=np.eye(4, dtype=complex))
-
     def test_scene_rejects_beyond_endfire(self):
         with pytest.raises(ValueError):
             PointTargetScene(theta=2.0, alpha=1.0)
