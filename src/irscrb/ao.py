@@ -2,23 +2,21 @@
 
 Minimizing the closed-form bound is equivalent to maximizing the reflected
 information measure f(R_x, V) of :mod:`irscrb.pointcrb` over the transmit
-covariance R_x and the lifted profile V = v v^H.  The rank-one constraint
-on V is dropped; with either variable fixed the problem is a small
-semidefinite program (the fractional term enters through a 2x2
-Schur-complement block), so the two subproblems alternate until the
-objective stalls and a unit-modulus profile is then recovered by Gaussian
-randomization.  The reflection step solves its program.  The transmit
-steps solve none: the first and last, at unit-modulus profiles, are in
-closed form, and the intermediate ones, at lifted profiles, take the
-certified eigenvalue form of the program, which is solved only when no
-certificate comes.  An incumbent feasible pair is tracked throughout, so
-the final answer is never worse than the initialization.
+covariance R_x and the lifted profile V = v v^H.  The optimizer alternates
+over unit-modulus designs.  At the current pair (R_x, v) it solves the
+reflection program, the semidefinite relaxation in V with the rank-one
+constraint dropped (the fractional term enters through a 2x2
+Schur-complement block), recovers unit-modulus candidates from its solution
+by Gaussian randomization, keeps the best of them and v at R_x, and gives
+the kept profile its closed-form transmit covariance.  Every iterate is
+thus a feasible design and f never decreases.  The transmit program at a
+lifted profile (:func:`transmit_subproblem`) stays available to callers
+that pose it; the optimizer solves none.
 """
 
 from __future__ import annotations
 
-import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Literal
 
 import numpy as np
@@ -31,7 +29,7 @@ from .pointcrb import (DegenerateObjectiveError, PhaseProfile,
                        TransmitCovariance, _info_kernels, _info_measure,
                        _profile_scores, crb_point_closed, profile_vector)
 
-AO_TOL = 1e-6                     # relative objective change that ends the AO
+AO_TOL = 1e-6                     # relative objective gain that ends the AO
 AO_MAX_ITER = 50
 SUBPROBLEM_TOL = 1e-9
 # A solve that stalls at the solver's numerical floor is kept when its KKT
@@ -39,10 +37,6 @@ SUBPROBLEM_TOL = 1e-9
 # Reflection solves of the optimizer stall at up to about 3e-9.
 SUBPROBLEM_FLOOR = 1e-8
 SUPREMUM_BEAM_SHARE = 1e-12       # power share left on b when f* is a supremum
-EIGEN_GAP_RTOL = 1e-11            # certified gap of a transmit_eigen_form step
-ECHO_BEAM_RTOL = 1e-6             # least x^H P x / max|P| of an accepted beam
-EIGEN_NEWTON_STEPS = 20
-EIGEN_LINE_SEARCH = 40            # step halvings per Newton step
 
 class SubproblemError(RuntimeError):
     """A beamforming subproblem did not reach an optimal solver status."""
@@ -53,15 +47,12 @@ class AoResult:
     R_x: TransmitCovariance
     v: PhaseProfile
     crb: float                          # rad^2
-    # relaxed (SDR) f per half-iteration: row 0 at the initial pair, then at
-    # each lifted iterate; not the f of the returned design
+    # f of the design accepted at each iteration, row 0 at the initial one;
+    # non-decreasing, and crb is the bound at the last row
     objective_trace: list[float]
-    iterations: int
+    iterations: int                     # reflection solves
     status: Literal["converged", "max_iter"]
-    # SDP half-steps: the reflection steps, and transmit steps without an
-    # eigenvalue-form certificate
-    iter_seconds: list[float] = field(default_factory=list)  # per SDP half-step
-    solver_residual_max: float = 0.0    # worst KKT residual over the SDP half-steps
+    solver_residual_max: float = 0.0    # worst KKT residual over the reflection solves
 
 
 def sdr_objective(r_x, v_lifted: np.ndarray, a: np.ndarray, g: np.ndarray,
@@ -151,72 +142,6 @@ def transmit_subproblem(v_lifted: np.ndarray, a: np.ndarray, g: np.ndarray,
     return TransmitCovariance(matrix=(p0 / np.trace(x).real) * x, budget=p0), sol
 
 
-def transmit_eigen_form(v_lifted: np.ndarray, a: np.ndarray, g: np.ndarray,
-                        k: int, p0: float) -> TransmitCovariance | None:
-    """Certified rank-one optimum of the transmit program, or None.
-
-    Since -|c|^2/p = min_u (|u|^2 p - 2 Re(conj(u) c)), Sion's minimax
-    theorem makes the program's value min over complex u of P0 lam1(K(u)),
-    with K(u) = Qo + |u|^2 P - conj(u) C - u C^H and lam1 the largest
-    eigenvalue: a convex function of two real parameters.  Damped Newton
-    steps on it start from u = x^H C x / x^H P x, x the top eigenvector of
-    Qo.  The top eigenvector x of each K(u) gives R_x = P0 x x^H with
-    f(R_x) <= value <= P0 lam1, so R_x is returned once the gap
-    P0 lam1 - f(R_x) is at most ``EIGEN_GAP_RTOL`` P0 |lam1| and x^H P x
-    exceeds ``ECHO_BEAM_RTOL`` max|P|.  The second condition rejects a beam
-    orthogonal to the echo, where f is only a supremum.  None means that
-    no certificate came within ``EIGEN_NEWTON_STEPS`` steps; the caller
-    then solves the program.
-    """
-    qo, c, p = _transmit_kernels(v_lifted, a, g, k)
-    c_h = c.conj().T
-    beam_floor = ECHO_BEAM_RTOL * np.abs(p).max()
-
-    def top_pair(u):
-        return np.linalg.eigh(qo + abs(u) ** 2 * p - np.conj(u) * c - u * c_h)
-
-    x = np.linalg.eigh(qo)[1][:, -1]
-    p_x = np.vdot(x, p @ x).real
-    u = np.vdot(x, c @ x) / p_x if p_x > beam_floor else 0.0
-    lam, vec = top_pair(u)
-    for _ in range(EIGEN_NEWTON_STEPS + 1):
-        x, lam1 = vec[:, -1], lam[-1]
-        p_vec, c_vec, ch_vec = p @ x, c @ x, c_h @ x
-        p_x = np.vdot(x, p_vec).real
-        c_x = np.vdot(x, c_vec)
-        if p_x > beam_floor:
-            f_x = _info_measure(np.vdot(x, qo @ x), c_x, p_x)
-            if lam1 - f_x <= EIGEN_GAP_RTOL * abs(lam1):
-                return TransmitCovariance(p0 * np.outer(x, x.conj()), p0)
-        spread = lam1 - lam[:-1]
-        if spread.size and spread.min() <= EIGEN_GAP_RTOL * abs(lam1):
-            return None                 # lam1 is not simple: no Newton step
-        # d lam1 / d(Re u, Im u) = x^H K_i x, with K_re = 2 Re(u) P - (C + C^H)
-        # and K_im = 2 Im(u) P + i (C - C^H); second order by perturbation.
-        grad_c = 2.0 * (u * p_x - c_x)
-        grad = np.array([grad_c.real, grad_c.imag])
-        k_x = np.stack([2.0 * u.real * p_vec - (c_vec + ch_vec),
-                        2.0 * u.imag * p_vec + 1j * (c_vec - ch_vec)], axis=1)
-        z = vec[:, :-1].conj().T @ k_x / np.sqrt(spread)[:, None]
-        hess = 2.0 * p_x * np.eye(2) + 2.0 * (z.conj().T @ z).real
-        try:
-            step = -np.linalg.solve(hess, grad)
-        except np.linalg.LinAlgError:
-            return None
-        slope = grad @ step
-        t = 1.0
-        for _ in range(EIGEN_LINE_SEARCH):
-            u_try = u + t * complex(step[0], step[1])
-            lam_try, vec_try = top_pair(u_try)
-            if lam_try[-1] <= lam1 + 1e-4 * t * slope:
-                break
-            t /= 2.0
-        else:
-            return None                 # no decrease left at working precision
-        u, lam, vec = u_try, lam_try, vec_try
-    return None
-
-
 def transmit_closed_form(v, a: np.ndarray, g: np.ndarray, k: int, p0: float
                          ) -> tuple[TransmitCovariance, Literal["attained", "supremum"]]:
     """Best transmit covariance for a unit-modulus profile, and its regime.
@@ -283,28 +208,30 @@ def gaussian_randomization(v_lifted: np.ndarray, r_x, a: np.ndarray,
                            seed: int) -> PhaseProfile:
     """Recover a unit-modulus profile from a lifted solution.
 
-    Draws circular Gaussian vectors with covariance V, projects each onto
-    the unit-modulus set by keeping only its phases, scores all of them at
-    once as quadratic forms and returns the first draw with the best
-    objective.  A numerically rank-one V short-circuits to the phases of its
-    dominant eigenvector.  Draws come from one sequential stream, so a
-    larger ``samples`` extends (never reshuffles) the pool.
+    Draws circular Gaussian vectors with covariance V (its eigenvalues
+    clipped at 0), projects each onto the unit-modulus set by keeping only
+    its phases, and scores them at once as quadratic forms together with
+    the phases of V's dominant eigenvector, which come last; the first
+    candidate with the best objective wins.  A numerically rank-one V
+    short-circuits to those phases.  Draws come from one sequential stream,
+    so a larger ``samples`` extends (never reshuffles) the pool.
     """
     if samples < 1:
         raise ValueError("samples must be at least 1")
-    v_l = _psd_clip(np.asarray(v_lifted, dtype=complex))
-    w, q = np.linalg.eigh(v_l)
+    v_l = np.asarray(v_lifted, dtype=complex)
+    w, q = np.linalg.eigh((v_l + v_l.conj().T) / 2.0)
     w = np.maximum(w[::-1], 0.0)        # descending
     q = q[:, ::-1]
     if w[0] <= 0.0:
         raise ValueError("lifted profile is zero")
+    dominant = np.exp(1j * np.angle(q[:, 0]))
     if w.shape[0] == 1 or w[1] / w[0] <= 1e-8:
-        return PhaseProfile.from_phases(np.angle(q[:, 0]))
+        return PhaseProfile(v=dominant)
 
     n = v_l.shape[0]
     draws = make_rng(seed).standard_normal((samples, 2, n))   # real, imag per draw
     noise = (draws[:, 0] + 1j * draws[:, 1]) / np.sqrt(2.0)
-    cands = np.exp(1j * np.angle(noise @ (q * np.sqrt(w)).T))
+    cands = np.vstack([np.exp(1j * np.angle(noise @ (q * np.sqrt(w)).T)), dominant])
     f_vals = _profile_scores(_info_kernels(g, r_x, a, k), cands)
     return PhaseProfile(v=cands[np.argmax(f_vals)])
 
@@ -330,11 +257,12 @@ def ao_minimize_crb(scene: PointTargetScene, g: np.ndarray,
                     samples: int = 200, seed: int = 0) -> AoResult:
     """Alternating minimization of the point-target DoA bound.
 
-    Alternates the two subproblems, at most ``AO_MAX_ITER`` times, until the
-    relative objective improvement drops below ``AO_TOL``, recovers a
-    unit-modulus profile by randomization, gives it its closed-form transmit
-    covariance, and reports the bound of the best feasible pair seen
-    (including the initialization).
+    Starts from ``init`` with its closed-form transmit covariance.  Each
+    iteration solves the reflection program at the current R_x, scores at
+    R_x the randomization winner (``samples`` draws from ``seed``) and the
+    current profile, keeps the first best one and gives it its closed-form
+    transmit covariance.  The loop stops once f gains at most ``AO_TOL``
+    relative, or after ``AO_MAX_ITER`` iterations.
     """
     g = np.asarray(g, dtype=complex)
     a = target_steering(scene.theta, config.N, config.spacing, config.wavelength)
@@ -342,60 +270,32 @@ def ao_minimize_crb(scene: PointTargetScene, g: np.ndarray,
         init = default_phase_profile(g, a)
     k, p0 = config.K, config.P0
 
-    trace: list[float] = []
-    seconds: list[float] = []
+    v = init.v
+    r_x, _ = transmit_closed_form(v, a, g, k, p0)
+    kernels = _info_kernels(g, r_x, a, k)
+    trace = [float(_profile_scores(kernels, v[None, :])[0])]
     residual_max = 0.0
-
-    def half_step(fn, *args):
-        nonlocal residual_max
-        tic = time.perf_counter()
-        out, sol = fn(*args)
-        seconds.append(time.perf_counter() - tic)
-        residual_max = max(residual_max, sol.kkt.max())
-        return out
-
-    v_lifted = np.outer(init.v, init.v.conj())
-    r_x, _ = transmit_closed_form(init.v, a, g, k, p0)
-    trace.append(sdr_objective(r_x, v_lifted, a, g, k))
-    incumbent = (r_x, init.v, trace[0])
-
     status: Literal["converged", "max_iter"] = "max_iter"
-    f_prev = trace[0]
     iterations = 0
     for iterations in range(1, AO_MAX_ITER + 1):
-        v_lifted = half_step(irs_subproblem, r_x, a, g, k)
-        trace.append(sdr_objective(r_x, v_lifted, a, g, k))
-        r_x = transmit_eigen_form(v_lifted, a, g, k, p0)
-        if r_x is None:
-            r_x = half_step(transmit_subproblem, v_lifted, a, g, k, p0)
-        f_cur = sdr_objective(r_x, v_lifted, a, g, k)
-        trace.append(f_cur)
-        if abs(f_cur - f_prev) <= AO_TOL * max(1e-300, abs(f_prev)):
+        v_lifted, sol = irs_subproblem(r_x, a, g, k)
+        residual_max = max(residual_max, sol.kkt.max())
+        best = gaussian_randomization(v_lifted, r_x, a, g, k, samples, seed)
+        candidates = np.stack([best.v, v])
+        v = candidates[np.argmax(_profile_scores(kernels, candidates))]
+        r_x, _ = transmit_closed_form(v, a, g, k, p0)
+        kernels = _info_kernels(g, r_x, a, k)
+        trace.append(float(_profile_scores(kernels, v[None, :])[0]))
+        if trace[-1] - trace[-2] <= AO_TOL * trace[-2]:
             status = "converged"
             break
-        f_prev = f_cur
 
-    # Candidate unit-modulus profiles: randomization winner, the dominant
-    # eigenvector's phases and the initialization; the first best one wins.
-    best = gaussian_randomization(v_lifted, r_x, a, g, k, samples, seed)
-    w, q = np.linalg.eigh(_psd_clip(v_lifted))
-    candidates = np.stack([best.v, np.exp(1j * np.angle(q[:, -1])), init.v])
-    v_star = candidates[np.argmax(_profile_scores(_info_kernels(g, r_x, a, k),
-                                                  candidates))]
-
-    r_star, _ = transmit_closed_form(v_star, a, g, k, p0)
-    f_star = sdr_objective(r_star, np.outer(v_star, v_star.conj()), a, g, k)
-    if f_star < incumbent[2]:
-        r_star, v_star, f_star = incumbent
-
-    crb = crb_point_closed(scene, r_star, v_star, g, config)
     return AoResult(
-        R_x=r_star,
-        v=PhaseProfile(v=np.asarray(v_star)),
-        crb=crb,
+        R_x=r_x,
+        v=PhaseProfile(v=v),
+        crb=crb_point_closed(scene, r_x, v, g, config),
         objective_trace=trace,
         iterations=iterations,
         status=status,
-        iter_seconds=seconds,
         solver_residual_max=residual_max,
     )

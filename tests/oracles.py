@@ -111,22 +111,22 @@ def randomization_by_loop(v_lifted: np.ndarray, objective, samples: int,
     """Gaussian randomization scored one candidate at a time.
 
     Each draw takes its own two calls on ``rng`` (real parts, then
-    imaginary parts) and each candidate is scored by ``objective``, a map
-    from a unit-modulus vector to f; the first best candidate wins.  The
-    factor of V and the phase projection are formed as the library forms
-    them, so the candidates agree bit for bit and only the draw order and
-    the scoring are checked.
+    imaginary parts), the phases of V's dominant eigenvector follow the
+    draws, and each candidate is scored by ``objective``, a map from a
+    unit-modulus vector to f; the first best candidate wins.  The factor of
+    V (eigenvalues clipped at 0) and the phase projection are formed as the
+    library forms them, so the candidates agree bit for bit and only the
+    draw order and the scoring are checked.
     """
-    h = (v_lifted + v_lifted.conj().T) / 2.0
-    w, q = np.linalg.eigh(h)
-    if w.min() < 0.0:
-        w, q = np.linalg.eigh((q * np.maximum(w, 0.0)) @ q.conj().T)
+    w, q = np.linalg.eigh((v_lifted + v_lifted.conj().T) / 2.0)
     w, q = np.maximum(w[::-1], 0.0), q[:, ::-1]
-    n = h.shape[0]
+    n = q.shape[0]
     noise = np.array([(rng.standard_normal(n) + 1j * rng.standard_normal(n))
                       / np.sqrt(2.0) for _ in range(samples)])
+    cands = list(np.exp(1j * np.angle(noise @ (q * np.sqrt(w)).T)))
+    cands.append(np.exp(1j * np.angle(q[:, 0])))
     best_v, best_f = None, -np.inf
-    for cand in np.exp(1j * np.angle(noise @ (q * np.sqrt(w)).T)):
+    for cand in cands:
         f_val = objective(cand)
         if f_val > best_f:
             best_v, best_f = cand, f_val

@@ -11,12 +11,9 @@ from irscrb.pointcrb import (PhaseProfile, TransmitCovariance,
 
 from oracles import fd_fim_point, random_covariance, random_unit_profile
 
-RNG = np.random.default_rng(2024)
-
-
-def _random_instance(m, n, k, p0=1.0, rng=RNG):
+def _random_instance(rng, m, n):
     g = (rng.standard_normal((n, m)) + 1j * rng.standard_normal((n, m)))
-    r_x = random_covariance(rng, m, p0)
+    r_x = random_covariance(rng, m, 1.0)
     v = random_unit_profile(rng, n)
     theta = rng.uniform(-1.2, 1.2)
     return g, r_x, v, theta
@@ -24,7 +21,7 @@ def _random_instance(m, n, k, p0=1.0, rng=RNG):
 
 class TestDomainTypes:
     def test_covariance_accepts_valid(self):
-        r = random_covariance(RNG, 3, 2.0)
+        r = random_covariance(np.random.default_rng(2024), 3, 2.0)
         TransmitCovariance(matrix=r, budget=2.0)
 
     def test_covariance_rejects_non_hermitian(self):
@@ -60,14 +57,15 @@ class TestDomainTypes:
 
 class TestEffectiveMatrix:
     def test_rank_one(self):
-        g, r_x, v, theta = _random_instance(3, 5, 4)
+        g, r_x, v, theta = _random_instance(np.random.default_rng(2025), 3, 5)
         a = target_steering(theta, 5, 0.1, 0.2)
         b = target_steering(theta, 4, 0.1, 0.2)
         e = effective_matrix(b, a, v, g)
         assert np.linalg.matrix_rank(e, tol=1e-10) == 1
 
     def test_single_antenna_coherent_alignment(self):
-        h = RNG.standard_normal(6) + 1j * RNG.standard_normal(6)
+        rng = np.random.default_rng(2026)
+        h = rng.standard_normal(6) + 1j * rng.standard_normal(6)
         a = target_steering(0.4, 6, 0.1, 0.2)
         v = np.exp(-1j * (np.angle(a) + np.angle(h)))
         combined = (v * a) @ h.reshape(6, 1)
@@ -79,8 +77,9 @@ class TestEffectiveMatrix:
 
     def test_sensor_trace_identity(self):
         # tr(E R E^H) = K v^H Q v with Q the steered Gram matrix
+        rng = np.random.default_rng(2027)
         for _ in range(10):
-            g, r_x, v, theta = _random_instance(3, 5, 4)
+            g, r_x, v, theta = _random_instance(rng, 3, 5)
             a = target_steering(theta, 5, 0.1, 0.2)
             b = target_steering(theta, 4, 0.1, 0.2)
             e = effective_matrix(b, a, v, g)
@@ -91,8 +90,9 @@ class TestEffectiveMatrix:
 
     def test_trace_identities_with_derivative(self):
         d_hat, lam = 0.1, 0.2
+        rng = np.random.default_rng(2028)
         for _ in range(10):
-            g, r_x, v, theta = _random_instance(2, 4, 3)
+            g, r_x, v, theta = _random_instance(rng, 2, 4)
             a = target_steering(theta, 4, d_hat, lam)
             b = target_steering(theta, 3, d_hat, lam)
             e = effective_matrix(b, a, v, g)
