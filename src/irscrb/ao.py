@@ -2,16 +2,18 @@
 
 Minimizing the closed-form bound is equivalent to maximizing the reflected
 information measure f(R_x, V) of :mod:`irscrb.pointcrb` over the transmit
-covariance R_x and the lifted profile V = v v^H.  The optimizer alternates
-over unit-modulus designs.  At the current pair (R_x, v) it solves the
-reflection program, the semidefinite relaxation in V with the rank-one
-constraint dropped (the fractional term enters through a 2x2
-Schur-complement block), recovers unit-modulus candidates from its solution
-by Gaussian randomization, keeps the best of them and v at R_x, and gives
-the kept profile its closed-form transmit covariance.  Every iterate is
-thus a feasible design and f never decreases.  The transmit program at a
-lifted profile (:func:`transmit_subproblem`) stays available to callers
-that pose it; the optimizer solves none.
+covariance R_x and the lifted profile V = v v^H.  The optimizer returns a
+phase fixed point when a dual bound certifies it globally optimal, with no
+program solved.  Otherwise it alternates over unit-modulus designs.  At the
+current pair (R_x, v) it solves the reflection program, the semidefinite
+relaxation in V with the rank-one constraint dropped (the fractional term
+enters through a 2x2 Schur-complement block), recovers unit-modulus
+candidates from its solution by Gaussian randomization, keeps the best of
+them and v at R_x, and gives the kept profile its closed-form transmit
+covariance.  Every iterate is thus a feasible design and f never
+decreases.  The transmit program at a lifted profile
+(:func:`transmit_subproblem`) stays available to callers that pose it; the
+optimizer solves none.
 """
 
 from __future__ import annotations
@@ -27,7 +29,8 @@ from .config import PointTargetScene, SystemConfig, make_rng
 from .conic import ConicProgram, ConicSolution
 from .pointcrb import (DegenerateObjectiveError, PhaseProfile,
                        TransmitCovariance, _info_kernels, _info_measure,
-                       _profile_scores, crb_point_closed, profile_vector)
+                       _profile_scores, crb_point_closed, profile_vector,
+                       steered_gram)
 
 AO_TOL = 1e-6                     # relative objective gain that ends the AO
 AO_MAX_ITER = 50
@@ -37,6 +40,9 @@ SUBPROBLEM_TOL = 1e-9
 # Reflection solves of the optimizer stall at up to about 3e-9.
 SUBPROBLEM_FLOOR = 1e-8
 SUPREMUM_BEAM_SHARE = 1e-12       # power share left on b when f* is a supremum
+FIXED_POINT_MAX_ITER = 1000
+FIXED_POINT_ATOL = 1e-12          # largest phasor change that counts as a fixed point
+CERTIFICATE_RTOL = 1e-9           # relative gap to f_upper that certifies a design
 
 class SubproblemError(RuntimeError):
     """A beamforming subproblem did not reach an optimal solver status."""
@@ -52,6 +58,7 @@ class AoResult:
     objective_trace: list[float]
     iterations: int                     # reflection solves
     status: Literal["converged", "max_iter"]
+    f_upper: float                      # bound on f over every design
     solver_residual_max: float = 0.0    # worst KKT residual over the reflection solves
 
 
@@ -252,17 +259,49 @@ def default_phase_profile(g: np.ndarray, a: np.ndarray) -> PhaseProfile:
     return PhaseProfile.from_phases(-np.angle(a) - np.angle(image))
 
 
+def _design(v: np.ndarray, a: np.ndarray, g: np.ndarray, k: int, p0: float
+            ) -> tuple[TransmitCovariance, tuple, float]:
+    """Closed-form R_x of a unit-modulus profile, its kernels and f there."""
+    r_x, _ = transmit_closed_form(v, a, g, k, p0)
+    kernels = _info_kernels(g, r_x, a, k)
+    return r_x, kernels, float(_profile_scores(kernels, v[None, :])[0])
+
+
+def _phase_fixed_point(h: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, float]:
+    """Ascent v <- exp(i arg(H v)) on a PSD H, and a bound on max v^H H v.
+
+    The maximum is over unit-modulus v.  No step lowers v^H H v, as
+    (v' - v)^H H (v' - v) >= 0; the ascent ends at a fixed point or after
+    ``FIXED_POINT_MAX_ITER`` steps.  With y = |H v| the bound is
+    sum(y) + N max(0, -lambda_min(Diag(y) - H)), the value of a feasible
+    point of the dual of the unit-diagonal relaxation, so it holds for any
+    v; it equals v^H H v, which is then the global maximum, at a fixed point
+    where Diag(y) - H is PSD (So, Zhang & Ye 2007).
+    """
+    for _ in range(FIXED_POINT_MAX_ITER):
+        step = np.exp(1j * np.angle(h @ v))
+        if np.abs(step - v).max() <= FIXED_POINT_ATOL:
+            break
+        v = step
+    y = np.abs(h @ v)
+    shift = max(0.0, -np.linalg.eigvalsh(np.diag(y) - h)[0])
+    return v, float(y.sum() + y.shape[0] * shift)
+
+
 def ao_minimize_crb(scene: PointTargetScene, g: np.ndarray,
                     config: SystemConfig, init: PhaseProfile | None = None,
                     samples: int = 200, seed: int = 0) -> AoResult:
-    """Alternating minimization of the point-target DoA bound.
+    """Minimize the point-target DoA bound over transmit and reflection.
 
-    Starts from ``init`` with its closed-form transmit covariance.  Each
-    iteration solves the reflection program at the current R_x, scores at
-    R_x the randomization winner (``samples`` draws from ``seed``) and the
-    current profile, keeps the first best one and gives it its closed-form
-    transmit covariance.  The loop stops once f gains at most ``AO_TOL``
-    relative, or after ``AO_MAX_ITER`` iterations.
+    With Q = :func:`steered_gram` at R_x = I, :func:`transmit_closed_form`
+    gives f*(v) = P0 max((K^2 - 1)/3 v^H Q v, |w2|^2) and |w2|^2 <= v^H D Q D v.
+    So ``f_upper`` = P0 max((K^2 - 1)/3 U_Q, U_DQD) bounds f over all designs,
+    with U_Q and U_DQD the bounds of :func:`_phase_fixed_point` on Q from
+    ``init`` and on D Q D from the phases of its top eigenvector; without
+    U_DQD a supremum-branch design could beat it.  The Q fixed point is a
+    certified global optimum when its f is within ``CERTIFICATE_RTOL`` of
+    f_upper and at least f at ``init``.  Otherwise :func:`_alternate` runs
+    from ``init``, mostly where N > K or the channel has little line of sight.
     """
     g = np.asarray(g, dtype=complex)
     a = target_steering(scene.theta, config.N, config.spacing, config.wavelength)
@@ -270,10 +309,40 @@ def ao_minimize_crb(scene: PointTargetScene, g: np.ndarray,
         init = default_phase_profile(g, a)
     k, p0 = config.K, config.P0
 
-    v = init.v
-    r_x, _ = transmit_closed_form(v, a, g, k, p0)
-    kernels = _info_kernels(g, r_x, a, k)
-    trace = [float(_profile_scores(kernels, v[None, :])[0])]
+    q = steered_gram(g, np.eye(config.M), a)
+    idx = centered_index(config.N)
+    dqd = np.outer(idx, idx) * q
+    v, upper_q = _phase_fixed_point(q, init.v)
+    top = np.linalg.eigh(dqd)[1][:, -1]
+    _, upper_dqd = _phase_fixed_point(dqd, np.exp(1j * np.angle(top)))
+    f_upper = p0 * max((k ** 2 - 1) / 3.0 * upper_q, upper_dqd)
+    f_init = _design(init.v, a, g, k, p0)[2]
+    r_x, _, f_v = _design(v, a, g, k, p0)
+    if f_v >= max(f_upper * (1.0 - CERTIFICATE_RTOL), f_init):
+        trace, iterations, status, residual_max = [f_init, f_v], 0, "converged", 0.0
+    else:
+        v, r_x, trace, iterations, status, residual_max = _alternate(
+            init.v, a, g, k, p0, samples, seed)
+    return AoResult(R_x=r_x, v=PhaseProfile(v=v),
+                    crb=crb_point_closed(scene, r_x, v, g, config),
+                    objective_trace=trace, iterations=iterations, status=status,
+                    f_upper=f_upper, solver_residual_max=residual_max)
+
+
+def _alternate(v: np.ndarray, a: np.ndarray, g: np.ndarray, k: int, p0: float,
+               samples: int, seed: int):
+    """Alternating maximization of f from the unit-modulus profile ``v``.
+
+    Starts from ``v`` with its closed-form transmit covariance.  Each
+    iteration solves the reflection program at the current R_x, scores at
+    R_x the randomization winner (``samples`` draws from ``seed``) and the
+    current profile, keeps the first best one and gives it its closed-form
+    transmit covariance.  The loop stops once f gains at most ``AO_TOL``
+    relative, or after ``AO_MAX_ITER`` iterations.  Returns (v, R_x,
+    objective_trace, iterations, status, solver_residual_max).
+    """
+    r_x, kernels, f_v = _design(v, a, g, k, p0)
+    trace = [f_v]
     residual_max = 0.0
     status: Literal["converged", "max_iter"] = "max_iter"
     iterations = 0
@@ -283,19 +352,9 @@ def ao_minimize_crb(scene: PointTargetScene, g: np.ndarray,
         best = gaussian_randomization(v_lifted, r_x, a, g, k, samples, seed)
         candidates = np.stack([best.v, v])
         v = candidates[np.argmax(_profile_scores(kernels, candidates))]
-        r_x, _ = transmit_closed_form(v, a, g, k, p0)
-        kernels = _info_kernels(g, r_x, a, k)
-        trace.append(float(_profile_scores(kernels, v[None, :])[0]))
+        r_x, kernels, f_v = _design(v, a, g, k, p0)
+        trace.append(f_v)
         if trace[-1] - trace[-2] <= AO_TOL * trace[-2]:
             status = "converged"
             break
-
-    return AoResult(
-        R_x=r_x,
-        v=PhaseProfile(v=v),
-        crb=crb_point_closed(scene, r_x, v, g, config),
-        objective_trace=trace,
-        iterations=iterations,
-        status=status,
-        solver_residual_max=residual_max,
-    )
+    return v, r_x, trace, iterations, status, residual_max

@@ -1,5 +1,6 @@
 import time
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,18 +8,19 @@ import pytest
 import irscrb.ao
 from irscrb import conic
 from irscrb.ao import (SUBPROBLEM_FLOOR, SUBPROBLEM_TOL,
-                       DegenerateObjectiveError, SubproblemError, _checked,
-                       _psd_clip, ao_minimize_crb, default_phase_profile,
+                       DegenerateObjectiveError, SubproblemError, _alternate,
+                       _checked, _phase_fixed_point, _psd_clip,
+                       ao_minimize_crb, default_phase_profile,
                        gaussian_randomization, irs_subproblem, sdr_objective,
                        transmit_closed_form, transmit_subproblem)
 from irscrb.arrays import centered_index, target_steering
 from irscrb.channel import rician_channel
 from irscrb.config import PointTargetScene, SystemConfig, make_rng, point_scene
-from irscrb.conic import KktResiduals
+from irscrb.conic import ConicProgram, KktResiduals
 from irscrb.pointcrb import (TransmitCovariance, _bound_from_info,
                              _info_kernels, _profile_scores, crb_point_closed,
-                             single_antenna_optimum)
-from irscrb.sweep import reference_config
+                             single_antenna_optimum, steered_gram)
+from irscrb.sweep import load_config, reference_config, run_sweep
 
 from oracles import (exhaustive_phase_grid, parent_transmit_program,
                      point_bracket, random_covariance, random_unit_profile,
@@ -341,7 +343,8 @@ class TestAlternatingMinimizer:
         assert res.crb <= crb_init * (1 + 1e-9)
 
     def test_solver_residuals_recorded(self):
-        cfg = SystemConfig(M=2, N=3, K=4, T=16)
+        # K = 2 < N: this instance does not certify and runs the alternation
+        cfg = SystemConfig(M=2, N=3, K=2, T=16)
         scene = point_scene(cfg, 0.2)
         ch = rician_channel(cfg, seed=60)
         res = ao_minimize_crb(scene, ch.G, cfg, seed=6)
@@ -388,6 +391,106 @@ class TestAlternatingMinimizer:
                                                  a, ch.G, cfg.K), rel=1e-12)
         assert _bound_from_info(scene, cfg, cfg.K * f0) == pytest.approx(
             crb_point_closed(scene, r_init, init.v, ch.G, cfg), rel=1e-12)
+
+
+class TestCertifiedOptimum:
+    @staticmethod
+    def _unit_diagonal_sdr(h):
+        # max tr(H X) over diag X = 1, X PSD, posed directly at unit scale
+        n, scale = h.shape[0], np.abs(h).max()
+        program = ConicProgram([n])
+        program.set_objective({0: -h / scale})
+        for i in range(n):
+            e_ii = np.zeros((n, n))
+            e_ii[i, i] = 1.0
+            program.add_eq({0: e_ii}, 1.0)
+        sol = conic.solve(program, tol=1e-10)
+        assert sol.status == "optimal"
+        return -sol.objective * scale
+
+    @pytest.mark.parametrize("ascent", [False, True])
+    def test_fixed_point_bound_holds_from_any_start(self, monkeypatch, ascent):
+        # with no ascent step the bound comes from a random start; after the
+        # ascent it meets the relaxation wherever the fixed point certifies
+        if not ascent:
+            monkeypatch.setattr(irscrb.ao, "FIXED_POINT_MAX_ITER", 0)
+        tight = 0
+        for seed in range(6):
+            cfg = reference_config(M=4, N=8, K=8,
+                                   rician_factor=(10 ** 0.5, 0.0)[seed % 2])
+            g = rician_channel(cfg, seed=seed).G
+            a = target_steering(np.deg2rad(60.0), 8, cfg.spacing, cfg.wavelength)
+            h = steered_gram(g, np.eye(4), a)
+            start = random_unit_profile(np.random.default_rng(seed), 8)
+            v, upper = _phase_fixed_point(h, start)
+            sdr = self._unit_diagonal_sdr(h)
+            value = np.vdot(v, h @ v).real
+            assert value >= np.vdot(start, h @ start).real * (1 - 1e-12)
+            assert upper >= sdr * (1 - 1e-8) and sdr >= value * (1 - 1e-8)
+            tight += upper <= value * (1 + 1e-9)
+        assert tight == (6 if ascent else 0)
+
+    @pytest.mark.parametrize("rician_factor, seeds",
+                             [(10 ** 0.5, (1, 4, 5)), (1.0, (4, 7))])
+    def test_reference_size_runs_that_aborted_return(self, rician_factor, seeds):
+        # each alternation aborts on a reflection solve stalled at a KKT
+        # residual of 1.0e-8 to 2.1e-8; the fixed point certifies instead
+        cfg = reference_config(M=16, N=16, K=16, P0=1.0, rician_factor=rician_factor)
+        scene = point_scene(cfg, np.deg2rad(60.0))
+        for seed in seeds:
+            res = ao_minimize_crb(scene, rician_channel(cfg, seed=seed).G, cfg, seed=seed)
+            assert np.isfinite(res.crb) and res.crb > 0
+            assert res.iterations == 0 and res.status == "converged"
+
+    def test_certified_design_dominates_the_alternation(self):
+        # where the fast path certifies, the alternation it skips, run from
+        # the same start, does no better; alternations that abort are skipped
+        certified = aborted = 0
+        for m, n, k in [(4, 4, 4), (4, 8, 8), (8, 8, 8), (16, 16, 16)]:
+            cfg = reference_config(M=m, N=n, K=k, P0=1.0)
+            scene = point_scene(cfg, np.deg2rad(60.0))
+            a = target_steering(scene.theta, n, cfg.spacing, cfg.wavelength)
+            for seed in range(8):
+                g = rician_channel(cfg, seed=seed).G
+                res = ao_minimize_crb(scene, g, cfg, seed=seed)
+                if res.iterations > 0:
+                    continue
+                certified += 1
+                assert res.objective_trace[-1] >= res.f_upper * (1 - 1e-9)
+                try:
+                    v, r_x, *_ = _alternate(default_phase_profile(g, a).v, a, g, k,
+                                            cfg.P0, 200, seed)
+                except SubproblemError:
+                    aborted += 1
+                    continue
+                alternated = crb_point_closed(scene, r_x, v, g, cfg)
+                assert res.crb <= alternated * (1 + 1e-9)
+        print(f"\n{certified} of 32 certified; {aborted} alternations aborted")
+        assert certified - aborted >= 16      # most of the grid is compared
+
+    def test_shipped_point_config_takes_the_certified_path(self, monkeypatch):
+        runs = []
+
+        def recording(*args, **kwargs):
+            runs.append(ao_minimize_crb(*args, **kwargs))
+            return runs[-1]
+
+        monkeypatch.setattr(irscrb.sweep, "ao_minimize_crb", recording)
+        config = Path(__file__).resolve().parents[1] / "configs" / "point_p0.ini"
+        _, _, specs = load_config(str(config))
+        run_sweep(next(s for s in specs if s.scheme == "proposed_ao"))
+        assert len(runs) == 3
+        assert all(res.iterations == 0 for res in runs)
+
+    @pytest.mark.parametrize("m, n, k", [(4, 8, 2), (8, 16, 8), (8, 32, 4)])
+    def test_alternation_stays_below_the_bound(self, m, n, k):
+        # no line of sight and N > K: none of these certify
+        cfg = reference_config(M=m, N=n, K=k, P0=1.0, rician_factor=0.0)
+        scene = point_scene(cfg, np.deg2rad(60.0))
+        for seed in range(4):
+            res = ao_minimize_crb(scene, rician_channel(cfg, seed=seed).G, cfg, seed=seed)
+            assert res.iterations >= 1
+            assert res.objective_trace[-1] <= res.f_upper * (1 + 1e-9)
 
 
 class TestDefaultProfile:
@@ -464,7 +567,8 @@ def test_optimizer_run_through_a_stalled_reflection_solve(monkeypatch, residual)
 
     monkeypatch.setattr(irscrb.ao, "irs_subproblem",
                         lambda *args: irs_subproblem(*args, solver=stalled))
-    cfg = SystemConfig(M=4, N=8, K=8, T=64, P0=1.0)
+    # K = 2 < N: this instance does not certify and runs the alternation
+    cfg = SystemConfig(M=4, N=8, K=2, T=64, P0=1.0)
     ch = rician_channel(cfg, seed=7)
     scene = point_scene(cfg, np.deg2rad(60.0))
     if residual > SUBPROBLEM_FLOOR:
