@@ -2,22 +2,24 @@
 
 Minimizing the closed-form bound is equivalent to maximizing the reflected
 information measure f(R_x, V) of :mod:`irscrb.pointcrb` over the transmit
-covariance R_x and the lifted profile V = v v^H.  The optimizer returns a
-phase fixed point when a dual bound certifies it globally optimal, with no
-program solved.  Otherwise it alternates over unit-modulus designs.  At the
-current pair (R_x, v) it solves the reflection program, the semidefinite
-relaxation in V with the rank-one constraint dropped (the fractional term
-enters through a 2x2 Schur-complement block), recovers unit-modulus
-candidates from its solution by Gaussian randomization, keeps the best of
-them and v at R_x, and gives the kept profile its closed-form transmit
-covariance.  Every iterate is thus a feasible design and f never
-decreases.  The transmit program at a lifted profile
-(:func:`transmit_subproblem`) stays available to callers that pose it; the
-optimizer solves none.
+covariance R_x and the lifted profile V = v v^H.  At a fixed R_x,
+:func:`phase_ascent` climbs f over unit-modulus profiles and returns a dual
+bound with it.  :func:`best_reflection` keeps the ascent profile where the
+bound certifies it and otherwise takes a reflection step: it solves the
+semidefinite relaxation in V with the rank-one constraint dropped (the
+fractional term enters through a 2x2 Schur-complement block) and keeps the
+best of the profile and the unit-modulus candidates that Gaussian
+randomization recovers from the solution.  The optimizer returns a phase
+fixed point when a bound of the same kind certifies it, with no program
+solved.  Otherwise it alternates reflection steps with the closed-form
+transmit covariance of the kept profile, so every iterate is a feasible
+design and f never decreases.  The transmit program at a lifted profile
+(:func:`transmit_subproblem`) stays available; the optimizer solves none.
 """
 
 from __future__ import annotations
 
+import logging
 from dataclasses import dataclass
 from typing import Callable, Literal
 
@@ -43,6 +45,9 @@ SUPREMUM_BEAM_SHARE = 1e-12       # power share left on b when f* is a supremum
 FIXED_POINT_MAX_ITER = 1000
 FIXED_POINT_ATOL = 1e-12          # largest phasor change that counts as a fixed point
 CERTIFICATE_RTOL = 1e-9           # relative gap to f_upper that certifies a design
+
+_log = logging.getLogger(__name__)
+
 
 class SubproblemError(RuntimeError):
     """A beamforming subproblem did not reach an optimal solver status."""
@@ -267,25 +272,64 @@ def _design(v: np.ndarray, a: np.ndarray, g: np.ndarray, k: int, p0: float
     return r_x, kernels, float(_profile_scores(kernels, v[None, :])[0])
 
 
-def _phase_fixed_point(h: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, float]:
-    """Ascent v <- exp(i arg(H v)) on a PSD H, and a bound on max v^H H v.
+def phase_ascent(kernels: tuple[np.ndarray, np.ndarray, np.ndarray],
+                 v: np.ndarray) -> tuple[np.ndarray, float, float]:
+    """Ascent on f over unit-modulus profiles from ``v``, and a bound on f.
 
-    The maximum is over unit-modulus v.  No step lowers v^H H v, as
-    (v' - v)^H H (v' - v) >= 0; the ascent ends at a fixed point or after
-    ``FIXED_POINT_MAX_ITER`` steps.  With y = |H v| the bound is
-    sum(y) + N max(0, -lambda_min(Diag(y) - H)), the value of a feasible
-    point of the dual of the unit-diagonal relaxation, so it holds for any
-    v; it equals v^H H v, which is then the global maximum, at a fixed point
-    where Diag(y) - H is PSD (So, Zhang & Ye 2007).
+    With ``kernels`` (W, C, Q), f(v) is the minimum over u of v^H K(u) v,
+    K(u) = W + |u|^2 Q - conj(u) C - u C^H, at u = v^H C v / v^H Q v; K(u)
+    is PSD for :func:`_info_kernels` and is W when C = 0.  Steps v <- exp(i
+    arg(K(u) v)), each refreshing u, end before one that would lower f, at a
+    fixed point or after ``FIXED_POINT_MAX_ITER``.  With y = Re(conj(v) K(u)
+    v), sum(y) + N max(0, -lambda_min(Diag(y) - K(u))) is dual-feasible for
+    the unit-diagonal relaxation of max tr(K(u) V), so for any v it bounds
+    the relaxation of f; it equals f, then the global maximum, where
+    Diag(y) - K(u) is PSD (So, Zhang & Ye 2007).  Returns (v, f, bound).
     """
+    w, c, q = kernels
+
+    def at(v):
+        u = np.vdot(v, c @ v) / np.vdot(v, q @ v).real
+        k_u = w + abs(u) ** 2 * q - np.conj(u) * c - u * c.conj().T
+        k_v = k_u @ v
+        return np.vdot(v, k_v).real, k_u, k_v
+
+    f, k_u, k_v = at(v)
     for _ in range(FIXED_POINT_MAX_ITER):
-        step = np.exp(1j * np.angle(h @ v))
+        step = np.exp(1j * np.angle(k_v))
         if np.abs(step - v).max() <= FIXED_POINT_ATOL:
             break
-        v = step
-    y = np.abs(h @ v)
-    shift = max(0.0, -np.linalg.eigvalsh(np.diag(y) - h)[0])
-    return v, float(y.sum() + y.shape[0] * shift)
+        f_step, k_step, kv_step = at(step)
+        if f_step < f:
+            break
+        v, f, k_u, k_v = step, f_step, k_step, kv_step
+    y = (v.conj() * k_v).real
+    shift = max(0.0, -np.linalg.eigvalsh(np.diag(y) - k_u)[0])
+    return v, float(y.sum()), float(y.sum() + y.shape[0] * shift)
+
+
+def best_reflection(r_x, a: np.ndarray, g: np.ndarray, k: int, samples: int,
+                    seed: int) -> PhaseProfile:
+    """Profile for a fixed R_x: the :func:`phase_ascent` one from the phases of
+    Q's top eigenvector if its bound certifies it, else the reflection step
+    from it (``samples`` randomization draws from ``seed``)."""
+    kernels = _info_kernels(g, r_x, a, k)
+    top = np.linalg.eigh(kernels[2])[1][:, -1]
+    v, f, f_upper = phase_ascent(kernels, np.exp(1j * np.angle(top)))
+    if f < f_upper * (1.0 - CERTIFICATE_RTOL):
+        _log.debug("ascent relative gap %.3g; SDR fallback", 1.0 - f / f_upper)
+        v, _ = _reflection_step(v, r_x, kernels, a, g, k, samples, seed)
+    return PhaseProfile(v=v)
+
+
+def _reflection_step(v: np.ndarray, r_x, kernels: tuple, a: np.ndarray, g: np.ndarray,
+                     k: int, samples: int, seed: int) -> tuple[np.ndarray, float]:
+    """First best at R_x of the randomization winner of the reflection
+    program and v, and the solve's KKT residual."""
+    v_lifted, sol = irs_subproblem(r_x, a, g, k)
+    best = gaussian_randomization(v_lifted, r_x, a, g, k, samples, seed)
+    candidates = np.stack([best.v, v])
+    return candidates[np.argmax(_profile_scores(kernels, candidates))], sol.kkt.max()
 
 
 def ao_minimize_crb(scene: PointTargetScene, g: np.ndarray,
@@ -296,7 +340,7 @@ def ao_minimize_crb(scene: PointTargetScene, g: np.ndarray,
     With Q = :func:`steered_gram` at R_x = I, :func:`transmit_closed_form`
     gives f*(v) = P0 max((K^2 - 1)/3 v^H Q v, |w2|^2) and |w2|^2 <= v^H D Q D v.
     So ``f_upper`` = P0 max((K^2 - 1)/3 U_Q, U_DQD) bounds f over all designs,
-    with U_Q and U_DQD the bounds of :func:`_phase_fixed_point` on Q from
+    with U_Q and U_DQD the bounds of :func:`phase_ascent` on Q from
     ``init`` and on D Q D from the phases of its top eigenvector; without
     U_DQD a supremum-branch design could beat it.  The Q fixed point is a
     certified global optimum when its f is within ``CERTIFICATE_RTOL`` of
@@ -312,9 +356,9 @@ def ao_minimize_crb(scene: PointTargetScene, g: np.ndarray,
     q = steered_gram(g, np.eye(config.M), a)
     idx = centered_index(config.N)
     dqd = np.outer(idx, idx) * q
-    v, upper_q = _phase_fixed_point(q, init.v)
+    v, _, upper_q = phase_ascent((q, 0 * q, q), init.v)
     top = np.linalg.eigh(dqd)[1][:, -1]
-    _, upper_dqd = _phase_fixed_point(dqd, np.exp(1j * np.angle(top)))
+    _, _, upper_dqd = phase_ascent((dqd, 0 * q, q), np.exp(1j * np.angle(top)))
     f_upper = p0 * max((k ** 2 - 1) / 3.0 * upper_q, upper_dqd)
     f_init = _design(init.v, a, g, k, p0)[2]
     r_x, _, f_v = _design(v, a, g, k, p0)
@@ -334,11 +378,10 @@ def _alternate(v: np.ndarray, a: np.ndarray, g: np.ndarray, k: int, p0: float,
     """Alternating maximization of f from the unit-modulus profile ``v``.
 
     Starts from ``v`` with its closed-form transmit covariance.  Each
-    iteration solves the reflection program at the current R_x, scores at
-    R_x the randomization winner (``samples`` draws from ``seed``) and the
-    current profile, keeps the first best one and gives it its closed-form
-    transmit covariance.  The loop stops once f gains at most ``AO_TOL``
-    relative, or after ``AO_MAX_ITER`` iterations.  Returns (v, R_x,
+    iteration takes :func:`_reflection_step` at the current R_x (``samples``
+    draws from ``seed``) and gives the kept profile its closed-form transmit
+    covariance.  The loop stops once f gains at most ``AO_TOL`` relative, or
+    after ``AO_MAX_ITER`` iterations.  Returns (v, R_x,
     objective_trace, iterations, status, solver_residual_max).
     """
     r_x, kernels, f_v = _design(v, a, g, k, p0)
@@ -347,11 +390,8 @@ def _alternate(v: np.ndarray, a: np.ndarray, g: np.ndarray, k: int, p0: float,
     status: Literal["converged", "max_iter"] = "max_iter"
     iterations = 0
     for iterations in range(1, AO_MAX_ITER + 1):
-        v_lifted, sol = irs_subproblem(r_x, a, g, k)
-        residual_max = max(residual_max, sol.kkt.max())
-        best = gaussian_randomization(v_lifted, r_x, a, g, k, samples, seed)
-        candidates = np.stack([best.v, v])
-        v = candidates[np.argmax(_profile_scores(kernels, candidates))]
+        v, residual = _reflection_step(v, r_x, kernels, a, g, k, samples, seed)
+        residual_max = max(residual_max, residual)
         r_x, kernels, f_v = _design(v, a, g, k, p0)
         trace.append(f_v)
         if trace[-1] - trace[-2] <= AO_TOL * trace[-2]:

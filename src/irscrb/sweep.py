@@ -72,9 +72,9 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .allocation import allocate_optimal
-# transmit_subproblem is not called here; perfbench/tracing.py patches this name
-from .ao import (ao_minimize_crb, gaussian_randomization, irs_subproblem,
-                 transmit_closed_form, transmit_subproblem)
+# only perfbench/tracing.py uses the subproblems and the randomization here
+from .ao import (ao_minimize_crb, best_reflection, gaussian_randomization,
+                 irs_subproblem, transmit_closed_form, transmit_subproblem)
 from .arrays import target_steering
 from .channel import rician_channel
 from .config import (SystemConfig, db_to_linear, dbm_to_watt, derive_seed,
@@ -199,9 +199,8 @@ def _random_phase(cfg, ch, theta, seed, trial, samples) -> float:
 def _isotropic_tx(cfg, ch, theta, seed, trial, samples) -> float:
     a = target_steering(theta, cfg.N, cfg.spacing, cfg.wavelength)
     r_iso = (cfg.P0 / cfg.M) * np.eye(cfg.M, dtype=complex)
-    lifted, _ = irs_subproblem(r_iso, a, ch.G, cfg.K)
-    profile = gaussian_randomization(lifted, r_iso, a, ch.G, cfg.K, samples,
-                                     derive_seed(seed, trial, _RANDOMIZE))
+    profile = best_reflection(r_iso, a, ch.G, cfg.K, samples,
+                              derive_seed(seed, trial, _RANDOMIZE))
     return crb_point_closed(point_scene(cfg, theta), r_iso, profile.v, ch.G, cfg)
 
 

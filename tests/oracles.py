@@ -2,16 +2,18 @@
 
 Everything here is intentionally built from first principles (explicit
 model assembly, finite differences, grid refinement, projected gradient)
-rather than through the code paths under test.  The exception is
+rather than through the code paths under test.  The exceptions are
 ``parent_transmit_program``, which poses the library's own transmit program
-in its former inequality form.
+in its former inequality form, and ``parent_isotropic_profile``, the
+isotropic-transmit reflection design as it was made before the phase ascent.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from irscrb.ao import _schur_program, _transmit_kernels
+from irscrb.ao import (_schur_program, _transmit_kernels,
+                       gaussian_randomization, irs_subproblem)
 from irscrb.conic import ConicProgram
 
 
@@ -237,3 +239,14 @@ def parent_transmit_program(v_lifted: np.ndarray, a: np.ndarray, g: np.ndarray,
         program.add_eq(coeffs, rhs)
     program.add_eq({0: np.eye(m), 2: np.ones((1, 1))}, p0)
     return program
+
+
+def parent_isotropic_profile(r_x: np.ndarray, a: np.ndarray, g: np.ndarray,
+                             k: int, samples: int, seed: int) -> np.ndarray:
+    """The reflection SDR at ``r_x`` and its Gaussian randomization winner.
+
+    This is the whole reflection design of ``isotropic_tx`` before the
+    phase ascent, with the same draws for the same ``seed``.
+    """
+    lifted, _ = irs_subproblem(r_x, a, g, k)
+    return gaussian_randomization(lifted, r_x, a, g, k, samples, seed).v

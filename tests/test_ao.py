@@ -7,11 +7,11 @@ import pytest
 
 import irscrb.ao
 from irscrb import conic
-from irscrb.ao import (SUBPROBLEM_FLOOR, SUBPROBLEM_TOL,
+from irscrb.ao import (CERTIFICATE_RTOL, SUBPROBLEM_FLOOR, SUBPROBLEM_TOL,
                        DegenerateObjectiveError, SubproblemError, _alternate,
-                       _checked, _phase_fixed_point, _psd_clip,
-                       ao_minimize_crb, default_phase_profile,
-                       gaussian_randomization, irs_subproblem, sdr_objective,
+                       _checked, _psd_clip, ao_minimize_crb,
+                       default_phase_profile, gaussian_randomization,
+                       irs_subproblem, phase_ascent, sdr_objective,
                        transmit_closed_form, transmit_subproblem)
 from irscrb.arrays import centered_index, target_steering
 from irscrb.channel import rician_channel
@@ -422,9 +422,11 @@ class TestCertifiedOptimum:
             a = target_steering(np.deg2rad(60.0), 8, cfg.spacing, cfg.wavelength)
             h = steered_gram(g, np.eye(4), a)
             start = random_unit_profile(np.random.default_rng(seed), 8)
-            v, upper = _phase_fixed_point(h, start)
+            # kernels (h, 0, h): f = v^H h v and K(u) = h
+            v, f, upper = phase_ascent((h, np.zeros_like(h), h), start)
             sdr = self._unit_diagonal_sdr(h)
             value = np.vdot(v, h @ v).real
+            assert f == pytest.approx(value, rel=1e-12)
             assert value >= np.vdot(start, h @ start).real * (1 - 1e-12)
             assert upper >= sdr * (1 - 1e-8) and sdr >= value * (1 - 1e-8)
             tight += upper <= value * (1 + 1e-9)
@@ -491,6 +493,67 @@ class TestCertifiedOptimum:
             res = ao_minimize_crb(scene, rician_channel(cfg, seed=seed).G, cfg, seed=seed)
             assert res.iterations >= 1
             assert res.objective_trace[-1] <= res.f_upper * (1 + 1e-9)
+
+
+class TestPhaseAscent:
+    """The ascent on f at a fixed R_x and its dual bound."""
+
+    @staticmethod
+    def _isotropic(m, n, k, seed, rician_factor=10 ** 0.5):
+        cfg = reference_config(M=m, N=n, K=k, P0=1.0, rician_factor=rician_factor)
+        g = rician_channel(cfg, seed=seed).G
+        a = target_steering(np.deg2rad(60.0), n, cfg.spacing, cfg.wavelength)
+        r_iso = np.eye(m, dtype=complex) / m
+        return r_iso, a, g, _info_kernels(g, r_iso, a, k)
+
+    def test_bound_covers_the_exhaustive_grid(self):
+        rng = np.random.default_rng(2024)
+        for seed in range(10):
+            g, a, r_x, _ = _instance(3, 4, 4, seed=seed)
+            kernels = _info_kernels(g, r_x, a, 4)
+            _, f, upper = phase_ascent(kernels, random_unit_profile(rng, 4))
+
+            def objective(v):
+                w, c, q = (np.vdot(v, kern @ v) for kern in kernels)
+                return w.real - abs(c) ** 2 / q.real
+
+            grid_best = exhaustive_phase_grid(objective, 4, 16)
+            assert upper >= grid_best and upper >= f
+
+    def test_certified_value_is_the_relaxation_value(self):
+        certified = 0
+        for m, n, k in [(4, 8, 8), (8, 8, 8), (2, 4, 4), (1, 8, 8)]:
+            for seed in range(5):
+                r_iso, a, g, kernels = self._isotropic(m, n, k, seed)
+                top = np.linalg.eigh(kernels[2])[1][:, -1]
+                _, f, upper = phase_ascent(kernels, np.exp(1j * np.angle(top)))
+                if f < upper * (1 - CERTIFICATE_RTOL):
+                    continue
+                certified += 1
+                lifted, _ = irs_subproblem(r_iso, a, g, k)
+                assert f == pytest.approx(sdr_objective(r_iso, lifted, a, g, k),
+                                          rel=1e-9)
+        assert certified >= 10
+
+    @pytest.mark.parametrize("m, n, k, rician_factor",
+                             [(4, 8, 2, 0.0), (8, 16, 8, 0.0), (4, 8, 8, 10 ** 0.5)])
+    def test_never_below_the_start(self, monkeypatch, m, n, k, rician_factor):
+        rng = np.random.default_rng(31)
+        for seed in range(5):
+            _, _, _, kernels = self._isotropic(m, n, k, seed, rician_factor)
+            start = random_unit_profile(rng, n)
+            v, f, upper = phase_ascent(kernels, start)
+            with monkeypatch.context() as patch:
+                patch.setattr(irscrb.ao, "FIXED_POINT_MAX_ITER", 0)
+                _, f_start, _ = phase_ascent(kernels, start)
+            assert f_start == pytest.approx(
+                _profile_scores(kernels, start[None, :])[0], rel=1e-12)
+            assert f >= f_start
+            assert f == pytest.approx(_profile_scores(kernels, v[None, :])[0],
+                                      rel=1e-12)
+            assert upper >= f
+            # from where it stopped, the ascent takes no step that lowers f
+            assert phase_ascent(kernels, v)[1] >= f
 
 
 class TestDefaultProfile:

@@ -1,14 +1,22 @@
 import logging
+from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import irscrb.ao
 import irscrb.sweep
-from irscrb.ao import SubproblemError
-from irscrb.config import SystemConfig, dbm_to_watt
-from irscrb.sweep import (AO_SAMPLES, SCHEMES, Scheme, SweepRecord, SweepSpec,
-                          _config_for, _run_trial, emit_csv, load_config,
-                          read_csv, reference_config, run_sweep)
+from irscrb.ao import SubproblemError, phase_ascent
+from irscrb.arrays import target_steering
+from irscrb.channel import rician_channel
+from irscrb.config import SystemConfig, dbm_to_watt, derive_seed, point_scene
+from irscrb.pointcrb import _info_kernels, crb_point_closed
+from irscrb.sweep import (_RANDOMIZE, AO_SAMPLES, SCHEMES, Scheme, SweepRecord,
+                          SweepSpec, _config_for, _run_trial, emit_csv,
+                          load_config, read_csv, reference_config, run_sweep)
+
+from oracles import parent_isotropic_profile
 
 THETA = np.deg2rad(60.0)
 
@@ -214,6 +222,64 @@ class TestUnitPower:
         assert record.getMessage() == (
             "random_phase failed at P0=0.1 M=2 N=4 K=4, seed 11, trial 0: "
             "SubproblemError: transmit solve ended max_iter, kkt 3.0e-07")
+
+
+class TestIsotropicTx:
+    """isotropic_tx: certified phase ascent, the SDR only where it fails."""
+
+    @pytest.mark.parametrize("m, n, k", [(4, 8, 8), (8, 8, 8), (4, 8, 2),
+                                         (8, 16, 8), (2, 4, 4), (1, 8, 8)])
+    def test_never_worse_than_the_relaxation_and_randomization(self, m, n, k):
+        for rician_factor in (10 ** 0.5, 0.0):
+            cfg = reference_config(M=m, N=n, K=k, P0=1.0, rician_factor=rician_factor)
+            a = target_steering(THETA, n, cfg.spacing, cfg.wavelength)
+            r_iso = np.eye(m, dtype=complex) / m
+            for seed in range(5):
+                ch = rician_channel(cfg, seed=seed)
+                crb = SCHEMES["isotropic_tx"].evaluate(cfg, ch, THETA, seed, 0,
+                                                       AO_SAMPLES)
+                v = parent_isotropic_profile(r_iso, a, ch.G, k, AO_SAMPLES,
+                                             derive_seed(seed, 0, _RANDOMIZE))
+                parent = crb_point_closed(point_scene(cfg, THETA), r_iso, v, ch.G, cfg)
+                assert crb <= parent * (1 + 1e-9)
+                # the fallback keeps the ascent profile when it scores higher
+                kernels = _info_kernels(ch.G, r_iso, a, k)
+                top = np.linalg.eigh(kernels[2])[1][:, -1]
+                v = phase_ascent(kernels, np.exp(1j * np.angle(top)))[0]
+                ascent = crb_point_closed(point_scene(cfg, THETA), r_iso, v, ch.G, cfg)
+                assert crb <= ascent * (1 + 1e-12)
+
+    @staticmethod
+    def _solves(monkeypatch, spec, trial):
+        calls = []
+        solve = irscrb.ao.irs_subproblem
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return solve(*args, **kwargs)
+
+        monkeypatch.setattr(irscrb.ao, "irs_subproblem", counted)
+        crb, status = _run_trial(spec, replace(spec.base, P0=1.0), trial)
+        assert status == "ok" and np.isfinite(crb)
+        return len(calls)
+
+    def test_certified_trial_solves_no_program(self, monkeypatch, caplog):
+        config = Path(__file__).resolve().parents[1] / "configs" / "point_p0.ini"
+        _, _, specs = load_config(str(config))
+        spec = next(s for s in specs if s.scheme == "isotropic_tx")
+        with caplog.at_level(logging.DEBUG, logger="irscrb.ao"):
+            assert self._solves(monkeypatch, spec, 2) == 0
+        assert not [r for r in caplog.records if r.name == "irscrb.ao"]
+
+    def test_uncertified_trial_solves_one_program_and_logs_its_gap(self, monkeypatch,
+                                                                   caplog):
+        spec = _spec(scheme="isotropic_tx", base=reference_config(M=4, N=8, K=2))
+        with caplog.at_level(logging.DEBUG, logger="irscrb.ao"):
+            assert self._solves(monkeypatch, spec, 0) == 1
+        messages = [r.getMessage() for r in caplog.records if r.name == "irscrb.ao"]
+        assert len(messages) == 1 and "SDR fallback" in messages[0]
+        gap = float(messages[0].split("gap ")[1].split(";")[0])
+        assert 0.0 < gap < 1.0
 
 
 class TestCsv:
