@@ -40,7 +40,6 @@ from dataclasses import dataclass, field
 from typing import Literal
 
 import numpy as np
-from scipy.linalg.lapack import dpotrf, dpotrs
 
 DEFAULT_TOL = 1e-8
 DEFAULT_MAX_ITER = 200
@@ -234,9 +233,9 @@ def _chol(mat: np.ndarray) -> np.ndarray:
         raise
 
 
-def _max_steps(lam: np.ndarray, dx: np.ndarray, ds: np.ndarray) -> list[float]:
-    """Largest steps keeping diag(lam) + alpha * dx and + alpha * ds positive definite."""
-    root = 1.0 / np.sqrt(lam)
+def _max_steps(root: np.ndarray, dx: np.ndarray, ds: np.ndarray) -> list[float]:
+    """Largest steps keeping diag(lam) + alpha * dx and + alpha * ds positive
+    definite, given ``root = 1 / sqrt(lam)``."""
     ev_mins = np.linalg.eigvalsh(root[:, None] * np.array((dx, ds)) * root[None, :])
     return [1.0 if ev >= -1e-14 else min(1.0, -STEP_FRACTION / ev)
             for ev in ev_mins.min(axis=1).tolist()]
@@ -250,19 +249,11 @@ def _finite(vec: np.ndarray) -> np.ndarray:
 
 
 def _cholesky_solver(mat: np.ndarray):
-    """Solve with an upper Cholesky factor of ``mat`` (LAPACK potrf/potrs)."""
-    factor, info = dpotrf(_finite(mat), lower=0, clean=0, overwrite_a=0)
-    if info > 0:
-        raise np.linalg.LinAlgError(
-            f"{info}-th leading minor of the array is not positive definite")
-    if info < 0:
-        raise ValueError(f"illegal value in {-info}th argument of internal potrf")
+    """Solve with the lower Cholesky factor L of ``mat``: L z = rhs, then L^T x = z."""
+    low = np.linalg.cholesky(_finite(mat))
 
     def solve_with(rhs: np.ndarray) -> np.ndarray:
-        out, info = dpotrs(factor, _finite(rhs), lower=0, overwrite_b=0)
-        if info != 0:
-            raise ValueError(f"illegal value in {-info}th argument of internal potrs")
-        return out
+        return np.linalg.solve(low.T, np.linalg.solve(low, _finite(rhs)))
     return solve_with
 
 
@@ -291,6 +282,7 @@ def solve(program: ConicProgram, tol: float = DEFAULT_TOL) -> ConicSolution:
     x = x0 * np.eye(n, dtype=c_mat.dtype)
     s = s0 * np.eye(n, dtype=c_mat.dtype)
     y = np.zeros(m)
+    eye_n, eye_m = np.eye(n), np.eye(m)
 
     status: Literal["optimal", "max_iter", "infeasible"] = "max_iter"
     iterations = 0
@@ -340,7 +332,7 @@ def solve(program: ConicProgram, tol: float = DEFAULT_TOL) -> ConicSolution:
             f_real = f.reshape(m, -1).view(float)
             schur = f_real @ f_real.T
             reg = 1e-14 * max(schur.diagonal().max(), 1.0)
-            schur_cho = _cholesky_solver(schur + reg * np.eye(m))
+            schur_cho = _cholesky_solver(schur + reg * eye_m)
 
             def newton(theta: np.ndarray):
                 """Direction for a scaled centering residual theta."""
@@ -350,21 +342,24 @@ def solve(program: ConicProgram, tol: float = DEFAULT_TOL) -> ConicSolution:
                     dy = dy + schur_cho(rhs_y - schur @ dy)
                 ds = rd - _adjoint(dy, a_stack)
                 ds_scaled = g_h @ ds @ g
-                dx_scaled = theta - ds_scaled
-                return dy, ds, g @ dx_scaled @ g_h, dx_scaled, ds_scaled
+                return dy, ds, theta - ds_scaled, ds_scaled
+
+            lam_mat, lam_sq = np.diag(lam), np.diag(lam ** 2)
+            root = 1.0 / np.sqrt(lam)
 
             # Predictor: pure affine step (sigma = 0).
-            _, _, _, dxs_aff, dss_aff = newton(_lyapunov_rhs(lam, -np.diag(lam ** 2)))
-            alpha_p, alpha_d = _max_steps(lam, dxs_aff, dss_aff)
-            mu_aff = float(_inner(np.diag(lam) + alpha_p * dxs_aff,
-                                  np.diag(lam) + alpha_d * dss_aff)) / n
+            _, _, dxs_aff, dss_aff = newton(_lyapunov_rhs(lam, -lam_sq))
+            alpha_p, alpha_d = _max_steps(root, dxs_aff, dss_aff)
+            mu_aff = float(_inner(lam_mat + alpha_p * dxs_aff,
+                                  lam_mat + alpha_d * dss_aff)) / n
             sigma = min(1.0, max(mu_aff / mu, 0.0) ** 3)
 
             # Corrector with the Mehrotra second-order term.
-            resid = (sigma * mu * np.eye(n) - np.diag(lam ** 2)
+            resid = (sigma * mu * eye_n - lam_sq
                      - _hermitian_part(dxs_aff @ dss_aff))
-            dy, ds, dx, dxs, dss = newton(_lyapunov_rhs(lam, resid))
-            alpha_p, alpha_d = _max_steps(lam, dxs, dss)
+            dy, ds, dxs, dss = newton(_lyapunov_rhs(lam, resid))
+            alpha_p, alpha_d = _max_steps(root, dxs, dss)
+            dx = g @ dxs @ g_h
         except np.linalg.LinAlgError:
             break    # numerical floor; fall back to the best iterate seen
 

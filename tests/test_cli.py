@@ -28,6 +28,43 @@ seed = 5
 alpha_draws = 5
 """
 
+# isotropic_tx trial 0 of this config solves one reflection SDR
+ISOTROPIC_TX_CONFIG = """
+[system]
+m = 4
+n = 8
+k = 2
+p0_dbm = 30
+
+[scene]
+theta_deg = 60
+
+[sweep]
+vary = P0
+values = 30
+schemes = isotropic_tx
+trials = 1
+seed = 11
+alpha_draws = 5
+"""
+
+# Counts the reflection SDRs of one sweep and lists scipy modules loaded by it.
+SWEEP_WITHOUT_SCIPY = """
+import sys
+import irscrb.ao
+from irscrb.cli import cli_main
+
+solve, calls = irscrb.ao.irs_subproblem, []
+
+def counted(*args, **kwargs):
+    calls.append(1)
+    return solve(*args, **kwargs)
+
+irscrb.ao.irs_subproblem = counted
+rc = cli_main(["sweep", "--config", sys.argv[1], "--out", sys.argv[2]])
+print(rc, len(calls), sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+"""
+
 DEFICIENT_EXTENDED_CONFIG = """
 [system]
 m = 2
@@ -170,3 +207,19 @@ def test_module_entry_point_runs_without_runpy_warning():
     assert proc.returncode == 0
     assert "optimal" in proc.stdout
     assert "RuntimeWarning" not in proc.stderr
+
+
+def test_sweep_solving_an_sdp_never_imports_scipy(tmp_path):
+    # the package depends on numpy alone; loading scipy.linalg would add
+    # about 0.3 s and 20 MiB to every irscrb process
+    cfg = tmp_path / "iso.ini"
+    cfg.write_text(ISOTROPIC_TX_CONFIG)
+    src = str(Path(irscrb.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-c", SWEEP_WITHOUT_SCIPY, str(cfg), str(tmp_path / "out.csv")],
+        capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    # exit code 0, one reflection SDR solved, no scipy module loaded
+    assert proc.stdout.splitlines()[-1] == "0 1 []"

@@ -5,7 +5,7 @@ import pytest
 from scipy.linalg import block_diag
 
 from irscrb.conic import (ConicProgram, ConicSolution, KktResiduals, _adjoint,
-                          _inner, kkt_residuals, solve)
+                          _cholesky_solver, _inner, kkt_residuals, solve)
 
 from oracles import dual_grid_sdp
 
@@ -170,6 +170,28 @@ class TestSolve:
     def test_rejects_bad_block_order(self):
         with pytest.raises(ValueError, match="block order"):
             ConicProgram([0])
+
+
+class TestCholeskySolver:
+    @pytest.mark.parametrize("m", [3, 11, 67])
+    def test_spd_systems_are_solved_to_rounding(self, m):
+        rng = np.random.default_rng(m)
+        b = rng.standard_normal((m, m))
+        mat = b @ b.T + m * np.eye(m)
+        solve_with = _cholesky_solver(mat)
+        for _ in range(3):   # one factor serves every right-hand side
+            rhs = rng.standard_normal(m)
+            x = solve_with(rhs)
+            assert np.linalg.norm(mat @ x - rhs) <= 1e-12 * np.linalg.norm(rhs)
+
+    def test_indefinite_matrix_raises_linalg_error(self):
+        with pytest.raises(np.linalg.LinAlgError):
+            _cholesky_solver(np.diag([2.0, -1.0, 3.0]))
+
+    def test_non_finite_right_hand_side_raises(self):
+        solve_with = _cholesky_solver(np.eye(3))
+        with pytest.raises(ValueError, match="infs or NaNs"):
+            solve_with(np.array([1.0, np.nan, 0.0]))
 
 
 class TestKktResiduals:
