@@ -41,6 +41,8 @@ SUBPROBLEM_TOL = 1e-9
 # residual is at most this; the residual stays on the returned solution.
 # Reflection solves of the optimizer stall at up to about 3e-9.
 SUBPROBLEM_FLOOR = 1e-8
+# memory: a stack copy holds (N + 3)(N + 2)^2 complex entries, 35 MB at N = 128
+MAX_REFLECTION_N = 128
 SUPREMUM_BEAM_SHARE = 1e-12       # power share left on b when f* is a supremum
 FIXED_POINT_MAX_ITER = 1000
 FIXED_POINT_ATOL = 1e-12          # largest phasor change that counts as a fixed point
@@ -189,6 +191,9 @@ def irs_subproblem(r_x, a: np.ndarray, g: np.ndarray, k: int,
                    ) -> tuple[np.ndarray, ConicSolution]:
     """Best lifted reflection profile for a fixed transmit covariance, and its solve."""
     n = np.asarray(a).shape[0]
+    if n > MAX_REFLECTION_N:
+        raise SubproblemError(f"reflection program at N = {n} > {MAX_REFLECTION_N} needs "
+                              f"{16e-9 * (n + 3) * (n + 2) ** 2:.2g} GB a stack copy")
     program = _schur_program(*_info_kernels(g, r_x, a, k), order=n)
     for i in range(n):
         e_ii = np.zeros((n, n))

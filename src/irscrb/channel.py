@@ -7,6 +7,9 @@ import numpy as np
 from .arrays import large_scale_path_loss, target_steering
 from .config import ChannelRealization, SystemConfig, make_rng
 
+DRAW_FIELDS = ("M", "N", "wavelength", "spacing", "d_bi", "c0", "alpha_bi",
+               "rician_factor", "los_aod", "los_aoa")
+
 
 def rician_channel(config: SystemConfig, seed: int) -> ChannelRealization:
     """Draw the BS-IRS channel G = rho * (sqrt(b/(b+1)) * LoS + sqrt(1/(b+1)) * NLoS).
@@ -15,7 +18,8 @@ def rician_channel(config: SystemConfig, seed: int) -> ChannelRealization:
     is the rank-one outer product of the IRS arrival and BS departure
     responses (angles from the config, zero by default), and the NLoS
     component has i.i.d. standard circular Gaussian entries.  The draw is a
-    pure function of ``(config, seed)``.
+    pure function of ``seed`` and ``DRAW_FIELDS``: M, N, the wavelength and
+    spacing, d_bi, c0, alpha_bi, the Rician factor and the LoS angles.
     """
     rho = np.sqrt(large_scale_path_loss(config.d_bi, config.alpha_bi, config.c0))
     a_irs = target_steering(config.los_aoa, config.N, config.spacing, config.wavelength)

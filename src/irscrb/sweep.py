@@ -1,7 +1,7 @@
 """Config-driven parameter sweeps over the estimation bounds.
 
 A sweep varies one system quantity over a value list, draws seeded channel
-(and fading) realizations per point, evaluates one bounding scheme and
+(and fading) realizations per trial, evaluates one bounding scheme and
 averages over trials.  Draw seeds depend only on ``(seed, trial)``, never on
 the swept value or the scheme, so curves over the same seed are paired
 point-by-point and dropping a trial leaves the others untouched.
@@ -49,9 +49,11 @@ the scheme with those counts.
 
 Every bound is homogeneous of degree -1 in the transmit budget, so each
 trial is evaluated at ``P0 = 1 W`` and a row's mean is scaled by ``1/P0``.
-Consecutive values with the same unit-power config reuse the trial results:
-a ``P0`` sweep solves each trial once, and its later rows' ``wall_ms``
-counts only their scaling, so the solve time sits on the first row.
+Values with the same unit-power config reuse the trial results, so a ``P0``
+sweep solves each trial once.  Each trial's channel seed and fading factor are
+drawn once per sweep, and its channel once per distinct ``DRAW_FIELDS`` (once
+for a ``K`` sweep), by the first row that needs it; ``wall_ms`` counts a
+row's own draws, solves and scaling.
 
 The CSV contract: header ``vary,value,scheme,crb,crb_db,trials,status,
 wall_ms``, one row per (value, scheme), floats in full-precision scientific
@@ -64,6 +66,7 @@ from __future__ import annotations
 
 import configparser
 import csv
+import functools
 import logging
 import time
 from dataclasses import dataclass, replace
@@ -76,7 +79,7 @@ from .allocation import allocate_optimal
 from .ao import (ao_minimize_crb, best_reflection, gaussian_randomization,
                  irs_subproblem, transmit_closed_form, transmit_subproblem)
 from .arrays import target_steering
-from .channel import rician_channel
+from .channel import DRAW_FIELDS, rician_channel
 from .config import (SystemConfig, db_to_linear, dbm_to_watt, derive_seed,
                      make_rng, point_scene)
 from .extended import (EstimabilityError, FullyPassiveConfig, crb_extended_iso,
@@ -252,36 +255,49 @@ def _alpha_factor(spec: SweepSpec, trial: int) -> float:
     return float(np.mean(1.0 / np.abs(a0) ** 2))
 
 
+def _trial_runner(spec: SweepSpec) -> Callable[[SystemConfig, int], tuple[float, str]]:
+    """``run(cfg, trial)`` for one sweep, keeping results and draws: a trial's
+    channel seed and fading factor, and its channel per ``DRAW_FIELDS``."""
+    channels = {}
+    seed = functools.cache(lambda trial: derive_seed(spec.seed, trial, _CHANNEL))
+    alpha = functools.cache(lambda trial: _alpha_factor(spec, trial))
+    @functools.cache
+    def run(cfg: SystemConfig, trial: int) -> tuple[float, str]:
+        scheme = SCHEMES[spec.scheme]
+        try:
+            key = (trial, *(getattr(cfg, name) for name in DRAW_FIELDS))
+            if key not in channels:
+                channels[key] = rician_channel(cfg, seed=seed(trial))
+            crb = scheme.evaluate(cfg, channels[key], spec.theta, spec.seed, trial,
+                                  spec.ao_samples)
+            if scheme.target == "point" and np.isfinite(crb):
+                crb *= alpha(trial)
+        except EstimabilityError:
+            return float("inf"), "rank_deficient"
+        except (ArithmeticError, RuntimeError) as exc:
+            _log.warning("%s failed at P0=%g M=%d N=%d K=%d, seed %d, trial %d: %s: %s",
+                         spec.scheme, cfg.P0, cfg.M, cfg.N, cfg.K, spec.seed, trial,
+                         type(exc).__name__, exc)
+            return float("nan"), f"error:{type(exc).__name__}"
+        if not np.isfinite(crb):
+            return float("inf"), "rank_deficient"
+        return float(crb), "ok"
+    return run
+
+
 def _run_trial(spec: SweepSpec, cfg: SystemConfig, trial: int) -> tuple[float, str]:
-    scheme = SCHEMES[spec.scheme]
-    try:
-        ch = rician_channel(cfg, seed=derive_seed(spec.seed, trial, _CHANNEL))
-        crb = scheme.evaluate(cfg, ch, spec.theta, spec.seed, trial, spec.ao_samples)
-        if scheme.target == "point" and np.isfinite(crb):
-            crb *= _alpha_factor(spec, trial)
-    except EstimabilityError:
-        return float("inf"), "rank_deficient"
-    except (ArithmeticError, RuntimeError) as exc:
-        _log.warning("%s failed at P0=%g M=%d N=%d K=%d, seed %d, trial %d: %s: %s",
-                     spec.scheme, cfg.P0, cfg.M, cfg.N, cfg.K, spec.seed, trial,
-                     type(exc).__name__, exc)
-        return float("nan"), f"error:{type(exc).__name__}"
-    if not np.isfinite(crb):
-        return float("inf"), "rank_deficient"
-    return float(crb), "ok"
+    return _trial_runner(spec)(cfg, trial)
 
 
 def run_sweep(spec: SweepSpec) -> list[SweepRecord]:
     """Evaluate the scheme over all (value, trial) items at 1 W, average, scale by 1/P0."""
     records = []
-    unit_cfg = results = None
+    run = _trial_runner(spec)
     for value in spec.values:
         cfg = _config_for(spec, value)
         tic = time.perf_counter()
         unit = replace(cfg, P0=1.0)
-        if unit != unit_cfg:
-            unit_cfg = unit
-            results = [_run_trial(spec, unit_cfg, trial) for trial in range(spec.trials)]
+        results = [run(unit, trial) for trial in range(spec.trials)]
         statuses = [status for _, status in results]
         if any(s.startswith("error") for s in statuses):
             status = next(s for s in statuses if s.startswith("error"))

@@ -1,4 +1,5 @@
 import time
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
@@ -7,7 +8,8 @@ import pytest
 
 import irscrb.ao
 from irscrb import conic
-from irscrb.ao import (CERTIFICATE_RTOL, SUBPROBLEM_FLOOR, SUBPROBLEM_TOL,
+from irscrb.ao import (CERTIFICATE_RTOL, MAX_REFLECTION_N, SUBPROBLEM_FLOOR,
+                       SUBPROBLEM_TOL,
                        DegenerateObjectiveError, SubproblemError, _alternate,
                        _checked, _psd_clip, ao_minimize_crb,
                        default_phase_profile, gaussian_randomization,
@@ -162,15 +164,16 @@ class TestTransmitSubproblem:
 
     @pytest.mark.parametrize("seed", [2, 5])
     def test_unit_power_program_is_the_same_at_every_budget(self, seed):
-        # under tr X <= P0 at P0 = 100 W these two programs end above the
-        # acceptance floor; at unit power they meet it, and the program and
-        # its solution do not depend on the budget
+        # under tr X <= P0 at P0 = 1e4 W these two programs end above the
+        # acceptance floor (KKT residuals 1.7e-7 to 7.3e-7 under four exact
+        # forms of the Schur solve); at unit power they meet it, and the
+        # program and its solution do not depend on the budget
         v, a, g, _ = _random_phase_instance(16, 4, seed)
         lifted = np.outer(v, v.conj())
         with pytest.raises(SubproblemError):
-            _parent_transmit_solve(lifted, a, g, 4, 100.0)
+            _parent_transmit_solve(lifted, a, g, 4, 1e4)
         blocks = []
-        for p0 in (0.01, 1.0, 100.0):
+        for p0 in (0.01, 1.0, 100.0, 1e4):
             r_x, sol = transmit_subproblem(lifted, a, g, 4, p0)
             assert sol.kkt.max() <= SUBPROBLEM_FLOOR
             assert np.trace(r_x.matrix).real == pytest.approx(p0, rel=1e-12)
@@ -235,6 +238,37 @@ class TestIrsSubproblem:
         np.testing.assert_allclose(lifted, [[1.0]], atol=1e-8)
         direct = sdr_objective(r_x, np.array([[1.0 + 0j]]), a, g, 4)
         assert sdr_objective(r_x, lifted, a, g, 4) == pytest.approx(direct, rel=1e-8)
+
+    def test_oversized_program_is_refused_before_it_is_built(self):
+        # at N = 480 the constraint stack alone would take 1.8 GB a copy
+        n = 480
+        a, g, r_x = np.ones(n, dtype=complex), np.ones((n, 2), dtype=complex), np.eye(2)
+
+        def solver(program, **kwargs):
+            raise AssertionError("the program reached the solver")
+
+        tracemalloc.start()
+        try:
+            with pytest.raises(SubproblemError, match=r"N = 480 > 128 needs 1\.8 GB"):
+                irs_subproblem(r_x, a, g, 4, solver=solver)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1e6
+
+    def test_largest_accepted_program_reaches_the_solver(self):
+        n = MAX_REFLECTION_N
+        a, g, r_x = np.ones(n, dtype=complex), np.ones((n, 2), dtype=complex), np.eye(2)
+
+        class Reached(Exception):
+            pass
+
+        def solver(program, **kwargs):
+            assert program.blocks == [n, 2] and len(program.eq) == n + 3
+            raise Reached
+
+        with pytest.raises(Reached):
+            irs_subproblem(r_x, a, g, 4, solver=solver)
 
 
 class TestGaussianRandomization:
@@ -604,9 +638,10 @@ def test_subproblems_solve_native_hermitian_blocks():
 
 def test_desk_scale_run_through_a_stalled_transmit_solve():
     # the transmit program of channel 0's initial profile, posed with
-    # tr X <= P0 at P0 = 100 W, stalls at a KKT residual near 1.1e-9; the
-    # optimizer takes that step in closed form
-    cfg = SystemConfig(M=8, N=16, K=8, T=64, P0=100.0)
+    # tr X <= P0 at P0 = 1e4 W, stalls at a KKT residual of 3.0e-9 to 3.2e-9
+    # under four exact forms of the Schur solve; the optimizer takes that
+    # step in closed form
+    cfg = SystemConfig(M=8, N=16, K=8, T=64, P0=1e4)
     scene = point_scene(cfg, np.deg2rad(60.0))
     ch = rician_channel(cfg, seed=0)
     a = target_steering(scene.theta, cfg.N, cfg.spacing, cfg.wavelength)

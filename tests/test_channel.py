@@ -1,8 +1,10 @@
+from dataclasses import fields, replace
+
 import numpy as np
 import pytest
 
 from irscrb.arrays import large_scale_path_loss
-from irscrb.channel import rician_channel
+from irscrb.channel import DRAW_FIELDS, rician_channel
 from irscrb.config import SystemConfig
 
 
@@ -61,3 +63,21 @@ def test_los_angles_shift_the_dyad():
     ch = rician_channel(cfg, seed=4)
     assert abs(ch.G[0, 0] / ch.G[1, 1]) == pytest.approx(1.0, rel=1e-3)
     assert not np.allclose(ch.G[0, 0], ch.G[1, 0], atol=1e-12)
+
+
+def test_draw_reads_exactly_its_fields():
+    # a sweep reuses one draw across configs equal on DRAW_FIELDS; off
+    # broadside, the LoS dyad depends on the wavelength and the spacing
+    cfg = _config(los_aod=0.3, los_aoa=-0.2)
+    g = rician_channel(cfg, seed=3).G
+    read = dict(M=4, N=6, wavelength=0.22, spacing=0.09, d_bi=70.0, c0=2e-3,
+                alpha_bi=2.2, rician_factor=2.0, los_aod=0.1, los_aoa=0.4)
+    unread = dict(K=3, T=16, P0=2.0, noise_power=1e-10, d_it=30.0, rcs=2.0)
+    assert tuple(read) == DRAW_FIELDS
+    assert set(read) | set(unread) == {f.name for f in fields(SystemConfig)}
+    for name, value in read.items():
+        other = rician_channel(replace(cfg, **{name: value}), seed=3).G
+        assert other.shape != g.shape or not np.array_equal(other, g), name
+    for name, value in unread.items():
+        assert np.array_equal(rician_channel(replace(cfg, **{name: value}), seed=3).G,
+                              g), name

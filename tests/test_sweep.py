@@ -150,21 +150,51 @@ class TestRunSweep:
         assert slope_a == pytest.approx(slope_s, abs=1e-9)
 
 
+def _counted(monkeypatch, name):
+    """Calls of ``irscrb.sweep.<name>`` from now on, one entry each."""
+    calls = []
+    fn = getattr(irscrb.sweep, name)
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return fn(*args, **kwargs)
+
+    monkeypatch.setattr(irscrb.sweep, name, counted)
+    return calls
+
+
+# Per vary: the swept values, and the base config of each kind of scheme.
+_VALUES = {"P0": (10.0, 20.0, 40.0), "M": (4.0, 8.0), "N": (2.0, 4.0, 8.0),
+           "K": (4.0, 8.0, 16.0), "beta_BI": (-5.0, 0.0, 5.0), "W_I": (0.5, 1.0, 2.0),
+           "Q_tot": (10.0, 20.0, 30.0)}
+_BASES = {"point": reference_config(M=2, N=4, K=4),
+          "single_antenna_closed": reference_config(M=1, N=4, K=4),
+          "extended": reference_config(M=8, N=4, K=8)}
+
+
 class TestUnitPower:
     SMALL = dict(base=reference_config(M=2, N=4, K=4), alpha_draws=5, ao_samples=50)
 
     def test_p0_sweep_runs_one_ao_per_trial(self, monkeypatch):
-        calls = []
-        solve = irscrb.sweep.ao_minimize_crb
-
-        def counted(*args, **kwargs):
-            calls.append(1)
-            return solve(*args, **kwargs)
-
-        monkeypatch.setattr(irscrb.sweep, "ao_minimize_crb", counted)
+        calls = _counted(monkeypatch, "ao_minimize_crb")
         records = run_sweep(_spec(scheme="proposed_ao", **self.SMALL))
         assert len(calls) == 2          # one per trial, not one per value
         assert [r.status for r in records] == ["ok"] * 3
+
+    def test_k_sweep_draws_each_trial_channel_once(self, monkeypatch):
+        # K does not enter the channel draw
+        calls = _counted(monkeypatch, "rician_channel")
+        spec = _spec(base=_BASES["extended"], vary="K", values=(2.0, 4.0, 8.0, 16.0),
+                     scheme="extended_opt", trials=3)
+        assert [r.status for r in run_sweep(spec)] == ["ok"] * 4
+        assert len(calls) == spec.trials
+
+    def test_n_sweep_draws_each_trial_fading_factor_once(self, monkeypatch):
+        calls = _counted(monkeypatch, "_alpha_factor")
+        spec = _spec(base=_BASES["single_antenna_closed"], vary="N",
+                     values=(2.0, 4.0, 8.0, 16.0), trials=3)
+        assert [r.status for r in run_sweep(spec)] == ["ok"] * 4
+        assert len(calls) == spec.trials
 
     @pytest.mark.parametrize("scheme, base", [
         ("proposed_ao", reference_config(M=2, N=4, K=4)),
@@ -182,10 +212,23 @@ class TestUnitPower:
         scaled = [r.crb_mean * dbm_to_watt(r.value) for r in records]
         np.testing.assert_allclose(scaled, scaled[-1], rtol=1e-12)
 
-    def test_matches_evaluation_at_each_value_own_power(self):
-        spec = _spec(scheme="random_phase", values=(10.0, 20.0, 40.0), **self.SMALL)
-        for record in run_sweep(spec):
+    @pytest.mark.parametrize("scheme, vary", [
+        (scheme, vary) for scheme in SCHEMES for vary in _VALUES
+        if SCHEMES[scheme].target == "point" or vary not in ("W_I", "Q_tot")])
+    def test_matches_evaluation_at_each_value_own_power(self, scheme, vary):
+        # a row equals trials evaluated on their own, each with fresh draws:
+        # bitwise at 1 W, and to rounding at the row's own power
+        kind = scheme if scheme == "single_antenna_closed" else SCHEMES[scheme].target
+        values = (1.0,) if (kind, vary) == ("single_antenna_closed", "M") else _VALUES[vary]
+        spec = _spec(scheme=scheme, base=_BASES[kind], vary=vary, values=values,
+                     alpha_draws=5, ao_samples=50, q_tot=20.0)
+        records = run_sweep(spec)
+        assert [r.status for r in records] == ["ok"] * len(values)
+        for record in records:
             cfg = _config_for(spec, record.value)
+            unit = [_run_trial(spec, replace(cfg, P0=1.0), t) for t in range(spec.trials)]
+            assert [status for _, status in unit] == ["ok"] * spec.trials
+            assert record.crb_mean == float(np.mean([crb for crb, _ in unit])) / cfg.P0
             direct = [_run_trial(spec, cfg, t) for t in range(spec.trials)]
             assert [status for _, status in direct] == ["ok"] * spec.trials
             expected = np.mean([crb for crb, _ in direct])
@@ -212,16 +255,37 @@ class TestUnitPower:
 
     def test_failed_trial_logs_the_exception_and_its_instance(self, monkeypatch,
                                                              caplog):
-        self._failing(monkeypatch)
+        def failing_draw(cfg, seed):
+            raise FloatingPointError("overflow in the NLoS draw")
+
         spec = _spec(scheme="random_phase", trials=1, **self.SMALL)
+        for fail, text in [
+                (lambda: self._failing(monkeypatch),
+                 "SubproblemError: transmit solve ended max_iter, kkt 3.0e-07"),
+                (lambda: monkeypatch.setattr(irscrb.sweep, "rician_channel",
+                                             failing_draw),
+                 "FloatingPointError: overflow in the NLoS draw")]:
+            fail()
+            caplog.clear()
+            with caplog.at_level(logging.WARNING, logger="irscrb.sweep"):
+                crb, status = _run_trial(spec, _config_for(spec, 20.0), 0)
+            assert np.isnan(crb) and status == "error:" + text.split(":")[0]
+            (record,) = [r for r in caplog.records if r.name == "irscrb.sweep"]
+            assert record.levelno == logging.WARNING
+            assert record.getMessage() == (
+                "random_phase failed at P0=0.1 M=2 N=4 K=4, seed 11, trial 0: " + text)
+
+    def test_oversized_reflection_program_gives_an_error_row(self, caplog):
+        # the allocation gives N = 480, K = 360; the reflection program is
+        # refused before its constraint stack is built
+        spec = _spec(scheme="isotropic_tx", base=reference_config(M=2, N=4, K=4),
+                     vary="W_I", values=(0.5,), q_tot=600.0, trials=1, seed=0,
+                     alpha_draws=5, ao_samples=50)
+        assert (_config_for(spec, 0.5).N, _config_for(spec, 0.5).K) == (480, 360)
         with caplog.at_level(logging.WARNING, logger="irscrb.sweep"):
-            crb, status = _run_trial(spec, _config_for(spec, 20.0), 0)
-        assert np.isnan(crb) and status == "error:SubproblemError"
-        (record,) = [r for r in caplog.records if r.name == "irscrb.sweep"]
-        assert record.levelno == logging.WARNING
-        assert record.getMessage() == (
-            "random_phase failed at P0=0.1 M=2 N=4 K=4, seed 11, trial 0: "
-            "SubproblemError: transmit solve ended max_iter, kkt 3.0e-07")
+            (record,) = run_sweep(spec)
+        assert record.status == "error:SubproblemError" and np.isnan(record.crb_mean)
+        assert "N = 480" in caplog.text and "GB" in caplog.text
 
 
 class TestIsotropicTx:
