@@ -1,13 +1,13 @@
 """Estimation-bound analysis and beamforming design for semi-passive IRS
 sensing: closed-form DoA and response-matrix bounds, element/sensor
-allocation, an SDP-based alternating beamforming optimizer with its own
+allocation, a joint beamforming optimizer with an SDP fallback on its own
 interior-point solver, and a sweep harness."""
 
 from .allocation import (AllocationDomainError, AllocationResult,
                          allocate_exhaustive, allocate_optimal,
                          allocate_suboptimal)
-from .ao import (AoResult, DegenerateObjectiveError, SubproblemError,
-                 ao_minimize_crb, default_phase_profile,
+from .ao import (AoResult, DegenerateObjectiveError, StalledSolveError,
+                 SubproblemError, ao_minimize_crb, default_phase_profile,
                  gaussian_randomization, irs_subproblem, sdr_objective,
                  transmit_closed_form, transmit_subproblem)
 from .arrays import (centered_index, large_scale_path_loss, path_gain,

@@ -2,19 +2,17 @@
 
 Minimizing the closed-form bound is equivalent to maximizing the reflected
 information measure f(R_x, V) of :mod:`irscrb.pointcrb` over the transmit
-covariance R_x and the lifted profile V = v v^H.  At a fixed R_x,
-:func:`phase_ascent` climbs f over unit-modulus profiles and returns a dual
-bound with it.  :func:`best_reflection` keeps the ascent profile where the
-bound certifies it and otherwise takes a reflection step: it solves the
-semidefinite relaxation in V with the rank-one constraint dropped (the
-fractional term enters through a 2x2 Schur-complement block) and keeps the
-best of the profile and the unit-modulus candidates that Gaussian
-randomization recovers from the solution.  The optimizer returns a phase
-fixed point when a bound of the same kind certifies it, with no program
-solved.  Otherwise it alternates reflection steps with the closed-form
-transmit covariance of the kept profile, so every iterate is a feasible
-design and f never decreases.  The transmit program at a lifted profile
-(:func:`transmit_subproblem`) stays available; the optimizer solves none.
+covariance R_x and the lifted profile V = v v^H.  At a fixed R_x, f is set
+by a kernel triple (W, C, Q) (:func:`~irscrb.pointcrb._info_kernels`),
+which the reflection routines take: :func:`phase_ascent` climbs f over
+unit-modulus profiles with a dual bound, and :func:`best_reflection` falls
+back to the semidefinite relaxation in V (the fractional term through a 2x2
+Schur-complement block) and Gaussian randomization where that bound fails.
+For a unit-modulus profile the best R_x has a closed form
+(:func:`transmit_closed_form`), so the joint problem separates exactly into
+two such reflection problems (:func:`ao_minimize_crb`).  The transmit
+program at a lifted profile (:func:`transmit_subproblem`) stays available;
+the optimizer solves none.
 """
 
 from __future__ import annotations
@@ -31,11 +29,8 @@ from .config import PointTargetScene, SystemConfig, make_rng
 from .conic import ConicProgram, ConicSolution
 from .pointcrb import (DegenerateObjectiveError, PhaseProfile,
                        TransmitCovariance, _info_kernels, _info_measure,
-                       _profile_scores, crb_point_closed, profile_vector,
-                       steered_gram)
+                       _profile_scores, crb_point_closed, profile_vector)
 
-AO_TOL = 1e-6                     # relative objective gain that ends the AO
-AO_MAX_ITER = 50
 SUBPROBLEM_TOL = 1e-9
 # A solve that stalls at the solver's numerical floor is kept when its KKT
 # residual is at most this; the residual stays on the returned solution.
@@ -55,18 +50,21 @@ class SubproblemError(RuntimeError):
     """A beamforming subproblem did not reach an optimal solver status."""
 
 
+class StalledSolveError(SubproblemError):
+    """A solve ran to its iteration limit and ended above ``SUBPROBLEM_FLOOR``."""
+
+
 @dataclass
 class AoResult:
     R_x: TransmitCovariance
     v: PhaseProfile
     crb: float                          # rad^2
-    # f of the design accepted at each iteration, row 0 at the initial one;
-    # non-decreasing, and crb is the bound at the last row
-    objective_trace: list[float]
-    iterations: int                     # reflection solves
-    status: Literal["converged", "max_iter"]
+    objective_trace: list[float]        # [f at init, f of the design]; crb is at the last
+    iterations: int                     # reflection SDRs whose candidates were scored
+    # "certified" where f of the design is within CERTIFICATE_RTOL of f_upper
+    status: Literal["certified", "uncertified"]
     f_upper: float                      # bound on f over every design
-    solver_residual_max: float = 0.0    # worst KKT residual over the reflection solves
+    solver_residual_max: float = 0.0    # worst KKT residual over those SDRs
 
 
 def sdr_objective(r_x, v_lifted: np.ndarray, a: np.ndarray, g: np.ndarray,
@@ -186,15 +184,15 @@ def transmit_closed_form(v, a: np.ndarray, g: np.ndarray, k: int, p0: float
     return TransmitCovariance(matrix, p0), "supremum"
 
 
-def irs_subproblem(r_x, a: np.ndarray, g: np.ndarray, k: int,
+def irs_subproblem(kernels: tuple[np.ndarray, np.ndarray, np.ndarray],
                    solver: Callable[..., ConicSolution] = conic.solve
                    ) -> tuple[np.ndarray, ConicSolution]:
-    """Best lifted reflection profile for a fixed transmit covariance, and its solve."""
-    n = np.asarray(a).shape[0]
+    """Best lifted profile for the kernel triple (W, C, Q) of f, and its solve."""
+    n = kernels[2].shape[0]
     if n > MAX_REFLECTION_N:
         raise SubproblemError(f"reflection program at N = {n} > {MAX_REFLECTION_N} needs "
                               f"{16e-9 * (n + 3) * (n + 2) ** 2:.2g} GB a stack copy")
-    program = _schur_program(*_info_kernels(g, r_x, a, k), order=n)
+    program = _schur_program(*kernels, order=n)
     for i in range(n):
         e_ii = np.zeros((n, n))
         e_ii[i, i] = 1.0
@@ -206,8 +204,9 @@ def irs_subproblem(r_x, a: np.ndarray, g: np.ndarray, k: int,
 def _checked(sol: ConicSolution, label: str) -> ConicSolution:
     if sol.status != "optimal" and (sol.status == "infeasible"
                                     or sol.kkt.max() > SUBPROBLEM_FLOOR):
-        raise SubproblemError(f"{label} subproblem ended with status {sol.status} "
-                              f"(KKT residual {sol.kkt.max():.3g})")
+        error = StalledSolveError if sol.status == "max_iter" else SubproblemError
+        raise error(f"{label} subproblem ended with status {sol.status} "
+                    f"(KKT residual {sol.kkt.max():.3g})")
     return sol
 
 
@@ -220,16 +219,16 @@ def _psd_clip(mat: np.ndarray) -> np.ndarray:
     return (q * np.maximum(w, 0.0)) @ q.conj().T
 
 
-def gaussian_randomization(v_lifted: np.ndarray, r_x, a: np.ndarray,
-                           g: np.ndarray, k: int, samples: int,
-                           seed: int) -> PhaseProfile:
+def gaussian_randomization(v_lifted: np.ndarray,
+                           kernels: tuple[np.ndarray, np.ndarray, np.ndarray],
+                           samples: int, seed: int) -> PhaseProfile:
     """Recover a unit-modulus profile from a lifted solution.
 
     Draws circular Gaussian vectors with covariance V (its eigenvalues
     clipped at 0), projects each onto the unit-modulus set by keeping only
-    its phases, and scores them at once as quadratic forms together with
-    the phases of V's dominant eigenvector, which come last; the first
-    candidate with the best objective wins.  A numerically rank-one V
+    its phases, and scores them at once by f for the kernel triple
+    ``kernels`` together with the phases of V's dominant eigenvector, which
+    come last; the first candidate with the best f wins.  A numerically rank-one V
     short-circuits to those phases.  Draws come from one sequential stream,
     so a larger ``samples`` extends (never reshuffles) the pool.
     """
@@ -249,7 +248,7 @@ def gaussian_randomization(v_lifted: np.ndarray, r_x, a: np.ndarray,
     draws = make_rng(seed).standard_normal((samples, 2, n))   # real, imag per draw
     noise = (draws[:, 0] + 1j * draws[:, 1]) / np.sqrt(2.0)
     cands = np.vstack([np.exp(1j * np.angle(noise @ (q * np.sqrt(w)).T)), dominant])
-    f_vals = _profile_scores(_info_kernels(g, r_x, a, k), cands)
+    f_vals = _profile_scores(kernels, cands)
     return PhaseProfile(v=cands[np.argmax(f_vals)])
 
 
@@ -270,11 +269,15 @@ def default_phase_profile(g: np.ndarray, a: np.ndarray) -> PhaseProfile:
 
 
 def _design(v: np.ndarray, a: np.ndarray, g: np.ndarray, k: int, p0: float
-            ) -> tuple[TransmitCovariance, tuple, float]:
-    """Closed-form R_x of a unit-modulus profile, its kernels and f there."""
+            ) -> tuple[TransmitCovariance, float]:
+    """Closed-form R_x of a unit-modulus profile and f there."""
     r_x, _ = transmit_closed_form(v, a, g, k, p0)
-    kernels = _info_kernels(g, r_x, a, k)
-    return r_x, kernels, float(_profile_scores(kernels, v[None, :])[0])
+    return r_x, float(_profile_scores(_info_kernels(g, r_x, a, k), v[None, :])[0])
+
+
+def _top_phases(mat: np.ndarray) -> np.ndarray:
+    """Phases of the top eigenvector of a Hermitian matrix, as a profile."""
+    return np.exp(1j * np.angle(np.linalg.eigh(mat)[1][:, -1]))
 
 
 def phase_ascent(kernels: tuple[np.ndarray, np.ndarray, np.ndarray],
@@ -313,28 +316,38 @@ def phase_ascent(kernels: tuple[np.ndarray, np.ndarray, np.ndarray],
     return v, float(y.sum()), float(y.sum() + y.shape[0] * shift)
 
 
-def best_reflection(r_x, a: np.ndarray, g: np.ndarray, k: int, samples: int,
-                    seed: int) -> PhaseProfile:
-    """Profile for a fixed R_x: the :func:`phase_ascent` one from the phases of
-    Q's top eigenvector if its bound certifies it, else the reflection step
-    from it (``samples`` randomization draws from ``seed``)."""
-    kernels = _info_kernels(g, r_x, a, k)
-    top = np.linalg.eigh(kernels[2])[1][:, -1]
-    v, f, f_upper = phase_ascent(kernels, np.exp(1j * np.angle(top)))
-    if f < f_upper * (1.0 - CERTIFICATE_RTOL):
-        _log.debug("ascent relative gap %.3g; SDR fallback", 1.0 - f / f_upper)
-        v, _ = _reflection_step(v, r_x, kernels, a, g, k, samples, seed)
-    return PhaseProfile(v=v)
+def best_reflection(kernels: tuple[np.ndarray, np.ndarray, np.ndarray],
+                    samples: int, seed: int) -> PhaseProfile:
+    """Profile for the kernel triple (W, C, Q) of f at a fixed R_x:
+    :func:`_reflect` from the phases of Q's top eigenvector."""
+    return PhaseProfile(v=_reflect(kernels, _top_phases(kernels[2]), samples, seed)[0])
 
 
-def _reflection_step(v: np.ndarray, r_x, kernels: tuple, a: np.ndarray, g: np.ndarray,
-                     k: int, samples: int, seed: int) -> tuple[np.ndarray, float]:
-    """First best at R_x of the randomization winner of the reflection
-    program and v, and the solve's KKT residual."""
-    v_lifted, sol = irs_subproblem(r_x, a, g, k)
-    best = gaussian_randomization(v_lifted, r_x, a, g, k, samples, seed)
-    candidates = np.stack([best.v, v])
-    return candidates[np.argmax(_profile_scores(kernels, candidates))], sol.kkt.max()
+def _reflect(kernels: tuple[np.ndarray, np.ndarray, np.ndarray], v: np.ndarray,
+             samples: int, seed: int) -> tuple[np.ndarray, float, float | None]:
+    """The :func:`phase_ascent` from ``v`` and, where its bound fails, the
+    reflection step from it.
+
+    The step solves the reflection SDR and keeps the first best of its
+    randomization winner (``samples`` draws from ``seed``) and the ascent
+    profile.  A solve that stalls above ``SUBPROBLEM_FLOOR`` gives no
+    candidate: the ascent profile is kept and a WARNING names the program.
+    Returns (v, the ascent's bound, the KKT residual of the solve whose
+    candidates were scored, or None).
+    """
+    v, f, f_upper = phase_ascent(kernels, v)
+    if f >= f_upper * (1.0 - CERTIFICATE_RTOL):
+        return v, f_upper, None
+    _log.debug("ascent relative gap %.3g; SDR fallback", 1.0 - f / f_upper)
+    try:
+        v_lifted, sol = irs_subproblem(kernels)
+    except StalledSolveError as exc:
+        _log.warning("reflection program at N = %d, randomization seed %d: %s; "
+                     "kept the ascent profile", v.shape[0], seed, exc)
+        return v, f_upper, None
+    candidates = np.stack([gaussian_randomization(v_lifted, kernels, samples, seed).v, v])
+    return (candidates[np.argmax(_profile_scores(kernels, candidates))], f_upper,
+            sol.kkt.max())
 
 
 def ao_minimize_crb(scene: PointTargetScene, g: np.ndarray,
@@ -342,64 +355,47 @@ def ao_minimize_crb(scene: PointTargetScene, g: np.ndarray,
                     samples: int = 200, seed: int = 0) -> AoResult:
     """Minimize the point-target DoA bound over transmit and reflection.
 
-    With Q = :func:`steered_gram` at R_x = I, :func:`transmit_closed_form`
-    gives f*(v) = P0 max((K^2 - 1)/3 v^H Q v, |w2|^2) and |w2|^2 <= v^H D Q D v.
-    So ``f_upper`` = P0 max((K^2 - 1)/3 U_Q, U_DQD) bounds f over all designs,
-    with U_Q and U_DQD the bounds of :func:`phase_ascent` on Q from
-    ``init`` and on D Q D from the phases of its top eigenvector; without
-    U_DQD a supremum-branch design could beat it.  The Q fixed point is a
-    certified global optimum when its f is within ``CERTIFICATE_RTOL`` of
-    f_upper and at least f at ``init``.  Otherwise :func:`_alternate` runs
-    from ``init``, mostly where N > K or the channel has little line of sight.
+    With Q = :func:`steered_gram` at R_x = I, D = diag(centered_index(N))
+    and gamma = (K^2 - 1)/3, :func:`transmit_closed_form` gives f*(v) =
+    P0 max(gamma v^H Q v, |w2(v)|^2), and |w2|^2 is f at R_x = I on the
+    kernels (D Q D, D Q, Q) of K = 1.  So max_v f*(v) = P0 max(gamma max_v
+    v^H Q v, max_v |w2|^2) exactly, and each branch is a reflection problem:
+    branch 1 is :func:`_reflect` on (Q, 0, Q) from ``init`` and branch 2 the
+    same from the phases of Q's top eigenvector on (D Q D, D Q, Q).  Branch
+    2 runs only where it can win: M > 1 (else w2 = 0) and U_DQD > gamma
+    f_1, with f_1 = v^H Q v of branch 1 and U_DQD the :func:`phase_ascent`
+    bound on v^H D Q D v >= |w2|^2 from the phases of D Q D's top
+    eigenvector.  The design is the first best by f of the two branch
+    profiles and ``init``, each with its closed-form R_x.  ``f_upper`` = P0
+    max(gamma U_Q, U_DQD), with U_Q the bound of the branch-1 ascent,
+    bounds f over all designs.  ``samples`` and ``seed`` set the
+    randomization of any SDR fallback.
     """
     g = np.asarray(g, dtype=complex)
     a = target_steering(scene.theta, config.N, config.spacing, config.wavelength)
     if init is None:
         init = default_phase_profile(g, a)
     k, p0 = config.K, config.P0
+    gamma = (k ** 2 - 1) / 3.0
 
-    q = steered_gram(g, np.eye(config.M), a)
-    idx = centered_index(config.N)
-    dqd = np.outer(idx, idx) * q
-    v, _, upper_q = phase_ascent((q, 0 * q, q), init.v)
-    top = np.linalg.eigh(dqd)[1][:, -1]
-    _, _, upper_dqd = phase_ascent((dqd, 0 * q, q), np.exp(1j * np.angle(top)))
-    f_upper = p0 * max((k ** 2 - 1) / 3.0 * upper_q, upper_dqd)
-    f_init = _design(init.v, a, g, k, p0)[2]
-    r_x, _, f_v = _design(v, a, g, k, p0)
-    if f_v >= max(f_upper * (1.0 - CERTIFICATE_RTOL), f_init):
-        trace, iterations, status, residual_max = [f_init, f_v], 0, "converged", 0.0
-    else:
-        v, r_x, trace, iterations, status, residual_max = _alternate(
-            init.v, a, g, k, p0, samples, seed)
+    supremum = _info_kernels(g, np.eye(config.M), a, 1)    # (D Q D, D Q, Q)
+    dqd, _, q = supremum
+    upper_dqd = phase_ascent((dqd, 0 * q, q), _top_phases(dqd))[2]
+    v, upper_q, residual = _reflect((q, 0 * q, q), init.v, samples, seed)
+    profiles, residuals = [v], [residual]
+    if config.M > 1 and upper_dqd > gamma * np.vdot(v, q @ v).real:
+        v, _, residual = _reflect(supremum, _top_phases(q), samples, seed)
+        profiles.append(v)
+        residuals.append(residual)
+    residuals = [r for r in residuals if r is not None]
+    # init comes last, so a tie keeps the branch profile
+    designs = [_design(v, a, g, k, p0) for v in profiles + [init.v]]
+    best = int(np.argmax([f for _, f in designs]))
+    (r_x, f), v = designs[best], (profiles + [init.v])[best]
+    f_upper = p0 * max(gamma * upper_q, upper_dqd)
     return AoResult(R_x=r_x, v=PhaseProfile(v=v),
                     crb=crb_point_closed(scene, r_x, v, g, config),
-                    objective_trace=trace, iterations=iterations, status=status,
-                    f_upper=f_upper, solver_residual_max=residual_max)
-
-
-def _alternate(v: np.ndarray, a: np.ndarray, g: np.ndarray, k: int, p0: float,
-               samples: int, seed: int):
-    """Alternating maximization of f from the unit-modulus profile ``v``.
-
-    Starts from ``v`` with its closed-form transmit covariance.  Each
-    iteration takes :func:`_reflection_step` at the current R_x (``samples``
-    draws from ``seed``) and gives the kept profile its closed-form transmit
-    covariance.  The loop stops once f gains at most ``AO_TOL`` relative, or
-    after ``AO_MAX_ITER`` iterations.  Returns (v, R_x,
-    objective_trace, iterations, status, solver_residual_max).
-    """
-    r_x, kernels, f_v = _design(v, a, g, k, p0)
-    trace = [f_v]
-    residual_max = 0.0
-    status: Literal["converged", "max_iter"] = "max_iter"
-    iterations = 0
-    for iterations in range(1, AO_MAX_ITER + 1):
-        v, residual = _reflection_step(v, r_x, kernels, a, g, k, samples, seed)
-        residual_max = max(residual_max, residual)
-        r_x, kernels, f_v = _design(v, a, g, k, p0)
-        trace.append(f_v)
-        if trace[-1] - trace[-2] <= AO_TOL * trace[-2]:
-            status = "converged"
-            break
-    return v, r_x, trace, iterations, status, residual_max
+                    objective_trace=[designs[-1][1], f], iterations=len(residuals),
+                    status=("certified" if f >= f_upper * (1.0 - CERTIFICATE_RTOL)
+                            else "uncertified"),
+                    f_upper=f_upper, solver_residual_max=max(residuals, default=0.0))

@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import sys
 from dataclasses import replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -157,50 +158,49 @@ def _cmd_crb(args) -> int:
     return 0
 
 
-def _trend(name: str, values, crbs, direction: str) -> bool:
-    pairs = list(zip(crbs, crbs[1:]))
-    ok = all(b <= a * (1 + 1e-12) for a, b in pairs) if direction == "down" \
-        else all(b >= a * (1 - 1e-12) for a, b in pairs)
-    tag = "PASS" if ok else "FAIL"
-    pretty = ", ".join(f"{c:.3e}" for c in crbs)
-    print(f"{tag} {name}: values {list(values)} -> crb [{pretty}]")
-    return ok
+class Trend(NamedTuple):
+    """A monotone trend of a sweep's mean bound, checked by ``irscrb selftest``
+    and by acceptance criterion 9 on their own base configs and seeds."""
+
+    label: str
+    vary: str
+    values: tuple[int, ...]
+    scheme: str | None          # None: the point scheme under test
+    overrides: dict             # applied to the base config
+    direction: str              # "down" | "up"
+
+
+TRENDS = (
+    Trend("point crb vs P0 (dBm)", "P0", (10, 20, 30), None, {}, "down"),
+    # the vs-M gain needs transmit beamforming; isotropic power per antenna
+    # shrinks with M, so this trend always runs the optimizer
+    Trend("point crb vs M", "M", (2, 4, 8), "proposed_ao", {}, "down"),
+    Trend("point crb vs N", "N", (2, 4, 8), None, {}, "down"),
+    Trend("point crb vs K", "K", (2, 4, 8), None, {}, "down"),
+    Trend("extended crb vs K", "K", (4, 8, 16), "extended_opt", {"M": 8}, "up"),
+    Trend("extended crb vs N", "N", (2, 4, 6), "extended_opt", {"M": 8}, "up"),
+    Trend("extended crb vs M", "M", (8, 12, 16), "extended_opt", {}, "down"),
+    Trend("extended crb vs P0 (dBm)", "P0", (10, 20, 30), "extended_opt", {"M": 8}, "down"),
+)
 
 
 def _cmd_selftest(args) -> int:
     base = reference_config(M=4, N=4, K=4)
-    theta = np.deg2rad(60.0)
-    trials, draws = (2, 10)
-    scheme = "isotropic_tx" if args.fast else "proposed_ao"
-
-    def mean_crbs(vary, values, scheme, **overrides):
-        cfg = replace(base, **overrides) if overrides else base
-        spec = SweepSpec(base=cfg, theta=theta, vary=vary, values=values,
-                         scheme=scheme, trials=trials, seed=7,
-                         average_alpha=True, alpha_draws=draws, ao_samples=50)
-        return [rec.crb_mean for rec in run_sweep(spec)]
-
+    point_scheme = "isotropic_tx" if args.fast else "proposed_ao"
     ok = True
-    ok &= _trend("point crb vs P0 (dBm)", (10, 20, 30),
-                 mean_crbs("P0", (10.0, 20.0, 30.0), scheme), "down")
-    # the vs-M gain needs transmit beamforming; isotropic power per antenna
-    # shrinks with M, so this trend always runs the optimizer
-    ok &= _trend("point crb vs M", (2, 4, 8),
-                 mean_crbs("M", (2.0, 4.0, 8.0), "proposed_ao"), "down")
-    ok &= _trend("point crb vs N", (2, 4, 8),
-                 mean_crbs("N", (2.0, 4.0, 8.0), scheme), "down")
-    ok &= _trend("point crb vs K", (2, 4, 8),
-                 mean_crbs("K", (2.0, 4.0, 8.0), scheme), "down")
-
-    ok &= _trend("extended crb vs K", (4, 8, 16),
-                 mean_crbs("K", (4.0, 8.0, 16.0), "extended_opt", M=8), "up")
-    ok &= _trend("extended crb vs N", (2, 4, 6),
-                 mean_crbs("N", (2.0, 4.0, 6.0), "extended_opt", M=8), "up")
-    ok &= _trend("extended crb vs M", (8, 12, 16),
-                 mean_crbs("M", (8.0, 12.0, 16.0), "extended_opt"), "down")
-    ok &= _trend("extended crb vs P0 (dBm)", (10, 20, 30),
-                 mean_crbs("P0", (10.0, 20.0, 30.0), "extended_opt", M=8), "down")
-
+    for trend in TRENDS:
+        spec = SweepSpec(base=replace(base, **trend.overrides), theta=np.deg2rad(60.0),
+                         vary=trend.vary, values=trend.values,
+                         scheme=trend.scheme or point_scheme, trials=2, seed=7,
+                         average_alpha=True, alpha_draws=10, ao_samples=50)
+        crbs = [rec.crb_mean for rec in run_sweep(spec)]
+        pairs = list(zip(crbs, crbs[1:]))
+        passed = all(b <= a * (1 + 1e-12) for a, b in pairs) if trend.direction == "down" \
+            else all(b >= a * (1 - 1e-12) for a, b in pairs)
+        pretty = ", ".join(f"{c:.3e}" for c in crbs)
+        print(f"{'PASS' if passed else 'FAIL'} {trend.label}: values "
+              f"{list(trend.values)} -> crb [{pretty}]")
+        ok &= passed
     print("selftest:", "PASS" if ok else "FAIL")
     return 0 if ok else NUMERICAL_EXIT
 

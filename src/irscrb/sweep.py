@@ -85,7 +85,7 @@ from .config import (SystemConfig, db_to_linear, dbm_to_watt, derive_seed,
 from .extended import (EstimabilityError, FullyPassiveConfig, crb_extended_iso,
                        crb_extended_opt, crb_fully_passive,
                        optimal_transmit_extended)
-from .pointcrb import crb_point_closed, single_antenna_optimum
+from .pointcrb import _info_kernels, crb_point_closed, single_antenna_optimum
 
 VARY_CHOICES = ("P0", "M", "N", "K", "beta_BI", "W_I", "Q_tot")
 
@@ -202,7 +202,7 @@ def _random_phase(cfg, ch, theta, seed, trial, samples) -> float:
 def _isotropic_tx(cfg, ch, theta, seed, trial, samples) -> float:
     a = target_steering(theta, cfg.N, cfg.spacing, cfg.wavelength)
     r_iso = (cfg.P0 / cfg.M) * np.eye(cfg.M, dtype=complex)
-    profile = best_reflection(r_iso, a, ch.G, cfg.K, samples,
+    profile = best_reflection(_info_kernels(ch.G, r_iso, a, cfg.K), samples,
                               derive_seed(seed, trial, _RANDOMIZE))
     return crb_point_closed(point_scene(cfg, theta), r_iso, profile.v, ch.G, cfg)
 

@@ -4,8 +4,10 @@ Everything here is intentionally built from first principles (explicit
 model assembly, finite differences, grid refinement, projected gradient)
 rather than through the code paths under test.  The exceptions are
 ``parent_transmit_program``, which poses the library's own transmit program
-in its former inequality form, and ``parent_isotropic_profile``, the
-isotropic-transmit reflection design as it was made before the phase ascent.
+in its former inequality form, ``parent_isotropic_profile``, the
+isotropic-transmit reflection design as it was made before the phase ascent,
+and ``_alternate``, the alternating optimizer that ``ao_minimize_crb`` ran
+where its fixed point did not certify, before the exact two-branch solve.
 """
 
 from __future__ import annotations
@@ -13,8 +15,13 @@ from __future__ import annotations
 import numpy as np
 
 from irscrb.ao import (_schur_program, _transmit_kernels,
-                       gaussian_randomization, irs_subproblem)
+                       gaussian_randomization, irs_subproblem,
+                       transmit_closed_form)
 from irscrb.conic import ConicProgram
+from irscrb.pointcrb import _info_kernels, _profile_scores
+
+AO_TOL = 1e-6                     # relative objective gain that ends the AO
+AO_MAX_ITER = 50
 
 
 def steering_direct(theta: float, count: int, d_hat: float,
@@ -248,5 +255,50 @@ def parent_isotropic_profile(r_x: np.ndarray, a: np.ndarray, g: np.ndarray,
     This is the whole reflection design of ``isotropic_tx`` before the
     phase ascent, with the same draws for the same ``seed``.
     """
-    lifted, _ = irs_subproblem(r_x, a, g, k)
-    return gaussian_randomization(lifted, r_x, a, g, k, samples, seed).v
+    kernels = _info_kernels(g, r_x, a, k)
+    lifted, _ = irs_subproblem(kernels)
+    return gaussian_randomization(lifted, kernels, samples, seed).v
+
+
+def _design(v: np.ndarray, a: np.ndarray, g: np.ndarray, k: int, p0: float):
+    """Closed-form R_x of a unit-modulus profile, its kernels and f there."""
+    r_x, _ = transmit_closed_form(v, a, g, k, p0)
+    kernels = _info_kernels(g, r_x, a, k)
+    return r_x, kernels, float(_profile_scores(kernels, v[None, :])[0])
+
+
+def _reflection_step(v: np.ndarray, r_x, kernels: tuple, a: np.ndarray, g: np.ndarray,
+                     k: int, samples: int, seed: int) -> tuple[np.ndarray, float]:
+    """First best at R_x of the randomization winner of the reflection
+    program and v, and the solve's KKT residual."""
+    v_lifted, sol = irs_subproblem(kernels)
+    best = gaussian_randomization(v_lifted, kernels, samples, seed)
+    candidates = np.stack([best.v, v])
+    return candidates[np.argmax(_profile_scores(kernels, candidates))], sol.kkt.max()
+
+
+def _alternate(v: np.ndarray, a: np.ndarray, g: np.ndarray, k: int, p0: float,
+               samples: int, seed: int):
+    """Alternating maximization of f from the unit-modulus profile ``v``.
+
+    Starts from ``v`` with its closed-form transmit covariance.  Each
+    iteration takes :func:`_reflection_step` at the current R_x (``samples``
+    draws from ``seed``) and gives the kept profile its closed-form transmit
+    covariance.  The loop stops once f gains at most ``AO_TOL`` relative, or
+    after ``AO_MAX_ITER`` iterations.  Returns (v, R_x,
+    objective_trace, iterations, status, solver_residual_max).
+    """
+    r_x, kernels, f_v = _design(v, a, g, k, p0)
+    trace = [f_v]
+    residual_max = 0.0
+    status = "max_iter"
+    iterations = 0
+    for iterations in range(1, AO_MAX_ITER + 1):
+        v, residual = _reflection_step(v, r_x, kernels, a, g, k, samples, seed)
+        residual_max = max(residual_max, residual)
+        r_x, kernels, f_v = _design(v, a, g, k, p0)
+        trace.append(f_v)
+        if trace[-1] - trace[-2] <= AO_TOL * trace[-2]:
+            status = "converged"
+            break
+    return v, r_x, trace, iterations, status, residual_max

@@ -5,6 +5,7 @@ report including wall times against the stated budgets.
 """
 
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from irscrb.ao import (ao_minimize_crb, gaussian_randomization,
                        irs_subproblem, sdr_objective, transmit_subproblem)
 from irscrb.arrays import target_steering
 from irscrb.channel import rician_channel
+from irscrb.cli import TRENDS
 from irscrb.config import PointTargetScene, SystemConfig, make_rng, point_scene
 from irscrb.conic import ConicProgram, solve
 from irscrb.extended import (FullyPassiveConfig, crb_extended,
@@ -22,9 +24,9 @@ from irscrb.extended import (FullyPassiveConfig, crb_extended,
                              crb_fully_passive, gap_db,
                              optimal_transmit_extended,
                              semi_passive_preferred)
-from irscrb.pointcrb import (crb_point_closed, fim_point,
+from irscrb.pointcrb import (_info_kernels, crb_point_closed, fim_point,
                              single_antenna_optimum)
-from irscrb.sweep import SweepSpec, reference_config, run_sweep
+from irscrb.sweep import SCHEMES, SweepSpec, reference_config, run_sweep
 
 from oracles import (fd_fim_point, exhaustive_phase_grid,
                      projected_gradient_extended, random_covariance,
@@ -83,14 +85,14 @@ def sdr_probes():
         theta = float(rng.uniform(-1.0, 1.0))
         a = target_steering(theta, 4, 0.1, 0.2)
         r_x = random_covariance(rng, 3, 1.0)
-        lifted, sol = irs_subproblem(r_x, a, g, 4)
+        lifted, sol = irs_subproblem(_info_kernels(g, r_x, a, 4))
         kkt = sol.kkt.max()
 
         def objective(v, r_x=r_x, a=a, g=g):
             return sdr_objective(r_x, np.outer(v, v.conj()), a, g, 4)
 
         grid_best = exhaustive_phase_grid(objective, 4, 16)
-        profile = gaussian_randomization(lifted, r_x, a, g, 4,
+        profile = gaussian_randomization(lifted, _info_kernels(g, r_x, a, 4),
                                          samples=5000, seed=seed)
         probes.append((objective(profile.v), grid_best, kkt))
     return probes
@@ -292,23 +294,24 @@ def test_criterion_9_trend_suite():
     ao_slopes = np.diff(10.0 * np.log10(ao)) / 5.0
     assert np.all(np.abs(ao_slopes + 1.0) <= 0.05)
 
-    # point bound never grows with more antennas, elements or sensors
-    for vary in ("M", "N", "K"):
-        vals = crbs(vary, (2.0, 4.0, 8.0), "proposed_ao")
-        assert np.all(np.diff(vals) <= 0.0), (vary, vals)
+    # the shared trend table: point bound falls with power, antennas,
+    # elements and sensors; extended bound grows with sensors and elements and
+    # falls with antennas and power
+    trend_crbs = {}
+    for trend in TRENDS:
+        scheme = trend.scheme or "proposed_ao"
+        vals = crbs(trend.vary, trend.values, scheme, cfg=replace(base, **trend.overrides),
+                    trials=2 if SCHEMES[scheme].target == "extended" else 3)
+        sign = -1.0 if trend.direction == "down" else 1.0
+        assert np.all(sign * np.diff(vals) > 0.0), (trend.label, vals)
+        trend_crbs[trend.label] = vals
 
     # extended bound: linear in sensors with zero intercept
-    ext = crbs("K", (4.0, 8.0, 16.0), "extended_opt", trials=2)
-    ratios = ext / np.array([4.0, 8.0, 16.0])
+    ratios = trend_crbs["extended crb vs K"] / np.array([4.0, 8.0, 16.0])
     assert np.max(np.abs(ratios - ratios[0])) <= 1e-9 * ratios[0]
-    # grows with elements, shrinks with antennas
-    ext_n = crbs("N", (2.0, 4.0, 6.0), "extended_opt", trials=2)
-    assert np.all(np.diff(ext_n) > 0.0)
-    ext_m = crbs("M", (8.0, 12.0, 16.0), "extended_opt", trials=2)
-    assert np.all(np.diff(ext_m) < 0.0)
     _report(9, f"power slope {slopes.mean():+.6f} (closed) / "
-               f"{ao_slopes.mean():+.4f} (AO); point bound nonincreasing in "
-               f"M, N, K; extended bound linear in K, up in N, down in M",
+               f"{ao_slopes.mean():+.4f} (AO); {len(TRENDS)} trends of the "
+               f"selftest table strictly monotone; extended bound linear in K",
             time.perf_counter() - tic, 1200.0)
 
 

@@ -14,6 +14,7 @@ from irscrb.ao import irs_subproblem, sdr_objective, transmit_subproblem
 from irscrb.arrays import centered_index, target_steering
 from irscrb.channel import rician_channel
 from irscrb.config import SystemConfig
+from irscrb.pointcrb import _info_kernels
 
 from oracles import random_covariance, random_unit_profile
 
@@ -80,7 +81,7 @@ def test_irs_subproblem_matches_cvxpy(m, n, seed):
     # clarabel occasionally reports optimal_inaccurate at ~1e-9 agreement
     assert problem.status in ("optimal", "optimal_inaccurate")
 
-    lifted, _ = irs_subproblem(r_x, a, g, k)
+    lifted, _ = irs_subproblem(_info_kernels(g, r_x, a, k))
     f_ours = sdr_objective(r_x, lifted, a, g, k)
     assert f_ours == pytest.approx(problem.value, rel=1e-6)
 
@@ -99,6 +100,6 @@ def test_desk_scale_irs_subproblem_matches_cvxpy():
                          [v_var >> 0, cp.diag(v_var) == 1.0])
     problem.solve(solver=cp.CLARABEL)
 
-    lifted, _ = irs_subproblem(r_x, a, ch.G, 8)
+    lifted, _ = irs_subproblem(_info_kernels(ch.G, r_x, a, 8))
     f_ours = scale * sdr_objective(r_x, lifted, a, ch.G, 8)
     assert f_ours == pytest.approx(problem.value, rel=1e-6)

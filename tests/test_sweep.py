@@ -346,6 +346,33 @@ class TestIsotropicTx:
         assert 0.0 < gap < 1.0
 
 
+class TestProposedAo:
+    """proposed_ao against its baselines, on the same channels and seeds."""
+
+    @pytest.mark.parametrize("m, n, k", [(4, 8, 2), (4, 16, 2), (8, 32, 4), (8, 16, 8)])
+    def test_never_worse_than_its_baselines(self, m, n, k):
+        for rician_factor in (10 ** 0.5, 0.0):
+            cfg = reference_config(M=m, N=n, K=k, P0=1.0, rician_factor=rician_factor)
+            for seed in range(6):
+                ch = rician_channel(cfg, seed=seed)
+                crb = {scheme: SCHEMES[scheme].evaluate(cfg, ch, THETA, seed, 0,
+                                                        AO_SAMPLES)
+                       for scheme in ("proposed_ao", "random_phase", "isotropic_tx")}
+                assert crb["proposed_ao"] <= min(crb["random_phase"],
+                                                 crb["isotropic_tx"]), (seed, crb)
+
+    @pytest.mark.parametrize("name", sorted(
+        path.name for path in (Path(__file__).resolve().parents[1] / "configs").glob("*.ini")
+        if load_config(str(path))[2][0].target == "point"))
+    def test_shipped_point_config_rows_are_ok_and_ordered(self, name):
+        config = Path(__file__).resolve().parents[1] / "configs" / name
+        rows = {spec.scheme: run_sweep(spec) for spec in load_config(str(config))[2]}
+        assert all(r.status == "ok" for scheme_rows in rows.values() for r in scheme_rows)
+        for row, *baselines in zip(rows["proposed_ao"], rows["random_phase"],
+                                   rows["isotropic_tx"]):
+            assert all(row.crb_mean <= b.crb_mean for b in baselines), (row, baselines)
+
+
 class TestCsv:
     def test_empty_records_header_only(self, tmp_path):
         path = tmp_path / "empty.csv"
