@@ -35,10 +35,23 @@ class AllocationResult:
             raise ValueError("allocation must be strictly positive")
 
 
-def split_objective(n: float, k: float) -> float:
+def split_objective(n, k):
     """Array-gain product N^2 (K^3 - K) that the bound is inversely
-    proportional to."""
+    proportional to (vectorized)."""
     return n ** 2 * (k ** 3 - k)
+
+
+def _split(varsigma, q_tot: float, w_i: float, w_s: float):
+    """Counts (N, K) = (Q/((1+s) W_I), s Q/((1+s) W_s)) of the split ratio s;
+    W_I N + W_s K = Q for every s."""
+    return (q_tot / ((1.0 + varsigma) * w_i),
+            varsigma * q_tot / ((1.0 + varsigma) * w_s))
+
+
+def _betas(q_tot: float, w_s: float) -> tuple[float, float]:
+    """Coefficients (beta4, beta5) of the stationarity cubic."""
+    q2, ws2 = q_tot ** 2, w_s ** 2
+    return -2.0 * (q2 - ws2) / (q2 + ws2), -ws2 / (q2 + ws2)
 
 
 def _check_budget(q_tot: float, w_i: float, w_s: float) -> None:
@@ -56,39 +69,29 @@ def allocate_optimal(q_tot: float, w_i: float, w_s: float) -> AllocationResult:
 
     The split ratio is the unique stationary point of the gain product in
     (-2/beta4, inf), obtained from the cubic
-    beta4 s^3 + 3 s^2 + beta5 = 0 by Cardano's formula.  For every budget
-    with Q >> W_s the cubic has three real roots, so the two cube-root
-    arguments are complex conjugates and their principal roots sum to a
-    real number; the evaluation therefore runs in complex arithmetic and
-    the residual of the recovered root is checked instead of the
-    discriminant's sign.
+    beta4 s^3 + 3 s^2 + beta5 = 0 by Cardano's formula.  Every accepted
+    budget has Q > W_s, so beta4 = -2 (Q^2 - W_s^2)/(Q^2 + W_s^2) lies in
+    (-2, 0), beta5 = -W_s^2/(Q^2 + W_s^2) in (-1/2, 0) and beta6 =
+    -beta4^2 beta5 - 2 in (-2, 0): the discriminant beta6^2 - 4 is negative
+    and the cubic has three real roots.  The two cube-root arguments are
+    then complex conjugates whose principal roots sum to twice the real
+    part of one, the largest real root.  In floating point the discriminant
+    rounds to 0 only from about Q/W_s = 1e9 on, where the same form still
+    holds.  The residual of the recovered root is checked.
     """
     _check_budget(q_tot, w_i, w_s)
-    q2 = q_tot ** 2
-    ws2 = w_s ** 2
-    beta4 = -2.0 * (q2 - ws2) / (q2 + ws2)
-    beta5 = -ws2 / (q2 + ws2)
+    beta4, beta5 = _betas(q_tot, w_s)
     beta6 = -beta4 ** 2 * beta5 - 2.0
-    disc = beta6 ** 2 - 4.0
-    if disc >= 0.0:
-        beta7 = np.sqrt(disc)
-        varsigma = (-1.0 / beta4
-                    + np.cbrt((beta6 + beta7) / (2.0 * beta4 ** 3))
-                    + np.cbrt((beta6 - beta7) / (2.0 * beta4 ** 3)))
-    else:
-        # Conjugate cube-root pair; its principal value has twice the real
-        # part equal to the stationary (largest) real root.
-        beta7 = 1j * np.sqrt(-disc)
-        root = ((beta6 + beta7) / (2.0 * beta4 ** 3)) ** (1.0 / 3.0)
-        varsigma = -1.0 / beta4 + 2.0 * float(root.real)
+    beta7 = 1j * np.sqrt(4.0 - beta6 ** 2)
+    root = ((beta6 + beta7) / (2.0 * beta4 ** 3)) ** (1.0 / 3.0)
+    varsigma = -1.0 / beta4 + 2.0 * float(root.real)
     residual = split_cubic(varsigma, q_tot, w_s)
     if abs(residual) > 1e-8 or varsigma <= 0.0:
         raise AllocationDomainError(
             f"closed-form split ratio failed validation (root {varsigma:g}, "
             f"cubic residual {residual:g})"
         )
-    n = q_tot / ((1.0 + varsigma) * w_i)
-    k = varsigma * q_tot / ((1.0 + varsigma) * w_s)
+    n, k = _split(varsigma, q_tot, w_i, w_s)
     return AllocationResult(n_cont=float(n), k_cont=float(k),
                             varsigma=varsigma, mode="optimal",
                             objective=split_objective(n, k))
@@ -102,17 +105,11 @@ def allocate_suboptimal(q_tot: float, w_i: float, w_s: float) -> AllocationResul
 
         N = (2 Q^3 - 2 Q W_s^2) / ((5 Q^2 + W_s^2) W_I)
         K = (3 Q^3 + 3 Q W_s^2) / (5 Q^2 W_s + W_s^3)
-
-    The N denominator groups (5 Q^2 + W_s^2) before the W_I factor; this is
-    the only grouping under which W_I * N + W_s * K = Q holds identically,
-    which the tests check.
     """
     _check_budget(q_tot, w_i, w_s)
-    q2 = q_tot ** 2
-    ws2 = w_s ** 2
-    n = (2.0 * q_tot ** 3 - 2.0 * q_tot * ws2) / ((5.0 * q2 + ws2) * w_i)
-    k = (3.0 * q_tot ** 3 + 3.0 * q_tot * ws2) / (5.0 * q2 * w_s + w_s ** 3)
+    q2, ws2 = q_tot ** 2, w_s ** 2
     varsigma = 3.0 * (q2 + ws2) / (2.0 * (q2 - ws2))
+    n, k = _split(varsigma, q_tot, w_i, w_s)
     return AllocationResult(n_cont=float(n), k_cont=float(k),
                             varsigma=float(varsigma), mode="suboptimal",
                             objective=split_objective(n, k))
@@ -130,7 +127,7 @@ def allocate_exhaustive(q_tot: float, w_i: float, w_s: float,
     n_grid, k_grid = n_grid[feasible], k_grid[feasible]
     if n_grid.size == 0:
         raise ValueError("no feasible grid point; decrease the step")
-    objective = n_grid ** 2 * (k_grid ** 3 - k_grid)
+    objective = split_objective(n_grid, k_grid)
     best = int(np.argmax(objective))
     n, k = float(n_grid[best]), float(k_grid[best])
     return AllocationResult(n_cont=n, k_cont=k,
@@ -141,17 +138,11 @@ def allocate_exhaustive(q_tot: float, w_i: float, w_s: float,
 def split_cubic(varsigma: float, q_tot: float, w_s: float) -> float:
     """Stationarity cubic beta4 s^3 + 3 s^2 + beta5 whose root is the
     optimal split ratio."""
-    q2 = q_tot ** 2
-    ws2 = w_s ** 2
-    beta4 = -2.0 * (q2 - ws2) / (q2 + ws2)
-    beta5 = -ws2 / (q2 + ws2)
+    beta4, beta5 = _betas(q_tot, w_s)
     return beta4 * varsigma ** 3 + 3.0 * varsigma ** 2 + beta5
 
 
 def split_gain(varsigma: np.ndarray, q_tot: float, w_i: float,
                w_s: float) -> np.ndarray:
     """Gain product as a function of the split ratio (vectorized)."""
-    s = np.asarray(varsigma, dtype=float)
-    n = q_tot / ((1.0 + s) * w_i)
-    k = s * q_tot / ((1.0 + s) * w_s)
-    return n ** 2 * (k ** 3 - k)
+    return split_objective(*_split(np.asarray(varsigma, dtype=float), q_tot, w_i, w_s))

@@ -27,9 +27,9 @@ from . import conic
 from .arrays import centered_index, target_steering
 from .config import PointTargetScene, SystemConfig, make_rng
 from .conic import ConicProgram, ConicSolution
-from .pointcrb import (DegenerateObjectiveError, PhaseProfile,
-                       TransmitCovariance, _info_kernels, _info_measure,
-                       _profile_scores, crb_point_closed, profile_vector)
+from .pointcrb import (DegenerateObjectiveError, PhaseProfile, TransmitCovariance,
+                       _info_kernels, _info_measure, _profile_scores,
+                       crb_point_closed, profile_vector, steered_gram)
 
 SUBPROBLEM_TOL = 1e-9
 # A solve that stalls at the solver's numerical floor is kept when its KKT
@@ -88,7 +88,7 @@ _U12_IM = np.array([[0.0, 0.5j], [-0.5j, 0.0]], dtype=complex)
 
 
 def _schur_program(quad_obj: np.ndarray, cross_kernel: np.ndarray,
-                   power_kernel: np.ndarray, order: int) -> ConicProgram:
+                   power_kernel: np.ndarray) -> ConicProgram:
     """Common epigraph program: min U_11 - tr(quad_obj X) with U tied to X.
 
     The 2x2 Hermitian block U carries the fractional term: U_12 =
@@ -102,7 +102,7 @@ def _schur_program(quad_obj: np.ndarray, cross_kernel: np.ndarray,
     """
     s_q = max(np.abs(quad_obj).max(), 1e-300)
     s_p = max(np.abs(power_kernel).max(), 1e-300)
-    program = ConicProgram([order, 2])
+    program = ConicProgram([quad_obj.shape[0], 2])
     program.set_objective({0: -quad_obj / s_q, 1: _U11})
     re_k, im_k = _re_im_kernels(cross_kernel / np.sqrt(s_q * s_p))
     program.add_eq({0: re_k, 1: -_U12_RE}, 0.0)
@@ -146,9 +146,8 @@ def transmit_subproblem(v_lifted: np.ndarray, a: np.ndarray, g: np.ndarray,
     solver's tolerance, so R_x is X rescaled to trace P0.
     """
     quad_obj, cross_kernel, power_kernel = _transmit_kernels(v_lifted, a, g, k)
-    order = quad_obj.shape[0]
-    program = _schur_program(quad_obj, cross_kernel, power_kernel, order=order)
-    program.add_eq({0: np.eye(order)}, 1.0)
+    program = _schur_program(quad_obj, cross_kernel, power_kernel)
+    program.add_eq({0: np.eye(quad_obj.shape[0])}, 1.0)
     sol = _checked(solver(program, tol=SUBPROBLEM_TOL), "transmit")
     x = _psd_clip(sol.blocks[0])
     return TransmitCovariance(matrix=(p0 / np.trace(x).real) * x, budget=p0), sol
@@ -192,7 +191,7 @@ def irs_subproblem(kernels: tuple[np.ndarray, np.ndarray, np.ndarray],
     if n > MAX_REFLECTION_N:
         raise SubproblemError(f"reflection program at N = {n} > {MAX_REFLECTION_N} needs "
                               f"{16e-9 * (n + 3) * (n + 2) ** 2:.2g} GB a stack copy")
-    program = _schur_program(*kernels, order=n)
+    program = _schur_program(*kernels)
     for i in range(n):
         e_ii = np.zeros((n, n))
         e_ii[i, i] = 1.0
@@ -255,17 +254,13 @@ def gaussian_randomization(v_lifted: np.ndarray,
 def default_phase_profile(g: np.ndarray, a: np.ndarray) -> PhaseProfile:
     """Initialization aligning the profile against the dominant channel mode.
 
-    Uses phi_n = -arg(a_n) - arg([G w]_n) with w the leading right singular
-    vector of G; for a single-antenna BS this is exactly the optimal
-    profile.  Falls back to uniform phases if the image has zero entries.
+    The phases of the top eigenvector of Q = :func:`steered_gram` at R_x =
+    I, which are phi_n = -arg(a_n) - arg([G w]_n) up to a common phase,
+    with w the leading right singular vector of G; for a single-antenna BS
+    this is exactly the optimal profile.
     """
     g = np.asarray(g, dtype=complex)
-    a = np.asarray(a, dtype=complex)
-    _, _, vh = np.linalg.svd(g)
-    image = g @ vh[0].conj()
-    if np.any(np.abs(image) == 0.0):
-        return PhaseProfile.from_phases(np.zeros(g.shape[0]))
-    return PhaseProfile.from_phases(-np.angle(a) - np.angle(image))
+    return PhaseProfile(v=_top_phases(steered_gram(g, np.eye(g.shape[1]), a)))
 
 
 def _design(v: np.ndarray, a: np.ndarray, g: np.ndarray, k: int, p0: float
@@ -361,11 +356,12 @@ def ao_minimize_crb(scene: PointTargetScene, g: np.ndarray,
     kernels (D Q D, D Q, Q) of K = 1.  So max_v f*(v) = P0 max(gamma max_v
     v^H Q v, max_v |w2|^2) exactly, and each branch is a reflection problem:
     branch 1 is :func:`_reflect` on (Q, 0, Q) from ``init`` and branch 2 the
-    same from the phases of Q's top eigenvector on (D Q D, D Q, Q).  Branch
-    2 runs only where it can win: M > 1 (else w2 = 0) and U_DQD > gamma
-    f_1, with f_1 = v^H Q v of branch 1 and U_DQD the :func:`phase_ascent`
-    bound on v^H D Q D v >= |w2|^2 from the phases of D Q D's top
-    eigenvector.  The design is the first best by f of the two branch
+    same from the phases of Q's top eigenvector (``init``'s default) on
+    (D Q D, D Q, Q).  U_DQD bounds v^H D Q D v >= |w2|^2: it is the
+    :func:`phase_ascent` bound from the phases of D Q D's top eigenvector
+    where M > 1, and 0 where M = 1, at which w2 = 0 for every v.  Branch 2
+    runs only where it can win: U_DQD > gamma f_1, with f_1 = v^H Q v of
+    branch 1.  The design is the first best by f of the two branch
     profiles and ``init``, each with its closed-form R_x.  ``f_upper`` = P0
     max(gamma U_Q, U_DQD), with U_Q the bound of the branch-1 ascent,
     bounds f over all designs.  ``samples`` and ``seed`` set the
@@ -373,18 +369,19 @@ def ao_minimize_crb(scene: PointTargetScene, g: np.ndarray,
     """
     g = np.asarray(g, dtype=complex)
     a = target_steering(scene.theta, config.N, config.spacing, config.wavelength)
-    if init is None:
-        init = default_phase_profile(g, a)
     k, p0 = config.K, config.P0
     gamma = (k ** 2 - 1) / 3.0
 
     supremum = _info_kernels(g, np.eye(config.M), a, 1)    # (D Q D, D Q, Q)
     dqd, _, q = supremum
-    upper_dqd = phase_ascent((dqd, 0 * q, q), _top_phases(dqd))[2]
+    top_q = _top_phases(q)
+    if init is None:
+        init = PhaseProfile(v=top_q)
+    upper_dqd = phase_ascent((dqd, 0 * q, q), _top_phases(dqd))[2] if config.M > 1 else 0.0
     v, upper_q, residual = _reflect((q, 0 * q, q), init.v, samples, seed)
     profiles, residuals = [v], [residual]
-    if config.M > 1 and upper_dqd > gamma * np.vdot(v, q @ v).real:
-        v, _, residual = _reflect(supremum, _top_phases(q), samples, seed)
+    if upper_dqd > gamma * np.vdot(v, q @ v).real:
+        v, _, residual = _reflect(supremum, top_q, samples, seed)
         profiles.append(v)
         residuals.append(residual)
     residuals = [r for r in residuals if r is not None]

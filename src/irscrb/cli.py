@@ -91,16 +91,13 @@ def cli_main(argv: list[str] | None = None) -> int:
         if args.command == "crb":
             return _cmd_crb(args)
         return _cmd_selftest(args)
-    except _UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return USAGE_EXIT
-    except (FileNotFoundError, ValueError) as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return USAGE_EXIT
     except (AllocationDomainError, EstimabilityError, SubproblemError,
             ArithmeticError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return NUMERICAL_EXIT
+    except (_UsageError, FileNotFoundError, ValueError) as exc:
+        print(f"usage error: {exc}", file=sys.stderr)
+        return USAGE_EXIT
 
 
 def _cmd_sweep(args) -> int:

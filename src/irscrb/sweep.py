@@ -8,7 +8,7 @@ point-by-point and dropping a trial leaves the others untouched.
 
 Configuration files are INI-style with three sections; powers are given in
 dBm, ratios in dB and angles in degrees, mirroring how the quantities are
-usually plotted::
+usually plotted.  Any other section or key is refused::
 
     [system]
     m = 8               ; BS antennas
@@ -329,19 +329,12 @@ def _fmt(x: float) -> str:
 
 def emit_csv(records: list[SweepRecord], path: str) -> None:
     """Write records under the documented CSV contract."""
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(",".join(CSV_HEADER) + "\n")
-        for rec in records:
-            fh.write(",".join([
-                rec.vary,
-                _fmt(rec.value),
-                rec.scheme,
-                _fmt(rec.crb_mean),
-                _fmt(rec.crb_db),
-                str(rec.trials_used),
-                rec.status,
-                _fmt(rec.wall_ms),
-            ]) + "\n")
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(CSV_HEADER)
+        writer.writerows([rec.vary, _fmt(rec.value), rec.scheme, _fmt(rec.crb_mean),
+                          _fmt(rec.crb_db), rec.trials_used, rec.status, _fmt(rec.wall_ms)]
+                         for rec in records)
 
 
 def read_csv(path: str) -> list[SweepRecord]:
@@ -367,63 +360,80 @@ def read_csv(path: str) -> list[SweepRecord]:
 # -- config files -------------------------------------------------------------
 
 def load_config(path: str) -> tuple[SystemConfig, float, list[SweepSpec]]:
-    """Read an INI config; returns (system, theta, one spec per scheme)."""
+    """Read an INI config; returns (system, theta, one spec per scheme).
+
+    A section or key that the loader does not read, or a missing
+    ``[sweep]`` key without a default, is refused with a ``ValueError``
+    naming the file, the section and the key.
+    """
     parser = configparser.ConfigParser(inline_comment_prefixes=(";", "#"))
     read = parser.read(path)
     if not read:
         raise FileNotFoundError(path)
+    known: dict[str, set[str]] = {}
 
-    sys_sec = parser["system"] if parser.has_section("system") else {}
-    wavelength = float(sys_sec.get("wavelength_m", 0.2))
-    base = reference_config(
-        M=int(sys_sec.get("m", 4)),
-        N=int(sys_sec.get("n", 4)),
-        K=int(sys_sec.get("k", 4)),
-        T=int(sys_sec.get("t", 64)),
-        P0=dbm_to_watt(float(sys_sec.get("p0_dbm", 30.0))),
+    def section(name: str) -> Callable:
+        """Getter of the keys of section ``name`` that records each key read."""
+        keys = known[name] = set()
+        sec = parser[name] if parser.has_section(name) else {}
+
+        def get(key: str, *default):
+            keys.add(key)
+            if key in sec or default:
+                return sec.get(key, *default)
+            raise ValueError(f"{path}: section [{name}] needs the key {key!r}")
+        return get
+
+    get = section("system")
+    wavelength = float(get("wavelength_m", 0.2))
+    system = dict(
+        M=int(get("m", 4)),
+        N=int(get("n", 4)),
+        K=int(get("k", 4)),
+        T=int(get("t", 64)),
+        P0=dbm_to_watt(float(get("p0_dbm", 30.0))),
         wavelength=wavelength,
-        spacing=float(sys_sec.get("spacing_m", wavelength / 2.0)),
-        noise_power=dbm_to_watt(float(sys_sec.get("noise_dbm", -90.0))),
-        d_bi=float(sys_sec.get("d_bi_m", 60.0)),
-        d_it=float(sys_sec.get("d_it_m", 20.0)),
-        c0=db_to_linear(-float(sys_sec.get("c0_loss_db", 30.0))),
-        alpha_bi=float(sys_sec.get("alpha_bi", 2.5)),
-        rician_factor=db_to_linear(float(sys_sec.get("rician_db", 5.0))),
-        rcs=db_to_linear(float(sys_sec.get("rcs_dbsm", 7.0))),
+        spacing=float(get("spacing_m", wavelength / 2.0)),
+        noise_power=dbm_to_watt(float(get("noise_dbm", -90.0))),
+        d_bi=float(get("d_bi_m", 60.0)),
+        d_it=float(get("d_it_m", 20.0)),
+        c0=db_to_linear(-float(get("c0_loss_db", 30.0))),
+        alpha_bi=float(get("alpha_bi", 2.5)),
+        rician_factor=db_to_linear(float(get("rician_db", 5.0))),
+        rcs=db_to_linear(float(get("rcs_dbsm", 7.0))),
     )
-
-    scene_sec = parser["scene"] if parser.has_section("scene") else {}
-    theta_deg = float(scene_sec.get("theta_deg", 60.0))
-    theta_deg = float(np.clip(theta_deg, -89.0, 89.0))
+    theta_deg = float(np.clip(float(section("scene")("theta_deg", 60.0)), -89.0, 89.0))
     theta = float(np.deg2rad(theta_deg))
 
-    specs: list[SweepSpec] = []
+    get = section("sweep")
+    schemes, target = [], None
     if parser.has_section("sweep"):
-        sweep_sec = parser["sweep"]
-        values = tuple(float(x) for x in sweep_sec["values"].split(","))
-        schemes = [s.strip() for s in sweep_sec["schemes"].split(",")]
-        for scheme in schemes:
-            specs.append(SweepSpec(
-                base=base,
-                theta=theta,
-                vary=sweep_sec.get("vary", "P0").strip(),
-                values=values,
-                scheme=scheme,
-                trials=int(sweep_sec.get("trials", 1)),
-                seed=int(sweep_sec.get("seed", 0)),
-                average_alpha=sweep_sec.get("average_alpha", "true").strip().lower()
-                in ("1", "true", "yes", "on"),
-                alpha_draws=int(sweep_sec.get("alpha_draws", 50)),
-                q_tot=float(sweep_sec.get("q_tot", 600.0)),
-                w_i=float(sweep_sec.get("w_i", 1.0)),
-                w_s=float(sweep_sec.get("w_s", 1.0)),
-                ao_samples=int(sweep_sec.get("ao_samples", AO_SAMPLES)),
-            ))
-        target = sweep_sec.get("target")
-        if target is not None:
-            for spec in specs:
-                if spec.target != target.strip():
-                    raise ValueError(
-                        f"scheme {spec.scheme!r} does not match target {target!r}"
-                    )
+        values = tuple(float(x) for x in get("values").split(","))
+        schemes = [s.strip() for s in get("schemes").split(",")]
+        target = get("target", None)
+        settings = dict(
+            vary=get("vary", "P0").strip(),
+            trials=int(get("trials", 1)),
+            seed=int(get("seed", 0)),
+            average_alpha=get("average_alpha", "true").strip().lower()
+            in ("1", "true", "yes", "on"),
+            alpha_draws=int(get("alpha_draws", 50)),
+            q_tot=float(get("q_tot", 600.0)),
+            w_i=float(get("w_i", 1.0)),
+            w_s=float(get("w_s", 1.0)),
+            ao_samples=int(get("ao_samples", AO_SAMPLES)),
+        )
+    for name in parser:
+        if name != parser.default_section and name not in known:
+            raise ValueError(f"{path}: unknown section [{name}]")
+        for key in parser[name]:
+            if key not in known.get(name, ()):
+                raise ValueError(f"{path}: unknown key {key!r} in section [{name}]")
+
+    base = reference_config(**system)
+    specs = [SweepSpec(base=base, theta=theta, values=values, scheme=scheme, **settings)
+             for scheme in schemes]
+    for spec in specs:
+        if target is not None and spec.target != target.strip():
+            raise ValueError(f"scheme {spec.scheme!r} does not match target {target!r}")
     return base, theta, specs

@@ -239,7 +239,7 @@ def parent_transmit_program(v_lifted: np.ndarray, a: np.ndarray, g: np.ndarray,
     """
     kernels = _transmit_kernels(v_lifted, a, g, k)
     m = kernels[0].shape[0]
-    epigraph = _schur_program(*kernels, order=m)
+    epigraph = _schur_program(*kernels)
     program = ConicProgram(epigraph.blocks + [1])
     program.set_objective(epigraph.objective)
     for coeffs, rhs in epigraph.eq:

@@ -12,7 +12,7 @@ from irscrb import conic
 from irscrb.ao import (CERTIFICATE_RTOL, MAX_REFLECTION_N, SUBPROBLEM_FLOOR,
                        SUBPROBLEM_TOL,
                        DegenerateObjectiveError, SubproblemError,
-                       _checked, _psd_clip, ao_minimize_crb,
+                       _checked, _psd_clip, ao_minimize_crb, best_reflection,
                        default_phase_profile, gaussian_randomization,
                        irs_subproblem, phase_ascent, sdr_objective,
                        transmit_closed_form, transmit_subproblem)
@@ -483,6 +483,22 @@ class TestCertifiedOptimum:
             assert np.isfinite(res.crb) and res.crb > 0
             assert res.iterations == 0 and res.status == "certified"
 
+    @pytest.mark.parametrize("rician_factor", [10 ** 0.5, 0.0], ids=["rician5dB", "rician0"])
+    @pytest.mark.parametrize("n, k", [(5, 4), (6, 4), (8, 8), (16, 4), (32, 8)])
+    def test_single_antenna_designs_certify(self, n, k, rician_factor):
+        # at M = 1, |w2|^2 = 0 for every profile, so f_upper = P0 gamma U_Q
+        # with U_Q the bound of the branch-1 ascent, which is exact there
+        cfg = reference_config(M=1, N=n, K=k, P0=1.0, rician_factor=rician_factor)
+        scene = point_scene(cfg, np.deg2rad(60.0))
+        a = target_steering(scene.theta, n, cfg.spacing, cfg.wavelength)
+        for seed in range(4):
+            g = rician_channel(cfg, seed=seed).G
+            res = ao_minimize_crb(scene, g, cfg, seed=seed)
+            q = steered_gram(g, np.eye(1), a)
+            upper_q = phase_ascent((q, 0 * q, q), default_phase_profile(g, a).v)[2]
+            assert res.f_upper == cfg.P0 * (k ** 2 - 1) / 3.0 * upper_q
+            assert res.status == "certified" and res.iterations == 0
+
     def test_certified_design_dominates_the_alternation(self):
         # the alternation the optimizer ran where its fixed point did not
         # certify, from the same start, does no better on the grid of the
@@ -721,24 +737,25 @@ def test_instances_whose_reflection_solve_stalled_return(caplog, scheme, m, n, k
         assert f"N = {n}" in record.getMessage() and "max_iter" in record.getMessage()
 
 
-@pytest.mark.parametrize("n", [4, 8, 16, 32])
-def test_no_abort_on_the_desk_scale_grid(n):
+# the optimizer's cases keep the bare size as their id
+@pytest.mark.parametrize("n, scheme", [
+    pytest.param(n, scheme, id=str(n) if scheme == "proposed_ao" else f"{scheme}-{n}")
+    for scheme in ("proposed_ao", "isotropic_tx") for n in (4, 8, 16, 32, 64)])
+def test_no_abort_on_the_desk_scale_grid(n, scheme):
+    cfg = SystemConfig(M=8, N=n, K=8, T=64, P0=1.0)
+    scene = point_scene(cfg, np.deg2rad(60.0))
+    a = target_steering(scene.theta, n, cfg.spacing, cfg.wavelength)
+    r_iso = np.eye(cfg.M, dtype=complex) / cfg.M
     for seed in range(3):
-        cfg = SystemConfig(M=8, N=n, K=8, T=64, P0=1.0)
         ch = rician_channel(cfg, seed=seed)
-        res = ao_minimize_crb(point_scene(cfg, np.deg2rad(60.0)), ch.G, cfg, seed=0)
-        assert res.solver_residual_max <= SUBPROBLEM_FLOOR
-        assert np.isfinite(res.crb) and res.crb > 0
-
-
-def test_sixty_four_element_run_returns():
-    # returns only with each row of the Schur block normalized on its own;
-    # under one shared scale a transmit solve stalls at a KKT residual of 1.3e-7
-    cfg = SystemConfig(M=8, N=64, K=8, T=64, P0=1.0)
-    ch = rician_channel(cfg, seed=1)
-    res = ao_minimize_crb(point_scene(cfg, np.deg2rad(60.0)), ch.G, cfg, seed=0)
-    assert res.solver_residual_max <= SUBPROBLEM_FLOOR
-    assert np.isfinite(res.crb) and res.crb > 0
+        if scheme == "proposed_ao":
+            res = ao_minimize_crb(scene, ch.G, cfg, seed=0)
+            assert res.solver_residual_max <= SUBPROBLEM_FLOOR
+            crb = res.crb
+        else:
+            v = best_reflection(_info_kernels(ch.G, r_iso, a, cfg.K), AO_SAMPLES, 0).v
+            crb = crb_point_closed(scene, r_iso, v, ch.G, cfg)
+        assert np.isfinite(crb) and crb > 0
 
 
 def test_iteration_cost_scaling_logged():

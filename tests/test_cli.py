@@ -7,6 +7,7 @@ from pathlib import Path
 import irscrb
 from irscrb.channel import rician_channel
 from irscrb.cli import cli_main
+from irscrb.extended import EstimabilityError
 from irscrb.sweep import AO_SAMPLES, SCHEMES, load_config
 
 POINT_CONFIG = """
@@ -112,6 +113,25 @@ def test_sweep_missing_config_is_usage_error(tmp_path):
     rc = cli_main(["sweep", "--config", str(tmp_path / "nope.ini"),
                    "--out", str(tmp_path / "x.csv")])
     assert rc == 1
+
+
+def test_sweep_config_with_a_typo_is_usage_error(tmp_path, capsys):
+    cfg = tmp_path / "cfg.ini"
+    cfg.write_text(POINT_CONFIG.replace("alpha_draws = 5", "alpha_draw = 5"))
+    rc = cli_main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "x.csv")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage error:") and "alpha_draw" in err and str(cfg) in err
+    assert not (tmp_path / "x.csv").exists()
+
+
+def test_estimability_error_is_numerical_failure(monkeypatch, capsys):
+    # EstimabilityError is a ValueError; it must not read as a usage error
+    def rank_deficient(*args):
+        raise EstimabilityError("response matrix is rank-deficient")
+    monkeypatch.setattr("irscrb.cli.allocate_optimal", rank_deficient)
+    assert cli_main(["allocate", "--qtot", "600", "--wi", "1", "--ws", "1"]) == 2
+    assert capsys.readouterr().err.startswith("numerical failure:")
 
 
 def test_crb_point_single_antenna(tmp_path, capsys):

@@ -1,4 +1,6 @@
 import logging
+import re
+import textwrap
 from dataclasses import replace
 from pathlib import Path
 
@@ -19,6 +21,7 @@ from irscrb.sweep import (_RANDOMIZE, AO_SAMPLES, SCHEMES, Scheme, SweepRecord,
 from oracles import parent_isotropic_profile
 
 THETA = np.deg2rad(60.0)
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def _spec(**kw):
@@ -484,3 +487,43 @@ alpha_draws = 5
     def test_missing_file(self):
         with pytest.raises(FileNotFoundError):
             load_config("/nonexistent/cfg.ini")
+
+    @pytest.mark.parametrize("old, new, message", [
+        ("[system]", "[systen]", r"unknown section \[systen\]"),
+        ("alpha_draws = 5", "alpha_draw = 5", r"unknown key 'alpha_draw' in section \[sweep\]"),
+        ("seed = 3", "seed = 3\nao_sample = 10", r"unknown key 'ao_sample' in section \[sweep\]"),
+        ("theta_deg = 95", "theta = 95", r"unknown key 'theta' in section \[scene\]"),
+        ("values = 10, 20", "value = 10, 20", r"section \[sweep\] needs the key 'values'"),
+    ], ids=["section", "sweep_key", "added_key", "scene_key", "missing_key"])
+    def test_unknown_and_missing_keys_are_refused(self, tmp_path, old, new, message):
+        # each of these once ran silently with the defaults in its place
+        path = tmp_path / "cfg.ini"
+        path.write_text(self.CONFIG.replace(old, new))
+        with pytest.raises(ValueError, match=message) as info:
+            load_config(str(path))
+        assert str(path) in str(info.value)
+
+
+@pytest.mark.parametrize("name", sorted(path.name for path in (ROOT / "configs").glob("*.ini")))
+def test_shipped_config_loads(name):
+    _, _, specs = load_config(str(ROOT / "configs" / name))
+    assert specs
+
+
+def _documented_config(source):
+    if source == "README.md":
+        blocks = re.findall(r"```ini\n(.*?)```", (ROOT / "README.md").read_text(), re.S)
+    else:
+        blocks = re.findall(r"::\n\n((?:    .*\n|\n)+)", irscrb.sweep.__doc__)
+    assert len(blocks) == 1
+    return textwrap.dedent(blocks[0])
+
+
+@pytest.mark.parametrize("source", ["README.md", "irscrb.sweep"])
+def test_documented_config_example_loads(tmp_path, source):
+    # every key the example documents is one the loader reads
+    path = tmp_path / "example.ini"
+    path.write_text(_documented_config(source))
+    base, _, specs = load_config(str(path))
+    assert (base.M, base.N, base.K) == (8, 8, 8)
+    assert specs and specs[0].scheme == "proposed_ao"
