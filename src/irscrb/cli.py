@@ -189,7 +189,7 @@ def _cmd_selftest(args) -> int:
         spec = SweepSpec(base=replace(base, **trend.overrides), theta=np.deg2rad(60.0),
                          vary=trend.vary, values=trend.values,
                          scheme=trend.scheme or point_scheme, trials=2, seed=7,
-                         average_alpha=True, alpha_draws=10, ao_samples=50)
+                         alpha_draws=10, ao_samples=50)
         crbs = [rec.crb_mean for rec in run_sweep(spec)]
         pairs = list(zip(crbs, crbs[1:]))
         passed = all(b <= a * (1 + 1e-12) for a, b in pairs) if trend.direction == "down" \

@@ -63,10 +63,6 @@ class PhaseProfile:
         if np.abs(np.abs(v) - 1.0).max() > UNIT_MODULUS_ATOL:
             raise ValueError("every reflection coefficient must be unit modulus")
 
-    @classmethod
-    def from_phases(cls, phases: np.ndarray) -> "PhaseProfile":
-        return cls(v=np.exp(1j * np.asarray(phases, dtype=float)))
-
 
 @dataclass(frozen=True)
 class PointFim:

@@ -8,7 +8,8 @@ point-by-point and dropping a trial leaves the others untouched.
 
 Configuration files are INI-style with three sections; powers are given in
 dBm, ratios in dB and angles in degrees, mirroring how the quantities are
-usually plotted.  Any other section or key is refused::
+usually plotted.  An absent key takes the ``SystemConfig`` or ``SweepSpec``
+default; any other section or key is refused::
 
     [system]
     m = 8               ; BS antennas
@@ -32,12 +33,11 @@ usually plotted.  Any other section or key is refused::
     [sweep]
     target = point      ; point | extended
     vary = P0           ; P0 | M | N | K | beta_BI | W_I | Q_tot
-    values = 10, 20, 30 ; dBm for P0, dB for beta_BI, plain otherwise
+    values = 10, 20, 30 ; dBm for P0, dB for beta_BI, whole numbers for M, N, K
     schemes = proposed_ao, random_phase
     trials = 3
     seed = 1234
-    average_alpha = true
-    alpha_draws = 50
+    alpha_draws = 50    ; fading draws averaged per trial, 1 for a single draw
     ao_samples = 200    ; Gaussian randomization draws per AO / isotropic_tx
     q_tot = 600         ; only for W_I / Q_tot sweeps
     w_i = 1
@@ -87,7 +87,41 @@ from .extended import (EstimabilityError, FullyPassiveConfig, crb_extended_iso,
                        optimal_transmit_extended)
 from .pointcrb import _info_kernels, crb_point_closed, single_antenna_optimum
 
-VARY_CHOICES = ("P0", "M", "N", "K", "beta_BI", "W_I", "Q_tot")
+
+def _count(value: float) -> int:
+    if not float(value).is_integer():
+        raise ValueError(f"expected a whole number, got {value!r}")
+    return int(value)
+
+
+# [system] key -> (SystemConfig field, parse from the file's unit)
+_SYSTEM_KEYS = {
+    "m": ("M", _count),
+    "n": ("N", _count),
+    "k": ("K", _count),
+    "t": ("T", _count),
+    "p0_dbm": ("P0", dbm_to_watt),
+    "wavelength_m": ("wavelength", float),
+    "spacing_m": ("spacing", float),
+    "noise_dbm": ("noise_power", dbm_to_watt),
+    "d_bi_m": ("d_bi", float),
+    "d_it_m": ("d_it", float),
+    "c0_loss_db": ("c0", lambda loss_db: db_to_linear(-loss_db)),
+    "alpha_bi": ("alpha_bi", float),
+    "rician_db": ("rician_factor", db_to_linear),
+    "rcs_dbsm": ("rcs", db_to_linear),
+}
+# vary -> (field, parse) of its [system] key; W_I and Q_tot allocate N and K
+_SWEPT = {vary: _SYSTEM_KEYS[key] for vary, key in
+          (("P0", "p0_dbm"), ("M", "m"), ("N", "n"), ("K", "k"), ("beta_BI", "rician_db"))}
+VARY_CHOICES = (*_SWEPT, "W_I", "Q_tot")
+# [sweep] key -> parse of the SweepSpec field of the same name
+_SWEEP_KEYS = {"vary": str, "values": lambda text: tuple(float(x) for x in text.split(",")),
+               "trials": int, "seed": int, "alpha_draws": int, "ao_samples": int,
+               "q_tot": float, "w_i": float, "w_s": float}
+_SECTION_KEYS = {"system": _SYSTEM_KEYS, "scene": ("theta_deg",),
+                 "sweep": (*_SWEEP_KEYS, "schemes", "target")}
+THETA_DEG = 60.0                    # target DoA when [scene] gives none
 
 CSV_HEADER = ("vary", "value", "scheme", "crb", "crb_db", "trials", "status",
               "wall_ms")
@@ -113,7 +147,6 @@ class SweepSpec:
     scheme: str
     trials: int = 1
     seed: int = 0
-    average_alpha: bool = True
     alpha_draws: int = 50
     q_tot: float = 600.0            # allocation-driven sweeps only
     w_i: float = 1.0
@@ -133,6 +166,9 @@ class SweepSpec:
             raise ValueError("trials must be at least 1")
         if self.vary in ("W_I", "Q_tot") and self.target == "extended":
             raise ValueError("allocation sweeps apply to the point-target model")
+        _, parse = _SWEPT.get(self.vary, (None, float))
+        for value in self.values:       # refuses a count sweep over 4.5
+            parse(value)
 
     @property
     def target(self) -> str:
@@ -152,24 +188,16 @@ class SweepRecord:
 
 
 def _config_for(spec: SweepSpec, value: float) -> SystemConfig:
-    base = spec.base
-    if spec.vary == "P0":
-        return replace(base, P0=dbm_to_watt(value))
-    if spec.vary == "M":
-        return replace(base, M=int(value))
-    if spec.vary == "N":
-        return replace(base, N=int(value))
-    if spec.vary == "K":
-        return replace(base, K=int(value))
-    if spec.vary == "beta_BI":
-        return replace(base, rician_factor=db_to_linear(value))
+    if spec.vary in _SWEPT:
+        field, parse = _SWEPT[spec.vary]
+        return replace(spec.base, **{field: parse(value)})
     if spec.vary == "W_I":
         split = allocate_optimal(spec.q_tot, value, spec.w_s)
     else:  # Q_tot
         split = allocate_optimal(value, spec.w_i, spec.w_s)
     n = max(1, round(split.n_cont))
     k = max(2, round(split.k_cont))
-    return replace(base, N=n, K=k)
+    return replace(spec.base, N=n, K=k)
 
 
 # -- schemes ------------------------------------------------------------------
@@ -250,8 +278,8 @@ def _alpha_factor(spec: SweepSpec, trial: int) -> float:
     fading draws multiplies the unit-draw bound by mean(1/|alpha0|^2).
     """
     rng = make_rng(spec.seed, trial, _ALPHA)
-    draws = spec.alpha_draws if spec.average_alpha else 1
-    a0 = (rng.standard_normal(draws) + 1j * rng.standard_normal(draws)) / np.sqrt(2.0)
+    a0 = (rng.standard_normal(spec.alpha_draws)
+          + 1j * rng.standard_normal(spec.alpha_draws)) / np.sqrt(2.0)
     return float(np.mean(1.0 / np.abs(a0) ** 2))
 
 
@@ -283,10 +311,6 @@ def _trial_runner(spec: SweepSpec) -> Callable[[SystemConfig, int], tuple[float,
             return float("inf"), "rank_deficient"
         return float(crb), "ok"
     return run
-
-
-def _run_trial(spec: SweepSpec, cfg: SystemConfig, trial: int) -> tuple[float, str]:
-    return _trial_runner(spec)(cfg, trial)
 
 
 def run_sweep(spec: SweepSpec) -> list[SweepRecord]:
@@ -362,78 +386,42 @@ def read_csv(path: str) -> list[SweepRecord]:
 def load_config(path: str) -> tuple[SystemConfig, float, list[SweepSpec]]:
     """Read an INI config; returns (system, theta, one spec per scheme).
 
-    A section or key that the loader does not read, or a missing
-    ``[sweep]`` key without a default, is refused with a ``ValueError``
-    naming the file, the section and the key.
+    A section or key outside the key tables, or a ``[sweep]`` without
+    ``values`` or ``schemes``, is refused with a ``ValueError`` naming the
+    file, the section and the key.
     """
     parser = configparser.ConfigParser(inline_comment_prefixes=(";", "#"))
-    read = parser.read(path)
-    if not read:
+    if not parser.read(path):
         raise FileNotFoundError(path)
-    known: dict[str, set[str]] = {}
-
-    def section(name: str) -> Callable:
-        """Getter of the keys of section ``name`` that records each key read."""
-        keys = known[name] = set()
-        sec = parser[name] if parser.has_section(name) else {}
-
-        def get(key: str, *default):
-            keys.add(key)
-            if key in sec or default:
-                return sec.get(key, *default)
-            raise ValueError(f"{path}: section [{name}] needs the key {key!r}")
-        return get
-
-    get = section("system")
-    wavelength = float(get("wavelength_m", 0.2))
-    system = dict(
-        M=int(get("m", 4)),
-        N=int(get("n", 4)),
-        K=int(get("k", 4)),
-        T=int(get("t", 64)),
-        P0=dbm_to_watt(float(get("p0_dbm", 30.0))),
-        wavelength=wavelength,
-        spacing=float(get("spacing_m", wavelength / 2.0)),
-        noise_power=dbm_to_watt(float(get("noise_dbm", -90.0))),
-        d_bi=float(get("d_bi_m", 60.0)),
-        d_it=float(get("d_it_m", 20.0)),
-        c0=db_to_linear(-float(get("c0_loss_db", 30.0))),
-        alpha_bi=float(get("alpha_bi", 2.5)),
-        rician_factor=db_to_linear(float(get("rician_db", 5.0))),
-        rcs=db_to_linear(float(get("rcs_dbsm", 7.0))),
-    )
-    theta_deg = float(np.clip(float(section("scene")("theta_deg", 60.0)), -89.0, 89.0))
-    theta = float(np.deg2rad(theta_deg))
-
-    get = section("sweep")
-    schemes, target = [], None
-    if parser.has_section("sweep"):
-        values = tuple(float(x) for x in get("values").split(","))
-        schemes = [s.strip() for s in get("schemes").split(",")]
-        target = get("target", None)
-        settings = dict(
-            vary=get("vary", "P0").strip(),
-            trials=int(get("trials", 1)),
-            seed=int(get("seed", 0)),
-            average_alpha=get("average_alpha", "true").strip().lower()
-            in ("1", "true", "yes", "on"),
-            alpha_draws=int(get("alpha_draws", 50)),
-            q_tot=float(get("q_tot", 600.0)),
-            w_i=float(get("w_i", 1.0)),
-            w_s=float(get("w_s", 1.0)),
-            ao_samples=int(get("ao_samples", AO_SAMPLES)),
-        )
+    sections = {name: parser[name] for name in parser.sections()}
+    for key in ("values", "schemes"):
+        if "sweep" in sections and key not in sections["sweep"]:
+            raise ValueError(f"{path}: section [sweep] needs the key {key!r}")
     for name in parser:
-        if name != parser.default_section and name not in known:
+        if name != parser.default_section and name not in _SECTION_KEYS:
             raise ValueError(f"{path}: unknown section [{name}]")
         for key in parser[name]:
-            if key not in known.get(name, ()):
+            if key not in _SECTION_KEYS.get(name, ()):
                 raise ValueError(f"{path}: unknown key {key!r} in section [{name}]")
 
-    base = reference_config(**system)
-    specs = [SweepSpec(base=base, theta=theta, values=values, scheme=scheme, **settings)
-             for scheme in schemes]
+    system = sections.get("system", {})
+    fields = {field: parse(float(system[key]))
+              for key, (field, parse) in _SYSTEM_KEYS.items() if key in system}
+    if "wavelength" in fields:
+        fields.setdefault("spacing", fields["wavelength"] / 2.0)
+    base = SystemConfig(**fields)
+    theta_deg = float(parser.get("scene", "theta_deg", fallback=THETA_DEG))
+    theta = float(np.deg2rad(np.clip(theta_deg, -89.0, 89.0)))
+
+    if "sweep" not in sections:
+        return base, theta, []
+    sweep = sections["sweep"]
+    settings = {key: parse(sweep[key]) for key, parse in _SWEEP_KEYS.items() if key in sweep}
+    settings.setdefault("vary", "P0")
+    specs = [SweepSpec(base=base, theta=theta, scheme=scheme.strip(), **settings)
+             for scheme in sweep["schemes"].split(",")]
+    target = sweep.get("target")
     for spec in specs:
-        if target is not None and spec.target != target.strip():
+        if target is not None and spec.target != target:
             raise ValueError(f"scheme {spec.scheme!r} does not match target {target!r}")
     return base, theta, specs

@@ -125,6 +125,17 @@ def test_sweep_config_with_a_typo_is_usage_error(tmp_path, capsys):
     assert not (tmp_path / "x.csv").exists()
 
 
+def test_fractional_count_sweep_is_usage_error(tmp_path, capsys):
+    cfg = tmp_path / "cfg.ini"
+    cfg.write_text(POINT_CONFIG.replace("vary = P0", "vary = N")
+                   .replace("values = 20, 30", "values = 4, 4.5"))
+    rc = cli_main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "x.csv")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage error:") and "4.5" in err
+    assert not (tmp_path / "x.csv").exists()
+
+
 def test_estimability_error_is_numerical_failure(monkeypatch, capsys):
     # EstimabilityError is a ValueError; it must not read as a usage error
     def rank_deficient(*args):

@@ -15,7 +15,7 @@ from irscrb.channel import rician_channel
 from irscrb.config import SystemConfig, dbm_to_watt, derive_seed, point_scene
 from irscrb.pointcrb import _info_kernels, crb_point_closed
 from irscrb.sweep import (_RANDOMIZE, AO_SAMPLES, SCHEMES, Scheme, SweepRecord,
-                          SweepSpec, _config_for, _run_trial, emit_csv,
+                          SweepSpec, _config_for, _trial_runner, emit_csv,
                           load_config, read_csv, reference_config, run_sweep)
 
 from oracles import parent_isotropic_profile
@@ -27,7 +27,7 @@ ROOT = Path(__file__).resolve().parents[1]
 def _spec(**kw):
     base = dict(base=reference_config(), theta=THETA, vary="P0",
                 values=(10.0, 20.0, 30.0), scheme="single_antenna_closed",
-                trials=2, seed=11, average_alpha=True, alpha_draws=10)
+                trials=2, seed=11, alpha_draws=10)
     base.update(kw)
     return SweepSpec(**base)
 
@@ -124,15 +124,15 @@ class TestRunSweep:
         spec2 = _spec(base=reference_config(M=1, N=4, K=4), trials=2)
         spec5 = _spec(base=reference_config(M=1, N=4, K=4), trials=5)
         cfg = _config_for(spec2, 30.0)
-        assert _run_trial(spec2, cfg, 0) == _run_trial(spec5, cfg, 0)
-        assert _run_trial(spec2, cfg, 1) == _run_trial(spec5, cfg, 1)
+        assert _trial_runner(spec2)(cfg, 0) == _trial_runner(spec5)(cfg, 0)
+        assert _trial_runner(spec2)(cfg, 1) == _trial_runner(spec5)(cfg, 1)
 
     def test_shipped_point_config_random_phase_at_25_dbm(self):
         # configs/point_p0.ini, trial 1: random_phase takes its transmit
         # step in closed form, so the trial solves no program
         spec = _spec(base=reference_config(M=4, N=8, K=8), values=(25.0,),
                      scheme="random_phase", trials=3, seed=1234)
-        crb, status = _run_trial(spec, _config_for(spec, 25.0), 1)
+        crb, status = _trial_runner(spec)(_config_for(spec, 25.0), 1)
         assert status == "ok" and np.isfinite(crb)
 
     def test_rician_factor_sweep_runs(self):
@@ -145,8 +145,8 @@ class TestRunSweep:
 
     def test_alpha_averaging_changes_the_level_not_the_slope(self):
         kw = dict(base=reference_config(M=1, N=4, K=4), trials=1)
-        avg = run_sweep(_spec(average_alpha=True, alpha_draws=20, **kw))
-        single = run_sweep(_spec(average_alpha=False, **kw))
+        avg = run_sweep(_spec(alpha_draws=20, **kw))
+        single = run_sweep(_spec(alpha_draws=1, **kw))
         assert avg[0].crb_mean != single[0].crb_mean
         slope_a = avg[0].crb_db - avg[-1].crb_db
         slope_s = single[0].crb_db - single[-1].crb_db
@@ -229,10 +229,11 @@ class TestUnitPower:
         assert [r.status for r in records] == ["ok"] * len(values)
         for record in records:
             cfg = _config_for(spec, record.value)
-            unit = [_run_trial(spec, replace(cfg, P0=1.0), t) for t in range(spec.trials)]
+            unit = [_trial_runner(spec)(replace(cfg, P0=1.0), t)
+                    for t in range(spec.trials)]
             assert [status for _, status in unit] == ["ok"] * spec.trials
             assert record.crb_mean == float(np.mean([crb for crb, _ in unit])) / cfg.P0
-            direct = [_run_trial(spec, cfg, t) for t in range(spec.trials)]
+            direct = [_trial_runner(spec)(cfg, t) for t in range(spec.trials)]
             assert [status for _, status in direct] == ["ok"] * spec.trials
             expected = np.mean([crb for crb, _ in direct])
             assert record.crb_mean == pytest.approx(expected, rel=1e-6)
@@ -271,7 +272,7 @@ class TestUnitPower:
             fail()
             caplog.clear()
             with caplog.at_level(logging.WARNING, logger="irscrb.sweep"):
-                crb, status = _run_trial(spec, _config_for(spec, 20.0), 0)
+                crb, status = _trial_runner(spec)(_config_for(spec, 20.0), 0)
             assert np.isnan(crb) and status == "error:" + text.split(":")[0]
             (record,) = [r for r in caplog.records if r.name == "irscrb.sweep"]
             assert record.levelno == logging.WARNING
@@ -326,7 +327,7 @@ class TestIsotropicTx:
             return solve(*args, **kwargs)
 
         monkeypatch.setattr(irscrb.ao, "irs_subproblem", counted)
-        crb, status = _run_trial(spec, replace(spec.base, P0=1.0), trial)
+        crb, status = _trial_runner(spec)(replace(spec.base, P0=1.0), trial)
         assert status == "ok" and np.isfinite(crb)
         return len(calls)
 
@@ -453,7 +454,6 @@ values = 10, 20
 schemes = single_antenna_closed
 trials = 2
 seed = 3
-average_alpha = true
 alpha_draws = 5
 """
 
@@ -480,9 +480,29 @@ alpha_draws = 5
         assert reference_config() == SystemConfig()
         path = tmp_path / "cfg.ini"
         path.write_text("[sweep]\nvalues = 10\nschemes = random_phase\n")
-        base, _, specs = load_config(str(path))
+        base, theta, specs = load_config(str(path))
         assert base == SystemConfig()
+        # trials, seed, alpha_draws, q_tot, w_i, w_s and ao_samples too
+        assert specs == [SweepSpec(base=base, theta=theta, vary="P0", values=(10.0,),
+                                   scheme="random_phase")]
         assert specs[0].ao_samples == AO_SAMPLES
+
+    def test_seed_is_read_as_an_integer(self, tmp_path):
+        # above 2**53 a float round-trip would land on a neighbouring seed
+        path = tmp_path / "cfg.ini"
+        path.write_text(self.CONFIG.replace("seed = 3", f"seed = {2**53 + 1}"))
+        assert load_config(str(path))[2][0].seed == 2**53 + 1
+
+    def test_count_sweep_refuses_a_fractional_value(self, tmp_path):
+        # such a sweep once evaluated N = 4 in a row labelled 4.5
+        path = tmp_path / "cfg.ini"
+        sweep = self.CONFIG.replace("vary = P0", "vary = N")
+        path.write_text(sweep.replace("values = 10, 20", "values = 4, 4.5"))
+        with pytest.raises(ValueError, match=r"whole number, got 4\.5"):
+            load_config(str(path))
+        path.write_text(sweep.replace("values = 10, 20", "values = 4, 8.0"))
+        (spec,) = load_config(str(path))[2]
+        assert [_config_for(spec, value).N for value in spec.values] == [4, 8]
 
     def test_missing_file(self):
         with pytest.raises(FileNotFoundError):
@@ -494,7 +514,10 @@ alpha_draws = 5
         ("seed = 3", "seed = 3\nao_sample = 10", r"unknown key 'ao_sample' in section \[sweep\]"),
         ("theta_deg = 95", "theta = 95", r"unknown key 'theta' in section \[scene\]"),
         ("values = 10, 20", "value = 10, 20", r"section \[sweep\] needs the key 'values'"),
-    ], ids=["section", "sweep_key", "added_key", "scene_key", "missing_key"])
+        ("seed = 3", "seed = 3\naverage_alpha = false",
+         r"unknown key 'average_alpha' in section \[sweep\]"),
+    ], ids=["section", "sweep_key", "added_key", "scene_key", "missing_key",
+            "average_alpha"])
     def test_unknown_and_missing_keys_are_refused(self, tmp_path, old, new, message):
         # each of these once ran silently with the defaults in its place
         path = tmp_path / "cfg.ini"
