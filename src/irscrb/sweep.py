@@ -49,11 +49,20 @@ the scheme with those counts.
 
 Every bound is homogeneous of degree -1 in the transmit budget, so each
 trial is evaluated at ``P0 = 1 W`` and a row's mean is scaled by ``1/P0``.
-Values with the same unit-power config reuse the trial results, so a ``P0``
-sweep solves each trial once.  Each trial's channel seed and fading factor are
-drawn once per sweep, and its channel once per distinct ``DRAW_FIELDS`` (once
-for a ``K`` sweep), by the first row that needs it; ``wall_ms`` counts a
-row's own draws, solves and scaling.
+The ``extended_opt`` and ``extended_iso`` bounds are also exactly
+proportional to K, so they are evaluated at the base config's K and scaled
+by ``K / K_base`` too; ``fully_passive`` is not, since its return channel
+has K rows.  Values with the same unit config reuse the trial results, so a
+``P0`` sweep, and a ``K`` sweep of those two schemes, solves each trial
+once.  ``fully_passive`` takes its transmit factor in closed form: at the
+optimal covariance its bound is
+``sigma^2 / (P0 T) (sum_i 1/s_i)^2 tr((G_r^H G_r)^{-1})``, the
+``extended_opt`` bound at K = 1 times the return-channel factor.  Each
+trial's channel seed and fading factor are drawn once per sweep, and its
+channel once per distinct ``DRAW_FIELDS`` (once for a ``K`` sweep), by the
+first row that needs it; ``wall_ms`` counts a row's own draws, solves and
+scaling, so rows after the first that reuse its results report near-zero
+times.
 
 The CSV contract: header ``vary,value,scheme,crb,crb_db,trials,status,
 wall_ms``, one row per (value, scheme), floats in full-precision scientific
@@ -82,7 +91,8 @@ from .arrays import target_steering
 from .channel import DRAW_FIELDS, rician_channel
 from .config import (SystemConfig, db_to_linear, dbm_to_watt, derive_seed,
                      make_rng, point_scene)
-from .extended import (EstimabilityError, FullyPassiveConfig, crb_extended_iso,
+# only perfbench/tracing.py uses crb_fully_passive and optimal_transmit_extended here
+from .extended import (EstimabilityError, _inverse_trace, crb_extended_iso,
                        crb_extended_opt, crb_fully_passive,
                        optimal_transmit_extended)
 from .pointcrb import _info_kernels, crb_point_closed, single_antenna_optimum
@@ -162,8 +172,9 @@ class SweepSpec:
             raise ValueError("value list must be non-empty")
         if any(b <= a for a, b in zip(self.values, self.values[1:])):
             raise ValueError("values must be strictly increasing")
-        if self.trials < 1:
-            raise ValueError("trials must be at least 1")
+        for key in ("trials", "alpha_draws", "ao_samples"):
+            if getattr(self, key) < 1:
+                raise ValueError(f"{key} must be at least 1, got {getattr(self, key)}")
         if self.vary in ("W_I", "Q_tot") and self.target == "extended":
             raise ValueError("allocation sweeps apply to the point-target model")
         _, parse = _SWEPT.get(self.vary, (None, float))
@@ -208,11 +219,12 @@ class Scheme(NamedTuple):
     ``evaluate(cfg, ch, theta, seed, trial, samples)`` returns the bound for
     the channel draw ``ch``; point-target bounds are for a unit small-scale
     draw (alpha0 = 1).  Any further randomness comes from the (seed, trial)
-    substreams.
+    substreams.  ``linear_in_k`` marks a bound exactly proportional to K.
     """
 
     target: str                         # "point" | "extended"
     evaluate: Callable[..., float]
+    linear_in_k: bool = False
 
 
 def _proposed_ao(cfg, ch, theta, seed, trial, samples) -> float:
@@ -250,13 +262,12 @@ def _extended_iso(cfg, ch, theta, seed, trial, samples) -> float:
 
 
 def _fully_passive(cfg, ch, theta, seed, trial, samples) -> float:
-    # echoes return through the IRS to K BS receive antennas; the transmit
-    # side reuses the optimal covariance.
+    # echoes return through the IRS to K BS receive antennas; at the optimal
+    # transmit covariance the transmit factor is the extended bound at K = 1
     back_cfg = replace(cfg, M=cfg.K)
     g_r = rician_channel(back_cfg, seed=derive_seed(seed, trial, _RETURN)).G.T
-    fp = FullyPassiveConfig(m_r=cfg.K, g_r=g_r)
-    r_x = optimal_transmit_extended(ch.G, cfg.P0)
-    return crb_fully_passive(r_x, ch.G, fp, cfg.T, cfg.noise_power)
+    inv_rx, _ = _inverse_trace(g_r.conj().T @ g_r)
+    return crb_extended_opt(ch.G, cfg.P0, 1, cfg.T, cfg.noise_power).crb * inv_rx
 
 
 SCHEMES = {
@@ -264,8 +275,8 @@ SCHEMES = {
     "random_phase": Scheme("point", _random_phase),
     "isotropic_tx": Scheme("point", _isotropic_tx),
     "single_antenna_closed": Scheme("point", _single_antenna_closed),
-    "extended_opt": Scheme("extended", _extended_opt),
-    "extended_iso": Scheme("extended", _extended_iso),
+    "extended_opt": Scheme("extended", _extended_opt, linear_in_k=True),
+    "extended_iso": Scheme("extended", _extended_iso, linear_in_k=True),
     "fully_passive": Scheme("extended", _fully_passive),
 }
 POINT_SCHEMES = tuple(name for name, s in SCHEMES.items() if s.target == "point")
@@ -314,13 +325,15 @@ def _trial_runner(spec: SweepSpec) -> Callable[[SystemConfig, int], tuple[float,
 
 
 def run_sweep(spec: SweepSpec) -> list[SweepRecord]:
-    """Evaluate the scheme over all (value, trial) items at 1 W, average, scale by 1/P0."""
+    """Evaluate the scheme over all (value, trial) items at 1 W (and at the
+    base K for a bound linear in K), average, and scale by 1/P0 (and K)."""
     records = []
     run = _trial_runner(spec)
+    linear_in_k = SCHEMES[spec.scheme].linear_in_k
     for value in spec.values:
         cfg = _config_for(spec, value)
         tic = time.perf_counter()
-        unit = replace(cfg, P0=1.0)
+        unit = replace(cfg, P0=1.0, K=spec.base.K if linear_in_k else cfg.K)
         results = [run(unit, trial) for trial in range(spec.trials)]
         statuses = [status for _, status in results]
         if any(s.startswith("error") for s in statuses):
@@ -331,7 +344,7 @@ def run_sweep(spec: SweepSpec) -> list[SweepRecord]:
             mean = float("inf")
         else:
             status = "ok"
-            mean = float(np.mean([crb for crb, _ in results])) / cfg.P0
+            mean = float(np.mean([crb for crb, _ in results])) * (cfg.K / unit.K) / cfg.P0
         crb_db = 10.0 * np.log10(mean) if mean > 0 else float("nan")
         records.append(SweepRecord(
             vary=spec.vary, value=float(value), scheme=spec.scheme,

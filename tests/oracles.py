@@ -6,19 +6,28 @@ rather than through the code paths under test.  The exceptions are
 ``parent_transmit_program``, which poses the library's own transmit program
 in its former inequality form, ``parent_isotropic_profile``, the
 isotropic-transmit reflection design as it was made before the phase ascent,
-and ``_alternate``, the alternating optimizer that ``ao_minimize_crb`` ran
-where its fixed point did not certify, before the exact two-branch solve.
+``parent_fully_passive``, the fully-passive sweep bound as it was evaluated
+before its transmit factor came from the closed form, and ``_alternate``,
+the alternating optimizer that ``ao_minimize_crb`` ran where its fixed point
+did not certify, before the exact two-branch solve.
 """
 
 from __future__ import annotations
+
+from dataclasses import replace
 
 import numpy as np
 
 from irscrb.ao import (_schur_program, _transmit_kernels,
                        gaussian_randomization, irs_subproblem,
                        transmit_closed_form)
+from irscrb.channel import rician_channel
+from irscrb.config import derive_seed
 from irscrb.conic import ConicProgram
+from irscrb.extended import (FullyPassiveConfig, crb_fully_passive,
+                             optimal_transmit_extended)
 from irscrb.pointcrb import _info_kernels, _profile_scores
+from irscrb.sweep import _RETURN
 
 AO_TOL = 1e-6                     # relative objective gain that ends the AO
 AO_MAX_ITER = 50
@@ -258,6 +267,16 @@ def parent_isotropic_profile(r_x: np.ndarray, a: np.ndarray, g: np.ndarray,
     kernels = _info_kernels(g, r_x, a, k)
     lifted, _ = irs_subproblem(kernels)
     return gaussian_randomization(lifted, kernels, samples, seed).v
+
+
+def parent_fully_passive(cfg, g: np.ndarray, seed: int, trial: int) -> float:
+    """``crb_fully_passive`` at ``optimal_transmit_extended(g, P0)``, with the
+    return channel of the sweep's ``(seed, trial)`` substream."""
+    back_cfg = replace(cfg, M=cfg.K)
+    g_r = rician_channel(back_cfg, seed=derive_seed(seed, trial, _RETURN)).G.T
+    fp = FullyPassiveConfig(m_r=cfg.K, g_r=g_r)
+    r_x = optimal_transmit_extended(g, cfg.P0)
+    return crb_fully_passive(r_x, g, fp, cfg.T, cfg.noise_power)
 
 
 def _design(v: np.ndarray, a: np.ndarray, g: np.ndarray, k: int, p0: float):

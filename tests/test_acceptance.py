@@ -17,16 +17,17 @@ from irscrb.ao import (ao_minimize_crb, gaussian_randomization,
 from irscrb.arrays import target_steering
 from irscrb.channel import rician_channel
 from irscrb.cli import TRENDS
-from irscrb.config import PointTargetScene, SystemConfig, make_rng, point_scene
+from irscrb.config import (PointTargetScene, SystemConfig, derive_seed, make_rng,
+                           point_scene)
 from irscrb.conic import ConicProgram, solve
 from irscrb.extended import (FullyPassiveConfig, crb_extended,
                              crb_extended_iso, crb_extended_opt,
-                             crb_fully_passive, gap_db,
+                             crb_fully_passive, fim_extended, gap_db,
                              optimal_transmit_extended,
                              semi_passive_preferred)
 from irscrb.pointcrb import (_info_kernels, crb_point_closed, fim_point,
                              single_antenna_optimum)
-from irscrb.sweep import SCHEMES, SweepSpec, reference_config, run_sweep
+from irscrb.sweep import _CHANNEL, SCHEMES, SweepSpec, reference_config, run_sweep
 
 from oracles import (fd_fim_point, exhaustive_phase_grid,
                      projected_gradient_extended, random_covariance,
@@ -306,9 +307,23 @@ def test_criterion_9_trend_suite():
         assert np.all(sign * np.diff(vals) > 0.0), (trend.label, vals)
         trend_crbs[trend.label] = vals
 
-    # extended bound: linear in sensors with zero intercept
-    ratios = trend_crbs["extended crb vs K"] / np.array([4.0, 8.0, 16.0])
+    # extended bound: linear in sensors with zero intercept.  The sweep
+    # scales one evaluation per trial by K, so the linearity is checked on
+    # the inverse of the dense information matrix at each K, on the sweep's
+    # channels, and the sweep rows are checked against it.
+    trend = next(t for t in TRENDS if t.label == "extended crb vs K")
+    cfg = replace(base, **trend.overrides)
+    dense = np.zeros(len(trend.values))
+    for trial in range(2):          # the two trials of an extended trend
+        g = rician_channel(cfg, seed=derive_seed(9, trial, _CHANNEL)).G
+        r_x = optimal_transmit_extended(g, cfg.P0)
+        dense += [np.trace(np.linalg.inv(fim_extended(
+            r_x, np.ones(cfg.N), g, k, cfg.T, cfg.noise_power))) for k in trend.values]
+    dense /= 2
+    ratios = dense / np.array([4.0, 8.0, 16.0])
     assert np.max(np.abs(ratios - ratios[0])) <= 1e-9 * ratios[0]
+    rows = trend_crbs[trend.label]
+    assert np.all(np.abs(rows - dense) <= 1e-9 * dense)
     _report(9, f"power slope {slopes.mean():+.6f} (closed) / "
                f"{ao_slopes.mean():+.4f} (AO); {len(TRENDS)} trends of the "
                f"selftest table strictly monotone; extended bound linear in K",

@@ -4,6 +4,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import irscrb
 from irscrb.channel import rician_channel
 from irscrb.cli import cli_main
@@ -122,6 +124,18 @@ def test_sweep_config_with_a_typo_is_usage_error(tmp_path, capsys):
     assert rc == 1
     err = capsys.readouterr().err
     assert err.startswith("usage error:") and "alpha_draw" in err and str(cfg) in err
+    assert not (tmp_path / "x.csv").exists()
+
+
+@pytest.mark.parametrize("key", ["alpha_draws", "ao_samples"])
+def test_sweep_without_draws_is_usage_error(tmp_path, capsys, key):
+    # alpha_draws = 0 once wrote every row inf, status rank_deficient, exit 0
+    cfg = tmp_path / "cfg.ini"
+    cfg.write_text(POINT_CONFIG.replace("alpha_draws = 5", f"{key} = 0"))
+    rc = cli_main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "x.csv")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage error:") and f"{key} must be at least 1" in err
     assert not (tmp_path / "x.csv").exists()
 
 

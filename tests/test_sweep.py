@@ -13,12 +13,14 @@ from irscrb.ao import SubproblemError, phase_ascent
 from irscrb.arrays import target_steering
 from irscrb.channel import rician_channel
 from irscrb.config import SystemConfig, dbm_to_watt, derive_seed, point_scene
+from irscrb.extended import EstimabilityError, crb_extended, optimal_transmit_extended
 from irscrb.pointcrb import _info_kernels, crb_point_closed
-from irscrb.sweep import (_RANDOMIZE, AO_SAMPLES, SCHEMES, Scheme, SweepRecord,
-                          SweepSpec, _config_for, _trial_runner, emit_csv,
-                          load_config, read_csv, reference_config, run_sweep)
+from irscrb.sweep import (_CHANNEL, _RANDOMIZE, AO_SAMPLES, SCHEMES, Scheme,
+                          SweepRecord, SweepSpec, _config_for, _trial_runner,
+                          emit_csv, load_config, read_csv, reference_config,
+                          run_sweep)
 
-from oracles import parent_isotropic_profile
+from oracles import parent_fully_passive, parent_isotropic_profile
 
 THETA = np.deg2rad(60.0)
 ROOT = Path(__file__).resolve().parents[1]
@@ -53,6 +55,13 @@ class TestSpecValidation:
         with pytest.raises(ValueError, match="trials"):
             _spec(trials=0)
 
+    @pytest.mark.parametrize("key", ["alpha_draws", "ao_samples"])
+    @pytest.mark.parametrize("count", [0, -1])
+    def test_no_draws(self, key, count):
+        # alpha_draws = 0 once wrote every row inf, status rank_deficient
+        with pytest.raises(ValueError, match=f"{key} must be at least 1, got {count}"):
+            _spec(**{key: count})
+
     def test_allocation_sweep_needs_point_model(self):
         with pytest.raises(ValueError, match="point-target"):
             _spec(vary="W_I", values=(0.5, 1.0), scheme="extended_opt")
@@ -83,12 +92,23 @@ class TestRunSweep:
             assert r_ao.crb_mean <= r_rand.crb_mean
 
     def test_extended_bound_linear_in_sensors(self):
+        # the sweep scales one evaluation per trial by K, so the linearity is
+        # checked on the generic bound at the optimal covariance at each K
         spec = _spec(base=reference_config(M=8, N=4), vary="K",
                      values=(4.0, 8.0, 16.0), scheme="extended_opt", trials=2)
-        records = run_sweep(spec)
-        crbs = np.array([r.crb_mean for r in records])
-        ratio = crbs / np.array([4.0, 8.0, 16.0])
+        sensors = np.array(spec.values)
+        cfg = spec.base
+        direct = np.zeros(len(sensors))
+        for trial in range(spec.trials):
+            g = rician_channel(cfg, seed=derive_seed(spec.seed, trial, _CHANNEL)).G
+            r_x = optimal_transmit_extended(g, cfg.P0)
+            direct += [crb_extended(r_x, g, int(k), cfg.T, cfg.noise_power).crb
+                       for k in sensors]
+        direct /= spec.trials
+        ratio = direct / sensors
         np.testing.assert_allclose(ratio, ratio[0], rtol=1e-9)
+        crbs = np.array([r.crb_mean for r in run_sweep(spec)])
+        np.testing.assert_allclose(crbs, direct, rtol=1e-9)
 
     def test_allocation_driven_sweep(self):
         spec = _spec(base=reference_config(M=1, N=4, K=4), vary="W_I",
@@ -168,7 +188,7 @@ def _counted(monkeypatch, name):
 
 # Per vary: the swept values, and the base config of each kind of scheme.
 _VALUES = {"P0": (10.0, 20.0, 40.0), "M": (4.0, 8.0), "N": (2.0, 4.0, 8.0),
-           "K": (4.0, 8.0, 16.0), "beta_BI": (-5.0, 0.0, 5.0), "W_I": (0.5, 1.0, 2.0),
+           "K": (4.0, 8.0, 12.0, 16.0), "beta_BI": (-5.0, 0.0, 5.0), "W_I": (0.5, 1.0, 2.0),
            "Q_tot": (10.0, 20.0, 30.0)}
 _BASES = {"point": reference_config(M=2, N=4, K=4),
           "single_antenna_closed": reference_config(M=1, N=4, K=4),
@@ -183,6 +203,16 @@ class TestUnitPower:
         records = run_sweep(_spec(scheme="proposed_ao", **self.SMALL))
         assert len(calls) == 2          # one per trial, not one per value
         assert [r.status for r in records] == ["ok"] * 3
+
+    @pytest.mark.parametrize("scheme, bound", [("extended_opt", "crb_extended_opt"),
+                                               ("extended_iso", "crb_extended_iso")])
+    def test_k_sweep_evaluates_each_trial_once(self, monkeypatch, scheme, bound):
+        # both bounds are exactly proportional to K
+        calls = _counted(monkeypatch, bound)
+        spec = _spec(base=_BASES["extended"], vary="K", values=(2.0, 4.0, 12.0, 16.0),
+                     scheme=scheme, trials=3)
+        assert [r.status for r in run_sweep(spec)] == ["ok"] * 4
+        assert len(calls) == spec.trials
 
     def test_k_sweep_draws_each_trial_channel_once(self, monkeypatch):
         # K does not enter the channel draw
@@ -220,7 +250,8 @@ class TestUnitPower:
         if SCHEMES[scheme].target == "point" or vary not in ("W_I", "Q_tot")])
     def test_matches_evaluation_at_each_value_own_power(self, scheme, vary):
         # a row equals trials evaluated on their own, each with fresh draws:
-        # bitwise at 1 W, and to rounding at the row's own power
+        # bitwise at 1 W (and the base K for a bound linear in K), and to
+        # rounding at the row's own power and K
         kind = scheme if scheme == "single_antenna_closed" else SCHEMES[scheme].target
         values = (1.0,) if (kind, vary) == ("single_antenna_closed", "M") else _VALUES[vary]
         spec = _spec(scheme=scheme, base=_BASES[kind], vary=vary, values=values,
@@ -229,10 +260,12 @@ class TestUnitPower:
         assert [r.status for r in records] == ["ok"] * len(values)
         for record in records:
             cfg = _config_for(spec, record.value)
-            unit = [_trial_runner(spec)(replace(cfg, P0=1.0), t)
-                    for t in range(spec.trials)]
+            unit_cfg = replace(cfg, P0=1.0,
+                               K=spec.base.K if SCHEMES[scheme].linear_in_k else cfg.K)
+            unit = [_trial_runner(spec)(unit_cfg, t) for t in range(spec.trials)]
             assert [status for _, status in unit] == ["ok"] * spec.trials
-            assert record.crb_mean == float(np.mean([crb for crb, _ in unit])) / cfg.P0
+            assert record.crb_mean == (float(np.mean([crb for crb, _ in unit]))
+                                       * (cfg.K / unit_cfg.K) / cfg.P0)
             direct = [_trial_runner(spec)(cfg, t) for t in range(spec.trials)]
             assert [status for _, status in direct] == ["ok"] * spec.trials
             expected = np.mean([crb for crb, _ in direct])
@@ -348,6 +381,45 @@ class TestIsotropicTx:
         assert len(messages) == 1 and "SDR fallback" in messages[0]
         gap = float(messages[0].split("gap ")[1].split(";")[0])
         assert 0.0 < gap < 1.0
+
+
+class TestFullyPassive:
+    """fully_passive: the transmit factor in closed form."""
+
+    @staticmethod
+    def _bound(evaluate) -> float:
+        # the sweep writes an EstimabilityError and an infinite bound alike
+        # as rank_deficient
+        try:
+            return evaluate()
+        except EstimabilityError:
+            return float("inf")
+
+    # (8, 4, 2): a return channel of rank 2 < N; (2, 4, 4): M < N
+    @pytest.mark.parametrize("m, n, k", [(8, 4, 8), (8, 4, 4), (4, 4, 16), (8, 8, 32),
+                                         (8, 4, 2), (2, 4, 4)])
+    def test_matches_the_bound_at_the_optimal_covariance(self, m, n, k):
+        finite = (m, n, k) not in ((8, 4, 2), (2, 4, 4))
+        for rician_factor in (10 ** 0.5, 0.0):
+            for p0 in (1.0, 0.25):
+                cfg = reference_config(M=m, N=n, K=k, P0=p0, rician_factor=rician_factor)
+                for seed in range(5):
+                    ch = rician_channel(cfg, seed=seed)
+                    crb = self._bound(lambda: SCHEMES["fully_passive"].evaluate(
+                        cfg, ch, THETA, seed, 1, AO_SAMPLES))
+                    parent = self._bound(lambda: parent_fully_passive(cfg, ch.G, seed, 1))
+                    assert np.isfinite(crb) == np.isfinite(parent) == finite
+                    if finite:
+                        assert crb == pytest.approx(parent, rel=1e-12)
+
+    def test_rank_deficient_channel(self):
+        cfg = reference_config(M=8, N=4, K=8)
+        ch = rician_channel(cfg, seed=0)
+        deficient = replace(ch, G=np.outer(ch.G[:, 0], ch.G[0]))
+        with pytest.raises(EstimabilityError):
+            SCHEMES["fully_passive"].evaluate(cfg, deficient, THETA, 0, 0, AO_SAMPLES)
+        with pytest.raises(EstimabilityError):
+            parent_fully_passive(cfg, deficient.G, 0, 0)
 
 
 class TestProposedAo:
@@ -525,6 +597,18 @@ alpha_draws = 5
         with pytest.raises(ValueError, match=message) as info:
             load_config(str(path))
         assert str(path) in str(info.value)
+
+
+@pytest.mark.parametrize("name", sorted(
+    path.name for path in (ROOT / "configs").glob("*.ini")
+    if load_config(str(path))[2][0].target == "extended"))
+def test_shipped_extended_config_rows_are_ok_and_ordered(name):
+    # the optimal covariance never loses to the isotropic one when M >= N
+    rows = {spec.scheme: run_sweep(spec)
+            for spec in load_config(str(ROOT / "configs" / name))[2]}
+    assert all(r.status == "ok" for scheme_rows in rows.values() for r in scheme_rows)
+    for opt, iso in zip(rows["extended_opt"], rows["extended_iso"], strict=True):
+        assert opt.crb_mean <= iso.crb_mean, (opt, iso)
 
 
 @pytest.mark.parametrize("name", sorted(path.name for path in (ROOT / "configs").glob("*.ini")))
