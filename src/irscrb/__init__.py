@@ -18,11 +18,10 @@ from .config import (ChannelRealization, PointTargetScene, SystemConfig,
                      make_rng, point_scene, watt_to_dbm)
 from .conic import (ConicProgram, ConicSolution, KktResiduals, kkt_residuals,
                     solve)
-from .extended import (EstimabilityError, ExtendedCrbReport,
-                       FullyPassiveConfig, crb_extended, crb_extended_iso,
-                       crb_extended_opt, crb_fully_passive, fim_extended,
-                       gap_db, optimal_transmit_extended,
-                       semi_passive_preferred)
+from .extended import (EstimabilityError, ExtendedCrbReport, crb_extended,
+                       crb_extended_iso, crb_extended_opt, crb_fully_passive,
+                       crb_fully_passive_opt, fim_extended, gap_db,
+                       optimal_transmit_extended, semi_passive_preferred)
 from .pointcrb import (PhaseProfile, PointFim, TransmitCovariance,
                        covariance_matrix, crb_point_closed, effective_matrix,
                        effective_matrix_derivative, fim_point, profile_vector,

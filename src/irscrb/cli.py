@@ -134,13 +134,14 @@ def _cmd_crb(args) -> int:
         return SCHEMES[scheme].evaluate(base, ch, theta, args.seed, 0, AO_SAMPLES)
 
     if args.target == "extended":
-        try:
-            opt, iso = bound("extended_opt"), bound("extended_iso")
-            print(f"crb_opt = {opt:.6e}  ({10 * np.log10(opt):.3f} dB)")
-            print(f"crb_iso = {iso:.6e}  ({10 * np.log10(iso):.3f} dB)")
-            print(f"gap     = {gap_db(ch.G, base.M):.4f} dB")
-        except EstimabilityError:
+        opt = bound("extended_opt")
+        if not np.isfinite(opt):
             print("crb_opt = inf  (rank-deficient channel)")
+            return 0
+        iso = bound("extended_iso")
+        print(f"crb_opt = {opt:.6e}  ({10 * np.log10(opt):.3f} dB)")
+        print(f"crb_iso = {iso:.6e}  ({10 * np.log10(iso):.3f} dB)")
+        print(f"gap     = {gap_db(ch.G, base.M):.4f} dB")
         return 0
 
     scheme = args.scheme or ("single_antenna_closed" if base.M == 1

@@ -5,13 +5,14 @@ matrix have a block-circular Fisher information whose inverse trace reduces
 to (sigma^2 K / T) * tr((G R_x G^H)^{-1}): the reflection profile cancels,
 so only the transmit covariance matters.  The optimal covariance follows
 from the SVD of G, which also yields the bound itself, the isotropic
-baseline and their ratio in closed form.
+baseline and their ratio in closed form.  Every bound is a sum over
+singular values under one rank rule (one at most ``RANK_RTOL * s_max`` is
+zero) and is infinite, not raised, short of rank N.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Literal
 
 import numpy as np
 
@@ -27,50 +28,31 @@ class EstimabilityError(ValueError):
 
 @dataclass(frozen=True)
 class ExtendedCrbReport:
-    """Trace bound for the response-matrix estimate plus its provenance."""
+    """Trace bound for the response-matrix estimate."""
 
     crb: float
-    mode: Literal["generic", "optimal", "isotropic"]
-    singular_values: np.ndarray     # singular values of G, descending
-    gap_db: float | None = None     # isotropic-vs-optimal gap when known
     rank_deficiency: int = 0        # positive when the bound is infinite
 
 
-@dataclass(frozen=True)
-class FullyPassiveConfig:
-    """Receive-side description of a fully-passive reference system."""
-
-    m_r: int                        # BS receive antennas
-    g_r: np.ndarray                 # [m_r, N] IRS-to-BS channel
-
-    def __post_init__(self):
-        g_r = np.asarray(self.g_r, dtype=complex)
-        object.__setattr__(self, "g_r", g_r)
-        if g_r.shape[0] != self.m_r:
-            raise ValueError(f"g_r must have {self.m_r} rows, got {g_r.shape[0]}")
+def _rank_deficiency(sv: np.ndarray, n: int) -> int:
+    """N minus the rank: a singular value at most RANK_RTOL * s_max is zero."""
+    return n - min(int(np.sum(sv > RANK_RTOL * sv.max(initial=0.0))), n)
 
 
-def _singular_values(g: np.ndarray) -> tuple[np.ndarray, int]:
-    """Descending singular values of G and the rank deficiency w.r.t. N."""
-    sv = np.linalg.svd(np.asarray(g, dtype=complex), compute_uv=False)
-    n = g.shape[0]
-    rank = int(np.sum(sv > RANK_RTOL * sv[0])) if sv.size and sv[0] > 0 else 0
-    return sv, n - min(rank, n)
+def _inverse_sum(a: np.ndarray, power: int) -> tuple[float, int]:
+    """(sum_i 1/s_i^power, rank deficiency) over the singular values of the
+    [N, *] matrix ``a``; the sum is infinite when the deficiency is positive."""
+    a = np.asarray(a, dtype=complex)
+    sv = np.linalg.svd(a, compute_uv=False)
+    deficiency = _rank_deficiency(sv, a.shape[0])
+    if deficiency:
+        return float("inf"), deficiency
+    return float(np.sum(1.0 / sv ** power)), 0
 
 
-def _inverse_trace(gram: np.ndarray) -> tuple[float, int]:
-    """(tr(gram^{-1}), rank deficiency) of a Hermitian PSD matrix; inf when singular."""
-    ev = np.linalg.eigvalsh((gram + gram.conj().T) / 2.0)
-    deficiency = int(np.sum(ev <= RANK_RTOL * max(ev.max(initial=0.0), 0.0)))
-    if ev.size == 0 or deficiency:
-        return float("inf"), max(deficiency, 1)
-    return float(np.sum(1.0 / ev)), 0
-
-
-def _gap_db(sv: np.ndarray, m: int) -> float:
-    """Isotropic-over-optimal bound ratio in dB from the singular values of G."""
-    ratio = m * float(np.sum(1.0 / sv ** 2)) / float(np.sum(1.0 / sv)) ** 2
-    return float(10.0 * np.log10(ratio))
+def _return_factor(g_r: np.ndarray) -> float:
+    """tr((G_r^H G_r)^{-1}) of the [m_r, N] return channel; inf below rank N."""
+    return _inverse_sum(np.asarray(g_r).T, 2)[0]
 
 
 def fim_extended(r_x, v, g: np.ndarray, k: int, t: int,
@@ -103,15 +85,12 @@ def crb_extended(r_x, g: np.ndarray, k: int, t: int,
                  sigma2: float) -> ExtendedCrbReport:
     """Trace bound (sigma^2 K / T) tr((G R_x G^H)^{-1}) for any profile.
 
-    Returns an infinite bound carrying the rank deficiency when
-    G R_x G^H is singular.
+    The trace is sum_i 1/s_i^2 over the singular values of G R_x^{1/2}.
     """
-    g = np.asarray(g, dtype=complex)
-    rx = covariance_matrix(r_x)
-    sv, _ = _singular_values(g)
-    inv_trace, deficiency = _inverse_trace(g @ rx.conj().T @ g.conj().T)
-    return ExtendedCrbReport(crb=sigma2 * k / t * inv_trace, mode="generic",
-                             singular_values=sv, rank_deficiency=deficiency)
+    w, q = np.linalg.eigh(covariance_matrix(r_x))
+    factor = q * np.sqrt(np.clip(w, 0.0, None))   # factor @ factor^H = R_x
+    inv_trace, deficiency = _inverse_sum(np.asarray(g, dtype=complex) @ factor, 2)
+    return ExtendedCrbReport(sigma2 * k / t * inv_trace, deficiency)
 
 
 def optimal_transmit_extended(g: np.ndarray, p0: float) -> TransmitCovariance:
@@ -123,16 +102,13 @@ def optimal_transmit_extended(g: np.ndarray, p0: float) -> TransmitCovariance:
     """
     g = np.asarray(g, dtype=complex)
     n, m = g.shape
-    if m < n:
-        raise EstimabilityError(
-            f"response matrix is not estimable with M = {m} < N = {n}"
-        )
     _, sv, qh = np.linalg.svd(g)
-    if sv[-1] <= RANK_RTOL * sv[0]:
-        raise EstimabilityError("channel is rank deficient; bound is infinite")
+    deficiency = _rank_deficiency(sv, n)
+    if deficiency:
+        raise EstimabilityError(f"response matrix is not estimable: G is {n} x {m} "
+                                f"with rank deficiency {deficiency}")
     weights = (1.0 / sv) * (p0 / np.sum(1.0 / sv))
-    q = qh.conj().T                               # [M, M]... columns truncated below
-    q_n = q[:, :n]
+    q_n = qh.conj().T[:, :n]                      # [M, N]
     r_x = (q_n * weights) @ q_n.conj().T
     r_x = (r_x + r_x.conj().T) / 2.0
     # eliminate the rounding drift so the budget is met exactly
@@ -142,61 +118,50 @@ def optimal_transmit_extended(g: np.ndarray, p0: float) -> TransmitCovariance:
 
 def crb_extended_opt(g: np.ndarray, p0: float, k: int, t: int,
                      sigma2: float) -> ExtendedCrbReport:
-    """Closed-form bound (sigma^2 K / (P0 T)) (sum_i 1/s_i)^2 at the optimum."""
-    g = np.asarray(g, dtype=complex)
-    sv, deficiency = _singular_values(g)
-    if g.shape[1] < g.shape[0] or deficiency > 0:
-        raise EstimabilityError("optimal bound needs M >= N and full-rank G")
-    crb = sigma2 * k / (p0 * t) * float(np.sum(1.0 / sv)) ** 2
-    return ExtendedCrbReport(crb=crb, mode="optimal", singular_values=sv,
-                             gap_db=_gap_db(sv, g.shape[1]))
+    """Closed-form bound (sigma^2 K / (P0 T)) (sum_i 1/s_i)^2 at the optimum;
+    infinite where M < N or G is rank deficient."""
+    inv_sum, deficiency = _inverse_sum(g, 1)
+    return ExtendedCrbReport(sigma2 * k / (p0 * t) * inv_sum ** 2, deficiency)
 
 
 def crb_extended_iso(g: np.ndarray, p0: float, m: int, k: int, t: int,
                      sigma2: float) -> ExtendedCrbReport:
     """Bound (sigma^2 K M / (P0 T)) sum_i 1/s_i^2 under R_x = (P0/M) I."""
-    g = np.asarray(g, dtype=complex)
-    if g.shape[1] != m:
-        raise ValueError(f"G has {g.shape[1]} columns but m = {m}")
-    sv, deficiency = _singular_values(g)
-    if deficiency > 0:
-        return ExtendedCrbReport(crb=float("inf"), mode="isotropic",
-                                 singular_values=sv,
-                                 rank_deficiency=deficiency)
-    crb = sigma2 * k * m / (p0 * t) * float(np.sum(1.0 / sv ** 2))
-    return ExtendedCrbReport(crb=crb, mode="isotropic", singular_values=sv,
-                             gap_db=_gap_db(sv, m))
+    if np.shape(g)[1] != m:
+        raise ValueError(f"G has {np.shape(g)[1]} columns but m = {m}")
+    inv_sum, deficiency = _inverse_sum(g, 2)
+    return ExtendedCrbReport(sigma2 * k * m / (p0 * t) * inv_sum, deficiency)
 
 
 def gap_db(g: np.ndarray, m: int) -> float:
     """Isotropic-over-optimal bound ratio in dB; power and K independent."""
-    g = np.asarray(g, dtype=complex)
-    if g.shape[1] != m:
-        raise ValueError(f"G has {g.shape[1]} columns but m = {m}")
-    sv, deficiency = _singular_values(g)
-    if deficiency > 0:
+    iso = crb_extended_iso(g, 1.0, m, 1, 1, 1.0)
+    if iso.rank_deficiency:
         raise EstimabilityError("gap is undefined for a rank-deficient channel")
-    return _gap_db(sv, m)
+    return float(10.0 * np.log10(iso.crb / crb_extended_opt(g, 1.0, 1, 1, 1.0).crb))
 
 
-def crb_fully_passive(r_x, g: np.ndarray, fp: FullyPassiveConfig, t: int,
+def crb_fully_passive(r_x, g: np.ndarray, g_r: np.ndarray, t: int,
                       sigma2: float) -> float:
     """Reference bound when echoes return through the IRS to the BS.
 
-    (sigma^2/T) tr((G R_x G^H)^{-1}) tr((G_r^H G_r)^{-1}); infinite when
-    either channel factor is rank deficient.
+    (sigma^2/T) tr((G R_x G^H)^{-1}) tr((G_r^H G_r)^{-1}) for the [m_r, N]
+    return channel G_r; infinite when either channel factor is rank
+    deficient.
     """
-    g = np.asarray(g, dtype=complex)
-    rx = covariance_matrix(r_x)
-    inv_tx, _ = _inverse_trace(g @ rx.conj().T @ g.conj().T)
-    inv_rx, _ = _inverse_trace(fp.g_r.conj().T @ fp.g_r)
-    return float(sigma2 / t * inv_tx * inv_rx)
+    return float(crb_extended(r_x, g, 1, t, sigma2).crb * _return_factor(g_r))
 
 
-def semi_passive_preferred(k: int, fp: FullyPassiveConfig) -> bool:
+def crb_fully_passive_opt(g: np.ndarray, g_r: np.ndarray, p0: float, t: int,
+                          sigma2: float) -> float:
+    """``crb_fully_passive`` at the optimal transmit covariance in closed form:
+    the ``crb_extended_opt`` bound at K = 1 times tr((G_r^H G_r)^{-1})."""
+    return float(crb_extended_opt(g, p0, 1, t, sigma2).crb * _return_factor(g_r))
+
+
+def semi_passive_preferred(k: int, g_r: np.ndarray) -> bool:
     """True when K sensors beat the fully-passive return path.
 
     The semi-passive bound is lower exactly when K < tr((G_r^H G_r)^{-1}).
     """
-    inv_rx, _ = _inverse_trace(fp.g_r.conj().T @ fp.g_r)
-    return k < inv_rx
+    return k < _return_factor(g_r)

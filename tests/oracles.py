@@ -24,8 +24,7 @@ from irscrb.ao import (_schur_program, _transmit_kernels,
 from irscrb.channel import rician_channel
 from irscrb.config import derive_seed
 from irscrb.conic import ConicProgram
-from irscrb.extended import (FullyPassiveConfig, crb_fully_passive,
-                             optimal_transmit_extended)
+from irscrb.extended import crb_fully_passive, optimal_transmit_extended
 from irscrb.pointcrb import _info_kernels, _profile_scores
 from irscrb.sweep import _RETURN
 
@@ -274,9 +273,8 @@ def parent_fully_passive(cfg, g: np.ndarray, seed: int, trial: int) -> float:
     return channel of the sweep's ``(seed, trial)`` substream."""
     back_cfg = replace(cfg, M=cfg.K)
     g_r = rician_channel(back_cfg, seed=derive_seed(seed, trial, _RETURN)).G.T
-    fp = FullyPassiveConfig(m_r=cfg.K, g_r=g_r)
     r_x = optimal_transmit_extended(g, cfg.P0)
-    return crb_fully_passive(r_x, g, fp, cfg.T, cfg.noise_power)
+    return crb_fully_passive(r_x, g, g_r, cfg.T, cfg.noise_power)
 
 
 def _design(v: np.ndarray, a: np.ndarray, g: np.ndarray, k: int, p0: float):

@@ -20,11 +20,9 @@ from irscrb.cli import TRENDS
 from irscrb.config import (PointTargetScene, SystemConfig, derive_seed, make_rng,
                            point_scene)
 from irscrb.conic import ConicProgram, solve
-from irscrb.extended import (FullyPassiveConfig, crb_extended,
-                             crb_extended_iso, crb_extended_opt,
+from irscrb.extended import (crb_extended, crb_extended_iso, crb_extended_opt,
                              crb_fully_passive, fim_extended, gap_db,
-                             optimal_transmit_extended,
-                             semi_passive_preferred)
+                             optimal_transmit_extended, semi_passive_preferred)
 from irscrb.pointcrb import (_info_kernels, crb_point_closed, fim_point,
                              single_antenna_optimum)
 from irscrb.sweep import _CHANNEL, SCHEMES, SweepSpec, reference_config, run_sweep
@@ -263,11 +261,10 @@ def test_criterion_8_fully_passive_comparison():
         scale = float(rng.uniform(0.2, 4.0))
         g_r = scale * (rng.standard_normal((n + 1, n))
                        + 1j * rng.standard_normal((n + 1, n)))
-        fp = FullyPassiveConfig(m_r=n + 1, g_r=g_r)
         r_x = random_covariance(rng, m, 1.0)
         semi = crb_extended(r_x, g, k, 64, 1e-3).crb
-        full = crb_fully_passive(r_x, g, fp, 64, 1e-3)
-        if semi_passive_preferred(k, fp) != (semi < full):
+        full = crb_fully_passive(r_x, g, g_r, 64, 1e-3)
+        if semi_passive_preferred(k, g_r) != (semi < full):
             disagreements += 1
     assert disagreements == 0
     _report(8, "sensor-count rule predicts the bound ordering on 100 "
