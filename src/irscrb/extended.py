@@ -87,8 +87,9 @@ def crb_extended(r_x, g: np.ndarray, k: int, t: int,
 
     The trace is sum_i 1/s_i^2 over the singular values of G R_x^{1/2}.
     """
-    w, q = np.linalg.eigh(covariance_matrix(r_x))
-    factor = q * np.sqrt(np.clip(w, 0.0, None))   # factor @ factor^H = R_x
+    w, q = np.linalg.eigh(covariance_matrix(r_x))    # ascending
+    drop = _rank_deficiency(w, len(w))              # R_x's zero eigenvalues
+    factor = q[:, drop:] * np.sqrt(w[drop:])        # factor @ factor^H = R_x
     inv_trace, deficiency = _inverse_sum(np.asarray(g, dtype=complex) @ factor, 2)
     return ExtendedCrbReport(sigma2 * k / t * inv_trace, deficiency)
 
@@ -135,10 +136,12 @@ def crb_extended_iso(g: np.ndarray, p0: float, m: int, k: int, t: int,
 
 def gap_db(g: np.ndarray, m: int) -> float:
     """Isotropic-over-optimal bound ratio in dB; power and K independent."""
-    iso = crb_extended_iso(g, 1.0, m, 1, 1, 1.0)
-    if iso.rank_deficiency:
+    if np.shape(g)[1] != m:
+        raise ValueError(f"G has {np.shape(g)[1]} columns but m = {m}")
+    sv = np.linalg.svd(np.asarray(g, dtype=complex), compute_uv=False)
+    if _rank_deficiency(sv, np.shape(g)[0]):
         raise EstimabilityError("gap is undefined for a rank-deficient channel")
-    return float(10.0 * np.log10(iso.crb / crb_extended_opt(g, 1.0, 1, 1, 1.0).crb))
+    return float(10.0 * np.log10(m * np.sum(1.0 / sv ** 2) / np.sum(1.0 / sv) ** 2))
 
 
 def crb_fully_passive(r_x, g: np.ndarray, g_r: np.ndarray, t: int,

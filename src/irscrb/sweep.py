@@ -284,8 +284,7 @@ def _alpha_factor(spec: SweepSpec, trial: int) -> float:
     fading draws multiplies the unit-draw bound by mean(1/|alpha0|^2).
     This mean does not converge: for alpha0 ~ CN(0, 1), |alpha0|^2 is
     Exp(1) and E[1/|alpha0|^2] is infinite, so the factor grows with
-    ``alpha_draws`` (median over 200 seeds 5.5, 7.4 and 9.8 at 50, 500 and
-    5000 draws; 95th percentile 52.8 at 50).
+    ``alpha_draws`` and is heavy-tailed across seeds (ROADMAP item 8).
     """
     rng = make_rng(spec.seed, trial, _ALPHA)
     a0 = (rng.standard_normal(spec.alpha_draws)

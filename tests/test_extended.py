@@ -236,6 +236,16 @@ class TestRankRule:
         rank_one = crb_extended_opt(np.ones((3, 4), dtype=complex), 1.0, 2, 8, 0.4)
         assert np.isinf(rank_one.crb) and rank_one.rank_deficiency == 2
 
+    @pytest.mark.parametrize("seed", range(8))
+    def test_rank_one_covariance_gives_an_infinite_bound(self, seed):
+        rng = np.random.default_rng(seed)
+        g = _channel(4, 6, rng)
+        u = _channel(6, 1, rng)[:, 0]
+        r_x = np.outer(u, u.conj()) / np.vdot(u, u).real
+        report = crb_extended(r_x, g, 2, 8, 0.4)
+        assert np.isinf(report.crb) and report.rank_deficiency == 3
+        assert np.isinf(crb_fully_passive(r_x, g, _channel(5, 4, rng), 8, 0.4))
+
 
 class TestGap:
     def test_flat_square_spectrum_has_no_gap(self):
