@@ -192,10 +192,9 @@ def irs_subproblem(kernels: tuple[np.ndarray, np.ndarray, np.ndarray],
         raise SubproblemError(f"reflection program at N = {n} > {MAX_REFLECTION_N} needs "
                               f"{16e-9 * (n + 3) * (n + 2) ** 2:.2g} GB a stack copy")
     program = _schur_program(*kernels)
-    for i in range(n):
-        e_ii = np.zeros((n, n))
-        e_ii[i, i] = 1.0
-        program.add_eq({0: e_ii}, 1.0)
+    # the rows V_ii = 1, with e_i e_i^T built at once and, symmetric by
+    # construction, appended without add_eq's check
+    program.eq += [({0: e_ii}, 1.0) for e_ii in np.eye(n)[:, :, None] * np.eye(n)]
     sol = _checked(solver(program, tol=SUBPROBLEM_TOL), "reflection")
     return sol.blocks[0], sol
 

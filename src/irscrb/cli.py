@@ -14,6 +14,7 @@ Exit codes: 0 success, 1 usage error, 2 numerical failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from dataclasses import replace
 from typing import NamedTuple
@@ -43,6 +44,7 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
+@functools.cache       # one parser per process: parsing leaves it unchanged
 def _build_parser() -> _Parser:
     parser = _Parser(prog="irscrb", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)

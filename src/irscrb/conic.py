@@ -26,9 +26,12 @@ blocks of X and S back out at the end.  This is exact: every coefficient
 is block diagonal, so the NT scaling point, the Schur complement, the
 direction and mu = <X, S> / n are those of the per-block iteration, and
 so are both step lengths, since the least eigenvalue of the union is the
-least over the blocks.  Each operator (the constraint map, its adjoint,
-the Schur complement and the Newton right-hand side) is one contraction
-over the stacked array.
+least over the blocks.  The stacked array is flattened once per solve and
+its NT-scaled copy once per iteration, so each operator (the constraint
+map, its adjoint, the Schur complement and the Newton right-hand side) is
+one matrix product.  Each iteration inverts the Schur complement once, from
+its inverse Cholesky factor, so each of a step's six Schur solves (predictor
+and corrector, two refinement rounds each) is one matvec.
 
 The solver is deterministic: identical programs produce identical iterates.
 """
@@ -68,7 +71,7 @@ def _check_coeffs(blocks: list[int], coeffs: dict[int, np.ndarray]) -> dict[int,
 
 
 def _hermitian_part(mat: np.ndarray) -> np.ndarray:
-    return (mat + mat.conj().T) / 2.0
+    return (mat + mat.conj().swapaxes(-1, -2)) / 2.0
 
 
 def _inner(a: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -86,7 +89,8 @@ class ConicProgram:
     """A minimization over PSD blocks with linear equality rows.
 
     Only ``blocks`` is a constructor argument; the objective and the
-    constraints enter through the checking methods below.
+    constraints enter through the checking methods below.  A caller may
+    append to ``eq`` directly only rows that are Hermitian by construction.
     """
 
     blocks: list[int]
@@ -167,40 +171,32 @@ def kkt_residuals(program: ConicProgram, sol: ConicSolution) -> KktResiduals:
     mismatch |primal - dual| and complementarity <X, S>, both relative to
     1 + |primal objective|.
     """
-    xs = [np.asarray(x) for x in sol.blocks]
-    ss = [np.asarray(s) for s in sol.dual_blocks]
+    return _kkt(program.blocks, *_program_arrays(program), sol)
+
+
+def _kkt(orders: list[int], c_mat: np.ndarray, a_stack: np.ndarray, rhs: np.ndarray,
+         sol: ConicSolution) -> KktResiduals:
+    """:func:`kkt_residuals` on the arrays of :func:`_program_arrays`, with the
+    blocks of ``sol`` on their diagonal slices: each map is one contraction."""
+    cuts = _diagonal_slices(orders)
+    x, s = np.zeros((2,) + c_mat.shape, np.result_type(c_mat, *sol.blocks, *sol.dual_blocks))
+    for cut, x_b, s_b in zip(cuts, sol.blocks, sol.dual_blocks):
+        x[cut, cut], s[cut, cut] = x_b, s_b
     y = np.asarray(sol.y, dtype=float)
 
-    pobj = sum(float(_inner(c, xs[b])) for b, c in program.objective.items())
+    pobj = float(_inner(c_mat, x))
+    primal = float(np.max(np.abs(_inner(a_stack, x) - rhs) / (1.0 + np.abs(rhs))))
+    c_norm = 1.0 + sum(np.linalg.norm(c_mat[cut, cut]) for cut in cuts)
+    dual = float(np.linalg.norm(c_mat - s - _adjoint(y, a_stack))) / c_norm
+    for cut in cuts:
+        # cone violations of X_b and S_b, relative to 1 + the block's norm
+        pair = np.array((x[cut, cut], s[cut, cut]))
+        least = np.linalg.eigvalsh(_hermitian_part(pair))[:, 0]
+        violation = np.maximum(-least, 0.0) / (1.0 + np.linalg.norm(pair, axis=(1, 2)))
+        primal, dual = max(primal, float(violation[0])), max(dual, float(violation[1]))
 
-    primal = 0.0
-    for (coeffs, rhs) in program.eq:
-        val = sum(float(_inner(a, xs[b])) for b, a in coeffs.items())
-        primal = max(primal, abs(val - rhs) / (1.0 + abs(rhs)))
-    for x in xs:
-        lam = np.linalg.eigvalsh(_hermitian_part(x)).min()
-        primal = max(primal, max(0.0, -lam) / (1.0 + np.linalg.norm(x)))
-
-    c_norm = 1.0
-    duals = []
-    for b in range(len(program.blocks)):
-        c = program.objective.get(b)
-        d = -ss[b] if c is None else c - ss[b]
-        duals.append(d)
-        if c is not None:
-            c_norm += np.linalg.norm(c)
-    for j, (coeffs, _) in enumerate(program.eq):
-        for b, a in coeffs.items():
-            duals[b] = duals[b] - y[j] * a
-    dual = np.sqrt(sum(np.linalg.norm(d) ** 2 for d in duals)) / c_norm
-    for s in ss:
-        lam = np.linalg.eigvalsh(_hermitian_part(s)).min()
-        dual = max(dual, max(0.0, -lam) / (1.0 + np.linalg.norm(s)))
-
-    dobj = float(np.dot(y, [r for _, r in program.eq]))
-    compl = sum(float(_inner(x, s)) for x, s in zip(xs, ss))
-    gap = max(abs(pobj - dobj), abs(compl)) / (1.0 + abs(pobj))
-    return KktResiduals(primal=float(primal), dual=float(dual), gap=float(gap))
+    gap = max(abs(pobj - float(y @ rhs)), abs(float(_inner(x, s)))) / (1.0 + abs(pobj))
+    return KktResiduals(primal=primal, dual=dual, gap=gap)
 
 
 # -- the interior-point iteration -------------------------------------------
@@ -212,8 +208,10 @@ def _nt_scaling(x: np.ndarray, s: np.ndarray):
     Ls^H Lx = U diag(sig) V^H as G = Lx V diag(sig^{-1/2}); then
     G^{-1} X G^{-H} = G^H S G = diag(sig).
     """
-    lx = _chol(x)
-    ls = _chol(s)
+    try:
+        lx, ls = np.linalg.cholesky(np.array((x, s)))
+    except np.linalg.LinAlgError:
+        lx, ls = _chol(x), _chol(s)
     _, sig, vh = np.linalg.svd(ls.conj().T @ lx)
     g = lx @ vh.conj().T / np.sqrt(sig)
     return g, sig
@@ -236,9 +234,8 @@ def _chol(mat: np.ndarray) -> np.ndarray:
 def _max_steps(root: np.ndarray, dx: np.ndarray, ds: np.ndarray) -> list[float]:
     """Largest steps keeping diag(lam) + alpha * dx and + alpha * ds positive
     definite, given ``root = 1 / sqrt(lam)``."""
-    ev_mins = np.linalg.eigvalsh(root[:, None] * np.array((dx, ds)) * root[None, :])
-    return [1.0 if ev >= -1e-14 else min(1.0, -STEP_FRACTION / ev)
-            for ev in ev_mins.min(axis=1).tolist()]
+    ev_mins = np.linalg.eigvalsh(root[:, None] * np.array((dx, ds)) * root[None, :])[:, 0]
+    return [1.0 if ev >= -1e-14 else min(1.0, -STEP_FRACTION / ev) for ev in ev_mins.tolist()]
 
 
 def _finite(vec: np.ndarray) -> np.ndarray:
@@ -249,17 +246,17 @@ def _finite(vec: np.ndarray) -> np.ndarray:
 
 
 def _cholesky_solver(mat: np.ndarray):
-    """Solve with the lower Cholesky factor L of ``mat``: L z = rhs, then L^T x = z."""
-    low = np.linalg.cholesky(_finite(mat))
+    """Solve with ``mat``'s inverse L^-T L^-1, from its lower Cholesky factor L.
+
+    Each right-hand side costs one matvec; the inverse is accurate to about
+    cond(mat) times rounding, and ``solve`` refines against the raw matrix.
+    """
+    inv_low = np.linalg.inv(np.linalg.cholesky(_finite(mat)))
+    inv = inv_low.T @ inv_low
 
     def solve_with(rhs: np.ndarray) -> np.ndarray:
-        return np.linalg.solve(low.T, np.linalg.solve(low, _finite(rhs)))
+        return inv @ _finite(rhs)
     return solve_with
-
-
-def _lyapunov_rhs(lam: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Solve (U diag(lam) + diag(lam) U) / 2 = rhs for Hermitian U."""
-    return 2.0 * rhs / (lam[:, None] + lam[None, :])
 
 
 def solve(program: ConicProgram, tol: float = DEFAULT_TOL) -> ConicSolution:
@@ -274,15 +271,17 @@ def solve(program: ConicProgram, tol: float = DEFAULT_TOL) -> ConicSolution:
         raise ValueError("program has no equality rows")
     c_mat, a_stack, rhs = _program_arrays(program)
     m, n = a_stack.shape[:2]
+    a_flat = a_stack.reshape(m, -1)     # row j is vec(A_j): each map is one matvec
+    a_tall = a_stack.reshape(m * n, n)  # the A_j stacked as rows, to multiply at once
 
     c_norm = np.linalg.norm(c_mat)
-    a_norms = np.linalg.norm(a_stack.reshape(m, -1), axis=1)
-    x0 = max(10.0, float(np.max((1.0 + np.abs(rhs)) / (1.0 + a_norms))))
+    row_scale = 1.0 + np.abs(rhs)
+    x0 = max(10.0, float(np.max(row_scale / (1.0 + np.linalg.norm(a_flat, axis=1)))))
     s0 = max(10.0, c_norm)
     x = x0 * np.eye(n, dtype=c_mat.dtype)
     s = s0 * np.eye(n, dtype=c_mat.dtype)
     y = np.zeros(m)
-    eye_n, eye_m = np.eye(n), np.eye(m)
+    eye_m = np.eye(m)
 
     status: Literal["optimal", "max_iter", "infeasible"] = "max_iter"
     iterations = 0
@@ -292,15 +291,15 @@ def solve(program: ConicProgram, tol: float = DEFAULT_TOL) -> ConicSolution:
     best_state = None
 
     for iterations in range(1, DEFAULT_MAX_ITER + 1):
-        rp = rhs - _inner(a_stack, x)
-        aty = _adjoint(y, a_stack)
+        x_conj = x.conj().ravel()
+        rp = rhs - (a_flat @ x_conj).real
+        aty = (y @ a_flat).reshape(n, n)
         rd = c_mat - s - aty
-        mu = float(_inner(x, s)) / n
+        mu = float((s.ravel() @ x_conj).real) / n
 
-        pobj = float(_inner(c_mat, x))
+        pobj = float((c_mat.ravel() @ x_conj).real)
         dobj = float(rhs @ y)
-        prim_res = max(np.linalg.norm(rp) / b_scale,
-                       float(np.max(np.abs(rp) / (1.0 + np.abs(rhs)))))
+        prim_res = max(np.linalg.norm(rp) / b_scale, float((np.abs(rp) / row_scale).max()))
         dual_res = np.linalg.norm(rd) / c_scale
         gap_res = max(abs(pobj - dobj), abs(mu * n)) / (1.0 + abs(pobj))
 
@@ -325,39 +324,39 @@ def solve(program: ConicProgram, tol: float = DEFAULT_TOL) -> ConicSolution:
             # NT scaling; scaled data for the Schur complement.
             g, lam = _nt_scaling(x, s)
             g_h = g.conj().T
-            f = g_h @ a_stack @ g
+            f_flat = (g_h @ (a_tall @ g).reshape(m, n, n)).reshape(m, -1)
             rd_scaled = g_h @ rd @ g
             # Re <F_j, F_k> is the real dot product of the real and imaginary
             # parts side by side, which matmul takes as one symmetric product.
-            f_real = f.reshape(m, -1).view(float)
+            f_real = f_flat.view(float)
             schur = f_real @ f_real.T
             reg = 1e-14 * max(schur.diagonal().max(), 1.0)
             schur_cho = _cholesky_solver(schur + reg * eye_m)
 
             def newton(theta: np.ndarray):
                 """Direction for a scaled centering residual theta."""
-                rhs_y = rp - _inner(f, theta - rd_scaled)
+                rhs_y = rp - (f_flat @ (theta - rd_scaled).conj().ravel()).real
                 dy = schur_cho(rhs_y)
                 for _ in range(2):   # iterative refinement against the raw matrix
                     dy = dy + schur_cho(rhs_y - schur @ dy)
-                ds = rd - _adjoint(dy, a_stack)
+                ds = rd - (dy @ a_flat).reshape(n, n)
                 ds_scaled = g_h @ ds @ g
                 return dy, ds, theta - ds_scaled, ds_scaled
 
-            lam_mat, lam_sq = np.diag(lam), np.diag(lam ** 2)
-            root = 1.0 / np.sqrt(lam)
+            lam_sq, lam_mat, root = lam ** 2, np.diag(lam), 1.0 / np.sqrt(lam)
+            # U = 2 R / lam_sum solves (U diag(lam) + diag(lam) U) / 2 = R
+            lam_sum = lam[:, None] + lam[None, :]
 
             # Predictor: pure affine step (sigma = 0).
-            _, _, dxs_aff, dss_aff = newton(_lyapunov_rhs(lam, -lam_sq))
+            _, _, dxs_aff, dss_aff = newton(2.0 * -np.diag(lam_sq) / lam_sum)
             alpha_p, alpha_d = _max_steps(root, dxs_aff, dss_aff)
             mu_aff = float(_inner(lam_mat + alpha_p * dxs_aff,
                                   lam_mat + alpha_d * dss_aff)) / n
             sigma = min(1.0, max(mu_aff / mu, 0.0) ** 3)
 
             # Corrector with the Mehrotra second-order term.
-            resid = (sigma * mu * eye_n - lam_sq
-                     - _hermitian_part(dxs_aff @ dss_aff))
-            dy, ds, dxs, dss = newton(_lyapunov_rhs(lam, resid))
+            resid = np.diag(sigma * mu - lam_sq) - _hermitian_part(dxs_aff @ dss_aff)
+            dy, ds, dxs, dss = newton(2.0 * resid / lam_sum)
             alpha_p, alpha_d = _max_steps(root, dxs, dss)
             dx = g @ dxs @ g_h
         except np.linalg.LinAlgError:
@@ -383,7 +382,7 @@ def solve(program: ConicProgram, tol: float = DEFAULT_TOL) -> ConicSolution:
         dual_blocks=[s[c, c].copy() for c in cuts],
         iterations=iterations,
     )
-    sol.kkt = kkt_residuals(program, sol)
+    sol.kkt = _kkt(program.blocks, c_mat, a_stack, rhs, sol)
     if status != "infeasible":
         sol.status = "optimal" if sol.kkt.max() <= tol else "max_iter"
     return sol

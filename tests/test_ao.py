@@ -258,6 +258,31 @@ class TestIrsSubproblem:
             tracemalloc.stop()
         assert peak < 1e6
 
+    # (channel seed, objective, iterations) of the reflection program at M = 4,
+    # N = K = 8, isotropic R_x, 60 deg, as the former Schur solve (two
+    # triangular solves per right-hand side) computed them
+    FORMER_SOLVES = [
+        (0, -18.368730738271534, 11), (1, -17.062665463252543, 11),
+        (2, -14.44181734672949, 12), (3, -12.701172406658387, 12),
+        (4, -9.976133516212606, 13), (5, -16.682941655738315, 19),
+        (6, -14.172576938467545, 12), (7, -11.603311009492058, 12),
+        (8, -11.893556814941023, 12), (9, -17.05945580304268, 12),
+        (10, -14.165401438780792, 17), (11, -9.706689837168538, 13),
+    ]
+
+    @pytest.mark.parametrize("seed, objective, iterations", FORMER_SOLVES)
+    def test_solves_match_the_former_schur_solve(self, seed, objective, iterations):
+        # the status is not pinned: optimal or max_iter at SUBPROBLEM_TOL is
+        # decided by rounding
+        cfg = reference_config(M=4, N=8, K=8)
+        a = target_steering(np.deg2rad(60.0), cfg.N, cfg.spacing, cfg.wavelength)
+        kernels = _info_kernels(rician_channel(cfg, seed=seed).G,
+                                (cfg.P0 / cfg.M) * np.eye(cfg.M), a, cfg.K)
+        _, sol = irs_subproblem(kernels)
+        assert sol.objective == pytest.approx(objective, rel=1e-8)
+        assert sol.kkt.max() <= SUBPROBLEM_FLOOR
+        assert abs(sol.iterations - iterations) <= 1
+
     def test_largest_accepted_program_reaches_the_solver(self):
         n = MAX_REFLECTION_N
         a, g, r_x = np.ones(n, dtype=complex), np.ones((n, 2), dtype=complex), np.eye(2)

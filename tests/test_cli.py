@@ -8,7 +8,7 @@ import pytest
 
 import irscrb
 from irscrb.channel import rician_channel
-from irscrb.cli import cli_main
+from irscrb.cli import _build_parser, cli_main
 from irscrb.extended import EstimabilityError
 from irscrb.sweep import AO_SAMPLES, SCHEMES, load_config
 
@@ -55,7 +55,7 @@ alpha_draws = 5
 SWEEP_WITHOUT_SCIPY = """
 import sys
 import irscrb.ao
-from irscrb.cli import cli_main
+from irscrb.cli import _build_parser, cli_main
 
 solve, calls = irscrb.ao.irs_subproblem, []
 
@@ -230,6 +230,34 @@ def test_unknown_command_is_usage_error(capsys):
 
 def test_missing_required_flag_is_usage_error(capsys):
     assert cli_main(["allocate", "--qtot", "600"]) == 1
+
+
+def test_one_parser_serves_every_call_of_a_process(tmp_path, capsys):
+    # a usage error, then two sweeps: each call gives what a fresh parser gives
+    cfg = tmp_path / "cfg.ini"
+    cfg.write_text(POINT_CONFIG)
+    calls = [["sweep", "--config", str(cfg)],
+             ["sweep", "--config", str(cfg), "--out", str(tmp_path / "a.csv")],
+             ["sweep", "--config", str(cfg), "--out", str(tmp_path / "b.csv")]]
+
+    def run(argv):
+        rc = cli_main(argv)
+        captured = capsys.readouterr()
+        contract = [row.split(",")[:7] for row in
+                    Path(argv[-1]).read_text().splitlines()] if rc == 0 else None
+        return rc, captured.out, captured.err, contract
+
+    _build_parser.cache_clear()
+    shared = [run(argv) for argv in calls]
+    assert _build_parser.cache_info().misses == 1
+    fresh = []
+    for argv in calls:
+        _build_parser.cache_clear()
+        fresh.append(run(argv))
+    assert shared == fresh
+    assert [rc for rc, *_ in shared] == [1, 0, 0]
+    assert "--out" in shared[0][2] and "b.csv" in shared[2][1]
+    assert shared[1][3] == shared[2][3]
 
 
 def test_selftest_fast(capsys):

@@ -4,8 +4,14 @@ import numpy as np
 import pytest
 from scipy.linalg import block_diag
 
+from irscrb import conic
+from irscrb.ao import irs_subproblem
+from irscrb.arrays import target_steering
+from irscrb.channel import rician_channel
 from irscrb.conic import (ConicProgram, ConicSolution, KktResiduals, _adjoint,
                           _cholesky_solver, _inner, kkt_residuals, solve)
+from irscrb.pointcrb import _info_kernels
+from irscrb.sweep import reference_config
 
 from oracles import dual_grid_sdp
 
@@ -192,6 +198,35 @@ class TestCholeskySolver:
         solve_with = _cholesky_solver(np.eye(3))
         with pytest.raises(ValueError, match="infs or NaNs"):
             solve_with(np.array([1.0, np.nan, 0.0]))
+
+    @pytest.mark.parametrize("seed", [0, 2])
+    def test_refined_solve_of_late_reflection_schur_matrices(self, monkeypatch, seed):
+        # the Schur matrices of the last iterations of a reflection solve that
+        # ends optimal; after newton's two refinement rounds against the matrix,
+        # the inverse-factor solve is within 10x of an LU solve's residual
+        cfg = reference_config(M=4, N=8, K=8)
+        a = target_steering(np.deg2rad(60.0), cfg.N, cfg.spacing, cfg.wavelength)
+        kernels = _info_kernels(rician_channel(cfg, seed=seed).G,
+                                (cfg.P0 / cfg.M) * np.eye(cfg.M), a, cfg.K)
+        mats = []
+
+        def recording(mat):
+            mats.append(mat.copy())
+            return _cholesky_solver(mat)
+
+        monkeypatch.setattr(conic, "_cholesky_solver", recording)
+        assert irs_subproblem(kernels)[1].status == "optimal"
+        late = mats[-3:]
+        assert max(np.linalg.cond(mat) for mat in late) > 1e11
+        rng = np.random.default_rng(seed)
+        for mat in late:
+            solve_with = _cholesky_solver(mat)
+            rhs = rng.standard_normal((mat.shape[0], 8))
+            x = np.stack([solve_with(r) for r in rhs.T], axis=1)
+            for _ in range(2):
+                x = x + np.stack([solve_with(r) for r in (rhs - mat @ x).T], axis=1)
+            lu = np.linalg.norm(mat @ np.linalg.solve(mat, rhs) - rhs)
+            assert np.linalg.norm(mat @ x - rhs) <= 10.0 * lu
 
 
 class TestKktResiduals:
