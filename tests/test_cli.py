@@ -55,7 +55,7 @@ alpha_draws = 5
 SWEEP_WITHOUT_SCIPY = """
 import sys
 import irscrb.ao
-from irscrb.cli import _build_parser, cli_main
+from irscrb.cli import cli_main
 
 solve, calls = irscrb.ao.irs_subproblem, []
 
