@@ -6,10 +6,10 @@ interior-point solver, and a sweep harness."""
 from .allocation import (AllocationDomainError, AllocationResult,
                          allocate_exhaustive, allocate_optimal,
                          allocate_suboptimal)
-from .ao import (AoResult, DegenerateObjectiveError, StalledSolveError,
-                 SubproblemError, ao_minimize_crb, default_phase_profile,
-                 gaussian_randomization, irs_subproblem, sdr_objective,
-                 transmit_closed_form, transmit_subproblem)
+from .ao import (AoResult, DegenerateObjectiveError, SubproblemError,
+                 ao_minimize_crb, default_phase_profile, gaussian_randomization,
+                 irs_subproblem, sdr_objective, transmit_closed_form,
+                 transmit_subproblem)
 from .arrays import (centered_index, large_scale_path_loss, path_gain,
                      steering_derivative, target_steering, ula_steering)
 from .channel import rician_channel

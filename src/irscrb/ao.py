@@ -42,16 +42,13 @@ SUPREMUM_BEAM_SHARE = 1e-12       # power share left on b when f* is a supremum
 FIXED_POINT_MAX_ITER = 1000
 FIXED_POINT_ATOL = 1e-12          # largest phasor change that counts as a fixed point
 CERTIFICATE_RTOL = 1e-9           # relative gap to f_upper that certifies a design
+RANDOMIZATION_SAMPLES = 200       # Gaussian randomization draws per SDR fallback
 
 _log = logging.getLogger(__name__)
 
 
 class SubproblemError(RuntimeError):
     """A beamforming subproblem did not reach an optimal solver status."""
-
-
-class StalledSolveError(SubproblemError):
-    """A solve ran to its iteration limit and ended above ``SUBPROBLEM_FLOOR``."""
 
 
 @dataclass
@@ -148,7 +145,7 @@ def transmit_subproblem(v_lifted: np.ndarray, a: np.ndarray, g: np.ndarray,
     quad_obj, cross_kernel, power_kernel = _transmit_kernels(v_lifted, a, g, k)
     program = _schur_program(quad_obj, cross_kernel, power_kernel)
     program.add_eq({0: np.eye(quad_obj.shape[0])}, 1.0)
-    sol = _checked(solver(program, tol=SUBPROBLEM_TOL), "transmit")
+    sol = _checked(solver(program, tol=SUBPROBLEM_TOL), "transmit subproblem")
     x = _psd_clip(sol.blocks[0])
     return TransmitCovariance(matrix=(p0 / np.trace(x).real) * x, budget=p0), sol
 
@@ -195,16 +192,15 @@ def irs_subproblem(kernels: tuple[np.ndarray, np.ndarray, np.ndarray],
     # the rows V_ii = 1, with e_i e_i^T built at once and, symmetric by
     # construction, appended without add_eq's check
     program.eq += [({0: e_ii}, 1.0) for e_ii in np.eye(n)[:, :, None] * np.eye(n)]
-    sol = _checked(solver(program, tol=SUBPROBLEM_TOL), "reflection")
+    sol = _checked(solver(program, tol=SUBPROBLEM_TOL), f"reflection subproblem at N = {n}")
     return sol.blocks[0], sol
 
 
 def _checked(sol: ConicSolution, label: str) -> ConicSolution:
     if sol.status != "optimal" and (sol.status == "infeasible"
                                     or sol.kkt.max() > SUBPROBLEM_FLOOR):
-        error = StalledSolveError if sol.status == "max_iter" else SubproblemError
-        raise error(f"{label} subproblem ended with status {sol.status} "
-                    f"(KKT residual {sol.kkt.max():.3g})")
+        raise SubproblemError(f"{label} ended with status {sol.status} "
+                              f"(KKT residual {sol.kkt.max():.3g})")
     return sol
 
 
@@ -311,23 +307,24 @@ def phase_ascent(kernels: tuple[np.ndarray, np.ndarray, np.ndarray],
 
 
 def best_reflection(kernels: tuple[np.ndarray, np.ndarray, np.ndarray],
-                    samples: int, seed: int) -> PhaseProfile:
+                    seed: int) -> PhaseProfile:
     """Profile for the kernel triple (W, C, Q) of f at a fixed R_x:
     :func:`_reflect` from the phases of Q's top eigenvector."""
-    return PhaseProfile(v=_reflect(kernels, _top_phases(kernels[2]), samples, seed)[0])
+    return PhaseProfile(v=_reflect(kernels, _top_phases(kernels[2]), seed)[0])
 
 
 def _reflect(kernels: tuple[np.ndarray, np.ndarray, np.ndarray], v: np.ndarray,
-             samples: int, seed: int) -> tuple[np.ndarray, float, float | None]:
+             seed: int) -> tuple[np.ndarray, float, float | None]:
     """The :func:`phase_ascent` from ``v`` and, where its bound fails, the
-    reflection step from it.
+    SDR fallback from it.
 
-    The step solves the reflection SDR and keeps the first best of its
-    randomization winner (``samples`` draws from ``seed``) and the ascent
-    profile.  A solve that stalls above ``SUBPROBLEM_FLOOR`` gives no
-    candidate: the ascent profile is kept and a WARNING names the program.
-    Returns (v, the ascent's bound, the KKT residual of the solve whose
-    candidates were scored, or None).
+    The fallback solves the reflection SDR and keeps the first best of its
+    randomization winner (``RANDOMIZATION_SAMPLES`` draws from ``seed``) and
+    the ascent profile.  A fallback whose solve raises ``SubproblemError``
+    (a stall above ``SUBPROBLEM_FLOOR``, ``infeasible``, or a program above
+    ``MAX_REFLECTION_N``) gives no candidate: the ascent profile is kept and
+    a WARNING gives the seed and the error.  Returns (v, the ascent's bound,
+    the KKT residual of the solve whose candidates were scored, or None).
     """
     v, f, f_upper = phase_ascent(kernels, v)
     if f >= f_upper * (1.0 - CERTIFICATE_RTOL):
@@ -335,18 +332,19 @@ def _reflect(kernels: tuple[np.ndarray, np.ndarray, np.ndarray], v: np.ndarray,
     _log.debug("ascent relative gap %.3g; SDR fallback", 1.0 - f / f_upper)
     try:
         v_lifted, sol = irs_subproblem(kernels)
-    except StalledSolveError as exc:
-        _log.warning("reflection program at N = %d, randomization seed %d: %s; "
-                     "kept the ascent profile", v.shape[0], seed, exc)
+    except SubproblemError as exc:
+        _log.warning("SDR fallback with randomization seed %d failed, kept the ascent "
+                     "profile: %s: %s", seed, type(exc).__name__, exc)
         return v, f_upper, None
-    candidates = np.stack([gaussian_randomization(v_lifted, kernels, samples, seed).v, v])
+    candidates = np.stack([gaussian_randomization(v_lifted, kernels,
+                                                  RANDOMIZATION_SAMPLES, seed).v, v])
     return (candidates[np.argmax(_profile_scores(kernels, candidates))], f_upper,
             sol.kkt.max())
 
 
 def ao_minimize_crb(scene: PointTargetScene, g: np.ndarray,
                     config: SystemConfig, init: PhaseProfile | None = None,
-                    samples: int = 200, seed: int = 0) -> AoResult:
+                    seed: int = 0) -> AoResult:
     """Minimize the point-target DoA bound over transmit and reflection.
 
     With Q = :func:`steered_gram` at R_x = I, D = diag(centered_index(N))
@@ -363,8 +361,8 @@ def ao_minimize_crb(scene: PointTargetScene, g: np.ndarray,
     branch 1.  The design is the first best by f of the two branch
     profiles and ``init``, each with its closed-form R_x.  ``f_upper`` = P0
     max(gamma U_Q, U_DQD), with U_Q the bound of the branch-1 ascent,
-    bounds f over all designs.  ``samples`` and ``seed`` set the
-    randomization of any SDR fallback.
+    bounds f over all designs.  ``seed`` seeds the randomization of any SDR
+    fallback.
     """
     g = np.asarray(g, dtype=complex)
     a = target_steering(scene.theta, config.N, config.spacing, config.wavelength)
@@ -377,10 +375,10 @@ def ao_minimize_crb(scene: PointTargetScene, g: np.ndarray,
     if init is None:
         init = PhaseProfile(v=top_q)
     upper_dqd = phase_ascent((dqd, 0 * q, q), _top_phases(dqd))[2] if config.M > 1 else 0.0
-    v, upper_q, residual = _reflect((q, 0 * q, q), init.v, samples, seed)
+    v, upper_q, residual = _reflect((q, 0 * q, q), init.v, seed)
     profiles, residuals = [v], [residual]
     if upper_dqd > gamma * np.vdot(v, q @ v).real:
-        v, _, residual = _reflect(supremum, top_q, samples, seed)
+        v, _, residual = _reflect(supremum, top_q, seed)
         profiles.append(v)
         residuals.append(residual)
     residuals = [r for r in residuals if r is not None]

@@ -38,7 +38,6 @@ default; any other section or key is refused::
     trials = 3
     seed = 1234
     alpha_draws = 50    ; fading draws averaged per trial, 1 for a single draw
-    ao_samples = 200    ; Gaussian randomization draws per AO / isotropic_tx
     q_tot = 600         ; only for W_I / Q_tot sweeps
     w_i = 1
     w_s = 1
@@ -124,15 +123,14 @@ _SWEPT = {vary: _SYSTEM_KEYS[key] for vary, key in
 VARY_CHOICES = (*_SWEPT, "W_I", "Q_tot")
 # [sweep] key -> parse of the SweepSpec field of the same name
 _SWEEP_KEYS = {"vary": str, "values": lambda text: tuple(float(x) for x in text.split(",")),
-               "trials": int, "seed": int, "alpha_draws": int, "ao_samples": int,
-               "q_tot": float, "w_i": float, "w_s": float}
+               "trials": int, "seed": int, "alpha_draws": int, "q_tot": float,
+               "w_i": float, "w_s": float}
 _SECTION_KEYS = {"system": _SYSTEM_KEYS, "scene": ("theta_deg",),
                  "sweep": (*_SWEEP_KEYS, "schemes", "target")}
 THETA_DEG = 60.0                    # target DoA when [scene] gives none
 
 CSV_HEADER = ("vary", "value", "scheme", "crb", "crb_db", "trials", "status",
               "wall_ms")
-AO_SAMPLES = 200                    # Gaussian randomization draws per instance
 
 _log = logging.getLogger(__name__)
 
@@ -158,7 +156,6 @@ class SweepSpec:
     q_tot: float = 600.0            # allocation-driven sweeps only
     w_i: float = 1.0
     w_s: float = 1.0
-    ao_samples: int = AO_SAMPLES
 
     def __post_init__(self):
         if self.vary not in VARY_CHOICES:
@@ -169,7 +166,7 @@ class SweepSpec:
             raise ValueError("value list must be non-empty")
         if any(b <= a for a, b in zip(self.values, self.values[1:])):
             raise ValueError("values must be strictly increasing")
-        for key in ("trials", "alpha_draws", "ao_samples"):
+        for key in ("trials", "alpha_draws"):
             if getattr(self, key) < 1:
                 raise ValueError(f"{key} must be at least 1, got {getattr(self, key)}")
         if self.vary in ("W_I", "Q_tot") and self.target == "extended":
@@ -213,9 +210,9 @@ def _config_for(spec: SweepSpec, value: float) -> SystemConfig:
 class Scheme(NamedTuple):
     """A bounding scheme: the target model it applies to and its evaluator.
 
-    ``evaluate(cfg, ch, theta, seed, trial, samples)`` returns the bound for
-    the channel draw ``ch``; point-target bounds are for a unit small-scale
-    draw (alpha0 = 1).  Any further randomness comes from the (seed, trial)
+    ``evaluate(cfg, ch, theta, seed, trial)`` returns the bound for the
+    channel draw ``ch``; point-target bounds are for a unit small-scale draw
+    (alpha0 = 1).  Any further randomness comes from the (seed, trial)
     substreams.  ``linear_in_k`` marks a bound exactly proportional to K.
     """
 
@@ -224,41 +221,41 @@ class Scheme(NamedTuple):
     linear_in_k: bool = False
 
 
-def _proposed_ao(cfg, ch, theta, seed, trial, samples) -> float:
-    return ao_minimize_crb(point_scene(cfg, theta), ch.G, cfg, samples=samples,
+def _proposed_ao(cfg, ch, theta, seed, trial) -> float:
+    return ao_minimize_crb(point_scene(cfg, theta), ch.G, cfg,
                            seed=derive_seed(seed, trial, _AO)).crb
 
 
-def _random_phase(cfg, ch, theta, seed, trial, samples) -> float:
+def _random_phase(cfg, ch, theta, seed, trial) -> float:
     a = target_steering(theta, cfg.N, cfg.spacing, cfg.wavelength)
     v = np.exp(1j * make_rng(seed, trial, _PHASE).uniform(0.0, 2.0 * np.pi, cfg.N))
     r_x, _ = transmit_closed_form(v, a, ch.G, cfg.K, cfg.P0)
     return crb_point_closed(point_scene(cfg, theta), r_x, v, ch.G, cfg)
 
 
-def _isotropic_tx(cfg, ch, theta, seed, trial, samples) -> float:
+def _isotropic_tx(cfg, ch, theta, seed, trial) -> float:
     a = target_steering(theta, cfg.N, cfg.spacing, cfg.wavelength)
     r_iso = (cfg.P0 / cfg.M) * np.eye(cfg.M, dtype=complex)
-    profile = best_reflection(_info_kernels(ch.G, r_iso, a, cfg.K), samples,
+    profile = best_reflection(_info_kernels(ch.G, r_iso, a, cfg.K),
                               derive_seed(seed, trial, _RANDOMIZE))
     return crb_point_closed(point_scene(cfg, theta), r_iso, profile.v, ch.G, cfg)
 
 
-def _single_antenna_closed(cfg, ch, theta, seed, trial, samples) -> float:
+def _single_antenna_closed(cfg, ch, theta, seed, trial) -> float:
     if cfg.M != 1:
         raise ValueError("single_antenna_closed requires a config with M = 1")
     return single_antenna_optimum(point_scene(cfg, theta), ch.h_bi, cfg)[2]
 
 
-def _extended_opt(cfg, ch, theta, seed, trial, samples) -> float:
+def _extended_opt(cfg, ch, theta, seed, trial) -> float:
     return crb_extended_opt(ch.G, cfg.P0, cfg.K, cfg.T, cfg.noise_power).crb
 
 
-def _extended_iso(cfg, ch, theta, seed, trial, samples) -> float:
+def _extended_iso(cfg, ch, theta, seed, trial) -> float:
     return crb_extended_iso(ch.G, cfg.P0, cfg.M, cfg.K, cfg.T, cfg.noise_power).crb
 
 
-def _fully_passive(cfg, ch, theta, seed, trial, samples) -> float:
+def _fully_passive(cfg, ch, theta, seed, trial) -> float:
     # echoes return through the IRS to K BS receive antennas
     back_cfg = replace(cfg, M=cfg.K)
     g_r = rician_channel(back_cfg, seed=derive_seed(seed, trial, _RETURN)).G.T
@@ -305,8 +302,7 @@ def _trial_runner(spec: SweepSpec) -> Callable[[SystemConfig, int], tuple[float,
             key = (trial, *(getattr(cfg, name) for name in DRAW_FIELDS))
             if key not in channels:
                 channels[key] = rician_channel(cfg, seed=seed(trial))
-            crb = scheme.evaluate(cfg, channels[key], spec.theta, spec.seed, trial,
-                                  spec.ao_samples)
+            crb = scheme.evaluate(cfg, channels[key], spec.theta, spec.seed, trial)
             if scheme.target == "point" and np.isfinite(crb):
                 crb *= alpha(trial)
         except (ArithmeticError, RuntimeError) as exc:

@@ -280,7 +280,7 @@ def test_criterion_9_trend_suite():
     def crbs(vary, values, scheme, cfg=base, trials=3):
         spec = SweepSpec(base=cfg, theta=theta, vary=vary, values=values,
                          scheme=scheme, trials=trials, seed=9,
-                         alpha_draws=50, ao_samples=100)
+                         alpha_draws=50)
         return np.array([rec.crb_mean for rec in run_sweep(spec)])
 
     # power slope on the log-log axis

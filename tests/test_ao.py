@@ -23,7 +23,7 @@ from irscrb.conic import ConicProgram, KktResiduals
 from irscrb.pointcrb import (TransmitCovariance, _bound_from_info,
                              _info_kernels, _profile_scores, crb_point_closed,
                              single_antenna_optimum, steered_gram)
-from irscrb.sweep import AO_SAMPLES, SCHEMES, load_config, reference_config, run_sweep
+from irscrb.sweep import SCHEMES, load_config, reference_config, run_sweep
 
 from oracles import (_alternate, exhaustive_phase_grid, parent_transmit_program,
                      point_bracket, random_covariance, random_unit_profile,
@@ -51,7 +51,7 @@ def _random_phase_instance(m, n, seed):
 def _parent_transmit_solve(v_lifted, a, g, k, p0):
     # the transmit step as it was solved at budget P0 with tr X <= P0
     program = parent_transmit_program(v_lifted, a, g, k, p0)
-    sol = _checked(conic.solve(program, tol=SUBPROBLEM_TOL), "transmit")
+    sol = _checked(conic.solve(program, tol=SUBPROBLEM_TOL), "transmit subproblem")
     return TransmitCovariance(matrix=_psd_clip(sol.blocks[0]), budget=p0), sol
 
 
@@ -728,18 +728,62 @@ def test_optimizer_run_through_a_stalled_reflection_solve(monkeypatch, caplog, r
     (record,) = caplog.records
     assert record.levelno == logging.WARNING
     assert record.getMessage() == (
-        "reflection program at N = 8, randomization seed 0: reflection subproblem "
-        "ended with status max_iter (KKT residual 3e-08); kept the ascent profile")
-    # the incumbent: the best of the initial profile and the two ascent profiles
+        "SDR fallback with randomization seed 0 failed, kept the ascent profile: "
+        "SubproblemError: reflection subproblem at N = 8 ended with status max_iter "
+        "(KKT residual 3e-08)")
+    assert res.crb == _ascent_design_crb(scene, ch.G, cfg)
+
+
+def _ascent_design_crb(scene, g, cfg):
+    """Bound of the optimizer's design where no SDR fallback gives a
+    candidate: the best of the initial profile and the two ascent profiles."""
     a = target_steering(scene.theta, cfg.N, cfg.spacing, cfg.wavelength)
-    dqd, dq, q = _info_kernels(ch.G, np.eye(cfg.M), a, 1)
-    init = default_phase_profile(ch.G, a).v
+    dqd, dq, q = _info_kernels(g, np.eye(cfg.M), a, 1)
+    init = default_phase_profile(g, a).v
     top = np.exp(1j * np.angle(np.linalg.eigh(q)[1][:, -1]))
-    crbs = [crb_point_closed(scene, transmit_closed_form(v, a, ch.G, cfg.K, cfg.P0)[0],
-                             v, ch.G, cfg)
-            for v in (phase_ascent((q, 0 * q, q), init)[0],
-                      phase_ascent((dqd, dq, q), top)[0], init)]
-    assert res.crb == min(crbs)
+    return min(crb_point_closed(scene, transmit_closed_form(v, a, g, cfg.K, cfg.P0)[0],
+                                v, g, cfg)
+               for v in (phase_ascent((q, 0 * q, q), init)[0],
+                         phase_ascent((dqd, dq, q), top)[0], init))
+
+
+@pytest.mark.parametrize("failure", ["stall", "infeasible", "size"])
+def test_failed_fallback_keeps_the_ascent_profile(monkeypatch, caplog, failure):
+    # each way irs_subproblem raises: a stall above the floor, an infeasible
+    # status, and the size refusal (here above N = 4)
+    def failing(program, **kwargs):
+        sol = conic.solve(program, **kwargs)
+        if failure == "infeasible":
+            return replace(sol, status="infeasible")
+        return replace(sol, status="max_iter",
+                       kkt=KktResiduals(primal=3e-8, dual=0.0, gap=0.0))
+
+    if failure == "size":
+        monkeypatch.setattr(irscrb.ao, "MAX_REFLECTION_N", 4)
+    monkeypatch.setattr(irscrb.ao, "irs_subproblem",
+                        lambda kernels: irs_subproblem(kernels, solver=failing))
+    # K = 2 < N: neither the isotropic ascent nor the supremum branch certifies
+    cfg = SystemConfig(M=4, N=8, K=2, T=64, P0=1.0)
+    ch = rician_channel(cfg, seed=7)
+    scene = point_scene(cfg, np.deg2rad(60.0))
+    a = target_steering(scene.theta, cfg.N, cfg.spacing, cfg.wavelength)
+    kernels = _info_kernels(ch.G, np.eye(cfg.M) / cfg.M, a, cfg.K)
+    top = np.exp(1j * np.angle(np.linalg.eigh(kernels[2])[1][:, -1]))
+    with caplog.at_level(logging.WARNING, logger="irscrb.ao"):
+        profile = best_reflection(kernels, 3)
+        res = ao_minimize_crb(scene, ch.G, cfg, seed=3)
+    np.testing.assert_array_equal(profile.v, phase_ascent(kernels, top)[0])
+    assert res.iterations == 0 and res.solver_residual_max == 0.0
+    assert res.crb == _ascent_design_crb(scene, ch.G, cfg)
+    # one WARNING per fallback: the isotropic design's, then the supremum branch's
+    expected = {"stall": "status max_iter", "infeasible": "status infeasible",
+                "size": "N = 8 > 4 needs"}[failure]
+    assert len(caplog.records) == 2
+    for record in caplog.records:
+        message = record.getMessage()
+        assert message.startswith("SDR fallback with randomization seed 3 failed")
+        assert "SubproblemError" in message and expected in message
+        assert message.count("N = 8") == 1
 
 
 @pytest.mark.parametrize("scheme, m, n, k, rician_factor, seed", [
@@ -754,7 +798,7 @@ def test_instances_whose_reflection_solve_stalled_return(caplog, scheme, m, n, k
     ch = rician_channel(cfg, seed=seed)
     with caplog.at_level(logging.WARNING, logger="irscrb.ao"):
         if scheme == "isotropic_tx":
-            crb = SCHEMES[scheme].evaluate(cfg, ch, scene.theta, seed, 0, AO_SAMPLES)
+            crb = SCHEMES[scheme].evaluate(cfg, ch, scene.theta, seed, 0)
         else:
             crb = ao_minimize_crb(scene, ch.G, cfg, seed=seed).crb
     assert np.isfinite(crb) and crb > 0
@@ -778,7 +822,7 @@ def test_no_abort_on_the_desk_scale_grid(n, scheme):
             assert res.solver_residual_max <= SUBPROBLEM_FLOOR
             crb = res.crb
         else:
-            v = best_reflection(_info_kernels(ch.G, r_iso, a, cfg.K), AO_SAMPLES, 0).v
+            v = best_reflection(_info_kernels(ch.G, r_iso, a, cfg.K), 0).v
             crb = crb_point_closed(scene, r_iso, v, ch.G, cfg)
         assert np.isfinite(crb) and crb > 0
 

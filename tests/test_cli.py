@@ -10,7 +10,7 @@ import irscrb
 from irscrb.channel import rician_channel
 from irscrb.cli import _build_parser, cli_main
 from irscrb.extended import EstimabilityError
-from irscrb.sweep import AO_SAMPLES, SCHEMES, load_config
+from irscrb.sweep import SCHEMES, load_config
 
 POINT_CONFIG = """
 [system]
@@ -127,7 +127,19 @@ def test_sweep_config_with_a_typo_is_usage_error(tmp_path, capsys):
     assert not (tmp_path / "x.csv").exists()
 
 
-@pytest.mark.parametrize("key", ["alpha_draws", "ao_samples"])
+@pytest.mark.parametrize("key, line", [("average_alpha", "average_alpha = false"),
+                                       ("ao_samples", "ao_samples = 50")])
+def test_sweep_config_with_a_removed_key_is_usage_error(tmp_path, capsys, key, line):
+    cfg = tmp_path / "cfg.ini"
+    cfg.write_text(POINT_CONFIG + line + "\n")
+    rc = cli_main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "x.csv")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage error:") and f"unknown key {key!r}" in err
+    assert not (tmp_path / "x.csv").exists()
+
+
+@pytest.mark.parametrize("key", ["alpha_draws"])
 def test_sweep_without_draws_is_usage_error(tmp_path, capsys, key):
     # alpha_draws = 0 once wrote every row inf, status rank_deficient, exit 0
     cfg = tmp_path / "cfg.ini"
@@ -188,7 +200,7 @@ def test_crb_point_random_phase_uses_the_seeded_channel(tmp_path, capsys):
                        "--scheme", "random_phase", "--seed", str(seed)])
         assert rc == 0
         ch = rician_channel(base, seed=seed)
-        crb = SCHEMES["random_phase"].evaluate(base, ch, theta, seed, 0, AO_SAMPLES)
+        crb = SCHEMES["random_phase"].evaluate(base, ch, theta, seed, 0)
         assert f"crb = {crb:.6e} rad^2" in capsys.readouterr().out
 
 

@@ -9,13 +9,13 @@ import pytest
 
 import irscrb.ao
 import irscrb.sweep
-from irscrb.ao import SubproblemError, phase_ascent
+from irscrb.ao import RANDOMIZATION_SAMPLES, SubproblemError, phase_ascent
 from irscrb.arrays import target_steering
 from irscrb.channel import rician_channel
 from irscrb.config import SystemConfig, dbm_to_watt, derive_seed, point_scene
 from irscrb.extended import EstimabilityError, crb_extended, optimal_transmit_extended
 from irscrb.pointcrb import _info_kernels, crb_point_closed
-from irscrb.sweep import (_CHANNEL, _RANDOMIZE, AO_SAMPLES, SCHEMES, Scheme,
+from irscrb.sweep import (_CHANNEL, _RANDOMIZE, SCHEMES, Scheme,
                           SweepRecord, SweepSpec, _config_for, _trial_runner,
                           emit_csv, load_config, read_csv, reference_config,
                           run_sweep)
@@ -55,7 +55,7 @@ class TestSpecValidation:
         with pytest.raises(ValueError, match="trials"):
             _spec(trials=0)
 
-    @pytest.mark.parametrize("key", ["alpha_draws", "ao_samples"])
+    @pytest.mark.parametrize("key", ["alpha_draws"])
     @pytest.mark.parametrize("count", [0, -1])
     def test_no_draws(self, key, count):
         # alpha_draws = 0 once wrote every row inf, status rank_deficient
@@ -84,8 +84,7 @@ class TestRunSweep:
 
     def test_proposed_beats_random_phase_pairwise(self):
         base = reference_config(M=4, N=4, K=4)
-        kw = dict(base=base, values=(20.0, 30.0), trials=2, alpha_draws=5,
-                  ao_samples=50)
+        kw = dict(base=base, values=(20.0, 30.0), trials=2, alpha_draws=5)
         ao = run_sweep(_spec(scheme="proposed_ao", **kw))
         rand = run_sweep(_spec(scheme="random_phase", **kw))
         for r_ao, r_rand in zip(ao, rand):
@@ -158,7 +157,7 @@ class TestRunSweep:
     def test_rician_factor_sweep_runs(self):
         spec = _spec(base=reference_config(M=2, N=4, K=4), vary="beta_BI",
                      values=(0.0, 5.0, 10.0), scheme="isotropic_tx",
-                     trials=1, alpha_draws=5, ao_samples=50)
+                     trials=1, alpha_draws=5)
         records = run_sweep(spec)
         assert [r.status for r in records] == ["ok"] * 3
         assert all(np.isfinite(r.crb_mean) for r in records)
@@ -196,7 +195,7 @@ _BASES = {"point": reference_config(M=2, N=4, K=4),
 
 
 class TestUnitPower:
-    SMALL = dict(base=reference_config(M=2, N=4, K=4), alpha_draws=5, ao_samples=50)
+    SMALL = dict(base=reference_config(M=2, N=4, K=4), alpha_draws=5)
 
     def test_p0_sweep_runs_one_ao_per_trial(self, monkeypatch):
         calls = _counted(monkeypatch, "ao_minimize_crb")
@@ -239,8 +238,7 @@ class TestUnitPower:
         ("fully_passive", reference_config(M=8, N=4, K=4)),
     ])
     def test_bound_times_power_is_the_same_on_every_row(self, scheme, base):
-        records = run_sweep(_spec(scheme=scheme, base=base, alpha_draws=5,
-                                  ao_samples=50))
+        records = run_sweep(_spec(scheme=scheme, base=base, alpha_draws=5))
         assert [r.status for r in records] == ["ok"] * 3
         scaled = [r.crb_mean * dbm_to_watt(r.value) for r in records]
         np.testing.assert_allclose(scaled, scaled[-1], rtol=1e-12)
@@ -255,7 +253,7 @@ class TestUnitPower:
         kind = scheme if scheme == "single_antenna_closed" else SCHEMES[scheme].target
         values = (1.0,) if (kind, vary) == ("single_antenna_closed", "M") else _VALUES[vary]
         spec = _spec(scheme=scheme, base=_BASES[kind], vary=vary, values=values,
-                     alpha_draws=5, ao_samples=50, q_tot=20.0)
+                     alpha_draws=5, q_tot=20.0)
         records = run_sweep(spec)
         assert [r.status for r in records] == ["ok"] * len(values)
         for record in records:
@@ -273,7 +271,7 @@ class TestUnitPower:
 
     @staticmethod
     def _failing(monkeypatch):
-        def evaluate(cfg, ch, theta, seed, trial, samples):
+        def evaluate(cfg, ch, theta, seed, trial):
             raise SubproblemError("transmit solve ended max_iter, kkt 3.0e-07")
 
         monkeypatch.setitem(SCHEMES, "random_phase", Scheme("point", evaluate))
@@ -312,17 +310,22 @@ class TestUnitPower:
             assert record.getMessage() == (
                 "random_phase failed at P0=0.1 M=2 N=4 K=4, seed 11, trial 0: " + text)
 
-    def test_oversized_reflection_program_gives_an_error_row(self, caplog):
+    def test_oversized_reflection_program_keeps_the_ascent_profile(self, caplog):
         # the allocation gives N = 480, K = 360; the reflection program is
-        # refused before its constraint stack is built
+        # refused before its constraint stack is built, and the trial keeps
+        # the ascent profile
         spec = _spec(scheme="isotropic_tx", base=reference_config(M=2, N=4, K=4),
                      vary="W_I", values=(0.5,), q_tot=600.0, trials=1, seed=0,
-                     alpha_draws=5, ao_samples=50)
+                     alpha_draws=5)
         assert (_config_for(spec, 0.5).N, _config_for(spec, 0.5).K) == (480, 360)
-        with caplog.at_level(logging.WARNING, logger="irscrb.sweep"):
+        with caplog.at_level(logging.WARNING):
             (record,) = run_sweep(spec)
-        assert record.status == "error:SubproblemError" and np.isnan(record.crb_mean)
-        assert "N = 480" in caplog.text and "GB" in caplog.text
+        assert record.status == "ok" and np.isfinite(record.crb_mean)
+        (warning,) = caplog.records
+        assert warning.name == "irscrb.ao" and warning.levelno == logging.WARNING
+        message = warning.getMessage()
+        assert message.count("N = 480") == 1 and "GB" in message
+        assert "SubproblemError" in message and "ascent profile" in message
 
 
 class TestIsotropicTx:
@@ -337,9 +340,8 @@ class TestIsotropicTx:
             r_iso = np.eye(m, dtype=complex) / m
             for seed in range(5):
                 ch = rician_channel(cfg, seed=seed)
-                crb = SCHEMES["isotropic_tx"].evaluate(cfg, ch, THETA, seed, 0,
-                                                       AO_SAMPLES)
-                v = parent_isotropic_profile(r_iso, a, ch.G, k, AO_SAMPLES,
+                crb = SCHEMES["isotropic_tx"].evaluate(cfg, ch, THETA, seed, 0)
+                v = parent_isotropic_profile(r_iso, a, ch.G, k, RANDOMIZATION_SAMPLES,
                                              derive_seed(seed, 0, _RANDOMIZE))
                 parent = crb_point_closed(point_scene(cfg, THETA), r_iso, v, ch.G, cfg)
                 assert crb <= parent * (1 + 1e-9)
@@ -404,8 +406,7 @@ class TestFullyPassive:
                 cfg = reference_config(M=m, N=n, K=k, P0=p0, rician_factor=rician_factor)
                 for seed in range(5):
                     ch = rician_channel(cfg, seed=seed)
-                    crb = SCHEMES["fully_passive"].evaluate(cfg, ch, THETA, seed, 1,
-                                                            AO_SAMPLES)
+                    crb = SCHEMES["fully_passive"].evaluate(cfg, ch, THETA, seed, 1)
                     parent = self._bound(lambda: parent_fully_passive(cfg, ch.G, seed, 1))
                     assert np.isfinite(crb) == np.isfinite(parent) == finite
                     if finite:
@@ -415,8 +416,7 @@ class TestFullyPassive:
         cfg = reference_config(M=8, N=4, K=8)
         ch = rician_channel(cfg, seed=0)
         deficient = replace(ch, G=np.outer(ch.G[:, 0], ch.G[0]))
-        assert np.isinf(SCHEMES["fully_passive"].evaluate(cfg, deficient, THETA, 0, 0,
-                                                          AO_SAMPLES))
+        assert np.isinf(SCHEMES["fully_passive"].evaluate(cfg, deficient, THETA, 0, 0))
         assert np.isinf(self._bound(lambda: parent_fully_passive(cfg, deficient.G, 0, 0)))
 
 
@@ -429,8 +429,7 @@ class TestProposedAo:
             cfg = reference_config(M=m, N=n, K=k, P0=1.0, rician_factor=rician_factor)
             for seed in range(6):
                 ch = rician_channel(cfg, seed=seed)
-                crb = {scheme: SCHEMES[scheme].evaluate(cfg, ch, THETA, seed, 0,
-                                                        AO_SAMPLES)
+                crb = {scheme: SCHEMES[scheme].evaluate(cfg, ch, THETA, seed, 0)
                        for scheme in ("proposed_ao", "random_phase", "isotropic_tx")}
                 assert crb["proposed_ao"] <= min(crb["random_phase"],
                                                  crb["isotropic_tx"]), (seed, crb)
@@ -552,10 +551,9 @@ alpha_draws = 5
         path.write_text("[sweep]\nvalues = 10\nschemes = random_phase\n")
         base, theta, specs = load_config(str(path))
         assert base == SystemConfig()
-        # trials, seed, alpha_draws, q_tot, w_i, w_s and ao_samples too
+        # trials, seed, alpha_draws, q_tot, w_i, w_s too
         assert specs == [SweepSpec(base=base, theta=theta, vary="P0", values=(10.0,),
                                    scheme="random_phase")]
-        assert specs[0].ao_samples == AO_SAMPLES
 
     def test_seed_is_read_as_an_integer(self, tmp_path):
         # above 2**53 a float round-trip would land on a neighbouring seed
@@ -586,8 +584,10 @@ alpha_draws = 5
         ("values = 10, 20", "value = 10, 20", r"section \[sweep\] needs the key 'values'"),
         ("seed = 3", "seed = 3\naverage_alpha = false",
          r"unknown key 'average_alpha' in section \[sweep\]"),
+        ("seed = 3", "seed = 3\nao_samples = 50",
+         r"unknown key 'ao_samples' in section \[sweep\]"),
     ], ids=["section", "sweep_key", "added_key", "scene_key", "missing_key",
-            "average_alpha"])
+            "average_alpha", "ao_samples"])
     def test_unknown_and_missing_keys_are_refused(self, tmp_path, old, new, message):
         # each of these once ran silently with the defaults in its place
         path = tmp_path / "cfg.ini"
