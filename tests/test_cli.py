@@ -128,7 +128,8 @@ def test_sweep_config_with_a_typo_is_usage_error(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("key, line", [("average_alpha", "average_alpha = false"),
-                                       ("ao_samples", "ao_samples = 50")])
+                                       ("ao_samples", "ao_samples = 50")],
+                         ids=["average_alpha", "ao_samples"])
 def test_sweep_config_with_a_removed_key_is_usage_error(tmp_path, capsys, key, line):
     cfg = tmp_path / "cfg.ini"
     cfg.write_text(POINT_CONFIG + line + "\n")
