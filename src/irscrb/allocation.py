@@ -15,8 +15,6 @@ from typing import Literal
 
 import numpy as np
 
-BUDGET_RTOL = 1e-6
-
 
 class AllocationDomainError(ArithmeticError):
     """The closed-form cubic root left its real domain."""

@@ -84,27 +84,36 @@ _U12_RE = np.array([[0.0, 0.5], [0.5, 0.0]], dtype=complex)
 _U12_IM = np.array([[0.0, 0.5j], [-0.5j, 0.0]], dtype=complex)
 
 
+def _with_u(x_part: np.ndarray, u_part: np.ndarray) -> np.ndarray:
+    """diag(x_part, u_part), stacked or not: coefficients on X and U as ones on diag(X, U)."""
+    n = x_part.shape[-1]
+    out = np.zeros(x_part.shape[:-2] + (n + 2, n + 2), np.result_type(x_part, u_part))
+    out[..., :n, :n] = x_part
+    out[..., n:, n:] = u_part
+    return out
+
+
 def _schur_program(quad_obj: np.ndarray, cross_kernel: np.ndarray,
                    power_kernel: np.ndarray) -> ConicProgram:
     """Common epigraph program: min U_11 - tr(quad_obj X) with U tied to X.
 
-    The 2x2 Hermitian block U carries the fractional term: U_12 =
-    tr(cross_kernel X), U_22 = tr(power_kernel X), and PSD-ness of U forces
-    U_11 >= |U_12|^2 / U_22.  Each row of U is normalized on its own: the
-    objective by its largest entry s_q, the power kernel by its own s_p and
-    the cross kernel by sqrt(s_q s_p).  That is the congruence D U D / s_q
-    with D = diag(1, sqrt(s_q / s_p)), so it keeps U's PSD-ness and the
-    optimal X.  Under one shared scale, U_22 of the transmit program is
-    near 2e-8 at N = 64 and its solves stall above the acceptance floor.
+    The program's matrix is diag(X, U), of order n + 2.  Its 2x2 Hermitian
+    corner U carries the fractional term: U_12 = tr(cross_kernel X), U_22 =
+    tr(power_kernel X), and PSD-ness of U forces U_11 >= |U_12|^2 / U_22.
+    Each row of U is normalized on its own: the objective by its largest
+    entry s_q, the power kernel by its own s_p and the cross kernel by
+    sqrt(s_q s_p).  That is the congruence D U D / s_q with D = diag(1,
+    sqrt(s_q / s_p)), so it keeps U's PSD-ness and the optimal X.  Under one
+    shared scale, U_22 of the transmit program is near 2e-8 at N = 64 and
+    its solves stall above the acceptance floor.
     """
     s_q = max(np.abs(quad_obj).max(), 1e-300)
     s_p = max(np.abs(power_kernel).max(), 1e-300)
-    program = ConicProgram([quad_obj.shape[0], 2])
-    program.set_objective({0: -quad_obj / s_q, 1: _U11})
+    program = ConicProgram(quad_obj.shape[0] + 2)
+    program.set_objective(_with_u(-quad_obj / s_q, _U11))
     re_k, im_k = _re_im_kernels(cross_kernel / np.sqrt(s_q * s_p))
-    program.add_eq({0: re_k, 1: -_U12_RE}, 0.0)
-    program.add_eq({0: im_k, 1: -_U12_IM}, 0.0)
-    program.add_eq({0: power_kernel / s_p, 1: -_U22}, 0.0)
+    program.add_eq(_with_u(np.array([re_k, im_k, power_kernel / s_p]),
+                           -np.array([_U12_RE, _U12_IM, _U22])), np.zeros(3))
     return program
 
 
@@ -144,9 +153,10 @@ def transmit_subproblem(v_lifted: np.ndarray, a: np.ndarray, g: np.ndarray,
     """
     quad_obj, cross_kernel, power_kernel = _transmit_kernels(v_lifted, a, g, k)
     program = _schur_program(quad_obj, cross_kernel, power_kernel)
-    program.add_eq({0: np.eye(quad_obj.shape[0])}, 1.0)
+    m = quad_obj.shape[0]
+    program.add_eq(_with_u(np.eye(m), np.zeros((2, 2))), 1.0)
     sol = _checked(solver(program, tol=SUBPROBLEM_TOL), "transmit subproblem")
-    x = _psd_clip(sol.blocks[0])
+    x = _psd_clip(sol.x[:m, :m])
     return TransmitCovariance(matrix=(p0 / np.trace(x).real) * x, budget=p0), sol
 
 
@@ -189,11 +199,10 @@ def irs_subproblem(kernels: tuple[np.ndarray, np.ndarray, np.ndarray],
         raise SubproblemError(f"reflection program at N = {n} > {MAX_REFLECTION_N} needs "
                               f"{16e-9 * (n + 3) * (n + 2) ** 2:.2g} GB a stack copy")
     program = _schur_program(*kernels)
-    # the rows V_ii = 1, with e_i e_i^T built at once and, symmetric by
-    # construction, appended without add_eq's check
-    program.eq += [({0: e_ii}, 1.0) for e_ii in np.eye(n)[:, :, None] * np.eye(n)]
+    # the rows V_ii = 1, with the e_i e_i^T stacked
+    program.add_eq(_with_u(np.eye(n)[:, :, None] * np.eye(n), np.zeros((2, 2))), np.ones(n))
     sol = _checked(solver(program, tol=SUBPROBLEM_TOL), f"reflection subproblem at N = {n}")
-    return sol.blocks[0], sol
+    return sol.x[:n, :n], sol
 
 
 def _checked(sol: ConicSolution, label: str) -> ConicSolution:

@@ -21,8 +21,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .allocation import (AllocationDomainError, allocate_exhaustive,
-                         allocate_optimal, allocate_suboptimal)
+from .allocation import allocate_exhaustive, allocate_optimal, allocate_suboptimal
 from .channel import rician_channel
 from .extended import EstimabilityError, gap_db
 from .sweep import (POINT_SCHEMES, SCHEMES, SweepSpec, emit_csv, load_config,
@@ -92,7 +91,7 @@ def cli_main(argv: list[str] | None = None) -> int:
         if args.command == "crb":
             return _cmd_crb(args)
         return _cmd_selftest(args)
-    except (AllocationDomainError, EstimabilityError, ArithmeticError) as exc:
+    except (EstimabilityError, ArithmeticError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return NUMERICAL_EXIT
     except (_UsageError, FileNotFoundError, ValueError) as exc:

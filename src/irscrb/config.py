@@ -47,6 +47,10 @@ class SystemConfig:
                 raise ValueError(f"{name} must be positive, got {value}")
         if self.K < 2:
             raise ValueError(f"K must be at least 2, got {self.K}")
+        for name in ("P0", "wavelength", "spacing", "noise_power", "d_bi", "d_it", "c0",
+                     "alpha_bi", "rician_factor", "rcs", "los_aod", "los_aoa"):
+            if not np.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         for name in ("P0", "wavelength", "spacing", "noise_power", "d_bi",
                      "d_it", "c0", "rcs"):
             if getattr(self, name) <= 0:
@@ -71,14 +75,13 @@ class SystemConfig:
 class PointTargetScene:
     """A single point scatterer described by its DoA and channel coefficient.
 
-    ``alpha`` is the round-trip coefficient, the product of the small-scale
-    draw ``alpha0`` and the deterministic round-trip amplitude gain.  Use
+    ``alpha`` is the round-trip coefficient, the product of a small-scale
+    draw and the deterministic round-trip amplitude gain.  Use
     :func:`point_scene` to build a scene consistent with a config.
     """
 
     theta: float                # rad, DoA seen from the IRS
     alpha: complex              # round-trip channel coefficient
-    alpha0: complex = 1.0 + 0j  # small-scale fading draw, CN(0, 1)
 
     def __post_init__(self):
         if not abs(self.theta) <= np.pi / 2:
@@ -94,7 +97,7 @@ def point_scene(config: SystemConfig, theta: float,
     from .arrays import path_gain
 
     beta0 = path_gain(config.d_it, config.rcs, config.wavelength)
-    return PointTargetScene(theta=theta, alpha=alpha0 * beta0, alpha0=alpha0)
+    return PointTargetScene(theta=theta, alpha=alpha0 * beta0)
 
 
 @dataclass(frozen=True)

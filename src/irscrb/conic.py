@@ -2,36 +2,27 @@
 
 Solves
 
-    minimize    sum_b <C_b, X_b>
-    subject to  sum_b <A_jb, X_b>  =  b_j      for every row j
-                X_b PSD for every block b
+    minimize    <C, X>
+    subject to  <A_j, X>  =  b_j      for every row j
+                X PSD
 
-over one or more dense blocks, with the real inner product
-<A, X> = Re tr(A^H X).  The blocks are complex Hermitian when any
-coefficient is complex and real symmetric otherwise, so a complex program
-is solved on its native Hermitian blocks.  The rows are equalities only;
-an inequality is posed by declaring its own 1x1 slack block and giving it
-a 1 in its row.  The search direction is the Nesterov-Todd direction,
-computed per iteration from the scaling point W with W S W = X; with the
-scaled variables both primal and dual blocks equal the same diagonal, which
-keeps the corrector step a cheap elementwise division.  A Mehrotra
-predictor picks the centering weight.
+over one dense matrix X, with the real inner product <A, X> = Re tr(A^H X).
+X is complex Hermitian when any coefficient is complex and real symmetric
+otherwise, so a complex program is solved on its native Hermitian matrix.
+A program over several PSD matrices is one matrix with block-diagonal
+coefficients, and an inequality gets a slack diagonal entry.  The search
+direction is the Nesterov-Todd direction, computed per iteration from the
+scaling point W with W S W = X; with the scaled variables both primal and
+dual iterates equal the same diagonal, which keeps the corrector step a
+cheap elementwise division.  A Mehrotra predictor picks the centering
+weight.
 
-The solver places the declared blocks on the diagonal of one matrix of
-order n = sum of the block orders: one objective matrix and one stacked
-constraint array of shape (m, n, n), row j holding constraint j's
-coefficients on the diagonal slices of the blocks it touches and zeros
-elsewhere.  It iterates on that single block, and slices the declared
-blocks of X and S back out at the end.  This is exact: every coefficient
-is block diagonal, so the NT scaling point, the Schur complement, the
-direction and mu = <X, S> / n are those of the per-block iteration, and
-so are both step lengths, since the least eigenvalue of the union is the
-least over the blocks.  The stacked array is flattened once per solve and
-its NT-scaled copy once per iteration, so each operator (the constraint
-map, its adjoint, the Schur complement and the Newton right-hand side) is
-one matrix product.  Each iteration inverts the Schur complement once, from
-its inverse Cholesky factor, so each of a step's six Schur solves (predictor
-and corrector, two refinement rounds each) is one matvec.
+The solver stacks the rows into one array of shape (m, n, n), flattened
+once per solve and its NT-scaled copy once per iteration, so each operator
+(the constraint map, its adjoint, the Schur complement and the Newton
+right-hand side) is one matrix product.  Each iteration inverts the Schur complement
+once, from its inverse Cholesky factor, so each of a step's six Schur
+solves (predictor and corrector, two refinement rounds each) is one matvec.
 
 The solver is deterministic: identical programs produce identical iterates.
 """
@@ -54,20 +45,18 @@ _log = logging.getLogger(__name__)
 
 # -- program container -------------------------------------------------------
 
-def _check_coeffs(blocks: list[int], coeffs: dict[int, np.ndarray]) -> dict[int, np.ndarray]:
-    out = {}
-    for idx, mat in coeffs.items():
-        if not 0 <= idx < len(blocks):
-            raise ValueError(f"block index {idx} out of range")
-        m = np.asarray(mat, dtype=complex if np.iscomplexobj(mat) else float)
-        n = blocks[idx]
-        if m.shape != (n, n):
-            raise ValueError(f"coefficient for block {idx} must be {n}x{n}, got {m.shape}")
-        scale = max(np.abs(m).max(), 1.0)
-        if np.abs(m - m.conj().T).max() > SYMMETRY_ATOL * scale:
-            raise ValueError(f"coefficient for block {idx} is not Hermitian symmetric")
-        out[idx] = _hermitian_part(m)
-    return out
+def _hermitian_stack(order: int, stack) -> np.ndarray:
+    """The Hermitian part of a (k, n, n) stack of coefficient matrices, after
+    checking its shape and that each matrix is Hermitian."""
+    m = np.asarray(stack, dtype=complex if np.iscomplexobj(stack) else float)
+    if m.ndim != 3 or m.shape[1:] != (order, order) or len(m) == 0:
+        raise ValueError(f"coefficients must be {order}x{order} matrices, got shape {m.shape}")
+    scale = np.maximum(np.abs(m).max(axis=(1, 2)), 1.0)
+    skewed = np.abs(m - m.conj().swapaxes(1, 2)).max(axis=(1, 2)) > SYMMETRY_ATOL * scale
+    if skewed.any():
+        raise ValueError(f"coefficient matrix {np.argmax(skewed)} of {len(m)} "
+                         "is not Hermitian symmetric")
+    return _hermitian_part(m)
 
 
 def _hermitian_part(mat: np.ndarray) -> np.ndarray:
@@ -75,7 +64,7 @@ def _hermitian_part(mat: np.ndarray) -> np.ndarray:
 
 
 def _inner(a: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Re tr(A^H X) over the last two axes; ``a`` may be a stack of blocks."""
+    """Re tr(A^H X) over the last two axes; ``a`` may be a stack of matrices."""
     return (a.reshape(a.shape[:-2] + (-1,)) @ x.conj().ravel()).real
 
 
@@ -86,27 +75,36 @@ def _adjoint(y: np.ndarray, a_stack: np.ndarray) -> np.ndarray:
 
 @dataclass
 class ConicProgram:
-    """A minimization over PSD blocks with linear equality rows.
+    """A minimization over one PSD matrix of order ``order`` with linear
+    equality rows.
 
-    Only ``blocks`` is a constructor argument; the objective and the
-    constraints enter through the checking methods below.  A caller may
-    append to ``eq`` directly only rows that are Hermitian by construction.
+    Only ``order`` is a constructor argument; the objective (zero until
+    set) and the rows enter through the checking methods below.
     """
 
-    blocks: list[int]
-    objective: dict[int, np.ndarray] = field(init=False, default_factory=dict)
-    eq: list[tuple[dict[int, np.ndarray], float]] = field(init=False, default_factory=list)
+    order: int
+    objective: np.ndarray = field(init=False)
+    eq: list[tuple[np.ndarray, float]] = field(init=False, default_factory=list)
 
     def __post_init__(self):
-        if not self.blocks or any(int(n) < 1 for n in self.blocks):
-            raise ValueError("every block order must be a positive integer")
-        self.blocks = [int(n) for n in self.blocks]
+        if int(self.order) < 1:
+            raise ValueError(f"the matrix order must be a positive integer, got {self.order}")
+        self.order = int(self.order)
+        self.objective = np.zeros((self.order, self.order))
 
-    def set_objective(self, coeffs: dict[int, np.ndarray]) -> None:
-        self.objective = _check_coeffs(self.blocks, coeffs)
+    def set_objective(self, matrix) -> None:
+        self.objective = _hermitian_stack(self.order, [matrix])[0]
 
-    def add_eq(self, coeffs: dict[int, np.ndarray], rhs: float) -> None:
-        self.eq.append((_check_coeffs(self.blocks, coeffs), float(rhs)))
+    def add_eq(self, coeffs, rhs) -> None:
+        """Add the row <coeffs, X> = rhs, or for a (k, n, n) stack the k rows
+        <coeffs[j], X> = rhs[j]."""
+        single = np.ndim(coeffs) == 2
+        stack = _hermitian_stack(self.order, [coeffs] if single else coeffs)
+        rhs = np.asarray([rhs] if single else rhs, dtype=float)
+        if rhs.shape != (len(stack),):
+            raise ValueError(f"{len(stack)} rows need {len(stack)} right-hand sides, "
+                             f"got shape {rhs.shape}")
+        self.eq += zip(stack, rhs.tolist())
 
 
 @dataclass(frozen=True)
@@ -121,79 +119,50 @@ class KktResiduals:
 
 @dataclass
 class ConicSolution:
-    blocks: list[np.ndarray]            # primal PSD blocks, declared order
+    x: np.ndarray                       # primal PSD matrix X
     objective: float
     status: Literal["optimal", "max_iter", "infeasible"]
     kkt: KktResiduals
     y: np.ndarray                       # one multiplier per equality row
-    dual_blocks: list[np.ndarray]       # dual slack S per block
+    s: np.ndarray                       # dual slack S
     iterations: int = 0
 
 
 # -- residual bookkeeping ----------------------------------------------------
 
-def _diagonal_slices(orders: list[int]) -> list[slice]:
-    """Index ranges of the declared blocks on the diagonal of one matrix."""
-    ends = np.cumsum(orders).tolist()
-    return [slice(end - n, end) for n, end in zip(orders, ends)]
-
-
 def _program_arrays(program: ConicProgram):
-    """Dense solver data of ``program`` as one block-diagonal block.
-
-    Returns the order-n objective matrix and the stacked ``(m, n, n)``
-    constraint array, n = sum(program.blocks), with each declared block on
-    its diagonal slice and zeros elsewhere, and the m right-hand sides.  The
-    matrices are complex if any coefficient is complex and float64
-    otherwise.
+    """Dense solver data of ``program``: the objective matrix, the stacked
+    ``(m, n, n)`` constraint array and the m right-hand sides.  The matrices
+    are complex if any coefficient is complex and float64 otherwise.
     """
-    rows = program.eq
-    dtype = np.result_type(float, *program.objective.values(),
-                           *(a for coeffs, _ in rows for a in coeffs.values()))
-    cuts = _diagonal_slices(program.blocks)
-    n = sum(program.blocks)
-    c_mat = np.zeros((n, n), dtype)
-    for b, c in program.objective.items():
-        c_mat[cuts[b], cuts[b]] = c
-    a_stack = np.zeros((len(rows), n, n), dtype)
-    for j, (coeffs, _) in enumerate(rows):
-        for b, a in coeffs.items():
-            a_stack[j, cuts[b], cuts[b]] = a
-    return c_mat, a_stack, np.array([r for _, r in rows], dtype=float)
+    a_stack = np.stack([a for a, _ in program.eq])
+    dtype = np.result_type(program.objective, a_stack)
+    return (program.objective.astype(dtype, copy=False), a_stack.astype(dtype, copy=False),
+            np.array([r for _, r in program.eq], dtype=float))
 
 
 def kkt_residuals(program: ConicProgram, sol: ConicSolution) -> KktResiduals:
     """Normalized primal/dual/gap residuals of a candidate primal-dual pair.
 
-    Primal: worst constraint violation and cone violation of the primal
-    blocks.  Dual: Frobenius residual of sum_j y_j A_j + S = C and cone
-    violation of S.  Gap: objective
-    mismatch |primal - dual| and complementarity <X, S>, both relative to
-    1 + |primal objective|.
+    Primal: worst constraint violation and cone violation of X.  Dual:
+    Frobenius residual of sum_j y_j A_j + S = C and cone violation of S.
+    Gap: objective mismatch |primal - dual| and complementarity <X, S>,
+    both relative to 1 + |primal objective|.
     """
-    return _kkt(program.blocks, *_program_arrays(program), sol)
+    return _kkt(*_program_arrays(program), sol.x, np.asarray(sol.y, dtype=float), sol.s)
 
 
-def _kkt(orders: list[int], c_mat: np.ndarray, a_stack: np.ndarray, rhs: np.ndarray,
-         sol: ConicSolution) -> KktResiduals:
-    """:func:`kkt_residuals` on the arrays of :func:`_program_arrays`, with the
-    blocks of ``sol`` on their diagonal slices: each map is one contraction."""
-    cuts = _diagonal_slices(orders)
-    x, s = np.zeros((2,) + c_mat.shape, np.result_type(c_mat, *sol.blocks, *sol.dual_blocks))
-    for cut, x_b, s_b in zip(cuts, sol.blocks, sol.dual_blocks):
-        x[cut, cut], s[cut, cut] = x_b, s_b
-    y = np.asarray(sol.y, dtype=float)
-
+def _kkt(c_mat: np.ndarray, a_stack: np.ndarray, rhs: np.ndarray,
+         x: np.ndarray, y: np.ndarray, s: np.ndarray) -> KktResiduals:
+    """:func:`kkt_residuals` on the arrays of :func:`_program_arrays`."""
     pobj = float(_inner(c_mat, x))
     primal = float(np.max(np.abs(_inner(a_stack, x) - rhs) / (1.0 + np.abs(rhs))))
-    c_norm = 1.0 + sum(np.linalg.norm(c_mat[cut, cut]) for cut in cuts)
-    dual = float(np.linalg.norm(c_mat - s - _adjoint(y, a_stack))) / c_norm
-    for cut in cuts:
-        # cone violations of X_b and S_b, relative to 1 + the block's norm
-        pair = np.array((x[cut, cut], s[cut, cut]))
-        least = np.linalg.eigvalsh(_hermitian_part(pair))[:, 0]
-        violation = np.maximum(-least, 0.0) / (1.0 + np.linalg.norm(pair, axis=(1, 2)))
-        primal, dual = max(primal, float(violation[0])), max(dual, float(violation[1]))
+    dual = float(np.linalg.norm(c_mat - s - _adjoint(y, a_stack)) / (1.0 + np.linalg.norm(c_mat)))
+    # cone violations of X and S, relative to 1 + the matrix's norm
+    pair = np.array((x, s))
+    least = np.linalg.eigvalsh(_hermitian_part(pair))[:, 0]
+    violation = np.maximum(-least, 0.0) / (1.0 + np.linalg.norm(pair, axis=(1, 2)))
+    primal, dual = max(primal, float(violation[0])), max(dual, float(violation[1]))
 
     gap = max(abs(pobj - float(y @ rhs)), abs(float(_inner(x, s)))) / (1.0 + abs(pobj))
     return KktResiduals(primal=primal, dual=dual, gap=gap)
@@ -372,17 +341,8 @@ def solve(program: ConicProgram, tol: float = DEFAULT_TOL) -> ConicSolution:
 
     if status != "infeasible" and best_state is not None:
         x, y, s = best_state
-    cuts = _diagonal_slices(program.blocks)
-    sol = ConicSolution(
-        blocks=[x[c, c].copy() for c in cuts],
-        objective=float(_inner(c_mat, x)),
-        status=status,
-        kkt=KktResiduals(0.0, 0.0, 0.0),
-        y=y.copy(),
-        dual_blocks=[s[c, c].copy() for c in cuts],
-        iterations=iterations,
-    )
-    sol.kkt = _kkt(program.blocks, c_mat, a_stack, rhs, sol)
+    kkt = _kkt(c_mat, a_stack, rhs, x, y, s)
     if status != "infeasible":
-        sol.status = "optimal" if sol.kkt.max() <= tol else "max_iter"
-    return sol
+        status = "optimal" if kkt.max() <= tol else "max_iter"
+    return ConicSolution(x=x, objective=float(_inner(c_mat, x)), status=status, kkt=kkt,
+                         y=y, s=s, iterations=iterations)

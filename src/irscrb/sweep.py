@@ -164,6 +164,9 @@ class SweepSpec:
             raise ValueError(f"unknown scheme {self.scheme!r}")
         if len(self.values) == 0:
             raise ValueError("value list must be non-empty")
+        for key in ("theta", "values", "q_tot", "w_i", "w_s"):
+            if not np.all(np.isfinite(getattr(self, key))):
+                raise ValueError(f"{key} must be finite, got {getattr(self, key)}")
         if any(b <= a for a, b in zip(self.values, self.values[1:])):
             raise ValueError("values must be strictly increasing")
         for key in ("trials", "alpha_draws"):
@@ -416,6 +419,8 @@ def load_config(path: str) -> tuple[SystemConfig, float, list[SweepSpec]]:
         fields.setdefault("spacing", fields["wavelength"] / 2.0)
     base = SystemConfig(**fields)
     theta_deg = float(parser.get("scene", "theta_deg", fallback=THETA_DEG))
+    if not np.isfinite(theta_deg):
+        raise ValueError(f"{path}: theta_deg must be finite, got {theta_deg}")
     theta = float(np.deg2rad(np.clip(theta_deg, -89.0, 89.0)))
 
     if "sweep" not in sections:

@@ -240,19 +240,19 @@ def parent_transmit_program(v_lifted: np.ndarray, a: np.ndarray, g: np.ndarray,
 
     This is how the transmit step was posed before it moved to unit power.
     The inequality is written out as the solver used to build it
-    internally: a declared 1x1 slack block s after the epigraph blocks and
-    the row tr X + s = P0 after the three epigraph rows, so the blocks are
-    ``[M, 2, 1]``.  The kernels and the epigraph rows are the library's;
-    only the budget row differs from ``transmit_subproblem``.
+    internally: a slack s as one more diagonal entry after the epigraph's
+    diag(X, U), so the order is M + 3, and the row tr X + s = P0 after the
+    three epigraph rows.  The kernels and the epigraph rows are the
+    library's; only the budget row differs from ``transmit_subproblem``.
     """
     kernels = _transmit_kernels(v_lifted, a, g, k)
     m = kernels[0].shape[0]
     epigraph = _schur_program(*kernels)
-    program = ConicProgram(epigraph.blocks + [1])
-    program.set_objective(epigraph.objective)
-    for coeffs, rhs in epigraph.eq:
-        program.add_eq(coeffs, rhs)
-    program.add_eq({0: np.eye(m), 2: np.ones((1, 1))}, p0)
+    program = ConicProgram(m + 3)
+    program.set_objective(np.pad(epigraph.objective, (0, 1)))
+    program.add_eq(np.pad([coeffs for coeffs, _ in epigraph.eq], ((0, 0), (0, 1), (0, 1))),
+                   [rhs for _, rhs in epigraph.eq])
+    program.add_eq(np.diag([1.0] * m + [0.0, 0.0, 1.0]), p0)
     return program
 
 

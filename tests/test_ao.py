@@ -52,7 +52,8 @@ def _parent_transmit_solve(v_lifted, a, g, k, p0):
     # the transmit step as it was solved at budget P0 with tr X <= P0
     program = parent_transmit_program(v_lifted, a, g, k, p0)
     sol = _checked(conic.solve(program, tol=SUBPROBLEM_TOL), "transmit subproblem")
-    return TransmitCovariance(matrix=_psd_clip(sol.blocks[0]), budget=p0), sol
+    m = g.shape[1]
+    return TransmitCovariance(matrix=_psd_clip(sol.x[:m, :m]), budget=p0), sol
 
 
 class TestSdrObjective:
@@ -178,7 +179,7 @@ class TestTransmitSubproblem:
             r_x, sol = transmit_subproblem(lifted, a, g, 4, p0)
             assert sol.kkt.max() <= SUBPROBLEM_FLOOR
             assert np.trace(r_x.matrix).real == pytest.approx(p0, rel=1e-12)
-            blocks.append(sol.blocks[0])
+            blocks.append(sol.x)
         assert all(np.array_equal(blocks[0], b) for b in blocks[1:])
 
 
@@ -291,11 +292,33 @@ class TestIrsSubproblem:
             pass
 
         def solver(program, **kwargs):
-            assert program.blocks == [n, 2] and len(program.eq) == n + 3
+            assert program.order == n + 2 and len(program.eq) == n + 3
             raise Reached
 
         with pytest.raises(Reached):
             irs_subproblem(_info_kernels(g, r_x, a, 4), solver=solver)
+
+    def test_program_lives_on_the_profile_and_schur_corners(self):
+        # diag(V, U) of order N + 2 with N + 3 rows: every coefficient is zero
+        # outside the N x N corner of V and the 2 x 2 corner of U, and the
+        # last N rows are V_ii = 1
+        n = 6
+        g, a, r_x, _ = _instance(3, n, 4, seed=4)
+        programs = []
+
+        def recording(program, **kwargs):
+            programs.append(program)
+            return conic.solve(program, **kwargs)
+
+        irs_subproblem(_info_kernels(g, r_x, a, 4), solver=recording)
+        (program,) = programs
+        assert program.order == n + 2 and len(program.eq) == n + 3
+        corners = np.zeros((n + 2, n + 2), dtype=bool)
+        corners[:n, :n] = corners[n:, n:] = True
+        for coeffs in [program.objective] + [row for row, _ in program.eq]:
+            assert not coeffs[~corners].any()
+        for i, (row, rhs) in enumerate(program.eq[3:]):
+            assert np.array_equal(row, np.diag(np.eye(n + 2)[i])) and rhs == 1.0
 
 
 class TestGaussianRandomization:
@@ -462,12 +485,12 @@ class TestCertifiedOptimum:
     def _unit_diagonal_sdr(h):
         # max tr(H X) over diag X = 1, X PSD, posed directly at unit scale
         n, scale = h.shape[0], np.abs(h).max()
-        program = ConicProgram([n])
-        program.set_objective({0: -h / scale})
+        program = ConicProgram(n)
+        program.set_objective(-h / scale)
         for i in range(n):
             e_ii = np.zeros((n, n))
             e_ii[i, i] = 1.0
-            program.add_eq({0: e_ii}, 1.0)
+            program.add_eq(e_ii, 1.0)
         sol = conic.solve(program, tol=1e-10)
         assert sol.status == "optimal"
         return -sol.objective * scale
@@ -674,13 +697,13 @@ def test_subproblems_solve_native_hermitian_blocks():
     orders = []
 
     def recording(program, **kwargs):
-        orders.append(program.blocks)
+        orders.append(program.order)
         return conic.solve(program, **kwargs)
 
     v = random_unit_profile(np.random.default_rng(10), 5)
     transmit_subproblem(np.outer(v, v.conj()), a, g, 4, 1.0, solver=recording)
     irs_subproblem(_info_kernels(g, r_x, a, 4), solver=recording)
-    assert orders == [[3, 2], [5, 2]]
+    assert orders == [5, 7]
 
 
 def test_desk_scale_run_through_a_stalled_transmit_solve():

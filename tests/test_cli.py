@@ -152,6 +152,23 @@ def test_sweep_without_draws_is_usage_error(tmp_path, capsys, key):
     assert not (tmp_path / "x.csv").exists()
 
 
+@pytest.mark.parametrize("line, edit, field", [
+    ("p0_dbm = 30", "p0_dbm = nan", "P0"),
+    ("p0_dbm = 30", "p0_dbm = 30\nnoise_dbm = nan", "noise_power"),
+    ("values = 20, 30", "values = 20, inf", "values"),
+    ("theta_deg = 60", "theta_deg = inf", "theta_deg"),
+], ids=["p0_dbm", "noise_dbm", "values", "theta_deg"])
+def test_non_finite_config_value_is_usage_error(tmp_path, capsys, line, edit, field):
+    # each once wrote rows with status ok or rank_deficient and exit 0
+    cfg = tmp_path / "cfg.ini"
+    cfg.write_text(POINT_CONFIG.replace(line, edit))
+    rc = cli_main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "x.csv")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage error:") and f"{field} must be finite" in err
+    assert not (tmp_path / "x.csv").exists()
+
+
 def test_fractional_count_sweep_is_usage_error(tmp_path, capsys):
     cfg = tmp_path / "cfg.ini"
     cfg.write_text(POINT_CONFIG.replace("vary = P0", "vary = N")

@@ -39,6 +39,14 @@ class TestSystemConfig:
             with pytest.raises(ValueError, match="c0"):
                 SystemConfig(c0=c0)
 
+    def test_non_finite_fields_rejected(self):
+        # NaN passes every sign check; p0_dbm = nan once wrote ok rows
+        for field in ("P0", "wavelength", "spacing", "noise_power", "d_bi", "d_it", "c0",
+                      "alpha_bi", "rician_factor", "rcs", "los_aod", "los_aoa"):
+            for value in (np.nan, np.inf):
+                with pytest.raises(ValueError, match=f"{field} must be finite"):
+                    SystemConfig(**{field: value})
+
     def test_negative_rician_factor_rejected(self):
         with pytest.raises(ValueError, match="rician"):
             SystemConfig(rician_factor=-0.1)

@@ -29,9 +29,9 @@ def _random_hermitian(n, rng=RNG):
 
 
 def _eigen_sdp(c):
-    p = ConicProgram([c.shape[0]])
-    p.set_objective({0: c})
-    p.add_eq({0: np.eye(c.shape[0])}, 1.0)
+    p = ConicProgram(c.shape[0])
+    p.set_objective(c)
+    p.add_eq(np.eye(c.shape[0]), 1.0)
     return p
 
 
@@ -43,17 +43,17 @@ class TestSolve:
             sol = solve(_eigen_sdp(c), tol=1e-9)
             lam, vec = np.linalg.eigh(c)
             assert sol.status == "optimal"
-            assert sol.blocks[0].dtype == np.float64
+            assert sol.x.dtype == np.float64
             assert sol.objective == pytest.approx(lam[0], abs=1e-8)
             # solution is the eigenprojector of the smallest eigenvalue
             proj = np.outer(vec[:, 0], vec[:, 0])
-            assert np.linalg.norm(sol.blocks[0] - proj) < 1e-6
+            assert np.linalg.norm(sol.x - proj) < 1e-6
 
     def test_scalar_block_is_a_bounded_lp(self):
-        # x <= 3 posed as x + s = 3 with a declared slack block s
-        p = ConicProgram([1, 1])
-        p.set_objective({0: np.array([[-2.0]])})
-        p.add_eq({0: np.array([[1.0]]), 1: np.array([[1.0]])}, 3.0)
+        # x <= 3 posed as x + s = 3 with a slack diagonal entry s
+        p = ConicProgram(2)
+        p.set_objective(np.diag([-2.0, 0.0]))
+        p.add_eq(np.eye(2), 3.0)
         sol = solve(p)
         assert sol.status == "optimal"
         assert sol.objective == pytest.approx(-6.0, abs=1e-8)
@@ -66,10 +66,10 @@ class TestSolve:
             c = _random_symmetric(4, rng)
             a = _random_symmetric(4, rng)
             b = float(np.trace(a)) / 4.0
-            p = ConicProgram([4])
-            p.set_objective({0: c})
-            p.add_eq({0: np.eye(4)}, 1.0)
-            p.add_eq({0: a}, b)
+            p = ConicProgram(4)
+            p.set_objective(c)
+            p.add_eq(np.eye(4), 1.0)
+            p.add_eq(a, b)
             sol = solve(p)
             assert sol.status == "optimal"
             oracle = dual_grid_sdp(c, a, b)
@@ -78,12 +78,12 @@ class TestSolve:
     def test_hermitian_block_through_embedding(self):
         # complex data is solved on its native Hermitian block
         h = _random_hermitian(4)
-        p = ConicProgram([4])
-        p.set_objective({0: h})
-        p.add_eq({0: np.eye(4)}, 1.0)
+        p = ConicProgram(4)
+        p.set_objective(h)
+        p.add_eq(np.eye(4), 1.0)
         sol = solve(p, tol=1e-9)
         assert sol.status == "optimal"
-        assert sol.blocks[0].dtype == np.complex128
+        assert sol.x.dtype == np.complex128
         assert sol.objective == pytest.approx(np.linalg.eigvalsh(h).min(), abs=1e-8)
 
     def test_certified_interval(self):
@@ -99,7 +99,7 @@ class TestSolve:
         sol1 = solve(_eigen_sdp(c))
         sol2 = solve(_eigen_sdp(c))
         assert sol1.iterations == sol2.iterations
-        assert np.array_equal(sol1.blocks[0], sol2.blocks[0])
+        assert np.array_equal(sol1.x, sol2.x)
         assert np.array_equal(sol1.y, sol2.y)
 
     def test_iterations_logged_at_debug_level(self, caplog):
@@ -115,67 +115,88 @@ class TestSolve:
         # with the smaller bottom eigenvalue
         rng = np.random.default_rng(7)
         c1, c2 = _random_symmetric(3, rng), _random_symmetric(4, rng)
-        p = ConicProgram([3, 4])
-        p.set_objective({0: c1, 1: c2})
-        p.add_eq({0: np.eye(3), 1: np.eye(4)}, 1.0)
+        p = ConicProgram(7)
+        p.set_objective(block_diag(c1, c2))
+        p.add_eq(np.eye(7), 1.0)
         sol = solve(p, tol=1e-9)
         expected = min(np.linalg.eigvalsh(c1).min(), np.linalg.eigvalsh(c2).min())
         assert sol.objective == pytest.approx(expected, abs=1e-8)
 
     def test_constraint_leaving_a_block_row_zero(self):
-        # separable program: each equality touches one block, and the
-        # inactive inequality tr X_1 <= 5 is posed with a declared slack
-        # block that only its own row touches
+        # separable program: each equality touches one diagonal block, and
+        # the inactive inequality tr X_1 <= 5 is posed with a slack diagonal
+        # entry that only its own row touches
         rng = np.random.default_rng(8)
         c1, c2 = _random_symmetric(3, rng), _random_symmetric(4, rng)
-        p = ConicProgram([3, 4, 1])
-        p.set_objective({0: c1, 1: c2})
-        p.add_eq({0: np.eye(3)}, 1.0)
-        p.add_eq({1: np.eye(4)}, 2.0)
-        p.add_eq({1: np.eye(4), 2: np.array([[1.0]])}, 5.0)
+        z3, z4, z1 = np.zeros((3, 3)), np.zeros((4, 4)), np.zeros((1, 1))
+        p = ConicProgram(8)
+        p.set_objective(block_diag(c1, c2, z1))
+        p.add_eq(block_diag(np.eye(3), z4, z1), 1.0)
+        p.add_eq(block_diag(z3, np.eye(4), z1), 2.0)
+        p.add_eq(block_diag(z3, np.eye(4), np.eye(1)), 5.0)
         sol = solve(p, tol=1e-9)
         assert sol.status == "optimal"
         expected = np.linalg.eigvalsh(c1).min() + 2.0 * np.linalg.eigvalsh(c2).min()
         assert sol.objective == pytest.approx(expected, abs=1e-8)
-        assert len(sol.blocks) == 3 and sol.y.shape == (3,)
+        assert sol.x.shape == (8, 8) and sol.y.shape == (3,)
 
     def test_infeasible_program(self):
-        p = ConicProgram([2])
-        p.set_objective({0: np.zeros((2, 2))})
-        p.add_eq({0: np.eye(2)}, -1.0)
+        p = ConicProgram(2)
+        p.set_objective(np.zeros((2, 2)))
+        p.add_eq(np.eye(2), -1.0)
         assert solve(p).status == "infeasible"
 
     def test_rejects_asymmetric_coefficients(self):
         # the complex coefficient is symmetric but not Hermitian
-        p = ConicProgram([2])
+        p = ConicProgram(2)
         for coeff in (np.array([[0.0, 1.0], [0.0, 0.0]]),
                       np.array([[1.0, 1j], [1j, 0.0]])):
             with pytest.raises(ValueError, match="symmetric"):
-                p.add_eq({0: coeff}, 0.0)
+                p.add_eq(coeff, 0.0)
+
+    def test_stacked_rows_are_checked_before_any_is_added(self):
+        rng = np.random.default_rng(12)
+        stack = np.array([_random_hermitian(3, rng) for _ in range(3)])
+        stack[1, 0, 2] += 1.0           # one non-Hermitian row
+        p = ConicProgram(3)
+        with pytest.raises(ValueError, match="matrix 1 of 3 is not Hermitian"):
+            p.add_eq(stack, np.zeros(3))
+        for coeffs in (np.zeros((3, 2, 2)),       # wrong order
+                       np.zeros((0, 3, 3)),       # no rows
+                       np.zeros((1, 1, 3, 3))):   # not a stack
+            with pytest.raises(ValueError, match="got shape"):
+                p.add_eq(coeffs, np.zeros(len(coeffs)))
+        with pytest.raises(ValueError, match="right-hand sides"):
+            p.add_eq(np.zeros((2, 3, 3)), np.zeros(3))
+        with pytest.raises(ValueError, match="got shape"):
+            p.set_objective(np.zeros((2, 3, 3)))   # an objective is one matrix
+        assert p.eq == []
+        p.add_eq(stack[[0, 2]], [1.0, 2.0])
+        assert len(p.eq) == 2 and [rhs for _, rhs in p.eq] == [1.0, 2.0]
 
     def test_data_enters_only_through_the_checking_methods(self):
         with pytest.raises(TypeError):
-            ConicProgram([1], objective=[{0: [[-2.0]]}])
+            ConicProgram(1, objective=[[-2.0]])
         with pytest.raises(TypeError):
-            ConicProgram([2], eq=[({0: [[1, 5], [0, 1]]}, 1.0)])
+            ConicProgram(2, eq=[([[1, 5], [0, 1]], 1.0)])
 
     def test_non_finite_data_raises(self):
         # a NaN objective reaches the Schur right-hand side and is refused there
-        p = ConicProgram([2])
-        p.set_objective({0: np.array([[np.nan, 0.0], [0.0, 1.0]])})
-        p.add_eq({0: np.eye(2)}, 1.0)
+        p = ConicProgram(2)
+        p.set_objective(np.array([[np.nan, 0.0], [0.0, 1.0]]))
+        p.add_eq(np.eye(2), 1.0)
         with pytest.raises(ValueError, match="infs or NaNs"):
             solve(p)
 
     def test_program_without_equality_rows_is_refused(self):
-        p = ConicProgram([2])
-        p.set_objective({0: np.eye(2)})
+        p = ConicProgram(2)
+        p.set_objective(np.eye(2))
         with pytest.raises(ValueError, match="no equality rows"):
             solve(p)
 
     def test_rejects_bad_block_order(self):
-        with pytest.raises(ValueError, match="block order"):
-            ConicProgram([0])
+        with pytest.raises(ValueError, match="matrix order"):
+            ConicProgram(0)
 
 
 class TestCholeskySolver:
@@ -235,9 +256,8 @@ class TestKktResiduals:
         lam, vec = np.linalg.eigh(c)
         x = np.outer(vec[:, 0], vec[:, 0])
         s = c - lam[0] * np.eye(4)
-        sol = ConicSolution(blocks=[x], objective=lam[0], status="optimal",
-                            kkt=KktResiduals(0, 0, 0), y=np.array([lam[0]]),
-                            dual_blocks=[s])
+        sol = ConicSolution(x=x, objective=lam[0], status="optimal",
+                            kkt=KktResiduals(0, 0, 0), y=np.array([lam[0]]), s=s)
         res = kkt_residuals(_eigen_sdp(c), sol)
         assert res.max() <= 1e-10
 
@@ -246,17 +266,17 @@ class TestKktResiduals:
         lam, vec = np.linalg.eigh(c)
         x = np.outer(vec[:, 0], vec[:, 0]) + 1e-3 * np.eye(4)
         s = c - lam[0] * np.eye(4)
-        sol = ConicSolution(blocks=[x], objective=float(np.tensordot(c, x, 2)),
+        sol = ConicSolution(x=x, objective=float(np.tensordot(c, x, 2)),
                             status="optimal", kkt=KktResiduals(0, 0, 0),
-                            y=np.array([lam[0]]), dual_blocks=[s])
+                            y=np.array([lam[0]]), s=s)
         res = kkt_residuals(_eigen_sdp(c), sol)
         assert res.max() > 1e-4
 
     def test_infeasible_point_has_primal_residual(self):
         c = _random_symmetric(3)
-        sol = ConicSolution(blocks=[2.0 * np.eye(3)], objective=0.0,
+        sol = ConicSolution(x=2.0 * np.eye(3), objective=0.0,
                             status="optimal", kkt=KktResiduals(0, 0, 0),
-                            y=np.zeros(1), dual_blocks=[np.eye(3)])
+                            y=np.zeros(1), s=np.eye(3))
         res = kkt_residuals(_eigen_sdp(c), sol)
         assert res.primal > 0.0
 
@@ -279,36 +299,3 @@ def test_contractions_match_explicit_traces(complex_data):
                                    rtol=1e-13, atol=1e-13)
         # <A^*(y), X> = <y, A(X)>
         assert np.trace(adj.conj().T @ x).real == pytest.approx(y @ explicit, rel=1e-12)
-
-
-def test_declared_blocks_solve_as_one_block_diagonal_block():
-    # the same data posed on blocks [3, 4, 1] and as one order-8 block with
-    # block-diagonal coefficients runs the same iteration
-    rng = np.random.default_rng(11)
-    orders = [3, 4, 1]
-    objective = {0: _random_symmetric(3, rng), 1: _random_symmetric(4, rng)}
-    a0, a1 = _random_symmetric(3, rng), _random_symmetric(4, rng)
-    # strictly feasible at X_0 = 0.2 I, X_1 = 0.35 I, s = 0.1
-    rows = [({0: np.eye(3), 1: np.eye(4)}, 2.0),
-            ({1: np.eye(4), 2: np.eye(1)}, 1.5),
-            ({0: a0, 1: a1}, 0.2 * np.trace(a0) + 0.35 * np.trace(a1))]
-
-    def diagonal(coeffs):
-        return block_diag(*(coeffs.get(b, np.zeros((n, n))) for b, n in enumerate(orders)))
-
-    declared, one = ConicProgram(orders), ConicProgram([8])
-    declared.set_objective(objective)
-    one.set_objective({0: diagonal(objective)})
-    for coeffs, rhs in rows:
-        declared.add_eq(coeffs, rhs)
-        one.add_eq({0: diagonal(coeffs)}, rhs)
-    sol, sol_one = solve(declared, tol=1e-9), solve(one, tol=1e-9)
-    assert sol.status == sol_one.status == "optimal"
-    assert sol.iterations == sol_one.iterations
-    assert sol.objective == sol_one.objective
-    assert np.array_equal(sol.y, sol_one.y)
-    ends = np.cumsum(orders)
-    for b, (n, end) in enumerate(zip(orders, ends)):
-        cut = slice(end - n, end)
-        assert np.array_equal(sol.blocks[b], sol_one.blocks[0][cut, cut])
-        assert np.array_equal(sol.dual_blocks[b], sol_one.dual_blocks[0][cut, cut])

@@ -43,6 +43,16 @@ class TestSpecValidation:
         with pytest.raises(ValueError, match="strictly increasing"):
             _spec(values=(10.0, 10.0))
 
+    def test_non_finite_fields(self):
+        # NaN passes every ordering check; a P0 sweep value inf once gave an
+        # ok row with bound 0
+        for value in (np.nan, np.inf):
+            for key, kw in (("theta", dict(theta=value)), ("values", dict(values=(10.0, value))),
+                            ("q_tot", dict(q_tot=value)), ("w_i", dict(w_i=value)),
+                            ("w_s", dict(w_s=value))):
+                with pytest.raises(ValueError, match=f"{key} must be finite"):
+                    _spec(**kw)
+
     def test_unknown_scheme(self):
         with pytest.raises(ValueError, match="scheme"):
             _spec(scheme="magic")
