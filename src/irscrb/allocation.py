@@ -15,6 +15,10 @@ from typing import Literal
 
 import numpy as np
 
+from .config import check
+
+MAX_GRID_POINTS = 10 ** 6       # largest exhaustive-search grid
+
 
 class AllocationDomainError(ArithmeticError):
     """The closed-form cubic root left its real domain."""
@@ -53,12 +57,12 @@ def _betas(q_tot: float, w_s: float) -> tuple[float, float]:
 
 
 def _check_budget(q_tot: float, w_i: float, w_s: float) -> None:
-    if w_i <= 0 or w_s <= 0:
-        raise ValueError("weights must be strictly positive")
+    for key, value in (("q_tot", q_tot), ("w_i", w_i), ("w_s", w_s)):
+        check(key, value)
     if q_tot <= w_i + 2.0 * w_s:
         raise ValueError(
-            f"budget {q_tot} leaves no room for one element and two sensors "
-            f"(needs more than {w_i + 2.0 * w_s})"
+            f"budget q_tot = {q_tot} leaves no room for one element and two "
+            f"sensors (needs more than w_i + 2 w_s = {w_i + 2.0 * w_s})"
         )
 
 
@@ -117,8 +121,8 @@ def allocate_exhaustive(q_tot: float, w_i: float, w_s: float,
                         step: float) -> AllocationResult:
     """Grid search over feasible continuous splits with the given step."""
     _check_budget(q_tot, w_i, w_s)
-    if step <= 0:
-        raise ValueError(f"step must be positive, got {step}")
+    if (q_tot - w_s) / w_i > check("step", step) * MAX_GRID_POINTS:
+        raise ValueError(f"step {step} makes a grid of more than {MAX_GRID_POINTS} points")
     n_grid = np.arange(step, (q_tot - w_s) / w_i, step)
     k_grid = (q_tot - w_i * n_grid) / w_s
     feasible = k_grid > 1.0

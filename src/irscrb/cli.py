@@ -23,6 +23,7 @@ import numpy as np
 
 from .allocation import allocate_exhaustive, allocate_optimal, allocate_suboptimal
 from .channel import rician_channel
+from .config import check
 from .extended import EstimabilityError, gap_db
 from .sweep import (POINT_SCHEMES, SCHEMES, SweepSpec, emit_csv, load_config,
                     reference_config, run_sweep)
@@ -112,22 +113,20 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_allocate(args) -> int:
-    opt = allocate_optimal(args.qtot, args.wi, args.ws)
-    sub = allocate_suboptimal(args.qtot, args.wi, args.ws)
-    print(f"optimal     N = {opt.n_cont:12.4f}  K = {opt.k_cont:12.4f}  "
-          f"objective = {opt.objective:.6e}")
-    print(f"sub-optimal N = {sub.n_cont:12.4f}  K = {sub.k_cont:12.4f}  "
-          f"objective = {sub.objective:.6e}")
-    if args.exhaustive:
-        ex = allocate_exhaustive(args.qtot, args.wi, args.ws, args.step)
-        print(f"exhaustive  N = {ex.n_cont:12.4f}  K = {ex.k_cont:12.4f}  "
-              f"objective = {ex.objective:.6e}  (step {args.step})")
+    rows = {"optimal    ": allocate_optimal(args.qtot, args.wi, args.ws),
+            "sub-optimal": allocate_suboptimal(args.qtot, args.wi, args.ws)}
+    if args.exhaustive:     # a refused step stops the command before any output
+        rows["exhaustive "] = allocate_exhaustive(args.qtot, args.wi, args.ws, args.step)
+    for label, r in rows.items():
+        step = f"  (step {args.step})" if r.mode == "exhaustive" else ""
+        print(f"{label} N = {r.n_cont:12.4f}  K = {r.k_cont:12.4f}  "
+              f"objective = {r.objective:.6e}{step}")
     return 0
 
 
 def _cmd_crb(args) -> int:
     base, theta, _ = load_config(args.config)
-    ch = rician_channel(base, seed=args.seed)
+    ch = rician_channel(base, seed=check("seed", args.seed))
 
     def bound(scheme: str) -> float:
         return SCHEMES[scheme].evaluate(base, ch, theta, args.seed, 0)

@@ -7,14 +7,57 @@ at the bottom of this module.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 
 class SpacingWarning(UserWarning):
     """Raised when an array spacing exceeds half a wavelength."""
+
+
+class Domain(NamedTuple):
+    """The values one numeric input may take; ``check`` refuses the rest."""
+
+    says: str = "finite"        # the refusal reads "{key} must be {says}"
+    low: float = -math.inf      # least value taken
+    high: float = math.inf      # greatest value taken
+    whole: bool = False         # an int, not a float with a whole value
+
+
+_POSITIVE = Domain("strictly positive", math.ulp(0.0))     # the least positive float
+# every numeric input: the SystemConfig and SweepSpec fields, a config
+# file's theta_deg and the step of an exhaustive allocation
+DOMAINS = {
+    **dict.fromkeys(("M", "N", "T"), Domain("positive", 1, whole=True)),
+    "K": Domain("at least 2", 2, whole=True),
+    **dict.fromkeys(("P0", "wavelength", "spacing", "noise_power", "d_bi", "d_it", "c0",
+                     "rcs", "q_tot", "w_i", "w_s", "step"), _POSITIVE),
+    # a negative path-loss exponent would gain with distance
+    **dict.fromkeys(("alpha_bi", "rician_factor"), Domain("nonnegative", 0.0)),
+    **dict.fromkeys(("los_aod", "los_aoa", "theta", "values"), Domain()),
+    # the DoA bound is infinite at endfire, +-90 degrees
+    "theta_deg": Domain("within +-89 degrees", -89.0, 89.0),
+    **dict.fromkeys(("trials", "alpha_draws"), Domain("at least 1", 1, whole=True)),
+    "seed": Domain("nonnegative", 0, whole=True),
+}
+
+
+def check(key: str, value, domain: str | None = None):
+    """``value`` if it lies in ``DOMAINS[domain or key]``, else a
+    ``ValueError`` naming ``key``; NaN fails the finiteness test first."""
+    dom = DOMAINS[domain or key]
+    integer = isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+    if not (integer or math.isfinite(value)):
+        raise ValueError(f"{key} must be finite, got {value}")
+    if dom.whole and not integer:
+        raise ValueError(f"{key} must be an integer, i.e. a whole number, got {value!r}")
+    if not dom.low <= value <= dom.high:
+        raise ValueError(f"{key} must be {dom.says}, got {value}")
+    return value
 
 
 @dataclass(frozen=True)
@@ -39,24 +82,8 @@ class SystemConfig:
     los_aoa: float = 0.0        # rad, arrival angle of the BS-IRS LoS ray
 
     def __post_init__(self):
-        for name in ("M", "N", "K", "T"):
-            value = getattr(self, name)
-            if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
-            if value < 1:
-                raise ValueError(f"{name} must be positive, got {value}")
-        if self.K < 2:
-            raise ValueError(f"K must be at least 2, got {self.K}")
-        for name in ("P0", "wavelength", "spacing", "noise_power", "d_bi", "d_it", "c0",
-                     "alpha_bi", "rician_factor", "rcs", "los_aod", "los_aoa"):
-            if not np.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
-        for name in ("P0", "wavelength", "spacing", "noise_power", "d_bi",
-                     "d_it", "c0", "rcs"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be strictly positive")
-        if self.rician_factor < 0:
-            raise ValueError("rician_factor must be nonnegative")
+        for name in self.__dataclass_fields__:
+            check(name, getattr(self, name))
         if self.spacing_warning:
             warnings.warn(
                 f"spacing {self.spacing} m exceeds half the wavelength "

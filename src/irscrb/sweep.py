@@ -28,7 +28,7 @@ default; any other section or key is refused::
     rcs_dbsm = 7
 
     [scene]
-    theta_deg = 60      ; clamped to +-89 degrees
+    theta_deg = 60      ; within +-89 degrees
 
     [sweep]
     target = point      ; point | extended
@@ -86,7 +86,7 @@ from .ao import (ao_minimize_crb, best_reflection, gaussian_randomization,
                  irs_subproblem, transmit_closed_form, transmit_subproblem)
 from .arrays import target_steering
 from .channel import DRAW_FIELDS, rician_channel
-from .config import (SystemConfig, db_to_linear, dbm_to_watt, derive_seed,
+from .config import (SystemConfig, check, db_to_linear, dbm_to_watt, derive_seed,
                      make_rng, point_scene)
 # only perfbench/tracing.py uses crb_fully_passive and optimal_transmit_extended here
 from .extended import (crb_extended_iso, crb_extended_opt, crb_fully_passive,
@@ -94,10 +94,13 @@ from .extended import (crb_extended_iso, crb_extended_opt, crb_fully_passive,
 from .pointcrb import _info_kernels, crb_point_closed, single_antenna_optimum
 
 
-def _count(value: float) -> int:
-    if not float(value).is_integer():
-        raise ValueError(f"expected a whole number, got {value!r}")
-    return int(value)
+def _count(value: float | str) -> int | float:
+    """A whole number as an int, exactly for an integer literal; anything
+    else as a float, which the domain check of its key then refuses."""
+    if isinstance(value, str) and value.strip().lstrip("+-").isdecimal():
+        return int(value)
+    value = float(value)
+    return int(value) if value.is_integer() else value
 
 
 # [system] key -> (SystemConfig field, parse from the file's unit)
@@ -120,10 +123,12 @@ _SYSTEM_KEYS = {
 # vary -> (field, parse) of its [system] key; W_I and Q_tot allocate N and K
 _SWEPT = {vary: _SYSTEM_KEYS[key] for vary, key in
           (("P0", "p0_dbm"), ("M", "m"), ("N", "n"), ("K", "k"), ("beta_BI", "rician_db"))}
-VARY_CHOICES = (*_SWEPT, "W_I", "Q_tot")
+# vary -> (domain, parse) of each of its values
+_VALUES = {**_SWEPT, "W_I": ("w_i", float), "Q_tot": ("q_tot", float)}
+VARY_CHOICES = tuple(_VALUES)
 # [sweep] key -> parse of the SweepSpec field of the same name
 _SWEEP_KEYS = {"vary": str, "values": lambda text: tuple(float(x) for x in text.split(",")),
-               "trials": int, "seed": int, "alpha_draws": int, "q_tot": float,
+               "trials": _count, "seed": _count, "alpha_draws": _count, "q_tot": float,
                "w_i": float, "w_s": float}
 _SECTION_KEYS = {"system": _SYSTEM_KEYS, "scene": ("theta_deg",),
                  "sweep": (*_SWEEP_KEYS, "schemes", "target")}
@@ -164,19 +169,15 @@ class SweepSpec:
             raise ValueError(f"unknown scheme {self.scheme!r}")
         if len(self.values) == 0:
             raise ValueError("value list must be non-empty")
-        for key in ("theta", "values", "q_tot", "w_i", "w_s"):
-            if not np.all(np.isfinite(getattr(self, key))):
-                raise ValueError(f"{key} must be finite, got {getattr(self, key)}")
+        for key in ("theta", "trials", "seed", "alpha_draws", "q_tot", "w_i", "w_s"):
+            check(key, getattr(self, key))
+        domain, parse = _VALUES[self.vary]
+        for value in self.values:       # in file units, then as the swept field
+            check("values", parse(check("values", value)), domain)
         if any(b <= a for a, b in zip(self.values, self.values[1:])):
             raise ValueError("values must be strictly increasing")
-        for key in ("trials", "alpha_draws"):
-            if getattr(self, key) < 1:
-                raise ValueError(f"{key} must be at least 1, got {getattr(self, key)}")
         if self.vary in ("W_I", "Q_tot") and self.target == "extended":
             raise ValueError("allocation sweeps apply to the point-target model")
-        _, parse = _SWEPT.get(self.vary, (None, float))
-        for value in self.values:       # refuses a count sweep over 4.5
-            parse(value)
 
     @property
     def target(self) -> str:
@@ -418,10 +419,8 @@ def load_config(path: str) -> tuple[SystemConfig, float, list[SweepSpec]]:
     if "wavelength" in fields:
         fields.setdefault("spacing", fields["wavelength"] / 2.0)
     base = SystemConfig(**fields)
-    theta_deg = float(parser.get("scene", "theta_deg", fallback=THETA_DEG))
-    if not np.isfinite(theta_deg):
-        raise ValueError(f"{path}: theta_deg must be finite, got {theta_deg}")
-    theta = float(np.deg2rad(np.clip(theta_deg, -89.0, 89.0)))
+    theta_deg = check("theta_deg", float(parser.get("scene", "theta_deg", fallback=THETA_DEG)))
+    theta = float(np.deg2rad(theta_deg))
 
     if "sweep" not in sections:
         return base, theta, []

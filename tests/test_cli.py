@@ -152,21 +152,67 @@ def test_sweep_without_draws_is_usage_error(tmp_path, capsys, key):
     assert not (tmp_path / "x.csv").exists()
 
 
-@pytest.mark.parametrize("line, edit, field", [
-    ("p0_dbm = 30", "p0_dbm = nan", "P0"),
-    ("p0_dbm = 30", "p0_dbm = 30\nnoise_dbm = nan", "noise_power"),
-    ("values = 20, 30", "values = 20, inf", "values"),
-    ("theta_deg = 60", "theta_deg = inf", "theta_deg"),
-], ids=["p0_dbm", "noise_dbm", "values", "theta_deg"])
-def test_non_finite_config_value_is_usage_error(tmp_path, capsys, line, edit, field):
-    # each once wrote rows with status ok or rank_deficient and exit 0
-    cfg = tmp_path / "cfg.ini"
-    cfg.write_text(POINT_CONFIG.replace(line, edit))
-    rc = cli_main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "x.csv")])
-    assert rc == 1
-    err = capsys.readouterr().err
-    assert err.startswith("usage error:") and f"{field} must be finite" in err
-    assert not (tmp_path / "x.csv").exists()
+# (config section or command, key or argument, name its refusal gives,
+# values out of its range besides nan, inf, 0 and -1)
+NUMERIC_INPUTS = [
+    ("system", "m", "M", ["2.5"]), ("system", "n", "N", ["2.5"]), ("system", "k", "K", ["1"]),
+    ("system", "t", "T", ["64.5"]), ("system", "p0_dbm", "P0", []),
+    ("system", "wavelength_m", "wavelength", []), ("system", "spacing_m", "spacing", []),
+    ("system", "noise_dbm", "noise_power", []), ("system", "d_bi_m", "d_bi", []),
+    ("system", "d_it_m", "d_it", []), ("system", "c0_loss_db", "c0", []),
+    ("system", "alpha_bi", "alpha_bi", ["-3"]), ("system", "rician_db", "rician_factor", []),
+    ("system", "rcs_dbsm", "rcs", []), ("scene", "theta_deg", "theta_deg", ["95", "-120"]),
+    ("sweep", "values", "values", []), ("sweep", "trials", "trials", ["2.5"]),
+    ("sweep", "seed", "seed", ["2.5"]), ("sweep", "alpha_draws", "alpha_draws", ["2.5"]),
+    ("sweep", "q_tot", "q_tot", []), ("sweep", "w_i", "w_i", []), ("sweep", "w_s", "w_s", []),
+    ("allocate", "--qtot", "q_tot", []), ("allocate", "--wi", "w_i", []),
+    ("allocate", "--ws", "w_s", []), ("allocate", "--step", "step", ["1e-9"]),
+    ("crb", "--seed", "seed", ["2.5"]),
+]
+# (where, edits, name, expected): an out-of-range value is "refused" by
+# name; nan, inf, 0 and -1 are "either" refused by name or run without a nan
+FUZZ_CASES = [(where, {key: value}, name, "either") for where, key, name, _ in NUMERIC_INPUTS
+              for value in ("nan", "inf", "0", "-1")] + [
+    (where, {key: value}, name, "refused") for where, key, name, extra in NUMERIC_INPUTS
+    for value in extra] + [
+    ("sweep", {"vary": "N", "values": "0, 4"}, "values", "refused"),
+    ("sweep", {"vary": "K", "values": "1, 4"}, "values", "refused"),
+]
+
+
+def _edited(section: str, edits: dict) -> str:
+    """POINT_CONFIG with each ``key = value`` of ``edits`` in ``[section]``."""
+    lines = [line for line in POINT_CONFIG.splitlines()
+             if line.split(" =")[0] not in edits]
+    at = lines.index(f"[{section}]") + 1
+    return "\n".join(lines[:at] + [f"{k} = {v}" for k, v in edits.items()] + lines[at:]) + "\n"
+
+
+@pytest.mark.parametrize("where, edits, name, expected", [
+    ("system", {"p0_dbm": "nan"}, "P0", "finite"),
+    ("system", {"noise_dbm": "nan"}, "noise_power", "finite"),
+    ("sweep", {"values": "20, inf"}, "values", "finite"),
+    ("scene", {"theta_deg": "inf"}, "theta_deg", "finite"),
+    *FUZZ_CASES,
+], ids=["p0_dbm", "noise_dbm", "values", "theta_deg",
+        *[" ".join(f"{k}={v}" for k, v in edits.items()) for _, edits, _, _ in FUZZ_CASES]])
+def test_non_finite_config_value_is_usage_error(tmp_path, capsys, where, edits, name, expected):
+    # the first four once wrote rows with status ok or rank_deficient and
+    # exit 0; every case is refused by name or runs without a nan
+    cfg, csv = tmp_path / "cfg.ini", tmp_path / "x.csv"
+    cfg.write_text(_edited(where, edits) if where not in ("allocate", "crb") else POINT_CONFIG)
+    argv = {"allocate": ["allocate", "--qtot=600", "--wi=1", "--ws=1", "--exhaustive"],
+            "crb": ["crb", "point", "--config", str(cfg)]}.get(
+        where, ["sweep", "--config", str(cfg), "--out", str(csv)])
+    rc = cli_main(argv + [f"{k}={v}" for k, v in edits.items() if where in ("allocate", "crb")])
+    out, err = capsys.readouterr()
+    if expected != "either":
+        assert rc == 1 and (expected == "refused" or f"{name} must be finite" in err)
+    if rc == 0:
+        assert "nan" not in out and "nan" not in (csv.read_text() if csv.exists() else "")
+    else:
+        assert rc == 1 and not out and not csv.exists()
+        assert err.startswith("usage error:") and re.search(rf"\b{name}\b", err), err
 
 
 def test_fractional_count_sweep_is_usage_error(tmp_path, capsys):

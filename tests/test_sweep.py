@@ -524,7 +524,7 @@ noise_dbm = -90
 rician_db = 5
 
 [scene]
-theta_deg = 95
+theta_deg = 89
 
 [sweep]
 target = point
@@ -543,11 +543,14 @@ alpha_draws = 5
         assert base.M == 1 and base.N == 4
         assert base.P0 == pytest.approx(dbm_to_watt(30.0))
         assert base.spacing == pytest.approx(0.1)   # defaults to lambda/2
-        # out-of-range angle is clamped to 89 degrees
         assert theta == pytest.approx(np.deg2rad(89.0))
         assert len(specs) == 1
         records = run_sweep(specs[0])
         assert len(records) == 2
+        # 95 degrees was once clamped to 89 without a word
+        path.write_text(self.CONFIG.replace("theta_deg = 89", "theta_deg = 95"))
+        with pytest.raises(ValueError, match=r"theta_deg must be within \+-89 degrees, got 95"):
+            load_config(str(path))
 
     def test_target_mismatch_rejected(self, tmp_path):
         path = tmp_path / "cfg.ini"
@@ -590,7 +593,7 @@ alpha_draws = 5
         ("[system]", "[systen]", r"unknown section \[systen\]"),
         ("alpha_draws = 5", "alpha_draw = 5", r"unknown key 'alpha_draw' in section \[sweep\]"),
         ("seed = 3", "seed = 3\nao_sample = 10", r"unknown key 'ao_sample' in section \[sweep\]"),
-        ("theta_deg = 95", "theta = 95", r"unknown key 'theta' in section \[scene\]"),
+        ("theta_deg = 89", "theta = 89", r"unknown key 'theta' in section \[scene\]"),
         ("values = 10, 20", "value = 10, 20", r"section \[sweep\] needs the key 'values'"),
         ("seed = 3", "seed = 3\naverage_alpha = false",
          r"unknown key 'average_alpha' in section \[sweep\]"),
