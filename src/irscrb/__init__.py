@@ -7,9 +7,8 @@ from .allocation import (AllocationDomainError, AllocationResult,
                          allocate_exhaustive, allocate_optimal,
                          allocate_suboptimal)
 from .ao import (AoResult, DegenerateObjectiveError, SubproblemError,
-                 ao_minimize_crb, default_phase_profile, gaussian_randomization,
-                 irs_subproblem, sdr_objective, transmit_closed_form,
-                 transmit_subproblem)
+                 ao_minimize_crb, gaussian_randomization, irs_subproblem,
+                 sdr_objective, transmit_closed_form, transmit_subproblem)
 from .arrays import (centered_index, large_scale_path_loss, path_gain,
                      steering_derivative, target_steering, ula_steering)
 from .channel import rician_channel
@@ -22,8 +21,8 @@ from .extended import (EstimabilityError, ExtendedCrbReport, crb_extended,
                        crb_extended_iso, crb_extended_opt, crb_fully_passive,
                        crb_fully_passive_opt, fim_extended, gap_db,
                        optimal_transmit_extended, semi_passive_preferred)
-from .pointcrb import (PhaseProfile, PointFim, TransmitCovariance,
-                       covariance_matrix, crb_point_closed, effective_matrix,
+from .pointcrb import (PhaseProfile, TransmitCovariance, covariance_matrix,
+                       crb_point_closed, effective_matrix,
                        effective_matrix_derivative, fim_point, profile_vector,
                        single_antenna_optimum, steered_gram)
 from .sweep import (SweepRecord, SweepSpec, emit_csv, load_config, read_csv,

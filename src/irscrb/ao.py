@@ -29,7 +29,7 @@ from .config import PointTargetScene, SystemConfig, make_rng
 from .conic import ConicProgram, ConicSolution
 from .pointcrb import (DegenerateObjectiveError, PhaseProfile, TransmitCovariance,
                        _info_kernels, _info_measure, _profile_scores,
-                       crb_point_closed, profile_vector, steered_gram)
+                       crb_point_closed, profile_vector)
 
 SUBPROBLEM_TOL = 1e-9
 # A solve that stalls at the solver's numerical floor is kept when its KKT
@@ -56,7 +56,8 @@ class AoResult:
     R_x: TransmitCovariance
     v: PhaseProfile
     crb: float                          # rad^2
-    objective_trace: list[float]        # [f at init, f of the design]; crb is at the last
+    # [f at Q's top phases, f of the design]; crb is at the last
+    objective_trace: list[float]
     iterations: int                     # reflection SDRs whose candidates were scored
     # "certified" where f of the design is within CERTIFICATE_RTOL of f_upper
     status: Literal["certified", "uncertified"]
@@ -255,18 +256,6 @@ def gaussian_randomization(v_lifted: np.ndarray,
     return PhaseProfile(v=cands[np.argmax(f_vals)])
 
 
-def default_phase_profile(g: np.ndarray, a: np.ndarray) -> PhaseProfile:
-    """Initialization aligning the profile against the dominant channel mode.
-
-    The phases of the top eigenvector of Q = :func:`steered_gram` at R_x =
-    I, which are phi_n = -arg(a_n) - arg([G w]_n) up to a common phase,
-    with w the leading right singular vector of G; for a single-antenna BS
-    this is exactly the optimal profile.
-    """
-    g = np.asarray(g, dtype=complex)
-    return PhaseProfile(v=_top_phases(steered_gram(g, np.eye(g.shape[1]), a)))
-
-
 def _design(v: np.ndarray, a: np.ndarray, g: np.ndarray, k: int, p0: float
             ) -> tuple[TransmitCovariance, float]:
     """Closed-form R_x of a unit-modulus profile and f there."""
@@ -352,26 +341,25 @@ def _reflect(kernels: tuple[np.ndarray, np.ndarray, np.ndarray], v: np.ndarray,
 
 
 def ao_minimize_crb(scene: PointTargetScene, g: np.ndarray,
-                    config: SystemConfig, init: PhaseProfile | None = None,
-                    seed: int = 0) -> AoResult:
+                    config: SystemConfig, seed: int = 0) -> AoResult:
     """Minimize the point-target DoA bound over transmit and reflection.
 
-    With Q = :func:`steered_gram` at R_x = I, D = diag(centered_index(N))
-    and gamma = (K^2 - 1)/3, :func:`transmit_closed_form` gives f*(v) =
-    P0 max(gamma v^H Q v, |w2(v)|^2), and |w2|^2 is f at R_x = I on the
-    kernels (D Q D, D Q, Q) of K = 1.  So max_v f*(v) = P0 max(gamma max_v
-    v^H Q v, max_v |w2|^2) exactly, and each branch is a reflection problem:
-    branch 1 is :func:`_reflect` on (Q, 0, Q) from ``init`` and branch 2 the
-    same from the phases of Q's top eigenvector (``init``'s default) on
-    (D Q D, D Q, Q).  U_DQD bounds v^H D Q D v >= |w2|^2: it is the
-    :func:`phase_ascent` bound from the phases of D Q D's top eigenvector
-    where M > 1, and 0 where M = 1, at which w2 = 0 for every v.  Branch 2
-    runs only where it can win: U_DQD > gamma f_1, with f_1 = v^H Q v of
-    branch 1.  The design is the first best by f of the two branch
-    profiles and ``init``, each with its closed-form R_x.  ``f_upper`` = P0
-    max(gamma U_Q, U_DQD), with U_Q the bound of the branch-1 ascent,
-    bounds f over all designs.  ``seed`` seeds the randomization of any SDR
-    fallback.
+    With Q = :func:`~irscrb.pointcrb.steered_gram` at R_x = I, D =
+    diag(centered_index(N)) and gamma = (K^2 - 1)/3,
+    :func:`transmit_closed_form` gives f*(v) = P0 max(gamma v^H Q v,
+    |w2(v)|^2), and |w2|^2 is f at R_x = I on the kernels (D Q D, D Q, Q) of
+    K = 1.  So max_v f*(v) = P0 max(gamma max_v v^H Q v, max_v |w2|^2)
+    exactly, and each branch is a reflection problem: :func:`_reflect` from
+    the phases of Q's top eigenvector, on (Q, 0, Q) for branch 1 and on
+    (D Q D, D Q, Q) for branch 2.  U_DQD bounds v^H D Q D v >= |w2|^2: it
+    is the :func:`phase_ascent` bound from the phases of D Q D's top
+    eigenvector where M > 1, and 0 where M = 1, at which w2 = 0 for every
+    v.  Branch 2 runs only where it can win: U_DQD > gamma f_1, with f_1 =
+    v^H Q v of branch 1.  The design is the first best by f of the two
+    branch profiles and Q's top phases, each with its closed-form R_x.
+    ``f_upper`` = P0 max(gamma U_Q, U_DQD), with U_Q the bound of the
+    branch-1 ascent, bounds f over all designs.  ``seed`` seeds the
+    randomization of any SDR fallback.
     """
     g = np.asarray(g, dtype=complex)
     a = target_steering(scene.theta, config.N, config.spacing, config.wavelength)
@@ -381,20 +369,19 @@ def ao_minimize_crb(scene: PointTargetScene, g: np.ndarray,
     supremum = _info_kernels(g, np.eye(config.M), a, 1)    # (D Q D, D Q, Q)
     dqd, _, q = supremum
     top_q = _top_phases(q)
-    if init is None:
-        init = PhaseProfile(v=top_q)
     upper_dqd = phase_ascent((dqd, 0 * q, q), _top_phases(dqd))[2] if config.M > 1 else 0.0
-    v, upper_q, residual = _reflect((q, 0 * q, q), init.v, seed)
+    v, upper_q, residual = _reflect((q, 0 * q, q), top_q, seed)
     profiles, residuals = [v], [residual]
     if upper_dqd > gamma * np.vdot(v, q @ v).real:
         v, _, residual = _reflect(supremum, top_q, seed)
         profiles.append(v)
         residuals.append(residual)
     residuals = [r for r in residuals if r is not None]
-    # init comes last, so a tie keeps the branch profile
-    designs = [_design(v, a, g, k, p0) for v in profiles + [init.v]]
+    # the top phases come last, so a tie keeps the branch profile
+    profiles.append(top_q)
+    designs = [_design(v, a, g, k, p0) for v in profiles]
     best = int(np.argmax([f for _, f in designs]))
-    (r_x, f), v = designs[best], (profiles + [init.v])[best]
+    (r_x, f), v = designs[best], profiles[best]
     f_upper = p0 * max(gamma * upper_q, upper_dqd)
     return AoResult(R_x=r_x, v=PhaseProfile(v=v),
                     crb=crb_point_closed(scene, r_x, v, g, config),

@@ -34,17 +34,12 @@ def target_steering(theta: float, count: int, d_hat: float,
 
 
 def steering_derivative(theta: float, count: int, d_hat: float,
-                        lambda_r: float) -> tuple[np.ndarray, np.ndarray]:
-    """Angular derivative of the centered response and its index taper.
-
-    Returns ``(v_dot, D)`` where ``D = diag(-(count-1), -(count-3), ...,
-    count-1)`` and ``v_dot = j * pi * (d_hat / lambda_r) * cos(theta) * D @
-    v(theta)``.  ``D`` is returned as a dense diagonal matrix.
+                        lambda_r: float) -> np.ndarray:
+    """Angular derivative of the centered response toward ``theta``:
+    j * pi * (d_hat / lambda_r) * cos(theta) * centered_index(count) * v(theta).
     """
     v = target_steering(theta, count, d_hat, lambda_r)
-    idx = centered_index(count)
-    v_dot = 1j * np.pi * (d_hat / lambda_r) * np.cos(theta) * idx * v
-    return v_dot, np.diag(idx.astype(float))
+    return 1j * np.pi * (d_hat / lambda_r) * np.cos(theta) * centered_index(count) * v
 
 
 def centered_index(count: int) -> np.ndarray:

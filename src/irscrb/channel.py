@@ -33,4 +33,4 @@ def rician_channel(config: SystemConfig, seed: int) -> ChannelRealization:
     beta = config.rician_factor
     g = rho * (np.sqrt(beta / (beta + 1.0)) * los
                + np.sqrt(1.0 / (beta + 1.0)) * nlos)
-    return ChannelRealization(G=g, seed=int(seed))
+    return ChannelRealization(G=g)

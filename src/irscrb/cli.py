@@ -139,7 +139,7 @@ def _cmd_crb(args) -> int:
         iso = bound("extended_iso")
         print(f"crb_opt = {opt:.6e}  ({10 * np.log10(opt):.3f} dB)")
         print(f"crb_iso = {iso:.6e}  ({10 * np.log10(iso):.3f} dB)")
-        print(f"gap     = {gap_db(ch.G, base.M):.4f} dB")
+        print(f"gap     = {gap_db(ch.G):.4f} dB")
         return 0
 
     scheme = args.scheme or ("single_antenna_closed" if base.M == 1

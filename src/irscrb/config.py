@@ -132,16 +132,10 @@ class ChannelRealization:
     """One draw of the BS-to-IRS channel."""
 
     G: np.ndarray               # [N, M] complex
-    seed: int
 
     def __post_init__(self):
         if self.G.ndim != 2:
             raise ValueError("G must be a matrix")
-
-    @property
-    def h_bi(self) -> np.ndarray | None:
-        """The single column of ``G`` for a single-antenna BS, else None."""
-        return self.G[:, 0] if self.G.shape[1] == 1 else None
 
 
 def _seed_sequence(seed: int, stream: tuple[int, ...]) -> np.random.SeedSequence:
@@ -165,9 +159,17 @@ def derive_seed(seed: int, *stream: int) -> int:
 
 # -- unit conversions --------------------------------------------------------
 
+def _pow10(exponent: float) -> float:
+    """10 ** exponent, inf past the float range for ``check`` to refuse."""
+    try:
+        return 10.0 ** exponent
+    except OverflowError:
+        return math.inf
+
+
 def db_to_linear(value_db: float) -> float:
     """Power ratio in dB to linear."""
-    return 10.0 ** (value_db / 10.0)
+    return _pow10(value_db / 10.0)
 
 
 def linear_to_db(value: float) -> float:
@@ -175,7 +177,7 @@ def linear_to_db(value: float) -> float:
 
 
 def dbm_to_watt(value_dbm: float) -> float:
-    return 10.0 ** ((value_dbm - 30.0) / 10.0)
+    return _pow10((value_dbm - 30.0) / 10.0)
 
 
 def watt_to_dbm(value: float) -> float:

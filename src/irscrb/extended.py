@@ -125,21 +125,19 @@ def crb_extended_opt(g: np.ndarray, p0: float, k: int, t: int,
     return ExtendedCrbReport(sigma2 * k / (p0 * t) * inv_sum ** 2, deficiency)
 
 
-def crb_extended_iso(g: np.ndarray, p0: float, m: int, k: int, t: int,
+def crb_extended_iso(g: np.ndarray, p0: float, k: int, t: int,
                      sigma2: float) -> ExtendedCrbReport:
-    """Bound (sigma^2 K M / (P0 T)) sum_i 1/s_i^2 under R_x = (P0/M) I."""
-    if np.shape(g)[1] != m:
-        raise ValueError(f"G has {np.shape(g)[1]} columns but m = {m}")
+    """Bound (sigma^2 K M / (P0 T)) sum_i 1/s_i^2 under R_x = (P0/M) I,
+    with M the column count of G."""
     inv_sum, deficiency = _inverse_sum(g, 2)
-    return ExtendedCrbReport(sigma2 * k * m / (p0 * t) * inv_sum, deficiency)
+    return ExtendedCrbReport(sigma2 * k * np.shape(g)[1] / (p0 * t) * inv_sum, deficiency)
 
 
-def gap_db(g: np.ndarray, m: int) -> float:
+def gap_db(g: np.ndarray) -> float:
     """Isotropic-over-optimal bound ratio in dB; power and K independent."""
-    if np.shape(g)[1] != m:
-        raise ValueError(f"G has {np.shape(g)[1]} columns but m = {m}")
+    n, m = np.shape(g)
     sv = np.linalg.svd(np.asarray(g, dtype=complex), compute_uv=False)
-    if _rank_deficiency(sv, np.shape(g)[0]):
+    if _rank_deficiency(sv, n):
         raise EstimabilityError("gap is undefined for a rank-deficient channel")
     return float(10.0 * np.log10(m * np.sum(1.0 / sv ** 2) / np.sum(1.0 / sv) ** 2))
 

@@ -64,16 +64,6 @@ class PhaseProfile:
             raise ValueError("every reflection coefficient must be unit modulus")
 
 
-@dataclass(frozen=True)
-class PointFim:
-    """3x3 Fisher information over (theta, Re alpha, Im alpha)."""
-
-    F: np.ndarray               # [3, 3] real symmetric
-    f_theta_theta: float
-    f_theta_alpha: np.ndarray   # [2]
-    f_alpha_alpha: np.ndarray   # [2, 2], nonnegative multiple of I
-
-
 def covariance_matrix(r_x) -> np.ndarray:
     """Accept a TransmitCovariance or a raw array."""
     if isinstance(r_x, TransmitCovariance):
@@ -166,8 +156,9 @@ def _profile_scores(kernels: tuple[np.ndarray, np.ndarray, np.ndarray],
 
 
 def fim_point(scene: PointTargetScene, r_x, v, g: np.ndarray,
-              config: SystemConfig) -> PointFim:
-    """Fisher information for (theta, Re alpha, Im alpha)."""
+              config: SystemConfig) -> np.ndarray:
+    """3x3 real symmetric Fisher information over (theta, Re alpha, Im alpha);
+    its alpha block is a nonnegative multiple of I."""
     a = target_steering(scene.theta, config.N, config.spacing, config.wavelength)
     b = target_steering(scene.theta, config.K, config.spacing, config.wavelength)
     e = effective_matrix(b, a, v, g)
@@ -187,7 +178,7 @@ def fim_point(scene: PointTargetScene, r_x, v, g: np.ndarray,
     f[0, 1:] = f_ta
     f[1:, 0] = f_ta
     f[1:, 1:] = f_aa
-    return PointFim(F=f, f_theta_theta=f_tt, f_theta_alpha=f_ta, f_alpha_alpha=f_aa)
+    return f
 
 
 def crb_point_closed(scene: PointTargetScene, r_x, v, g: np.ndarray,
@@ -221,13 +212,13 @@ def _bound_from_info(scene: PointTargetScene, config: SystemConfig,
     return float(config.noise_power * config.wavelength ** 2 / denom)
 
 
-def single_antenna_optimum(scene: PointTargetScene, h_bi: np.ndarray,
-                           config: SystemConfig) -> tuple[float, np.ndarray, float]:
-    """Optimal power, phases and DoA bound for a single-antenna BS.
+def single_antenna_optimum(scene: PointTargetScene, h: np.ndarray,
+                           config: SystemConfig) -> tuple[np.ndarray, float]:
+    """Optimal phases and DoA bound for a single-antenna BS, ``h`` = G[:, 0].
 
-    The full budget is used and each reflection phase cancels the combined
+    The full budget P0 is used and each reflection phase cancels the combined
     phase of the steering entry and the channel entry, so the reflected
-    amplitudes add coherently.  Returns ``(p_x, phases, crb)`` where the
+    amplitudes add coherently.  Returns ``(phases, crb)`` where the
     bound equals
 
         3 sigma^2 lambda^2 /
@@ -235,12 +226,11 @@ def single_antenna_optimum(scene: PointTargetScene, h_bi: np.ndarray,
     """
     if config.M != 1:
         raise ValueError(f"single-antenna optimum requires M = 1, got M = {config.M}")
-    h = np.asarray(h_bi, dtype=complex)
+    h = np.asarray(h, dtype=complex)
     a = target_steering(scene.theta, config.N, config.spacing, config.wavelength)
     phases = np.angle(np.exp(-1j * (np.angle(a) + np.angle(h))))
-    p_x = config.P0
 
     coherent_gain = float(np.sum(np.abs(h))) ** 2
     k = config.K
-    info = p_x * (k ** 3 - k) * coherent_gain / 3.0
-    return p_x, phases, _bound_from_info(scene, config, info)
+    info = config.P0 * (k ** 3 - k) * coherent_gain / 3.0
+    return phases, _bound_from_info(scene, config, info)

@@ -246,9 +246,7 @@ def _isotropic_tx(cfg, ch, theta, seed, trial) -> float:
 
 
 def _single_antenna_closed(cfg, ch, theta, seed, trial) -> float:
-    if cfg.M != 1:
-        raise ValueError("single_antenna_closed requires a config with M = 1")
-    return single_antenna_optimum(point_scene(cfg, theta), ch.h_bi, cfg)[2]
+    return single_antenna_optimum(point_scene(cfg, theta), ch.G[:, 0], cfg)[1]
 
 
 def _extended_opt(cfg, ch, theta, seed, trial) -> float:
@@ -256,7 +254,7 @@ def _extended_opt(cfg, ch, theta, seed, trial) -> float:
 
 
 def _extended_iso(cfg, ch, theta, seed, trial) -> float:
-    return crb_extended_iso(ch.G, cfg.P0, cfg.M, cfg.K, cfg.T, cfg.noise_power).crb
+    return crb_extended_iso(ch.G, cfg.P0, cfg.K, cfg.T, cfg.noise_power).crb
 
 
 def _fully_passive(cfg, ch, theta, seed, trial) -> float:

@@ -12,10 +12,10 @@ from irscrb import conic
 from irscrb.ao import (CERTIFICATE_RTOL, MAX_REFLECTION_N, SUBPROBLEM_FLOOR,
                        SUBPROBLEM_TOL,
                        DegenerateObjectiveError, SubproblemError,
-                       _checked, _psd_clip, ao_minimize_crb, best_reflection,
-                       default_phase_profile, gaussian_randomization,
-                       irs_subproblem, phase_ascent, sdr_objective,
-                       transmit_closed_form, transmit_subproblem)
+                       _checked, _psd_clip, _top_phases, ao_minimize_crb,
+                       best_reflection, gaussian_randomization, irs_subproblem,
+                       phase_ascent, sdr_objective, transmit_closed_form,
+                       transmit_subproblem)
 from irscrb.arrays import centered_index, target_steering
 from irscrb.channel import rician_channel
 from irscrb.config import PointTargetScene, SystemConfig, make_rng, point_scene
@@ -37,6 +37,11 @@ def _instance(m, n, k, seed=0, p0=1.0):
     a = target_steering(theta, n, 0.1, 0.2)
     r_x = random_covariance(rng, m, p0)
     return g, a, r_x, theta
+
+
+def _start_phases(g, a):
+    # the optimizer's start: the phases of the top eigenvector of Q at R_x = I
+    return _top_phases(steered_gram(g, np.eye(np.shape(g)[1]), a))
 
 
 def _random_phase_instance(m, n, seed):
@@ -403,7 +408,7 @@ class TestAlternatingMinimizer:
             scene = point_scene(cfg, np.deg2rad(50.0))
             ch = rician_channel(cfg, seed=seed)
             res = ao_minimize_crb(scene, ch.G, cfg, seed=seed)
-            _, _, closed = single_antenna_optimum(scene, ch.h_bi, cfg)
+            _, closed = single_antenna_optimum(scene, ch.G[:, 0], cfg)
             assert res.crb == pytest.approx(closed, rel=0.01)
 
     def test_monotone_in_power(self):
@@ -419,13 +424,11 @@ class TestAlternatingMinimizer:
         cfg = SystemConfig(M=3, N=5, K=4, T=16)
         scene = point_scene(cfg, -0.3)
         ch = rician_channel(cfg, seed=50)
-        init = default_phase_profile(ch.G,
-                                     target_steering(scene.theta, cfg.N,
-                                                     cfg.spacing, cfg.wavelength))
-        res = ao_minimize_crb(scene, ch.G, cfg, init=init, seed=5)
+        res = ao_minimize_crb(scene, ch.G, cfg, seed=5)
         a = target_steering(scene.theta, cfg.N, cfg.spacing, cfg.wavelength)
-        r_init, _ = transmit_closed_form(init.v, a, ch.G, cfg.K, cfg.P0)
-        crb_init = crb_point_closed(scene, r_init, init.v, ch.G, cfg)
+        init = _start_phases(ch.G, a)
+        r_init, _ = transmit_closed_form(init, a, ch.G, cfg.K, cfg.P0)
+        crb_init = crb_point_closed(scene, r_init, init, ch.G, cfg)
         assert res.crb <= crb_init * (1 + 1e-9)
 
     def test_solver_residuals_recorded(self):
@@ -454,7 +457,7 @@ class TestAlternatingMinimizer:
 
     @pytest.mark.parametrize("seed", [0, 4])
     def test_sixty_four_elements_converge_to_the_bound_of_the_last_design(self, seed):
-        # the trace holds f at the initial profile and f of the returned
+        # the trace holds f at Q's top phases and f of the returned
         # design, so its last row is the returned bound
         cfg = SystemConfig(M=8, N=64, K=8, T=64, P0=1.0)
         scene = point_scene(cfg, np.deg2rad(60.0))
@@ -471,13 +474,13 @@ class TestAlternatingMinimizer:
         ch = rician_channel(cfg, seed=61)
         res = ao_minimize_crb(scene, ch.G, cfg, seed=6)
         a = target_steering(scene.theta, cfg.N, cfg.spacing, cfg.wavelength)
-        init = default_phase_profile(ch.G, a)
-        r_init, _ = transmit_closed_form(init.v, a, ch.G, cfg.K, cfg.P0)
+        init = _start_phases(ch.G, a)
+        r_init, _ = transmit_closed_form(init, a, ch.G, cfg.K, cfg.P0)
         f0 = res.objective_trace[0]
-        assert f0 == pytest.approx(sdr_objective(r_init, np.outer(init.v, init.v.conj()),
+        assert f0 == pytest.approx(sdr_objective(r_init, np.outer(init, init.conj()),
                                                  a, ch.G, cfg.K), rel=1e-12)
         assert _bound_from_info(scene, cfg, cfg.K * f0) == pytest.approx(
-            crb_point_closed(scene, r_init, init.v, ch.G, cfg), rel=1e-12)
+            crb_point_closed(scene, r_init, init, ch.G, cfg), rel=1e-12)
 
 
 class TestCertifiedOptimum:
@@ -543,7 +546,7 @@ class TestCertifiedOptimum:
             g = rician_channel(cfg, seed=seed).G
             res = ao_minimize_crb(scene, g, cfg, seed=seed)
             q = steered_gram(g, np.eye(1), a)
-            upper_q = phase_ascent((q, 0 * q, q), default_phase_profile(g, a).v)[2]
+            upper_q = phase_ascent((q, 0 * q, q), _start_phases(g, a))[2]
             assert res.f_upper == cfg.P0 * (k ** 2 - 1) / 3.0 * upper_q
             assert res.status == "certified" and res.iterations == 0
 
@@ -562,7 +565,7 @@ class TestCertifiedOptimum:
                     g = rician_channel(cfg, seed=seed).G
                     res = ao_minimize_crb(scene, g, cfg, seed=seed)
                     try:
-                        v, r_x, *_ = _alternate(default_phase_profile(g, a).v, a, g, k,
+                        v, r_x, *_ = _alternate(_start_phases(g, a), a, g, k,
                                                 cfg.P0, 200, seed)
                     except SubproblemError as exc:
                         aborted.append(f"({m}, {n}, {k}) Rician {rician_factor:.3g} "
@@ -665,9 +668,8 @@ class TestDefaultProfile:
         cfg = SystemConfig(M=1, N=5, K=4, T=16)
         ch = rician_channel(cfg, seed=70)
         a = target_steering(0.4, 5, cfg.spacing, cfg.wavelength)
-        prof = default_phase_profile(ch.G, a)
-        combined = (prof.v * a) @ ch.h_bi
-        assert abs(combined) == pytest.approx(np.sum(np.abs(ch.h_bi)), rel=1e-10)
+        combined = (_start_phases(ch.G, a) * a) @ ch.G[:, 0]
+        assert abs(combined) == pytest.approx(np.sum(np.abs(ch.G[:, 0])), rel=1e-10)
 
 
 def test_desk_scale_reflection_subproblem():
@@ -707,7 +709,7 @@ def test_subproblems_solve_native_hermitian_blocks():
 
 
 def test_desk_scale_run_through_a_stalled_transmit_solve():
-    # the transmit program of channel 0's initial profile, posed with
+    # the transmit program at channel 0's start phases, posed with
     # tr X <= P0 at P0 = 1e4 W, stalls at a KKT residual of 3.0e-9 to 3.2e-9
     # under four exact forms of the Schur solve; the optimizer takes that
     # step in closed form
@@ -715,11 +717,11 @@ def test_desk_scale_run_through_a_stalled_transmit_solve():
     scene = point_scene(cfg, np.deg2rad(60.0))
     ch = rician_channel(cfg, seed=0)
     a = target_steering(scene.theta, cfg.N, cfg.spacing, cfg.wavelength)
-    init = default_phase_profile(ch.G, a)
-    lifted = np.outer(init.v, init.v.conj())
+    init = _start_phases(ch.G, a)
+    lifted = np.outer(init, init.conj())
     r_sdp, sol = _parent_transmit_solve(lifted, a, ch.G, cfg.K, cfg.P0)
     assert SUBPROBLEM_TOL < sol.kkt.max() <= SUBPROBLEM_FLOOR
-    r_closed, _ = transmit_closed_form(init.v, a, ch.G, cfg.K, cfg.P0)
+    r_closed, _ = transmit_closed_form(init, a, ch.G, cfg.K, cfg.P0)
     assert sdr_objective(r_closed, lifted, a, ch.G, cfg.K) >= \
         sdr_objective(r_sdp, lifted, a, ch.G, cfg.K) * (1 - 1e-9)
 
@@ -759,15 +761,14 @@ def test_optimizer_run_through_a_stalled_reflection_solve(monkeypatch, caplog, r
 
 def _ascent_design_crb(scene, g, cfg):
     """Bound of the optimizer's design where no SDR fallback gives a
-    candidate: the best of the initial profile and the two ascent profiles."""
+    candidate: the best of Q's top phases and the two ascent profiles from them."""
     a = target_steering(scene.theta, cfg.N, cfg.spacing, cfg.wavelength)
     dqd, dq, q = _info_kernels(g, np.eye(cfg.M), a, 1)
-    init = default_phase_profile(g, a).v
-    top = np.exp(1j * np.angle(np.linalg.eigh(q)[1][:, -1]))
+    top = _start_phases(g, a)
     return min(crb_point_closed(scene, transmit_closed_form(v, a, g, cfg.K, cfg.P0)[0],
                                 v, g, cfg)
-               for v in (phase_ascent((q, 0 * q, q), init)[0],
-                         phase_ascent((dqd, dq, q), top)[0], init))
+               for v in (phase_ascent((q, 0 * q, q), top)[0],
+                         phase_ascent((dqd, dq, q), top)[0], top))
 
 
 @pytest.mark.parametrize("failure", ["stall", "infeasible", "size"])

@@ -46,18 +46,6 @@ def test_different_seeds_differ():
     assert not np.array_equal(rician_channel(cfg, 1).G, rician_channel(cfg, 2).G)
 
 
-def test_single_antenna_column_alias():
-    cfg = _config(M=1)
-    ch = rician_channel(cfg, seed=9)
-    assert ch.h_bi is not None
-    np.testing.assert_array_equal(ch.h_bi, ch.G[:, 0])
-
-
-def test_multi_antenna_has_no_column_alias():
-    ch = rician_channel(_config(M=2), seed=9)
-    assert ch.h_bi is None
-
-
 def test_los_angles_shift_the_dyad():
     cfg = _config(rician_factor=1e9, los_aoa=0.3, los_aod=-0.2)
     ch = rician_channel(cfg, seed=4)

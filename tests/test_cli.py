@@ -12,6 +12,8 @@ from irscrb.cli import _build_parser, cli_main
 from irscrb.extended import EstimabilityError
 from irscrb.sweep import SCHEMES, load_config
 
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+
 POINT_CONFIG = """
 [system]
 m = 1
@@ -66,6 +68,13 @@ def counted(*args, **kwargs):
 irscrb.ao.irs_subproblem = counted
 rc = cli_main(["sweep", "--config", sys.argv[1], "--out", sys.argv[2]])
 print(rc, len(calls), sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+"""
+
+# `python -m irscrb.cli` with every import of scipy refused
+RUN_CLI_WITHOUT_SCIPY = """
+import runpy, sys
+sys.modules["scipy"] = None
+runpy.run_module("irscrb.cli", run_name="__main__", alter_sys=True)
 """
 
 DEFICIENT_EXTENDED_CONFIG = """
@@ -178,6 +187,10 @@ FUZZ_CASES = [(where, {key: value}, name, "either") for where, key, name, _ in N
     ("sweep", {"vary": "N", "values": "0, 4"}, "values", "refused"),
     ("sweep", {"vary": "K", "values": "1, 4"}, "values", "refused"),
 ]
+# ([system] key, value, field): a dB value whose linear value is past the float range
+OVERFLOW_DB = [("p0_dbm", "4000", "P0"), ("noise_dbm", "4000", "noise_power"),
+               ("rician_db", "4000", "rician_factor"), ("rcs_dbsm", "4000", "rcs"),
+               ("c0_loss_db", "-4000", "c0")]
 
 
 def _edited(section: str, edits: dict) -> str:
@@ -193,8 +206,14 @@ def _edited(section: str, edits: dict) -> str:
     ("system", {"noise_dbm": "nan"}, "noise_power", "finite"),
     ("sweep", {"values": "20, inf"}, "values", "finite"),
     ("scene", {"theta_deg": "inf"}, "theta_deg", "finite"),
+    # dB values past the float range convert to inf, not an OverflowError
+    *[("system", {key: value}, name, "finite") for key, value, name in OVERFLOW_DB],
+    ("sweep", {"values": "20, 4000"}, "values", "finite"),
+    ("sweep", {"vary": "beta_BI", "values": "5, 4000"}, "values", "finite"),
     *FUZZ_CASES,
 ], ids=["p0_dbm", "noise_dbm", "values", "theta_deg",
+        *[f"{key}={value}" for key, value, _ in OVERFLOW_DB],
+        "values=20, 4000", "vary=beta_BI values=5, 4000",
         *[" ".join(f"{k}={v}" for k, v in edits.items()) for _, edits, _, _ in FUZZ_CASES]])
 def test_non_finite_config_value_is_usage_error(tmp_path, capsys, where, edits, name, expected):
     # the first four once wrote rows with status ok or rank_deficient and
@@ -266,6 +285,21 @@ def test_crb_point_random_phase_uses_the_seeded_channel(tmp_path, capsys):
         ch = rician_channel(base, seed=seed)
         crb = SCHEMES["random_phase"].evaluate(base, ch, theta, seed, 0)
         assert f"crb = {crb:.6e} rad^2" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("command", ["crb", "sweep"])
+def test_single_antenna_closed_on_a_multi_antenna_config_is_usage_error(
+        tmp_path, capsys, command):
+    # single_antenna_optimum makes the one M = 1 check of this scheme
+    cfg, csv = tmp_path / "cfg.ini", tmp_path / "x.csv"
+    cfg.write_text(POINT_CONFIG.replace("m = 1", "m = 4"))
+    argv = {"crb": ["crb", "point", "--config", str(CONFIGS / "point_p0.ini"),
+                    "--scheme", "single_antenna_closed"],
+            "sweep": ["sweep", "--config", str(cfg), "--out", str(csv)]}[command]
+    assert cli_main(argv) == 1
+    out, err = capsys.readouterr()
+    assert err.startswith("usage error:") and "M = 1" in err, err
+    assert not out and not csv.exists()
 
 
 def test_crb_point_bad_scheme_is_usage_error(tmp_path):
@@ -343,19 +377,37 @@ def test_selftest_fast(capsys):
     assert "selftest: PASS" in out
 
 
+def _src_env() -> dict:
+    """The environment with the imported irscrb's source tree first on PYTHONPATH."""
+    src = str(Path(irscrb.__file__).resolve().parent.parent)
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+
 def test_module_entry_point_runs_without_runpy_warning():
     # the package must not import irscrb.cli, or `python -m irscrb.cli`
     # finds it in sys.modules and warns before running it
-    src = str(Path(irscrb.__file__).resolve().parent.parent)
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])))
     proc = subprocess.run(
         [sys.executable, "-m", "irscrb.cli", "allocate", "--qtot", "600",
          "--wi", "1", "--ws", "1"],
-        capture_output=True, text=True, env=env, timeout=120)
+        capture_output=True, text=True, env=_src_env(), timeout=120)
     assert proc.returncode == 0
     assert "optimal" in proc.stdout
     assert "RuntimeWarning" not in proc.stderr
+
+
+@pytest.mark.parametrize("argv", [
+    ["sweep", "--config", str(CONFIGS / "point_qtot.ini"), "--out", "out.csv"],
+    ["crb", "extended", "--config", str(CONFIGS / "extended_k.ini")],
+    ["allocate", "--qtot", "600", "--wi", "1", "--ws", "1"],
+], ids=["sweep", "crb_extended", "allocate"])
+def test_cli_runs_with_scipy_blocked(tmp_path, argv):
+    # numpy is the only runtime dependency: with scipy unimportable, each
+    # command still exits 0
+    proc = subprocess.run(
+        [sys.executable, "-c", RUN_CLI_WITHOUT_SCIPY, *argv],
+        capture_output=True, text=True, env=_src_env(), cwd=tmp_path, timeout=120)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_sweep_solving_an_sdp_never_imports_scipy(tmp_path):
@@ -363,12 +415,9 @@ def test_sweep_solving_an_sdp_never_imports_scipy(tmp_path):
     # about 0.3 s and 20 MiB to every irscrb process
     cfg = tmp_path / "iso.ini"
     cfg.write_text(ISOTROPIC_TX_CONFIG)
-    src = str(Path(irscrb.__file__).resolve().parent.parent)
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])))
     proc = subprocess.run(
         [sys.executable, "-c", SWEEP_WITHOUT_SCIPY, str(cfg), str(tmp_path / "out.csv")],
-        capture_output=True, text=True, env=env, timeout=120)
+        capture_output=True, text=True, env=_src_env(), timeout=120)
     assert proc.returncode == 0, proc.stderr
     # exit code 0, one reflection SDR solved, no scipy module loaded
     assert proc.stdout.splitlines()[-1] == "0 1 []"

@@ -174,14 +174,14 @@ class TestClosedFormBounds:
     def test_isotropic_closed_form(self):
         rng = np.random.default_rng(16)
         g = _channel(3, 5, rng)
-        report = crb_extended_iso(g, 1.0, 5, 2, 8, 0.4)
+        report = crb_extended_iso(g, 1.0, 2, 8, 0.4)
         brute = crb_extended((1.0 / 5) * np.eye(5, dtype=complex), g, 2, 8, 0.4)
         assert report.crb == pytest.approx(brute.crb, rel=1e-9)
 
     def test_isotropic_equals_optimal_for_flat_spectrum(self):
         g = _fixed_singular_values(4, 4, [1.7] * 4)
         opt = crb_extended_opt(g, 1.0, 2, 8, 0.4)
-        iso = crb_extended_iso(g, 1.0, 4, 2, 8, 0.4)
+        iso = crb_extended_iso(g, 1.0, 2, 8, 0.4)
         assert iso.crb == pytest.approx(opt.crb, rel=1e-12)
 
     def test_isotropic_never_below_optimal(self):
@@ -189,13 +189,13 @@ class TestClosedFormBounds:
         for _ in range(50):
             g = _channel(3, 6, rng)
             opt = crb_extended_opt(g, 1.0, 2, 8, 0.4)
-            iso = crb_extended_iso(g, 1.0, 6, 2, 8, 0.4)
+            iso = crb_extended_iso(g, 1.0, 2, 8, 0.4)
             assert iso.crb >= opt.crb * (1 - 1e-12)
 
     def test_unequal_spectrum_has_a_strict_gap(self):
         g = _fixed_singular_values(3, 3, [3.0, 1.0, 0.5])
         opt = crb_extended_opt(g, 1.0, 2, 8, 0.4)
-        iso = crb_extended_iso(g, 1.0, 3, 2, 8, 0.4)
+        iso = crb_extended_iso(g, 1.0, 2, 8, 0.4)
         assert iso.crb > opt.crb * (1 + 1e-6)
 
     def test_linearities(self):
@@ -216,7 +216,7 @@ class TestRankRule:
                                    np.random.default_rng(19))
         p0, k, t, s2 = 1.0, 2, 8, 0.4
         pairs = [(crb_extended((p0 / 6) * np.eye(6, dtype=complex), g, k, t, s2),
-                  crb_extended_iso(g, p0, 6, k, t, s2))]
+                  crb_extended_iso(g, p0, k, t, s2))]
         if ratio > 1e-10:
             pairs.append((crb_extended(optimal_transmit_extended(g, p0), g, k, t, s2),
                           crb_extended_opt(g, p0, k, t, s2)))
@@ -250,19 +250,19 @@ class TestRankRule:
 class TestGap:
     def test_flat_square_spectrum_has_no_gap(self):
         g = _fixed_singular_values(3, 3, [2.0] * 3)
-        assert gap_db(g, 3) == pytest.approx(0.0, abs=1e-12)
+        assert gap_db(g) == pytest.approx(0.0, abs=1e-12)
 
     def test_flat_doubled_antennas(self):
         g = _fixed_singular_values(3, 6, [2.0] * 3)
-        assert gap_db(g, 6) == pytest.approx(10.0 * np.log10(2.0), abs=1e-12)
+        assert gap_db(g) == pytest.approx(10.0 * np.log10(2.0), abs=1e-12)
 
     def test_constant_across_power_and_sensors(self):
         g = _channel(3, 6)
-        ref = gap_db(g, 6)
+        ref = gap_db(g)
         for p0 in (0.01, 0.1, 1.0):
             for k in (4, 8, 16):
                 opt = crb_extended_opt(g, p0, k, 8, 0.4)
-                iso = crb_extended_iso(g, p0, 6, k, 8, 0.4)
+                iso = crb_extended_iso(g, p0, k, 8, 0.4)
                 assert 10 * np.log10(iso.crb / opt.crb) == pytest.approx(ref, abs=1e-9)
 
 
