@@ -24,7 +24,7 @@ from .extended import (EstimabilityError, ExtendedCrbReport, crb_extended,
 from .pointcrb import (PhaseProfile, TransmitCovariance, covariance_matrix,
                        crb_point_closed, effective_matrix,
                        effective_matrix_derivative, fim_point, profile_vector,
-                       single_antenna_optimum, steered_gram)
+                       single_antenna_optimum)
 from .sweep import (SweepRecord, SweepSpec, emit_csv, load_config, read_csv,
                     reference_config, run_sweep)
 

@@ -3,12 +3,13 @@
 Minimizing the closed-form bound is equivalent to maximizing the reflected
 information measure f(R_x, V) of :mod:`irscrb.pointcrb` over the transmit
 covariance R_x and the lifted profile V = v v^H.  At a fixed R_x, f is set
-by a kernel triple (W, C, Q) (:func:`~irscrb.pointcrb._info_kernels`),
-which the reflection routines take: :func:`phase_ascent` climbs f over
-unit-modulus profiles with a dual bound, and :func:`best_reflection` falls
-back to the semidefinite relaxation in V (the fractional term through a 2x2
-Schur-complement block) and Gaussian randomization where that bound fails.
-For a unit-modulus profile the best R_x has a closed form
+by the N x M factor kernel of :func:`~irscrb.pointcrb._info_kernels`, which
+the reflection routines take: :func:`phase_ascent` climbs f over
+unit-modulus profiles with a dual bound, and :func:`_reflect` falls back to
+the semidefinite relaxation in V (the fractional term through a 2x2
+Schur-complement block, on the N x N kernels of :func:`_dense`) and
+Gaussian randomization where that bound fails.  For a unit-modulus profile
+the best R_x has a closed form
 (:func:`transmit_closed_form`), so the joint problem separates exactly into
 two such reflection problems (:func:`ao_minimize_crb`).  The transmit
 program at a lifted profile (:func:`transmit_subproblem`) stays available;
@@ -27,8 +28,9 @@ from . import conic
 from .arrays import centered_index, target_steering
 from .config import PointTargetScene, SystemConfig, make_rng
 from .conic import ConicProgram, ConicSolution
-from .pointcrb import (DegenerateObjectiveError, PhaseProfile, TransmitCovariance,
-                       _info_kernels, _info_measure, _profile_scores,
+# only perfbench/tracing.py uses crb_point_closed here
+from .pointcrb import (DegenerateObjectiveError, Kernel, PhaseProfile, TransmitCovariance,
+                       _bound_from_info, _info_kernels, _info_measure, _profile_scores,
                        crb_point_closed, profile_vector)
 
 SUBPROBLEM_TOL = 1e-9
@@ -43,6 +45,7 @@ FIXED_POINT_MAX_ITER = 1000
 FIXED_POINT_ATOL = 1e-12          # largest phasor change that counts as a fixed point
 CERTIFICATE_RTOL = 1e-9           # relative gap to f_upper that certifies a design
 RANDOMIZATION_SAMPLES = 200       # Gaussian randomization draws per SDR fallback
+IMAG_RESIDUE_RTOL = 1e-9
 
 _log = logging.getLogger(__name__)
 
@@ -65,12 +68,23 @@ class AoResult:
     solver_residual_max: float = 0.0    # worst KKT residual over those SDRs
 
 
+def _dense(kernel: Kernel) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The N x N kernels (W, C, Q) = (gamma Q + D Q D, D Q, L L^H) of f."""
+    factor, gamma, d = kernel
+    quad = factor @ factor.conj().T
+    cross = np.reshape(d, (-1, 1)) * quad
+    return gamma * quad + cross * d, cross, quad
+
+
 def sdr_objective(r_x, v_lifted: np.ndarray, a: np.ndarray, g: np.ndarray,
                   k: int) -> float:
     """Reflected information measure f(R_x, V); larger is better."""
     v_t = np.asarray(v_lifted, dtype=complex).T
-    return float(_info_measure(*(np.sum(kern * v_t)
-                                 for kern in _info_kernels(g, r_x, a, k))))
+    w, c, q = (np.sum(kern * v_t) for kern in _dense(_info_kernels(g, r_x, a, k)))
+    for label, tr in (("reflected power", q), ("information term", w)):
+        if abs(tr.imag) > IMAG_RESIDUE_RTOL * (1.0 + abs(tr.real)):
+            raise ValueError(f"{label} has non-negligible imaginary part {abs(tr.imag):g}")
+    return float(_info_measure(w.real, c, q.real))
 
 
 def _re_im_kernels(b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -191,15 +205,14 @@ def transmit_closed_form(v, a: np.ndarray, g: np.ndarray, k: int, p0: float
     return TransmitCovariance(matrix, p0), "supremum"
 
 
-def irs_subproblem(kernels: tuple[np.ndarray, np.ndarray, np.ndarray],
-                   solver: Callable[..., ConicSolution] = conic.solve
+def irs_subproblem(kernel: Kernel, solver: Callable[..., ConicSolution] = conic.solve
                    ) -> tuple[np.ndarray, ConicSolution]:
-    """Best lifted profile for the kernel triple (W, C, Q) of f, and its solve."""
-    n = kernels[2].shape[0]
+    """Best lifted profile for the kernel (L, gamma, d) of f, and its solve."""
+    n = kernel[0].shape[0]
     if n > MAX_REFLECTION_N:
         raise SubproblemError(f"reflection program at N = {n} > {MAX_REFLECTION_N} needs "
                               f"{16e-9 * (n + 3) * (n + 2) ** 2:.2g} GB a stack copy")
-    program = _schur_program(*kernels)
+    program = _schur_program(*_dense(kernel))
     # the rows V_ii = 1, with the e_i e_i^T stacked
     program.add_eq(_with_u(np.eye(n)[:, :, None] * np.eye(n), np.zeros((2, 2))), np.ones(n))
     sol = _checked(solver(program, tol=SUBPROBLEM_TOL), f"reflection subproblem at N = {n}")
@@ -223,16 +236,15 @@ def _psd_clip(mat: np.ndarray) -> np.ndarray:
     return (q * np.maximum(w, 0.0)) @ q.conj().T
 
 
-def gaussian_randomization(v_lifted: np.ndarray,
-                           kernels: tuple[np.ndarray, np.ndarray, np.ndarray],
+def gaussian_randomization(v_lifted: np.ndarray, kernel: Kernel,
                            samples: int, seed: int) -> PhaseProfile:
     """Recover a unit-modulus profile from a lifted solution.
 
     Draws circular Gaussian vectors with covariance V (its eigenvalues
     clipped at 0), projects each onto the unit-modulus set by keeping only
-    its phases, and scores them at once by f for the kernel triple
-    ``kernels`` together with the phases of V's dominant eigenvector, which
-    come last; the first candidate with the best f wins.  A numerically rank-one V
+    its phases, and scores them at once by f for ``kernel`` together with
+    the phases of V's dominant eigenvector, which come last; the first
+    candidate with the best f wins.  A numerically rank-one V
     short-circuits to those phases.  Draws come from one sequential stream,
     so a larger ``samples`` extends (never reshuffles) the pool.
     """
@@ -252,66 +264,56 @@ def gaussian_randomization(v_lifted: np.ndarray,
     draws = make_rng(seed).standard_normal((samples, 2, n))   # real, imag per draw
     noise = (draws[:, 0] + 1j * draws[:, 1]) / np.sqrt(2.0)
     cands = np.vstack([np.exp(1j * np.angle(noise @ (q * np.sqrt(w)).T)), dominant])
-    f_vals = _profile_scores(kernels, cands)
+    f_vals = _profile_scores(kernel, cands)
     return PhaseProfile(v=cands[np.argmax(f_vals)])
 
 
-def _design(v: np.ndarray, a: np.ndarray, g: np.ndarray, k: int, p0: float
-            ) -> tuple[TransmitCovariance, float]:
-    """Closed-form R_x of a unit-modulus profile and f there."""
-    r_x, _ = transmit_closed_form(v, a, g, k, p0)
-    return r_x, float(_profile_scores(_info_kernels(g, r_x, a, k), v[None, :])[0])
+def _top_phases(factor: np.ndarray) -> np.ndarray:
+    """Phases of the top left singular vector of ``factor``, as a profile."""
+    return np.exp(1j * np.angle(np.linalg.svd(factor, full_matrices=False)[0][:, 0]))
 
 
-def _top_phases(mat: np.ndarray) -> np.ndarray:
-    """Phases of the top eigenvector of a Hermitian matrix, as a profile."""
-    return np.exp(1j * np.angle(np.linalg.eigh(mat)[1][:, -1]))
-
-
-def phase_ascent(kernels: tuple[np.ndarray, np.ndarray, np.ndarray],
-                 v: np.ndarray) -> tuple[np.ndarray, float, float]:
+def phase_ascent(kernel: Kernel, v: np.ndarray) -> tuple[np.ndarray, float, float]:
     """Ascent on f over unit-modulus profiles from ``v``, and a bound on f.
 
-    With ``kernels`` (W, C, Q), f(v) is the minimum over u of v^H K(u) v,
-    K(u) = W + |u|^2 Q - conj(u) C - u C^H, at u = v^H C v / v^H Q v; K(u)
-    is PSD for :func:`_info_kernels` and is W when C = 0.  Steps v <- exp(i
-    arg(K(u) v)), each refreshing u, end before one that would lower f, at a
-    fixed point or after ``FIXED_POINT_MAX_ITER``.  With y = Re(conj(v) K(u)
-    v), sum(y) + N max(0, -lambda_min(Diag(y) - K(u))) is dual-feasible for
-    the unit-diagonal relaxation of max tr(K(u) V), so for any v it bounds
-    the relaxation of f; it equals f, then the global maximum, where
-    Diag(y) - K(u) is PSD (So, Zhang & Ye 2007).  Returns (v, f, bound).
+    For the kernel (L, gamma, d), f(v) is the minimum over u of v^H K(u) v
+    with K(u) = E E^H, E = [sqrt(gamma) L, (D - u I) L], at u = w^H b / |b|^2
+    (b = L^H v, w = L^H D v).  Steps v <- exp(i arg(K(u) v)), K(u) v =
+    L ((gamma + |u|^2) b - u w) + D L (w - conj(u) b), each refreshing u,
+    end before one that would lower f, at a fixed point or after
+    ``FIXED_POINT_MAX_ITER``.  With y = Re(conj(v) K(u) v), sum(y) + N
+    max(0, -lambda_min(Diag(y) - K(u))) is dual-feasible for the
+    unit-diagonal relaxation of max tr(K(u) V), so for any v it bounds the
+    relaxation of f; it equals f, then the global maximum, where Diag(y) -
+    K(u) is PSD (So, Zhang & Ye 2007).  K(u) is formed only for that bound.
+    Returns (v, f, bound).
     """
-    w, c, q = kernels
+    factor, gamma, d = kernel
+    adjoint = factor.conj().T
 
     def at(v):
-        u = np.vdot(v, c @ v) / np.vdot(v, q @ v).real
-        k_u = w + abs(u) ** 2 * q - np.conj(u) * c - u * c.conj().T
-        k_v = k_u @ v
-        return np.vdot(v, k_v).real, k_u, k_v
+        b, w = adjoint @ v, adjoint @ (d * v)
+        u = np.vdot(w, b) / np.vdot(b, b).real
+        k_v = factor @ ((gamma + abs(u) ** 2) * b - u * w) \
+            + d * (factor @ (w - np.conj(u) * b))
+        return np.vdot(v, k_v).real, u, k_v
 
-    f, k_u, k_v = at(v)
+    f, u, k_v = at(v)
     for _ in range(FIXED_POINT_MAX_ITER):
         step = np.exp(1j * np.angle(k_v))
         if np.abs(step - v).max() <= FIXED_POINT_ATOL:
             break
-        f_step, k_step, kv_step = at(step)
+        f_step, u_step, kv_step = at(step)
         if f_step < f:
             break
-        v, f, k_u, k_v = step, f_step, k_step, kv_step
+        v, f, u, k_v = step, f_step, u_step, kv_step
     y = (v.conj() * k_v).real
-    shift = max(0.0, -np.linalg.eigvalsh(np.diag(y) - k_u)[0])
+    e = np.hstack([np.sqrt(gamma) * factor, np.reshape(d - u, (-1, 1)) * factor])
+    shift = max(0.0, -np.linalg.eigvalsh(np.diag(y) - e @ e.conj().T)[0])
     return v, float(y.sum()), float(y.sum() + y.shape[0] * shift)
 
 
-def best_reflection(kernels: tuple[np.ndarray, np.ndarray, np.ndarray],
-                    seed: int) -> PhaseProfile:
-    """Profile for the kernel triple (W, C, Q) of f at a fixed R_x:
-    :func:`_reflect` from the phases of Q's top eigenvector."""
-    return PhaseProfile(v=_reflect(kernels, _top_phases(kernels[2]), seed)[0])
-
-
-def _reflect(kernels: tuple[np.ndarray, np.ndarray, np.ndarray], v: np.ndarray,
+def _reflect(kernel: Kernel, v: np.ndarray,
              seed: int) -> tuple[np.ndarray, float, float | None]:
     """The :func:`phase_ascent` from ``v`` and, where its bound fails, the
     SDR fallback from it.
@@ -324,19 +326,19 @@ def _reflect(kernels: tuple[np.ndarray, np.ndarray, np.ndarray], v: np.ndarray,
     a WARNING gives the seed and the error.  Returns (v, the ascent's bound,
     the KKT residual of the solve whose candidates were scored, or None).
     """
-    v, f, f_upper = phase_ascent(kernels, v)
+    v, f, f_upper = phase_ascent(kernel, v)
     if f >= f_upper * (1.0 - CERTIFICATE_RTOL):
         return v, f_upper, None
     _log.debug("ascent relative gap %.3g; SDR fallback", 1.0 - f / f_upper)
     try:
-        v_lifted, sol = irs_subproblem(kernels)
+        v_lifted, sol = irs_subproblem(kernel)
     except SubproblemError as exc:
         _log.warning("SDR fallback with randomization seed %d failed, kept the ascent "
                      "profile: %s: %s", seed, type(exc).__name__, exc)
         return v, f_upper, None
-    candidates = np.stack([gaussian_randomization(v_lifted, kernels,
+    candidates = np.stack([gaussian_randomization(v_lifted, kernel,
                                                   RANDOMIZATION_SAMPLES, seed).v, v])
-    return (candidates[np.argmax(_profile_scores(kernels, candidates))], f_upper,
+    return (candidates[np.argmax(_profile_scores(kernel, candidates))], f_upper,
             sol.kkt.max())
 
 
@@ -344,21 +346,21 @@ def ao_minimize_crb(scene: PointTargetScene, g: np.ndarray,
                     config: SystemConfig, seed: int = 0) -> AoResult:
     """Minimize the point-target DoA bound over transmit and reflection.
 
-    With Q = :func:`~irscrb.pointcrb.steered_gram` at R_x = I, D =
-    diag(centered_index(N)) and gamma = (K^2 - 1)/3,
-    :func:`transmit_closed_form` gives f*(v) = P0 max(gamma v^H Q v,
-    |w2(v)|^2), and |w2|^2 is f at R_x = I on the kernels (D Q D, D Q, Q) of
-    K = 1.  So max_v f*(v) = P0 max(gamma max_v v^H Q v, max_v |w2|^2)
-    exactly, and each branch is a reflection problem: :func:`_reflect` from
-    the phases of Q's top eigenvector, on (Q, 0, Q) for branch 1 and on
-    (D Q D, D Q, Q) for branch 2.  U_DQD bounds v^H D Q D v >= |w2|^2: it
-    is the :func:`phase_ascent` bound from the phases of D Q D's top
-    eigenvector where M > 1, and 0 where M = 1, at which w2 = 0 for every
-    v.  Branch 2 runs only where it can win: U_DQD > gamma f_1, with f_1 =
-    v^H Q v of branch 1.  The design is the first best by f of the two
-    branch profiles and Q's top phases, each with its closed-form R_x.
-    ``f_upper`` = P0 max(gamma U_Q, U_DQD), with U_Q the bound of the
-    branch-1 ascent, bounds f over all designs.  ``seed`` seeds the
+    With L the factor of :func:`~irscrb.pointcrb._info_kernels` at R_x = I,
+    D = diag(centered_index(N)) and gamma = (K^2 - 1)/3,
+    :func:`transmit_closed_form` gives f*(v) = P0 max(gamma |L^H v|^2,
+    |w2(v)|^2), and |w2|^2 is f on the kernel (L, 0, d) of K = 1.  So
+    max_v f*(v) = P0 max(gamma max_v |L^H v|^2, max_v |w2|^2) exactly, and
+    each branch is a reflection problem: :func:`_reflect` from the phases of
+    L's top left singular vector, on (L, 1, 0) for branch 1 and on (L, 0, d)
+    for branch 2.  U_DQD bounds |L^H D v|^2 >= |w2|^2: it is the
+    :func:`phase_ascent` bound on (D L, 1, 0) from the top phases of D L
+    where M > 1, and 0 where M = 1, at which w2 = 0 for every v.  Branch 2
+    runs only where it can win: U_DQD > gamma f_1, with f_1 = |L^H v|^2 of
+    branch 1.  The design is the first best by f of the two branch profiles
+    and the top phases of L, each with its closed-form R_x and the bound at
+    its f.  ``f_upper`` = P0 max(gamma U_Q, U_DQD), with U_Q the bound of
+    the branch-1 ascent, bounds f over all designs.  ``seed`` seeds the
     randomization of any SDR fallback.
     """
     g = np.asarray(g, dtype=complex)
@@ -366,26 +368,28 @@ def ao_minimize_crb(scene: PointTargetScene, g: np.ndarray,
     k, p0 = config.K, config.P0
     gamma = (k ** 2 - 1) / 3.0
 
-    supremum = _info_kernels(g, np.eye(config.M), a, 1)    # (D Q D, D Q, Q)
-    dqd, _, q = supremum
-    top_q = _top_phases(q)
-    upper_dqd = phase_ascent((dqd, 0 * q, q), _top_phases(dqd))[2] if config.M > 1 else 0.0
-    v, upper_q, residual = _reflect((q, 0 * q, q), top_q, seed)
-    profiles, residuals = [v], [residual]
-    if upper_dqd > gamma * np.vdot(v, q @ v).real:
-        v, _, residual = _reflect(supremum, top_q, seed)
-        profiles.append(v)
-        residuals.append(residual)
-    residuals = [r for r in residuals if r is not None]
+    supremum = _info_kernels(g, np.eye(config.M), a, 1)    # (L, 0, d)
+    factor, _, d = supremum
+    top_q = _top_phases(factor)
+    scaled = d[:, None] * factor                            # D L
+    upper_dqd = (phase_ascent((scaled, 1.0, 0.0), _top_phases(scaled))[2]
+                 if config.M > 1 else 0.0)
+    branches = [_reflect((factor, 1.0, 0.0), top_q, seed)]
+    v, upper_q, _ = branches[0]
+    if upper_dqd > gamma * _profile_scores((factor, 1.0, 0.0), v[None, :])[0]:
+        branches.append(_reflect(supremum, top_q, seed))
+    residuals = [r for _, _, r in branches if r is not None]
     # the top phases come last, so a tie keeps the branch profile
-    profiles.append(top_q)
-    designs = [_design(v, a, g, k, p0) for v in profiles]
-    best = int(np.argmax([f for _, f in designs]))
-    (r_x, f), v = designs[best], profiles[best]
+    profiles = [v for v, _, _ in branches] + [top_q]
+    designs = [transmit_closed_form(v, a, g, k, p0)[0] for v in profiles]
+    scores = [float(_profile_scores(_info_kernels(g, r_x, a, k), v[None, :])[0])
+              for r_x, v in zip(designs, profiles)]
+    best = int(np.argmax(scores))
+    r_x, f, v = designs[best], scores[best], profiles[best]
     f_upper = p0 * max(gamma * upper_q, upper_dqd)
     return AoResult(R_x=r_x, v=PhaseProfile(v=v),
-                    crb=crb_point_closed(scene, r_x, v, g, config),
-                    objective_trace=[designs[-1][1], f], iterations=len(residuals),
+                    crb=_bound_from_info(scene, config, k * f),
+                    objective_trace=[scores[-1], f], iterations=len(residuals),
                     status=("certified" if f >= f_upper * (1.0 - CERTIFICATE_RTOL)
                             else "uncertified"),
                     f_upper=f_upper, solver_residual_max=max(residuals, default=0.0))

@@ -5,9 +5,11 @@ E = b a^T diag(v) G.  Because the steering vectors are centroid-referenced,
 the 3x3 Fisher information over (theta, Re alpha, Im alpha) collapses into a
 scalar bound on theta whose denominator is K times the reflected
 information measure f(R_x, V) = tr(W V) - |tr(C V)|^2 / tr(Q V) at
-V = v v^H.  This module owns f, which also scores every design of the
-beamforming optimizer.  The closed form is evaluated next to the full
-matrix-inverse route so the two can cross-check each other.
+V = v v^H, with Q = L L^H for the N x M factor L = conj(A G R_x^{1/2}),
+W = gamma Q + D Q D and C = D Q.  This module owns f, which also scores
+every design of the beamforming optimizer, as the kernel (L, gamma, d).
+The closed form is evaluated next to the full matrix-inverse route so the
+two can cross-check each other.
 """
 
 from __future__ import annotations
@@ -108,51 +110,39 @@ def effective_matrix_derivative(b: np.ndarray, a: np.ndarray, v,
                      + np.outer(b, (vv * idx_a * a) @ g))
 
 
-def steered_gram(g: np.ndarray, r_x, a: np.ndarray) -> np.ndarray:
-    """Hermitian form conj(A G) R_x^T (A G)^T with A = diag(a), shape [N, N].
-
-    This is the quadratic kernel through which the IRS profile enters every
-    point-target trace identity.
-    """
-    a_diag = np.asarray(a, dtype=complex)
-    ag = a_diag[:, None] * np.asarray(g, dtype=complex)   # A @ G
-    rx = covariance_matrix(r_x)
-    return ag.conj() @ rx.T @ ag.T
+Kernel = tuple[np.ndarray, float, np.ndarray | float]   # (L, gamma, d); d = 0: v^H L L^H v
 
 
-def _info_kernels(g: np.ndarray, r_x, a: np.ndarray, k: int
-                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Kernels of f: Q = :func:`steered_gram`, W = (K^2 - 1)/3 Q + D Q D, C = D Q."""
-    quad = steered_gram(g, r_x, a)
-    idx = centered_index(np.asarray(a).shape[0]).astype(float)
-    quad_obj = ((k ** 2 - 1) / 3.0) * quad + idx[:, None] * quad * idx[None, :]
-    return quad_obj, idx[:, None] * quad, quad
-
-
-def _real_trace(value, label: str):
-    value = np.asarray(value)
-    if np.any(np.abs(value.imag) > IMAG_RESIDUE_RTOL * (1.0 + np.abs(value.real))):
-        raise ValueError(f"{label} has non-negligible imaginary part "
-                         f"{np.max(np.abs(value.imag)):g}")
-    return value.real
+def _info_kernels(g: np.ndarray, r_x, a: np.ndarray, k: int) -> Kernel:
+    """Kernel of f at R_x: L = conj(A G R_x^{1/2}) from the eigenpairs of R_x,
+    gamma = (K^2 - 1)/3 and d = centered_index(N).  A raw R_x is checked as
+    a :class:`TransmitCovariance` without a budget."""
+    if not isinstance(r_x, TransmitCovariance):
+        r_x = TransmitCovariance(r_x, budget=np.inf)
+    eig, vecs = np.linalg.eigh(r_x.matrix)
+    ag = np.asarray(a, dtype=complex)[:, None] * np.asarray(g, dtype=complex)
+    factor = (ag @ (vecs * np.sqrt(np.maximum(eig, 0.0)))).conj()
+    return factor, (k ** 2 - 1) / 3.0, centered_index(factor.shape[0]).astype(float)
 
 
 def _info_measure(w_trace, c_trace, q_trace):
-    """f from the traces tr(W V), tr(C V) and tr(Q V); scalars or arrays."""
-    q_trace = _real_trace(q_trace, "reflected power")
+    """f from the traces tr(W V), tr(C V) and tr(Q V), the first and last real."""
     if np.min(q_trace) <= 0.0:
         raise DegenerateObjectiveError(
             f"reflected power term is {np.min(q_trace):g}; the objective is undefined"
         )
-    return _real_trace(w_trace, "information term") - np.abs(c_trace) ** 2 / q_trace
+    return w_trace - np.abs(c_trace) ** 2 / q_trace
 
 
-def _profile_scores(kernels: tuple[np.ndarray, np.ndarray, np.ndarray],
-                   profiles: np.ndarray) -> np.ndarray:
-    """f at V = v v^H for each row v of ``profiles``, from :func:`_info_kernels`."""
-    conj = profiles.conj()
-    return _info_measure(*(np.sum(conj * (profiles @ kern.T), axis=1)
-                          for kern in kernels))
+def _profile_scores(kernel: Kernel, profiles: np.ndarray) -> np.ndarray:
+    """f = gamma |b|^2 + |w|^2 - |w^H b|^2 / |b|^2 at each row v of ``profiles``,
+    with b = L^H v and w = L^H D v for the kernel (L, gamma, d)."""
+    factor, gamma, d = kernel
+    b = profiles @ factor.conj()
+    w = (profiles * d) @ factor.conj()
+    power = np.sum(np.abs(b) ** 2, axis=1)
+    return _info_measure(gamma * power + np.sum(np.abs(w) ** 2, axis=1),
+                         np.sum(w.conj() * b, axis=1), power)
 
 
 def fim_point(scene: PointTargetScene, r_x, v, g: np.ndarray,
@@ -190,9 +180,9 @@ def crb_point_closed(scene: PointTargetScene, r_x, v, g: np.ndarray,
     point.
     """
     a = target_steering(scene.theta, config.N, config.spacing, config.wavelength)
-    kernels = _info_kernels(g, r_x, a, config.K)
+    kernel = _info_kernels(g, r_x, a, config.K)
     try:
-        info = _profile_scores(kernels, profile_vector(v)[None, :])[0]
+        info = _profile_scores(kernel, profile_vector(v)[None, :])[0]
     except DegenerateObjectiveError:
         return float("inf")
     return _bound_from_info(scene, config, config.K * float(info))

@@ -82,7 +82,7 @@ import numpy as np
 
 from .allocation import allocate_optimal
 # only perfbench/tracing.py uses the subproblems and the randomization here
-from .ao import (ao_minimize_crb, best_reflection, gaussian_randomization,
+from .ao import (_reflect, _top_phases, ao_minimize_crb, gaussian_randomization,
                  irs_subproblem, transmit_closed_form, transmit_subproblem)
 from .arrays import target_steering
 from .channel import DRAW_FIELDS, rician_channel
@@ -91,7 +91,8 @@ from .config import (SystemConfig, check, db_to_linear, dbm_to_watt, derive_seed
 # only perfbench/tracing.py uses crb_fully_passive and optimal_transmit_extended here
 from .extended import (crb_extended_iso, crb_extended_opt, crb_fully_passive,
                        crb_fully_passive_opt, optimal_transmit_extended)
-from .pointcrb import _info_kernels, crb_point_closed, single_antenna_optimum
+from .pointcrb import (TransmitCovariance, _info_kernels, crb_point_closed,
+                       single_antenna_optimum)
 
 
 def _count(value: float | str) -> int | float:
@@ -239,10 +240,10 @@ def _random_phase(cfg, ch, theta, seed, trial) -> float:
 
 def _isotropic_tx(cfg, ch, theta, seed, trial) -> float:
     a = target_steering(theta, cfg.N, cfg.spacing, cfg.wavelength)
-    r_iso = (cfg.P0 / cfg.M) * np.eye(cfg.M, dtype=complex)
-    profile = best_reflection(_info_kernels(ch.G, r_iso, a, cfg.K),
-                              derive_seed(seed, trial, _RANDOMIZE))
-    return crb_point_closed(point_scene(cfg, theta), r_iso, profile.v, ch.G, cfg)
+    r_iso = TransmitCovariance((cfg.P0 / cfg.M) * np.eye(cfg.M, dtype=complex), cfg.P0)
+    kernel = _info_kernels(ch.G, r_iso, a, cfg.K)
+    v = _reflect(kernel, _top_phases(kernel[0]), derive_seed(seed, trial, _RANDOMIZE))[0]
+    return crb_point_closed(point_scene(cfg, theta), r_iso, v, ch.G, cfg)
 
 
 def _single_antenna_closed(cfg, ch, theta, seed, trial) -> float:

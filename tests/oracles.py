@@ -7,9 +7,12 @@ rather than through the code paths under test.  The exceptions are
 in its former inequality form, ``parent_isotropic_profile``, the
 isotropic-transmit reflection design as it was made before the phase ascent,
 ``parent_fully_passive``, the fully-passive sweep bound as it was evaluated
-before its transmit factor came from the closed form, and ``_alternate``,
+before its transmit factor came from the closed form, ``_alternate``,
 the alternating optimizer that ``ao_minimize_crb`` ran where its fixed point
-did not certify, before the exact two-branch solve.
+did not certify, before the exact two-branch solve, and
+``dense_info_kernels`` and ``dense_phase_ascent``, the N x N kernels of f
+and the ascent on them as they were formed before f was carried by its
+N x M factor.
 """
 
 from __future__ import annotations
@@ -18,8 +21,8 @@ from dataclasses import replace
 
 import numpy as np
 
-from irscrb.ao import (_schur_program, _transmit_kernels,
-                       gaussian_randomization, irs_subproblem,
+from irscrb.ao import (FIXED_POINT_ATOL, FIXED_POINT_MAX_ITER, _schur_program,
+                       _transmit_kernels, gaussian_randomization, irs_subproblem,
                        transmit_closed_form)
 from irscrb.channel import rician_channel
 from irscrb.config import derive_seed
@@ -105,6 +108,47 @@ def point_bracket(v: np.ndarray, g: np.ndarray, r_x: np.ndarray,
     taper = float(np.real(v.conj() @ (idx[:, None] * quad * idx[None, :]) @ v))
     cross = v.conj() @ (idx[:, None] * quad) @ v
     return (k ** 3 - k) / 3.0 * p + k * taper - k * abs(cross) ** 2 / p
+
+
+def steered_gram(g: np.ndarray, r_x: np.ndarray, a: np.ndarray) -> np.ndarray:
+    """Q = conj(A G) R_x^T (A G)^T with A = diag(a), shape [N, N], written directly."""
+    ag = np.asarray(a, dtype=complex)[:, None] * np.asarray(g, dtype=complex)
+    return ag.conj() @ np.asarray(r_x, dtype=complex).T @ ag.T
+
+
+def dense_info_kernels(g: np.ndarray, r_x: np.ndarray, a: np.ndarray, k: int):
+    """The N x N kernels (W, C, Q) of f: W = (K^2 - 1)/3 Q + D Q D and C = D Q."""
+    quad = steered_gram(g, r_x, a)
+    n = quad.shape[0]
+    idx = (2 * np.arange(n) - n + 1).astype(float)
+    return (((k ** 2 - 1) / 3.0) * quad + idx[:, None] * quad * idx[None, :],
+            idx[:, None] * quad, quad)
+
+
+def dense_phase_ascent(kernels, v: np.ndarray, max_iter: int = FIXED_POINT_MAX_ITER
+                       ) -> tuple[np.ndarray, float, float]:
+    """The phase ascent on the dense kernels (W, C, Q), with K(u) = W + |u|^2 Q
+    - conj(u) C - u C^H formed at every step; returns (v, f, bound)."""
+    w, c, q = kernels
+
+    def at(v):
+        u = np.vdot(v, c @ v) / np.vdot(v, q @ v).real
+        k_u = w + abs(u) ** 2 * q - np.conj(u) * c - u * c.conj().T
+        k_v = k_u @ v
+        return np.vdot(v, k_v).real, k_u, k_v
+
+    f, k_u, k_v = at(v)
+    for _ in range(max_iter):
+        step = np.exp(1j * np.angle(k_v))
+        if np.abs(step - v).max() <= FIXED_POINT_ATOL:
+            break
+        f_step, k_step, kv_step = at(step)
+        if f_step < f:
+            break
+        v, f, k_u, k_v = step, f_step, k_step, kv_step
+    y = (v.conj() * k_v).real
+    shift = max(0.0, -np.linalg.eigvalsh(np.diag(y) - k_u)[0])
+    return v, float(y.sum()), float(y.sum() + y.shape[0] * shift)
 
 
 def exhaustive_phase_grid(objective, n: int, levels: int) -> float:

@@ -12,8 +12,8 @@ from irscrb import conic
 from irscrb.ao import (CERTIFICATE_RTOL, MAX_REFLECTION_N, SUBPROBLEM_FLOOR,
                        SUBPROBLEM_TOL,
                        DegenerateObjectiveError, SubproblemError,
-                       _checked, _psd_clip, _top_phases, ao_minimize_crb,
-                       best_reflection, gaussian_randomization, irs_subproblem,
+                       _checked, _dense, _psd_clip, _reflect, _top_phases,
+                       ao_minimize_crb, gaussian_randomization, irs_subproblem,
                        phase_ascent, sdr_objective, transmit_closed_form,
                        transmit_subproblem)
 from irscrb.arrays import centered_index, target_steering
@@ -22,12 +22,13 @@ from irscrb.config import PointTargetScene, SystemConfig, make_rng, point_scene
 from irscrb.conic import ConicProgram, KktResiduals
 from irscrb.pointcrb import (TransmitCovariance, _bound_from_info,
                              _info_kernels, _profile_scores, crb_point_closed,
-                             single_antenna_optimum, steered_gram)
+                             single_antenna_optimum)
 from irscrb.sweep import SCHEMES, load_config, reference_config, run_sweep
 
-from oracles import (_alternate, exhaustive_phase_grid, parent_transmit_program,
-                     point_bracket, random_covariance, random_unit_profile,
-                     randomization_by_loop)
+from oracles import (_alternate, dense_info_kernels, dense_phase_ascent,
+                     exhaustive_phase_grid, parent_transmit_program, point_bracket,
+                     random_covariance, random_unit_profile, randomization_by_loop,
+                     steered_gram)
 
 
 def _instance(m, n, k, seed=0, p0=1.0):
@@ -41,7 +42,7 @@ def _instance(m, n, k, seed=0, p0=1.0):
 
 def _start_phases(g, a):
     # the optimizer's start: the phases of the top eigenvector of Q at R_x = I
-    return _top_phases(steered_gram(g, np.eye(np.shape(g)[1]), a))
+    return _top_phases(_info_kernels(g, np.eye(np.shape(g)[1]), a, 1)[0])
 
 
 def _random_phase_instance(m, n, seed):
@@ -468,6 +469,17 @@ class TestAlternatingMinimizer:
         assert res.crb == pytest.approx(
             _bound_from_info(scene, cfg, cfg.K * res.objective_trace[-1]), rel=1e-12)
 
+    @pytest.mark.parametrize("m, n, k, rician_factor",
+                             [(4, 8, 8, 10 ** 0.5), (4, 16, 4, 0.0), (1, 16, 4, 0.0)])
+    def test_bound_is_the_closed_form_at_the_returned_design(self, m, n, k, rician_factor):
+        # crb comes from f of the winning design, not from a second evaluation
+        cfg = reference_config(M=m, N=n, K=k, P0=1.0, rician_factor=rician_factor)
+        scene = point_scene(cfg, np.deg2rad(60.0))
+        for seed in range(3):
+            g = rician_channel(cfg, seed=seed).G
+            res = ao_minimize_crb(scene, g, cfg, seed=seed)
+            assert res.crb == crb_point_closed(scene, res.R_x, res.v, g, cfg)
+
     def test_trace_row_zero_is_the_bound_at_the_initial_pair(self):
         cfg = SystemConfig(M=2, N=3, K=4, T=16)
         scene = point_scene(cfg, 0.2)
@@ -512,8 +524,9 @@ class TestCertifiedOptimum:
             a = target_steering(np.deg2rad(60.0), 8, cfg.spacing, cfg.wavelength)
             h = steered_gram(g, np.eye(4), a)
             start = random_unit_profile(np.random.default_rng(seed), 8)
-            # kernels (h, 0, h): f = v^H h v and K(u) = h
-            v, f, upper = phase_ascent((h, np.zeros_like(h), h), start)
+            # the kernel (L, 1, 0) with h = L L^H: f = v^H h v and K(u) = h
+            v, f, upper = phase_ascent((_info_kernels(g, np.eye(4), a, 1)[0], 1.0, 0.0),
+                                       start)
             sdr = self._unit_diagonal_sdr(h)
             value = np.vdot(v, h @ v).real
             assert f == pytest.approx(value, rel=1e-12)
@@ -545,8 +558,8 @@ class TestCertifiedOptimum:
         for seed in range(4):
             g = rician_channel(cfg, seed=seed).G
             res = ao_minimize_crb(scene, g, cfg, seed=seed)
-            q = steered_gram(g, np.eye(1), a)
-            upper_q = phase_ascent((q, 0 * q, q), _start_phases(g, a))[2]
+            power = (_info_kernels(g, np.eye(1), a, 1)[0], 1.0, 0.0)
+            upper_q = phase_ascent(power, _start_phases(g, a))[2]
             assert res.f_upper == cfg.P0 * (k ** 2 - 1) / 3.0 * upper_q
             assert res.status == "certified" and res.iterations == 0
 
@@ -617,11 +630,13 @@ class TestPhaseAscent:
         rng = np.random.default_rng(2024)
         for seed in range(10):
             g, a, r_x, _ = _instance(3, 4, 4, seed=seed)
-            kernels = _info_kernels(g, r_x, a, 4)
-            _, f, upper = phase_ascent(kernels, random_unit_profile(rng, 4))
+            _, f, upper = phase_ascent(_info_kernels(g, r_x, a, 4),
+                                       random_unit_profile(rng, 4))
+
+            dense = dense_info_kernels(g, r_x, a, 4)
 
             def objective(v):
-                w, c, q = (np.vdot(v, kern @ v) for kern in kernels)
+                w, c, q = (np.vdot(v, kern @ v) for kern in dense)
                 return w.real - abs(c) ** 2 / q.real
 
             grid_best = exhaustive_phase_grid(objective, 4, 16)
@@ -632,8 +647,7 @@ class TestPhaseAscent:
         for m, n, k in [(4, 8, 8), (8, 8, 8), (2, 4, 4), (1, 8, 8)]:
             for seed in range(5):
                 r_iso, a, g, kernels = self._isotropic(m, n, k, seed)
-                top = np.linalg.eigh(kernels[2])[1][:, -1]
-                _, f, upper = phase_ascent(kernels, np.exp(1j * np.angle(top)))
+                _, f, upper = phase_ascent(kernels, _top_phases(kernels[0]))
                 if f < upper * (1 - CERTIFICATE_RTOL):
                     continue
                 certified += 1
@@ -661,6 +675,53 @@ class TestPhaseAscent:
             assert upper >= f
             # from where it stopped, the ascent takes no step that lowers f
             assert phase_ascent(kernels, v)[1] >= f
+
+
+class TestFactorKernel:
+    """The N x M factor kernel (L, gamma, d) against the dense kernels it replaced."""
+
+    @pytest.mark.parametrize("rank", [4, 1, 2])
+    def test_dense_kernels_match_the_formula(self, rank):
+        rng = np.random.default_rng(rank)
+        for seed in range(5):
+            g, a, _, _ = _instance(4, 16, 4, seed)
+            s = rng.standard_normal((4, rank)) + 1j * rng.standard_normal((4, rank))
+            r_x = s @ s.conj().T
+            for ours, formula in zip(_dense(_info_kernels(g, r_x, a, 4)),
+                                     dense_info_kernels(g, r_x, a, 4)):
+                np.testing.assert_allclose(ours, formula, rtol=0,
+                                           atol=1e-12 * np.abs(formula).max())
+
+    @pytest.mark.parametrize("rician_factor", [0.0, 10 ** 0.5], ids=["rician0", "rician5dB"])
+    @pytest.mark.parametrize("m, n, k", [(2, 16, 4), (4, 64, 4), (8, 64, 8), (4, 8, 8)])
+    def test_ascent_matches_the_dense_ascent(self, monkeypatch, m, n, k, rician_factor):
+        # the optimizer's three kernels and the isotropic one.  A step, and
+        # the bound at one v, agree to rounding.  Each ascent ends before the
+        # first step that lowers f, and near a fixed point that is a
+        # rounding-level decrease, which the two forms meet at different
+        # steps: there f still agrees, v to about 1e-7
+        cfg = reference_config(M=m, N=n, K=k, P0=1.0, rician_factor=rician_factor)
+        a = target_steering(np.deg2rad(60.0), n, cfg.spacing, cfg.wavelength)
+        r_iso = np.eye(m) / m
+        for seed in range(6):
+            g = rician_channel(cfg, seed=seed).G
+            factor, _, d = _info_kernels(g, np.eye(m), a, 1)
+            dqd, dq, q = dense_info_kernels(g, np.eye(m), a, 1)
+            for kernel, dense in [((factor, 1.0, 0.0), (q, 0 * q, q)),
+                                  ((d[:, None] * factor, 1.0, 0.0), (dqd, 0 * q, q)),
+                                  ((factor, 0.0, d), (dqd, dq, q)),
+                                  (_info_kernels(g, r_iso, a, k),
+                                   dense_info_kernels(g, r_iso, a, k))]:
+                start = _top_phases(kernel[0])
+                v, f, _ = phase_ascent(kernel, start)
+                assert f == pytest.approx(dense_phase_ascent(dense, start)[1], rel=1e-12)
+                for begin, steps in ((start, 1), (v, 0)):
+                    with monkeypatch.context() as patch:
+                        patch.setattr(irscrb.ao, "FIXED_POINT_MAX_ITER", steps)
+                        ours = phase_ascent(kernel, begin)
+                    theirs = dense_phase_ascent(dense, begin, max_iter=steps)
+                    np.testing.assert_allclose(ours[0], theirs[0], rtol=0, atol=1e-12)
+                    np.testing.assert_allclose(ours[1:], theirs[1:], rtol=1e-12)
 
 
 class TestDefaultProfile:
@@ -763,12 +824,12 @@ def _ascent_design_crb(scene, g, cfg):
     """Bound of the optimizer's design where no SDR fallback gives a
     candidate: the best of Q's top phases and the two ascent profiles from them."""
     a = target_steering(scene.theta, cfg.N, cfg.spacing, cfg.wavelength)
-    dqd, dq, q = _info_kernels(g, np.eye(cfg.M), a, 1)
+    factor, _, d = _info_kernels(g, np.eye(cfg.M), a, 1)
     top = _start_phases(g, a)
     return min(crb_point_closed(scene, transmit_closed_form(v, a, g, cfg.K, cfg.P0)[0],
                                 v, g, cfg)
-               for v in (phase_ascent((q, 0 * q, q), top)[0],
-                         phase_ascent((dqd, dq, q), top)[0], top))
+               for v in (phase_ascent((factor, 1.0, 0.0), top)[0],
+                         phase_ascent((factor, 0.0, d), top)[0], top))
 
 
 @pytest.mark.parametrize("failure", ["stall", "infeasible", "size"])
@@ -791,12 +852,12 @@ def test_failed_fallback_keeps_the_ascent_profile(monkeypatch, caplog, failure):
     ch = rician_channel(cfg, seed=7)
     scene = point_scene(cfg, np.deg2rad(60.0))
     a = target_steering(scene.theta, cfg.N, cfg.spacing, cfg.wavelength)
-    kernels = _info_kernels(ch.G, np.eye(cfg.M) / cfg.M, a, cfg.K)
-    top = np.exp(1j * np.angle(np.linalg.eigh(kernels[2])[1][:, -1]))
+    kernel = _info_kernels(ch.G, np.eye(cfg.M) / cfg.M, a, cfg.K)
+    top = _top_phases(kernel[0])
     with caplog.at_level(logging.WARNING, logger="irscrb.ao"):
-        profile = best_reflection(kernels, 3)
+        v = _reflect(kernel, top, 3)[0]
         res = ao_minimize_crb(scene, ch.G, cfg, seed=3)
-    np.testing.assert_array_equal(profile.v, phase_ascent(kernels, top)[0])
+    np.testing.assert_array_equal(v, phase_ascent(kernel, top)[0])
     assert res.iterations == 0 and res.solver_residual_max == 0.0
     assert res.crb == _ascent_design_crb(scene, ch.G, cfg)
     # one WARNING per fallback: the isotropic design's, then the supremum branch's
@@ -846,7 +907,8 @@ def test_no_abort_on_the_desk_scale_grid(n, scheme):
             assert res.solver_residual_max <= SUBPROBLEM_FLOOR
             crb = res.crb
         else:
-            v = best_reflection(_info_kernels(ch.G, r_iso, a, cfg.K), 0).v
+            kernel = _info_kernels(ch.G, r_iso, a, cfg.K)
+            v = _reflect(kernel, _top_phases(kernel[0]), 0)[0]
             crb = crb_point_closed(scene, r_iso, v, ch.G, cfg)
         assert np.isfinite(crb) and crb > 0
 

@@ -7,9 +7,9 @@ from irscrb.config import PointTargetScene, SystemConfig, point_scene
 from irscrb.pointcrb import (PhaseProfile, TransmitCovariance,
                              crb_point_closed, effective_matrix,
                              effective_matrix_derivative, fim_point,
-                             single_antenna_optimum, steered_gram)
+                             single_antenna_optimum)
 
-from oracles import fd_fim_point, random_covariance, random_unit_profile
+from oracles import fd_fim_point, random_covariance, random_unit_profile, steered_gram
 
 def _random_instance(rng, m, n):
     g = (rng.standard_normal((n, m)) + 1j * rng.standard_normal((n, m)))
@@ -225,6 +225,34 @@ class TestClosedFormBound:
                                  np.ones(3, dtype=complex),
                                  np.zeros((3, 2), dtype=complex), cfg)
         assert np.isinf(value)
+
+    @pytest.mark.parametrize("r_x, match", [
+        (np.array([[1.0, 1.0], [0.0, 1.0]], dtype=complex), "Hermitian"),
+        (np.diag([1.0, -0.5]).astype(complex), "indefinite")],
+        ids=["non_hermitian", "indefinite"])
+    def test_raw_covariance_is_checked(self, r_x, match):
+        cfg = SystemConfig(M=2, N=3, K=4, T=8)
+        scene = PointTargetScene(theta=0.4, alpha=1.0 + 0j)
+        with pytest.raises(ValueError, match=match):
+            crb_point_closed(scene, r_x, np.ones(3, dtype=complex),
+                             np.ones((3, 2), dtype=complex), cfg)
+
+    def test_transmit_covariance_is_not_checked_again(self, monkeypatch):
+        rng = np.random.default_rng(6)
+        cfg = SystemConfig(M=2, N=5, K=3, T=8)
+        g = rng.standard_normal((5, 2)) + 1j * rng.standard_normal((5, 2))
+        r_x = random_covariance(rng, 2, 1.0)
+        v = random_unit_profile(rng, 5)
+        scene = PointTargetScene(theta=-0.4, alpha=0.5 + 0.2j)
+        typed = TransmitCovariance(r_x, 1.0)
+        checks = []
+        check = TransmitCovariance.__post_init__
+        monkeypatch.setattr(TransmitCovariance, "__post_init__",
+                            lambda self: checks.append(1) or check(self))
+        raw = crb_point_closed(scene, r_x, v, g, cfg)
+        assert len(checks) == 1
+        assert crb_point_closed(scene, typed, v, g, cfg) == pytest.approx(raw, rel=1e-12)
+        assert len(checks) == 1
 
     def test_endfire_blowup(self):
         cfg = SystemConfig(M=2, N=3, K=4, T=8)
