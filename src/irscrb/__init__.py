@@ -21,7 +21,7 @@ from .extended import (EstimabilityError, ExtendedCrbReport, crb_extended,
                        crb_extended_iso, crb_extended_opt, crb_fully_passive,
                        crb_fully_passive_opt, fim_extended, gap_db,
                        optimal_transmit_extended, semi_passive_preferred)
-from .pointcrb import (PhaseProfile, TransmitCovariance, covariance_matrix,
+from .pointcrb import (PhaseProfile, TransmitCovariance, covariance,
                        crb_point_closed, effective_matrix,
                        effective_matrix_derivative, fim_point, profile_vector,
                        single_antenna_optimum)

@@ -20,11 +20,7 @@ def ula_steering(direction: float, count: int) -> np.ndarray:
     ``direction`` is the normalized spatial frequency (2 * spacing *
     sin(angle) / wavelength for a physical angle).  Entries are unit modulus.
     """
-    if count < 1:
-        raise ValueError(f"count must be a positive integer, got {count}")
-    m = np.arange(count)
-    phase = (2 * m - count + 1) * (np.pi * direction / 2.0)
-    return np.exp(1j * phase)
+    return np.exp(1j * centered_index(count) * (np.pi * direction / 2.0))
 
 
 def target_steering(theta: float, count: int, d_hat: float,

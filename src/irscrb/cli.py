@@ -95,7 +95,7 @@ def cli_main(argv: list[str] | None = None) -> int:
     except (EstimabilityError, ArithmeticError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return NUMERICAL_EXIT
-    except (_UsageError, FileNotFoundError, ValueError) as exc:
+    except (_UsageError, OSError, ValueError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return USAGE_EXIT
 

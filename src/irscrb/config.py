@@ -14,6 +14,8 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .arrays import path_gain
+
 
 class SpacingWarning(UserWarning):
     """Raised when an array spacing exceeds half a wavelength."""
@@ -29,8 +31,8 @@ class Domain(NamedTuple):
 
 
 _POSITIVE = Domain("strictly positive", math.ulp(0.0))     # the least positive float
-# every numeric input: the SystemConfig and SweepSpec fields, a config
-# file's theta_deg and the step of an exhaustive allocation
+# every numeric input: the SystemConfig and SweepSpec fields, the scene's
+# theta, a config file's theta_deg and the step of an exhaustive allocation
 DOMAINS = {
     **dict.fromkeys(("M", "N", "T"), Domain("positive", 1, whole=True)),
     "K": Domain("at least 2", 2, whole=True),
@@ -38,8 +40,9 @@ DOMAINS = {
                      "rcs", "q_tot", "w_i", "w_s", "step"), _POSITIVE),
     # a negative path-loss exponent would gain with distance
     **dict.fromkeys(("alpha_bi", "rician_factor"), Domain("nonnegative", 0.0)),
-    **dict.fromkeys(("los_aod", "los_aoa", "theta", "values"), Domain()),
-    # the DoA bound is infinite at endfire, +-90 degrees
+    **dict.fromkeys(("los_aod", "los_aoa", "values"), Domain()),
+    "theta": Domain("within +-pi/2", -math.pi / 2, math.pi / 2),
+    # +-90 degrees is endfire, where the DoA bound is finite only by rounding
     "theta_deg": Domain("within +-89 degrees", -89.0, 89.0),
     **dict.fromkeys(("trials", "alpha_draws"), Domain("at least 1", 1, whole=True)),
     "seed": Domain("nonnegative", 0, whole=True),
@@ -111,18 +114,12 @@ class PointTargetScene:
     alpha: complex              # round-trip channel coefficient
 
     def __post_init__(self):
-        if not abs(self.theta) <= np.pi / 2:
-            raise ValueError(
-                f"theta must lie in [-pi/2, pi/2] (got {self.theta}); the "
-                f"DoA bound is infinite at the endfire endpoints"
-            )
+        check("theta", self.theta)
 
 
 def point_scene(config: SystemConfig, theta: float,
                 alpha0: complex = 1.0 + 0j) -> PointTargetScene:
     """Build a scene whose coefficient matches the config geometry."""
-    from .arrays import path_gain
-
     beta0 = path_gain(config.d_it, config.rcs, config.wavelength)
     return PointTargetScene(theta=theta, alpha=alpha0 * beta0)
 

@@ -7,7 +7,8 @@ so only the transmit covariance matters.  The optimal covariance follows
 from the SVD of G, which also yields the bound itself, the isotropic
 baseline and their ratio in closed form.  Every bound is a sum over
 singular values under one rank rule (one at most ``RANK_RTOL * s_max`` is
-zero) and is infinite, not raised, short of rank N.
+zero) and is infinite, not raised, short of rank N.  A raw R_x or v is
+checked by the rule of :mod:`irscrb.pointcrb` before it is used.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .pointcrb import TransmitCovariance, covariance_matrix, profile_vector
+from .pointcrb import TransmitCovariance, covariance, profile_vector
 
 RANK_RTOL = 1e-10
 FIM_SIZE_LIMIT = 512
@@ -71,7 +72,7 @@ def fim_extended(r_x, v, g: np.ndarray, k: int, t: int,
             f"{2 * FIM_SIZE_LIMIT} guard"
         )
     vv = profile_vector(v)
-    rx = covariance_matrix(r_x)
+    rx = covariance(r_x).matrix
     phi_g = vv[:, None] * g                       # Phi @ G
     inner = phi_g.conj() @ rx.conj() @ phi_g.T    # Phi* G* R_x* G^T Phi^T
     kern = np.kron(inner, np.eye(k))
@@ -87,7 +88,7 @@ def crb_extended(r_x, g: np.ndarray, k: int, t: int,
 
     The trace is sum_i 1/s_i^2 over the singular values of G R_x^{1/2}.
     """
-    w, q = np.linalg.eigh(covariance_matrix(r_x))    # ascending
+    w, q = covariance(r_x).eigh                     # ascending
     drop = _rank_deficiency(w, len(w))              # R_x's zero eigenvalues
     factor = q[:, drop:] * np.sqrt(w[drop:])        # factor @ factor^H = R_x
     inv_trace, deficiency = _inverse_sum(np.asarray(g, dtype=complex) @ factor, 2)

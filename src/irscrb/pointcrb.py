@@ -9,23 +9,24 @@ V = v v^H, with Q = L L^H for the N x M factor L = conj(A G R_x^{1/2}),
 W = gamma Q + D Q D and C = D Q.  This module owns f, which also scores
 every design of the beamforming optimizer, as the kernel (L, gamma, d).
 The closed form is evaluated next to the full matrix-inverse route so the
-two can cross-check each other.
+two can cross-check each other.  Each design input has one rule, applied
+where it enters a public function: R_x by :func:`covariance`, v by
+:func:`profile_vector` and theta by ``config.check``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .arrays import centered_index, target_steering
-from .config import PointTargetScene, SystemConfig
+from .config import PointTargetScene, SystemConfig, check
 
 HERMITIAN_RTOL = 1e-12
 EIG_FLOOR_RTOL = 1e-9
 TRACE_SLACK_RTOL = 1e-8
 UNIT_MODULUS_ATOL = 1e-10
-IMAG_RESIDUE_RTOL = 1e-9
 
 
 class DegenerateObjectiveError(ArithmeticError):
@@ -38,15 +39,18 @@ class TransmitCovariance:
 
     matrix: np.ndarray          # [M, M] complex Hermitian
     budget: float               # W
+    # eigenvalues (ascending) and eigenvectors, taken once for every use
+    eigh: tuple[np.ndarray, np.ndarray] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         r = np.asarray(self.matrix, dtype=complex)
         object.__setattr__(self, "matrix", r)
         scale = max(np.abs(r).max(), 1e-300)
-        if np.abs(r - r.conj().T).max() > HERMITIAN_RTOL * scale:
-            raise ValueError("transmit covariance must be Hermitian")
+        if not np.abs(r - r.conj().T).max() <= HERMITIAN_RTOL * scale:   # NaN fails
+            raise ValueError("transmit covariance must be finite and Hermitian")
+        object.__setattr__(self, "eigh", np.linalg.eigh(r))
         trace = float(np.real(np.trace(r)))
-        min_eig = float(np.linalg.eigvalsh((r + r.conj().T) / 2.0).min())
+        min_eig = float(self.eigh[0][0])
         if min_eig < -EIG_FLOOR_RTOL * max(trace, 1e-300):
             raise ValueError(f"transmit covariance is indefinite (min eig {min_eig:g})")
         if trace > self.budget * (1.0 + TRACE_SLACK_RTOL):
@@ -62,22 +66,19 @@ class PhaseProfile:
     def __post_init__(self):
         v = np.asarray(self.v, dtype=complex)
         object.__setattr__(self, "v", v)
-        if np.abs(np.abs(v) - 1.0).max() > UNIT_MODULUS_ATOL:
+        if not np.abs(np.abs(v) - 1.0).max() <= UNIT_MODULUS_ATOL:      # NaN fails
             raise ValueError("every reflection coefficient must be unit modulus")
 
 
-def covariance_matrix(r_x) -> np.ndarray:
-    """Accept a TransmitCovariance or a raw array."""
-    if isinstance(r_x, TransmitCovariance):
-        return r_x.matrix
-    return np.asarray(r_x, dtype=complex)
+def covariance(r_x) -> TransmitCovariance:
+    """``r_x`` if it is a TransmitCovariance, else a raw array checked as one
+    without a budget."""
+    return r_x if isinstance(r_x, TransmitCovariance) else TransmitCovariance(r_x, np.inf)
 
 
 def profile_vector(v) -> np.ndarray:
-    """Accept a PhaseProfile or a raw array."""
-    if isinstance(v, PhaseProfile):
-        return v.v
-    return np.asarray(v, dtype=complex)
+    """The entries of a PhaseProfile, or of a raw array checked as one."""
+    return (v if isinstance(v, PhaseProfile) else PhaseProfile(v)).v
 
 
 def effective_matrix(b: np.ndarray, a: np.ndarray, v,
@@ -99,6 +100,7 @@ def effective_matrix_derivative(b: np.ndarray, a: np.ndarray, v,
                                 g: np.ndarray, theta: float, d_hat: float,
                                 lambda_r: float) -> np.ndarray:
     """Angular derivative of :func:`effective_matrix` at ``theta``."""
+    check("theta", theta)
     b = np.asarray(b, dtype=complex)
     a = np.asarray(a, dtype=complex)
     vv = profile_vector(v)
@@ -114,12 +116,9 @@ Kernel = tuple[np.ndarray, float, np.ndarray | float]   # (L, gamma, d); d = 0: 
 
 
 def _info_kernels(g: np.ndarray, r_x, a: np.ndarray, k: int) -> Kernel:
-    """Kernel of f at R_x: L = conj(A G R_x^{1/2}) from the eigenpairs of R_x,
-    gamma = (K^2 - 1)/3 and d = centered_index(N).  A raw R_x is checked as
-    a :class:`TransmitCovariance` without a budget."""
-    if not isinstance(r_x, TransmitCovariance):
-        r_x = TransmitCovariance(r_x, budget=np.inf)
-    eig, vecs = np.linalg.eigh(r_x.matrix)
+    """Kernel of f at R_x (see :func:`covariance`): L = conj(A G R_x^{1/2})
+    from the eigenpairs of R_x, gamma = (K^2 - 1)/3 and d = centered_index(N)."""
+    eig, vecs = covariance(r_x).eigh
     ag = np.asarray(a, dtype=complex)[:, None] * np.asarray(g, dtype=complex)
     factor = (ag @ (vecs * np.sqrt(np.maximum(eig, 0.0)))).conj()
     return factor, (k ** 2 - 1) / 3.0, centered_index(factor.shape[0]).astype(float)
@@ -154,7 +153,7 @@ def fim_point(scene: PointTargetScene, r_x, v, g: np.ndarray,
     e = effective_matrix(b, a, v, g)
     e_dot = effective_matrix_derivative(b, a, v, g, scene.theta,
                                         config.spacing, config.wavelength)
-    rx = covariance_matrix(r_x)
+    rx = covariance(r_x).matrix
     scale = 2.0 * config.T / config.noise_power
     alpha = complex(scene.alpha)
 
@@ -175,9 +174,9 @@ def crb_point_closed(scene: PointTargetScene, r_x, v, g: np.ndarray,
                      config: SystemConfig) -> float:
     """Closed-form DoA bound in rad^2.
 
-    Returns ``inf`` for degenerate geometry (endfire or a profile that
-    nulls the reflected power) instead of raising, so sweeps can record the
-    point.
+    Returns ``inf`` for a profile that nulls the reflected power, so sweeps
+    can record the point.  At endfire, theta = +-pi/2, cos^2(theta) is about
+    3.7e-33, so the bound there is very large but finite.
     """
     a = target_steering(scene.theta, config.N, config.spacing, config.wavelength)
     kernel = _info_kernels(g, r_x, a, config.K)

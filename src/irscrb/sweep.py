@@ -396,12 +396,16 @@ def load_config(path: str) -> tuple[SystemConfig, float, list[SweepSpec]]:
 
     A section or key outside the key tables, or a ``[sweep]`` without
     ``values`` or ``schemes``, is refused with a ``ValueError`` naming the
-    file, the section and the key.
+    file, the section and the key, and a file ``configparser`` cannot read
+    (a duplicate key, a bare ``%``) with one naming the file.
     """
     parser = configparser.ConfigParser(inline_comment_prefixes=(";", "#"))
-    if not parser.read(path):
-        raise FileNotFoundError(path)
-    sections = {name: parser[name] for name in parser.sections()}
+    try:
+        if not parser.read(path):
+            raise FileNotFoundError(path)
+        sections = {name: dict(parser[name]) for name in parser.sections()}
+    except configparser.Error as exc:
+        raise ValueError(f"{path}: {exc}") from exc
     for key in ("values", "schemes"):
         if "sweep" in sections and key not in sections["sweep"]:
             raise ValueError(f"{path}: section [sweep] needs the key {key!r}")
@@ -418,7 +422,7 @@ def load_config(path: str) -> tuple[SystemConfig, float, list[SweepSpec]]:
     if "wavelength" in fields:
         fields.setdefault("spacing", fields["wavelength"] / 2.0)
     base = SystemConfig(**fields)
-    theta_deg = check("theta_deg", float(parser.get("scene", "theta_deg", fallback=THETA_DEG)))
+    theta_deg = check("theta_deg", float(sections.get("scene", {}).get("theta_deg", THETA_DEG)))
     theta = float(np.deg2rad(theta_deg))
 
     if "sweep" not in sections:

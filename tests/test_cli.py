@@ -234,6 +234,23 @@ def test_non_finite_config_value_is_usage_error(tmp_path, capsys, where, edits, 
         assert err.startswith("usage error:") and re.search(rf"\b{name}\b", err), err
 
 
+@pytest.mark.parametrize("text, out", [
+    (POINT_CONFIG.replace("n = 4\n", "n = 4\nn = 8\n"), "x.csv"),
+    (POINT_CONFIG.replace("[system]\n", ""), "x.csv"),
+    (POINT_CONFIG.replace("p0_dbm = 30", "p0_dbm = 30%"), "x.csv"),
+    (POINT_CONFIG, "."),
+], ids=["duplicate_key", "no_section_header", "percent_in_value", "out_is_a_directory"])
+def test_unreadable_config_or_unwritable_out_is_usage_error(tmp_path, capsys, text, out):
+    # each once ended in a configparser error or an IsADirectoryError traceback
+    cfg = tmp_path / "cfg.ini"
+    cfg.write_text(text)
+    rc = cli_main(["sweep", "--config", str(cfg), "--out", str(tmp_path / out)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage error:") and str(cfg if out != "." else tmp_path) in err, err
+    assert not (tmp_path / "x.csv").exists()
+
+
 def test_fractional_count_sweep_is_usage_error(tmp_path, capsys):
     cfg = tmp_path / "cfg.ini"
     cfg.write_text(POINT_CONFIG.replace("vary = P0", "vary = N")

@@ -1,13 +1,16 @@
 import numpy as np
 import pytest
 
+from irscrb.ao import transmit_closed_form
 from irscrb.arrays import centered_index, target_steering
 from irscrb.channel import rician_channel
 from irscrb.config import PointTargetScene, SystemConfig, point_scene
+from irscrb.extended import crb_extended, crb_fully_passive, fim_extended
 from irscrb.pointcrb import (PhaseProfile, TransmitCovariance,
                              crb_point_closed, effective_matrix,
                              effective_matrix_derivative, fim_point,
                              single_antenna_optimum)
+from irscrb.sweep import SweepSpec
 
 from oracles import fd_fim_point, random_covariance, random_unit_profile, steered_gram
 
@@ -53,6 +56,69 @@ class TestDomainTypes:
 
         beta0 = path_gain(cfg.d_it, cfg.rcs, cfg.wavelength)
         assert scene.alpha == pytest.approx((2.0 + 1j) * beta0)
+
+
+# one valid instance at M = 2, N = 3, K = 4; each entry below takes the
+# design inputs it names from a dict of them
+_CFG = SystemConfig(M=2, N=3, K=4, T=8)
+_G = np.array([[1.0 + 0.5j, -0.3j], [0.2, 1.1 - 0.4j], [-0.7j, 0.6 + 0.1j]])
+_A, _B = target_steering(0.4, 3, 0.1, 0.2), target_steering(0.4, 4, 0.1, 0.2)
+_SCENE = PointTargetScene(theta=0.4, alpha=1.0 + 0j)
+_VALID = {"r_x": np.eye(2, dtype=complex) / 2.0, "v": np.ones(3, dtype=complex), "theta": 0.4}
+_ENTRIES = {
+    "crb_point_closed": (("r_x", "v"), lambda d: crb_point_closed(
+        _SCENE, d["r_x"], d["v"], _G, _CFG)),
+    "transmit_closed_form": (("v",), lambda d: transmit_closed_form(d["v"], _A, _G, 4, 1.0)),
+    "effective_matrix": (("v",), lambda d: effective_matrix(_B, _A, d["v"], _G)),
+    "effective_matrix_derivative": (("v", "theta"), lambda d: effective_matrix_derivative(
+        _B, _A, d["v"], _G, d["theta"], 0.1, 0.2)),
+    "fim_point": (("r_x", "v"), lambda d: fim_point(_SCENE, d["r_x"], d["v"], _G, _CFG)),
+    "crb_extended": (("r_x",), lambda d: crb_extended(d["r_x"], _G, 4, 8, 1.0)),
+    "crb_fully_passive": (("r_x",), lambda d: crb_fully_passive(d["r_x"], _G, _G.T, 8, 1.0)),
+    "fim_extended": (("r_x", "v"), lambda d: fim_extended(d["r_x"], d["v"], _G, 2, 8, 1.0)),
+    "SweepSpec": (("theta",), lambda d: SweepSpec(base=_CFG, theta=d["theta"], vary="P0",
+                                                  values=(10.0,), scheme="random_phase")),
+    "PointTargetScene": (("theta",), lambda d: PointTargetScene(theta=d["theta"], alpha=1.0)),
+}
+# (input, bad value, the one refusal every entry gives for it)
+_BAD_INPUTS = {
+    "non_hermitian": ("r_x", np.array([[1.0, 1.0], [0.0, 1.0]], dtype=complex),
+                      "transmit covariance must be finite and Hermitian"),
+    "nan_r_x": ("r_x", np.array([[np.nan, 0.0], [0.0, 1.0]], dtype=complex),
+                "transmit covariance must be finite and Hermitian"),
+    "indefinite": ("r_x", np.diag([1.0, -0.5]).astype(complex),
+                   "transmit covariance is indefinite"),
+    "modulus_2": ("v", np.full(3, 2.0 + 0j), "every reflection coefficient must be unit modulus"),
+    "nan_v": ("v", np.array([1.0, np.nan, 1.0], dtype=complex),
+              "every reflection coefficient must be unit modulus"),
+    "theta_2": ("theta", 2.0, r"theta must be within \+-pi/2"),
+    "theta_nan": ("theta", float("nan"), "theta must be finite"),
+}
+
+
+class TestOneRulePerInput:
+    @pytest.mark.parametrize("entry, bad", [
+        (entry, bad) for entry, (takes, _) in _ENTRIES.items()
+        for bad, (name, _, _) in _BAD_INPUTS.items() if name in takes])
+    def test_bad_input_is_refused_by_its_rule(self, entry, bad):
+        # crb_extended and its callers once took any raw R_x, no entry
+        # checked a raw v, and SweepSpec took theta = 2.0
+        name, value, message = _BAD_INPUTS[bad]
+        with pytest.raises(ValueError, match=f"^{message}"):
+            _ENTRIES[entry][1]({**_VALID, name: value})
+
+    def test_a_covariance_is_decomposed_once(self, monkeypatch):
+        calls = []
+
+        def counted(name):
+            fn = getattr(np.linalg, name)
+            return lambda *args, **kwargs: calls.append(name) or fn(*args, **kwargs)
+        for name in ("eigh", "eigvalsh"):
+            monkeypatch.setattr(np.linalg, name, counted(name))
+        typed = TransmitCovariance(random_covariance(np.random.default_rng(8), 2, 1.0), 1.0)
+        crb_point_closed(_SCENE, typed, _VALID["v"], _G, _CFG)
+        crb_extended(typed, _G, 4, 8, 1.0)
+        assert calls == ["eigh"]
 
 
 class TestEffectiveMatrix:
