@@ -9,12 +9,12 @@ from .allocation import (AllocationDomainError, AllocationResult,
 from .ao import (AoResult, DegenerateObjectiveError, SubproblemError,
                  ao_minimize_crb, gaussian_randomization, irs_subproblem,
                  sdr_objective, transmit_closed_form, transmit_subproblem)
-from .arrays import (centered_index, large_scale_path_loss, path_gain,
-                     steering_derivative, target_steering, ula_steering)
+from .arrays import (centered_index, large_scale_path_loss, steering_derivative,
+                     target_steering, ula_steering)
 from .channel import rician_channel
 from .config import (ChannelRealization, PointTargetScene, SystemConfig,
                      db_to_linear, dbm_to_watt, derive_seed, linear_to_db,
-                     make_rng, point_scene, watt_to_dbm)
+                     make_rng, path_gain, point_scene, watt_to_dbm)
 from .conic import (ConicProgram, ConicSolution, KktResiduals, kkt_residuals,
                     solve)
 from .extended import (EstimabilityError, ExtendedCrbReport, crb_extended,

@@ -21,7 +21,8 @@ MAX_GRID_POINTS = 10 ** 6       # largest exhaustive-search grid
 
 
 class AllocationDomainError(ArithmeticError):
-    """The closed-form cubic root left its real domain."""
+    """The closed-form cubic root left its real domain, or a budget in the
+    domains of its inputs gives counts beyond the float range."""
 
 
 @dataclass(frozen=True)
@@ -66,6 +67,11 @@ def _check_budget(q_tot: float, w_i: float, w_s: float) -> None:
         )
 
 
+def _overflow(q_tot: float, w_i: float, w_s: float) -> AllocationDomainError:
+    return AllocationDomainError(f"q_tot = {q_tot}, w_i = {w_i} and w_s = {w_s} give an "
+                                 f"allocation beyond the float range")
+
+
 def allocate_optimal(q_tot: float, w_i: float, w_s: float) -> AllocationResult:
     """Closed-form optimal continuous allocation.
 
@@ -82,21 +88,24 @@ def allocate_optimal(q_tot: float, w_i: float, w_s: float) -> AllocationResult:
     holds.  The residual of the recovered root is checked.
     """
     _check_budget(q_tot, w_i, w_s)
-    beta4, beta5 = _betas(q_tot, w_s)
-    beta6 = -beta4 ** 2 * beta5 - 2.0
-    beta7 = 1j * np.sqrt(4.0 - beta6 ** 2)
-    root = ((beta6 + beta7) / (2.0 * beta4 ** 3)) ** (1.0 / 3.0)
-    varsigma = -1.0 / beta4 + 2.0 * float(root.real)
-    residual = split_cubic(varsigma, q_tot, w_s)
-    if abs(residual) > 1e-8 or varsigma <= 0.0:
-        raise AllocationDomainError(
-            f"closed-form split ratio failed validation (root {varsigma:g}, "
-            f"cubic residual {residual:g})"
-        )
-    n, k = _split(varsigma, q_tot, w_i, w_s)
-    return AllocationResult(n_cont=float(n), k_cont=float(k),
-                            varsigma=varsigma, mode="optimal",
-                            objective=split_objective(n, k))
+    try:
+        beta4, beta5 = _betas(q_tot, w_s)
+        beta6 = -beta4 ** 2 * beta5 - 2.0
+        beta7 = 1j * np.sqrt(4.0 - beta6 ** 2)
+        root = ((beta6 + beta7) / (2.0 * beta4 ** 3)) ** (1.0 / 3.0)
+        varsigma = -1.0 / beta4 + 2.0 * float(root.real)
+        residual = split_cubic(varsigma, q_tot, w_s)
+        if abs(residual) > 1e-8 or varsigma <= 0.0:
+            raise AllocationDomainError(
+                f"closed-form split ratio failed validation (root {varsigma:g}, "
+                f"cubic residual {residual:g})"
+            )
+        n, k = _split(varsigma, q_tot, w_i, w_s)
+        return AllocationResult(n_cont=float(n), k_cont=float(k),
+                                varsigma=varsigma, mode="optimal",
+                                objective=split_objective(n, k))
+    except OverflowError as exc:
+        raise _overflow(q_tot, w_i, w_s) from exc
 
 
 def allocate_suboptimal(q_tot: float, w_i: float, w_s: float) -> AllocationResult:
@@ -109,12 +118,15 @@ def allocate_suboptimal(q_tot: float, w_i: float, w_s: float) -> AllocationResul
         K = (3 Q^3 + 3 Q W_s^2) / (5 Q^2 W_s + W_s^3)
     """
     _check_budget(q_tot, w_i, w_s)
-    q2, ws2 = q_tot ** 2, w_s ** 2
-    varsigma = 3.0 * (q2 + ws2) / (2.0 * (q2 - ws2))
-    n, k = _split(varsigma, q_tot, w_i, w_s)
-    return AllocationResult(n_cont=float(n), k_cont=float(k),
-                            varsigma=float(varsigma), mode="suboptimal",
-                            objective=split_objective(n, k))
+    try:
+        q2, ws2 = q_tot ** 2, w_s ** 2
+        varsigma = 3.0 * (q2 + ws2) / (2.0 * (q2 - ws2))
+        n, k = _split(varsigma, q_tot, w_i, w_s)
+        return AllocationResult(n_cont=float(n), k_cont=float(k),
+                                varsigma=float(varsigma), mode="suboptimal",
+                                objective=split_objective(n, k))
+    except OverflowError as exc:
+        raise _overflow(q_tot, w_i, w_s) from exc
 
 
 def allocate_exhaustive(q_tot: float, w_i: float, w_s: float,

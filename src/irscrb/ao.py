@@ -26,7 +26,7 @@ import numpy as np
 
 from . import conic
 from .arrays import centered_index, target_steering
-from .config import PointTargetScene, SystemConfig, make_rng
+from .config import PointTargetScene, SystemConfig, check, make_rng
 from .conic import ConicProgram, ConicSolution
 # only perfbench/tracing.py uses crb_point_closed here
 from .pointcrb import (DegenerateObjectiveError, Kernel, PhaseProfile, TransmitCovariance,
@@ -87,11 +87,6 @@ def sdr_objective(r_x, v_lifted: np.ndarray, a: np.ndarray, g: np.ndarray,
     return float(_info_measure(w.real, c, q.real))
 
 
-def _re_im_kernels(b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Hermitian kernels extracting Re tr(B X) and Im tr(B X)."""
-    return (b + b.conj().T) / 2.0, (b - b.conj().T) / 2.0j
-
-
 # Kernels picking out the entries of the 2x2 Schur block U.
 _U11 = np.array([[1.0, 0.0], [0.0, 0.0]], dtype=complex)
 _U22 = np.array([[0.0, 0.0], [0.0, 1.0]], dtype=complex)
@@ -126,7 +121,9 @@ def _schur_program(quad_obj: np.ndarray, cross_kernel: np.ndarray,
     s_p = max(np.abs(power_kernel).max(), 1e-300)
     program = ConicProgram(quad_obj.shape[0] + 2)
     program.set_objective(_with_u(-quad_obj / s_q, _U11))
-    re_k, im_k = _re_im_kernels(cross_kernel / np.sqrt(s_q * s_p))
+    cross = cross_kernel / np.sqrt(s_q * s_p)
+    # Hermitian kernels extracting Re tr(C X) and Im tr(C X)
+    re_k, im_k = (cross + cross.conj().T) / 2.0, (cross - cross.conj().T) / 2.0j
     program.add_eq(_with_u(np.array([re_k, im_k, power_kernel / s_p]),
                            -np.array([_U12_RE, _U12_IM, _U22])), np.zeros(3))
     return program
@@ -164,14 +161,16 @@ def transmit_subproblem(v_lifted: np.ndarray, a: np.ndarray, g: np.ndarray,
     R_x is P0 times the best X of unit trace.  The program is posed at that
     unit power, with the equality tr X = 1, so it is the same program at
     every budget; ``sol`` is its solution X.  X meets tr X = 1 only to the
-    solver's tolerance, so R_x is X rescaled to trace P0.
+    solver's tolerance, so R_x is X rescaled to trace P0.  X is a block of
+    the solver's Hermitian iterate, and :class:`TransmitCovariance` checks
+    that it is PSD in the one eigendecomposition it keeps.
     """
     quad_obj, cross_kernel, power_kernel = _transmit_kernels(v_lifted, a, g, k)
     program = _schur_program(quad_obj, cross_kernel, power_kernel)
     m = quad_obj.shape[0]
     program.add_eq(_with_u(np.eye(m), np.zeros((2, 2))), 1.0)
     sol = _checked(solver(program, tol=SUBPROBLEM_TOL), "transmit subproblem")
-    x = _psd_clip(sol.x[:m, :m])
+    x = sol.x[:m, :m]
     return TransmitCovariance(matrix=(p0 / np.trace(x).real) * x, budget=p0), sol
 
 
@@ -227,15 +226,6 @@ def _checked(sol: ConicSolution, label: str) -> ConicSolution:
     return sol
 
 
-def _psd_clip(mat: np.ndarray) -> np.ndarray:
-    """Project a nearly-PSD Hermitian matrix onto the cone."""
-    h = (mat + mat.conj().T) / 2.0
-    w, q = np.linalg.eigh(h)
-    if w.min() >= 0.0:
-        return h
-    return (q * np.maximum(w, 0.0)) @ q.conj().T
-
-
 def gaussian_randomization(v_lifted: np.ndarray, kernel: Kernel,
                            samples: int, seed: int) -> PhaseProfile:
     """Recover a unit-modulus profile from a lifted solution.
@@ -248,8 +238,7 @@ def gaussian_randomization(v_lifted: np.ndarray, kernel: Kernel,
     short-circuits to those phases.  Draws come from one sequential stream,
     so a larger ``samples`` extends (never reshuffles) the pool.
     """
-    if samples < 1:
-        raise ValueError("samples must be at least 1")
+    check("samples", samples, "trials")
     v_l = np.asarray(v_lifted, dtype=complex)
     w, q = np.linalg.eigh((v_l + v_l.conj().T) / 2.0)
     w = np.maximum(w[::-1], 0.0)        # descending

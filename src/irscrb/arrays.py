@@ -1,10 +1,11 @@
-"""Uniform-linear-array responses, their derivatives and link gains.
+"""Uniform-linear-array responses, their derivatives and the BS-IRS link gain.
 
 The phase reference of every steering vector is the array centroid, so the
 m-th entry (0-based) of a length-``count`` response in normalized direction
 ``u`` is exp(j * (2m - count + 1) * pi * u / 2).  Centering makes the
 response and its angular derivative exactly orthogonal for every direction,
-which the estimation bounds downstream rely on.
+which the estimation bounds downstream rely on.  Counts and link-gain
+arguments pass ``config.check`` in the domains of the fields they stand for.
 """
 
 from __future__ import annotations
@@ -12,6 +13,8 @@ from __future__ import annotations
 import warnings
 
 import numpy as np
+
+from .config import check
 
 
 def ula_steering(direction: float, count: int) -> np.ndarray:
@@ -40,24 +43,15 @@ def steering_derivative(theta: float, count: int, d_hat: float,
 
 def centered_index(count: int) -> np.ndarray:
     """Centered element indices -(count-1), -(count-3), ..., count-1."""
-    if count < 1:
-        raise ValueError(f"count must be a positive integer, got {count}")
+    check("count", count, "N")
     return 2 * np.arange(count) - count + 1
-
-
-def path_gain(d_it: float, kappa: float, lambda_r: float) -> float:
-    """Round-trip amplitude gain of the IRS-target-sensor hop.
-
-    sqrt(lambda^2 * kappa / (64 * pi^3 * d_it^4)): radar-equation amplitude
-    for a scatterer of cross section ``kappa`` at distance ``d_it``.
-    """
-    if d_it <= 0 or kappa <= 0 or lambda_r <= 0:
-        raise ValueError("d_it, kappa and lambda_r must all be positive")
-    return float(np.sqrt(lambda_r ** 2 * kappa / (64.0 * np.pi ** 3 * d_it ** 4)))
 
 
 def large_scale_path_loss(d: float, alpha_d: float, c0: float) -> float:
     """Linear power gain c0 * d^{-alpha_d} relative to the 1 m reference."""
+    check("d", d, "d_bi")
+    check("alpha_d", alpha_d, "alpha_bi")
+    check("c0", c0)
     if d < 1.0:
         warnings.warn(
             f"distance {d} m is below the 1 m reference; extrapolating",

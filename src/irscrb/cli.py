@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import os
 import sys
 from dataclasses import replace
 from typing import NamedTuple
@@ -104,6 +105,12 @@ def _cmd_sweep(args) -> int:
     _, _, specs = load_config(args.config)
     if not specs:
         raise _UsageError(f"{args.config} has no [sweep] section")
+    # refused before the sweep, created only by emit_csv: a failure leaves no file
+    parent = os.path.dirname(args.out) or "."
+    writable = os.path.isdir(parent) and os.access(parent, os.W_OK | os.X_OK)
+    if os.path.isdir(args.out) or not writable:
+        raise _UsageError(f"cannot write --out {args.out}: it is a directory, or its "
+                          f"parent directory is missing or not writable")
     records = []
     for spec in specs:
         records.extend(run_sweep(spec))

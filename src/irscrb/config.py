@@ -1,4 +1,5 @@
-"""System parameters, scene descriptions and channel containers.
+"""System parameters, the one domain rule of every numeric input (``check``),
+scene descriptions and channel containers.  It imports no other irscrb module.
 
 All quantities are stored in linear SI units (watts, meters, radians).
 Conversion helpers for the dB-style units used in configuration files live
@@ -13,8 +14,6 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-
-from .arrays import path_gain
 
 
 class SpacingWarning(UserWarning):
@@ -117,11 +116,23 @@ class PointTargetScene:
         check("theta", self.theta)
 
 
-def point_scene(config: SystemConfig, theta: float,
-                alpha0: complex = 1.0 + 0j) -> PointTargetScene:
-    """Build a scene whose coefficient matches the config geometry."""
-    beta0 = path_gain(config.d_it, config.rcs, config.wavelength)
-    return PointTargetScene(theta=theta, alpha=alpha0 * beta0)
+def path_gain(d_it: float, kappa: float, lambda_r: float) -> float:
+    """Round-trip amplitude gain of the IRS-target-sensor hop.
+
+    sqrt(lambda^2 * kappa / (64 * pi^3 * d_it^4)): radar-equation amplitude
+    for a scatterer of cross section ``kappa`` at distance ``d_it``.
+    """
+    check("d_it", d_it)
+    check("kappa", kappa, "rcs")
+    check("lambda_r", lambda_r, "wavelength")
+    return float(np.sqrt(lambda_r ** 2 * kappa / (64.0 * np.pi ** 3 * d_it ** 4)))
+
+
+def point_scene(config: SystemConfig, theta: float) -> PointTargetScene:
+    """Build a unit-draw scene (alpha0 = 1) whose coefficient is the
+    round-trip gain of the config geometry."""
+    return PointTargetScene(theta=theta,
+                            alpha=complex(path_gain(config.d_it, config.rcs, config.wavelength)))
 
 
 @dataclass(frozen=True)

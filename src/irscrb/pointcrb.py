@@ -162,12 +162,7 @@ def fim_point(scene: PointTargetScene, r_x, v, g: np.ndarray,
     f_ta = scale * np.real(np.conj(alpha) * cross * np.array([1.0, 1j]))
     f_aa = scale * np.real(np.trace(e @ rx @ e.conj().T)) * np.eye(2)
 
-    f = np.empty((3, 3))
-    f[0, 0] = f_tt
-    f[0, 1:] = f_ta
-    f[1:, 0] = f_ta
-    f[1:, 1:] = f_aa
-    return f
+    return np.block([[np.array([[f_tt]]), f_ta[None, :]], [f_ta[:, None], f_aa]])
 
 
 def crb_point_closed(scene: PointTargetScene, r_x, v, g: np.ndarray,

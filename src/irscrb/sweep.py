@@ -331,15 +331,10 @@ def run_sweep(spec: SweepSpec) -> list[SweepRecord]:
         unit = replace(cfg, P0=1.0, K=spec.base.K if linear_in_k else cfg.K)
         results = [run(unit, trial) for trial in range(spec.trials)]
         statuses = [status for _, status in results]
-        if any(s.startswith("error") for s in statuses):
-            status = next(s for s in statuses if s.startswith("error"))
-            mean = float("nan")
-        elif any(s == "rank_deficient" for s in statuses):
-            status = "rank_deficient"
-            mean = float("inf")
-        else:
-            status = "ok"
-            mean = float(np.mean([crb for crb, _ in results])) * (cfg.K / unit.K) / cfg.P0
+        status = next((s for s in statuses if s.startswith("error")),
+                      "rank_deficient" if "rank_deficient" in statuses else "ok")
+        # a failed trial is nan and a rank-deficient one inf, and so is the mean
+        mean = float(np.mean([crb for crb, _ in results])) * (cfg.K / unit.K) / cfg.P0
         crb_db = 10.0 * np.log10(mean) if mean > 0 else float("nan")
         records.append(SweepRecord(
             vary=spec.vary, value=float(value), scheme=spec.scheme,
@@ -352,11 +347,7 @@ def run_sweep(spec: SweepSpec) -> list[SweepRecord]:
 # -- CSV ----------------------------------------------------------------------
 
 def _fmt(x: float) -> str:
-    if np.isinf(x):
-        return "inf" if x > 0 else "-inf"
-    if np.isnan(x):
-        return "nan"
-    return f"{x:.17e}"
+    return f"{x:.17e}"          # inf, -inf and nan as such
 
 
 def emit_csv(records: list[SweepRecord], path: str) -> None:

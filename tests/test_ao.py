@@ -12,7 +12,7 @@ from irscrb import conic
 from irscrb.ao import (CERTIFICATE_RTOL, MAX_REFLECTION_N, SUBPROBLEM_FLOOR,
                        SUBPROBLEM_TOL,
                        DegenerateObjectiveError, SubproblemError,
-                       _checked, _dense, _psd_clip, _reflect, _top_phases,
+                       _checked, _dense, _reflect, _top_phases,
                        ao_minimize_crb, gaussian_randomization, irs_subproblem,
                        phase_ascent, sdr_objective, transmit_closed_form,
                        transmit_subproblem)
@@ -59,7 +59,7 @@ def _parent_transmit_solve(v_lifted, a, g, k, p0):
     program = parent_transmit_program(v_lifted, a, g, k, p0)
     sol = _checked(conic.solve(program, tol=SUBPROBLEM_TOL), "transmit subproblem")
     m = g.shape[1]
-    return TransmitCovariance(matrix=_psd_clip(sol.x[:m, :m]), budget=p0), sol
+    return TransmitCovariance(matrix=sol.x[:m, :m], budget=p0), sol
 
 
 class TestSdrObjective:
@@ -140,6 +140,22 @@ class TestTransmitSubproblem:
         r_star, _ = transmit_subproblem(np.outer(v, v.conj()), a, g, 4, 1.7)
         assert r_star.matrix.shape == (1, 1)
         assert r_star.matrix[0, 0].real == pytest.approx(1.7, rel=1e-6)
+
+    def test_one_eigendecomposition_per_solve(self, monkeypatch):
+        # the solver's Hermitian block is the covariance as is; only
+        # TransmitCovariance factors it
+        calls = []
+
+        def counting(mat, *args, **kwargs):
+            calls.append(np.shape(mat))
+            return eigh(mat, *args, **kwargs)
+
+        eigh = np.linalg.eigh
+        g, a, _, _ = _instance(3, 4, 4, seed=5)
+        v = random_unit_profile(np.random.default_rng(5), 4)
+        monkeypatch.setattr(np.linalg, "eigh", counting)
+        transmit_subproblem(np.outer(v, v.conj()), a, g, 4, 1.0)
+        assert calls == [(3, 3)]
 
     def test_rejects_bad_diagonal(self):
         g, a, _, _ = _instance(2, 3, 4, seed=9)

@@ -1,8 +1,11 @@
+import math
+
 import numpy as np
 import pytest
 
-from irscrb.arrays import (centered_index, large_scale_path_loss, path_gain,
-                           steering_derivative, target_steering, ula_steering)
+from irscrb.arrays import (centered_index, large_scale_path_loss, steering_derivative,
+                           target_steering, ula_steering)
+from irscrb.config import path_gain
 
 
 class TestUlaSteering:
@@ -94,14 +97,6 @@ class TestPathGain:
         assert path_gain(20.0, 10 ** 0.7, 0.2) == pytest.approx(
             2.5127842907266522e-05, rel=1e-14)
 
-    def test_nonpositive_arguments_rejected(self):
-        with pytest.raises(ValueError):
-            path_gain(20.0, 0.0, 0.2)
-        with pytest.raises(ValueError):
-            path_gain(-1.0, 1.0, 0.2)
-        with pytest.raises(ValueError):
-            path_gain(20.0, 1.0, 0.0)
-
 
 class TestLargeScalePathLoss:
     def test_reference_distance(self):
@@ -119,3 +114,26 @@ class TestLargeScalePathLoss:
         with pytest.warns(UserWarning):
             value = large_scale_path_loss(0.5, 2.0, 1e-3)
         assert value == pytest.approx(1e-3 * 0.5 ** -2.0)
+
+
+# each argument with the values its domain refuses; a path-loss exponent of
+# 0 is a flat link, so alpha_d takes 0
+_VALID_ARGS = {path_gain: (20.0, 2.0, 0.2), large_scale_path_loss: (60.0, 2.5, 1e-3),
+               centered_index: (4,)}
+_REFUSED = (math.nan, math.inf, 0.0, -5.0)
+_CASES = [
+    *[(path_gain, i, name, bad) for i, name in enumerate(("d_it", "kappa", "lambda_r"))
+      for bad in _REFUSED],
+    *[(large_scale_path_loss, i, name, bad) for i, name in enumerate(("d", "alpha_d", "c0"))
+      for bad in _REFUSED if not (name == "alpha_d" and bad == 0.0)],
+    *[(centered_index, 0, "count", bad) for bad in (0, 2.5, math.nan)],
+]
+
+
+@pytest.mark.parametrize("fn, pos, name, bad", _CASES,
+                         ids=[f"{fn.__name__}-{name}-{bad}" for fn, _, name, bad in _CASES])
+def test_argument_outside_its_domain_is_refused_by_name(fn, pos, name, bad):
+    args = list(_VALID_ARGS[fn])
+    args[pos] = bad
+    with pytest.raises(ValueError, match=rf"^{name} must be"):
+        fn(*args)

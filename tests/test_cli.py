@@ -10,7 +10,7 @@ import irscrb
 from irscrb.channel import rician_channel
 from irscrb.cli import _build_parser, cli_main
 from irscrb.extended import EstimabilityError
-from irscrb.sweep import SCHEMES, load_config
+from irscrb.sweep import SCHEMES, load_config, run_sweep
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
@@ -106,6 +106,37 @@ def test_allocate_exhaustive_flag(capsys):
 def test_allocate_infeasible_budget_is_rejected(capsys):
     rc = cli_main(["allocate", "--qtot", "2", "--wi", "1", "--ws", "1"])
     assert rc == 1   # rejected as an invalid budget before any numerics
+
+
+@pytest.mark.parametrize("qtot, wi", [("1e200", "1"), ("600", "1e-300")])
+def test_allocate_overflow_names_the_inputs(capsys, qtot, wi):
+    # inputs in their domains whose allocation the floats cannot hold: exit 2,
+    # once with the bare "(34, 'Numerical result out of range')"
+    rc = cli_main(["allocate", "--qtot", qtot, "--wi", wi, "--ws", "1"])
+    out, err = capsys.readouterr()
+    assert rc == 2 and not out
+    assert err.startswith("numerical failure:"), err
+    assert all(re.search(rf"\b{name} = ", err) for name in ("q_tot", "w_i", "w_s")), err
+
+
+@pytest.mark.parametrize("out", ["a_directory", "missing/x.csv"])
+def test_unwritable_out_is_refused_before_the_sweep(tmp_path, monkeypatch, capsys, out):
+    # both once swept every scheme, then failed on writing the CSV
+    calls = []
+
+    def counting(spec):
+        calls.append(spec.scheme)
+        return run_sweep(spec)
+
+    monkeypatch.setattr("irscrb.cli.run_sweep", counting)
+    cfg = tmp_path / "cfg.ini"
+    cfg.write_text(POINT_CONFIG)
+    (tmp_path / "a_directory").mkdir()
+    rc = cli_main(["sweep", "--config", str(cfg), "--out", str(tmp_path / out)])
+    err = capsys.readouterr().err
+    assert rc == 1 and calls == []
+    assert err.startswith("usage error:") and str(tmp_path / out) in err, err
+    assert not (tmp_path / "missing").exists()
 
 
 def test_sweep_writes_one_row_per_value_and_scheme(tmp_path, capsys):

@@ -1,6 +1,10 @@
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import irscrb.config
 from irscrb.config import (SpacingWarning, SystemConfig, db_to_linear,
                            dbm_to_watt, derive_seed, linear_to_db, make_rng,
                            watt_to_dbm)
@@ -82,3 +86,11 @@ class TestUnits:
         assert dbm_to_watt(30.0) == pytest.approx(1.0)
         assert dbm_to_watt(0.0) == pytest.approx(1e-3)
         assert watt_to_dbm(1.0) == pytest.approx(30.0)
+
+
+def test_config_imports_nothing_from_the_package():
+    # config is the bottom layer: every other module may import its check
+    tree = ast.parse(Path(irscrb.config.__file__).read_text())
+    imports = [node for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)]
+    assert [node.module for node in imports if node.level > 0] == []
+    assert not any((node.module or "").startswith("irscrb") for node in imports)

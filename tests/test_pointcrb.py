@@ -4,7 +4,7 @@ import pytest
 from irscrb.ao import transmit_closed_form
 from irscrb.arrays import centered_index, target_steering
 from irscrb.channel import rician_channel
-from irscrb.config import PointTargetScene, SystemConfig, point_scene
+from irscrb.config import PointTargetScene, SystemConfig, path_gain, point_scene
 from irscrb.extended import crb_extended, crb_fully_passive, fim_extended
 from irscrb.pointcrb import (PhaseProfile, TransmitCovariance,
                              crb_point_closed, effective_matrix,
@@ -51,11 +51,8 @@ class TestDomainTypes:
 
     def test_point_scene_factory_ties_alpha(self):
         cfg = SystemConfig()
-        scene = point_scene(cfg, 0.5, alpha0=2.0 + 1j)
-        from irscrb.arrays import path_gain
-
-        beta0 = path_gain(cfg.d_it, cfg.rcs, cfg.wavelength)
-        assert scene.alpha == pytest.approx((2.0 + 1j) * beta0)
+        scene = point_scene(cfg, 0.5)
+        assert scene.alpha == path_gain(cfg.d_it, cfg.rcs, cfg.wavelength)
 
 
 # one valid instance at M = 2, N = 3, K = 4; each entry below takes the
