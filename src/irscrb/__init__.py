@@ -9,22 +9,19 @@ from .allocation import (AllocationDomainError, AllocationResult,
 from .ao import (AoResult, DegenerateObjectiveError, SubproblemError,
                  ao_minimize_crb, gaussian_randomization, irs_subproblem,
                  sdr_objective, transmit_closed_form, transmit_subproblem)
-from .arrays import (centered_index, large_scale_path_loss, steering_derivative,
-                     target_steering, ula_steering)
+from .arrays import centered_index, large_scale_path_loss, target_steering, ula_steering
 from .channel import rician_channel
 from .config import (ChannelRealization, PointTargetScene, SystemConfig,
-                     db_to_linear, dbm_to_watt, derive_seed, linear_to_db,
-                     make_rng, path_gain, point_scene, watt_to_dbm)
+                     db_to_linear, dbm_to_watt, derive_seed, make_rng, path_gain,
+                     point_scene)
 from .conic import (ConicProgram, ConicSolution, KktResiduals, kkt_residuals,
                     solve)
 from .extended import (EstimabilityError, ExtendedCrbReport, crb_extended,
                        crb_extended_iso, crb_extended_opt, crb_fully_passive,
-                       crb_fully_passive_opt, fim_extended, gap_db,
-                       optimal_transmit_extended, semi_passive_preferred)
+                       crb_fully_passive_opt, gap_db, optimal_transmit_extended,
+                       semi_passive_preferred)
 from .pointcrb import (PhaseProfile, TransmitCovariance, covariance,
-                       crb_point_closed, effective_matrix,
-                       effective_matrix_derivative, fim_point, profile_vector,
-                       single_antenna_optimum)
+                       crb_point_closed, profile_vector, single_antenna_optimum)
 from .sweep import (SweepRecord, SweepSpec, emit_csv, load_config, read_csv,
                     reference_config, run_sweep)
 

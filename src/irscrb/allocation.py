@@ -136,12 +136,16 @@ def allocate_exhaustive(q_tot: float, w_i: float, w_s: float,
     if (q_tot - w_s) / w_i > check("step", step) * MAX_GRID_POINTS:
         raise ValueError(f"step {step} makes a grid of more than {MAX_GRID_POINTS} points")
     n_grid = np.arange(step, (q_tot - w_s) / w_i, step)
-    k_grid = (q_tot - w_i * n_grid) / w_s
+    try:
+        with np.errstate(over="raise"):
+            k_grid = (q_tot - w_i * n_grid) / w_s
+            objective = split_objective(n_grid, k_grid)
+    except FloatingPointError as exc:
+        raise _overflow(q_tot, w_i, w_s) from exc
     feasible = k_grid > 1.0
-    n_grid, k_grid = n_grid[feasible], k_grid[feasible]
+    n_grid, k_grid, objective = n_grid[feasible], k_grid[feasible], objective[feasible]
     if n_grid.size == 0:
         raise ValueError("no feasible grid point; decrease the step")
-    objective = split_objective(n_grid, k_grid)
     best = int(np.argmax(objective))
     n, k = float(n_grid[best]), float(k_grid[best])
     return AllocationResult(n_cont=n, k_cont=k,
@@ -155,8 +159,3 @@ def split_cubic(varsigma: float, q_tot: float, w_s: float) -> float:
     beta4, beta5 = _betas(q_tot, w_s)
     return beta4 * varsigma ** 3 + 3.0 * varsigma ** 2 + beta5
 
-
-def split_gain(varsigma: np.ndarray, q_tot: float, w_i: float,
-               w_s: float) -> np.ndarray:
-    """Gain product as a function of the split ratio (vectorized)."""
-    return split_objective(*_split(np.asarray(varsigma, dtype=float), q_tot, w_i, w_s))

@@ -1,4 +1,5 @@
-"""Uniform-linear-array responses, their derivatives and the BS-IRS link gain.
+"""Uniform-linear-array responses, centered element indices and the BS-IRS
+link gain.
 
 The phase reference of every steering vector is the array centroid, so the
 m-th entry (0-based) of a length-``count`` response in normalized direction
@@ -30,15 +31,6 @@ def target_steering(theta: float, count: int, d_hat: float,
                     lambda_r: float) -> np.ndarray:
     """ULA response toward a physical angle ``theta`` (radians)."""
     return ula_steering(2.0 * d_hat * np.sin(theta) / lambda_r, count)
-
-
-def steering_derivative(theta: float, count: int, d_hat: float,
-                        lambda_r: float) -> np.ndarray:
-    """Angular derivative of the centered response toward ``theta``:
-    j * pi * (d_hat / lambda_r) * cos(theta) * centered_index(count) * v(theta).
-    """
-    v = target_steering(theta, count, d_hat, lambda_r)
-    return 1j * np.pi * (d_hat / lambda_r) * np.cos(theta) * centered_index(count) * v
 
 
 def centered_index(count: int) -> np.ndarray:

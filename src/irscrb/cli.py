@@ -3,7 +3,7 @@
 Subcommands::
 
     irscrb sweep --config FILE --out CSV
-    irscrb allocate --qtot X --wi X --ws X [--exhaustive --step X]
+    irscrb allocate --qtot X --wi X --ws X [--exhaustive [--step X]]
     irscrb crb point --config FILE [--scheme NAME] [--seed N]
     irscrb crb extended --config FILE [--seed N]
     irscrb selftest [--fast]
@@ -31,6 +31,7 @@ from .sweep import (POINT_SCHEMES, SCHEMES, SweepSpec, emit_csv, load_config,
 
 USAGE_EXIT = 1
 NUMERICAL_EXIT = 2
+EXHAUSTIVE_STEP = 0.25
 
 
 class _UsageError(Exception):
@@ -58,7 +59,8 @@ def _build_parser() -> _Parser:
     p_alloc.add_argument("--wi", type=float, required=True)
     p_alloc.add_argument("--ws", type=float, required=True)
     p_alloc.add_argument("--exhaustive", action="store_true")
-    p_alloc.add_argument("--step", type=float, default=0.25)
+    p_alloc.add_argument("--step", type=float, default=None,
+                         help=f"grid step of --exhaustive; defaults to {EXHAUSTIVE_STEP}")
 
     p_crb = sub.add_parser("crb", help="evaluate the bound for one setup")
     p_crb.add_argument("target", choices=["point", "extended"])
@@ -120,18 +122,23 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_allocate(args) -> int:
+    if args.step is not None and not args.exhaustive:
+        raise _UsageError("--step applies only with --exhaustive")
+    step = EXHAUSTIVE_STEP if args.step is None else args.step
     rows = {"optimal    ": allocate_optimal(args.qtot, args.wi, args.ws),
             "sub-optimal": allocate_suboptimal(args.qtot, args.wi, args.ws)}
     if args.exhaustive:     # a refused step stops the command before any output
-        rows["exhaustive "] = allocate_exhaustive(args.qtot, args.wi, args.ws, args.step)
+        rows["exhaustive "] = allocate_exhaustive(args.qtot, args.wi, args.ws, step)
     for label, r in rows.items():
-        step = f"  (step {args.step})" if r.mode == "exhaustive" else ""
+        note = f"  (step {step})" if r.mode == "exhaustive" else ""
         print(f"{label} N = {r.n_cont:12.4f}  K = {r.k_cont:12.4f}  "
-              f"objective = {r.objective:.6e}{step}")
+              f"objective = {r.objective:.6e}{note}")
     return 0
 
 
 def _cmd_crb(args) -> int:
+    if args.target == "extended" and args.scheme is not None:
+        raise _UsageError("--scheme applies only to crb point")
     base, theta, _ = load_config(args.config)
     ch = rician_channel(base, seed=check("seed", args.seed))
 

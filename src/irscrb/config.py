@@ -180,13 +180,5 @@ def db_to_linear(value_db: float) -> float:
     return _pow10(value_db / 10.0)
 
 
-def linear_to_db(value: float) -> float:
-    return 10.0 * np.log10(value)
-
-
 def dbm_to_watt(value_dbm: float) -> float:
     return _pow10((value_dbm - 30.0) / 10.0)
-
-
-def watt_to_dbm(value: float) -> float:
-    return 10.0 * np.log10(value) + 30.0

@@ -3,12 +3,13 @@
 When every sensor return is kept, the 2KN real unknowns of the response
 matrix have a block-circular Fisher information whose inverse trace reduces
 to (sigma^2 K / T) * tr((G R_x G^H)^{-1}): the reflection profile cancels,
-so only the transmit covariance matters.  The optimal covariance follows
-from the SVD of G, which also yields the bound itself, the isotropic
-baseline and their ratio in closed form.  Every bound is a sum over
-singular values under one rank rule (one at most ``RANK_RTOL * s_max`` is
-zero) and is infinite, not raised, short of rank N.  A raw R_x or v is
-checked by the rule of :mod:`irscrb.pointcrb` before it is used.
+so only the transmit covariance matters.  This module evaluates only that
+closed form; the dense information matrix is kept in the test suite as its
+oracle.  The optimal covariance follows from the SVD of G, which also yields
+the bound itself, the isotropic baseline and their ratio in closed form.
+Every bound is a sum over singular values under one rank rule (one at most
+``RANK_RTOL * s_max`` is zero) and is infinite, not raised, short of rank N.
+A raw R_x is checked by the rule of :mod:`irscrb.pointcrb` before it is used.
 """
 
 from __future__ import annotations
@@ -17,10 +18,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .pointcrb import TransmitCovariance, covariance, profile_vector
+from .pointcrb import TransmitCovariance, covariance
 
 RANK_RTOL = 1e-10
-FIM_SIZE_LIMIT = 512
 
 
 class EstimabilityError(ValueError):
@@ -54,32 +54,6 @@ def _inverse_sum(a: np.ndarray, power: int) -> tuple[float, int]:
 def _return_factor(g_r: np.ndarray) -> float:
     """tr((G_r^H G_r)^{-1}) of the [m_r, N] return channel; inf below rank N."""
     return _inverse_sum(np.asarray(g_r).T, 2)[0]
-
-
-def fim_extended(r_x, v, g: np.ndarray, k: int, t: int,
-                 sigma2: float) -> np.ndarray:
-    """Dense 2KN x 2KN Fisher information of the stacked real parameters.
-
-    Ordered as (Re vec H, Im vec H); both diagonal blocks equal
-    (2T/sigma^2) Re{(Phi* G* R_x* G^T Phi^T) kron I_K} and the off-diagonal
-    blocks carry the matching imaginary part.
-    """
-    g = np.asarray(g, dtype=complex)
-    n = g.shape[0]
-    if k * n > FIM_SIZE_LIMIT:
-        raise ValueError(
-            f"dense information matrix of order {2 * k * n} exceeds the "
-            f"{2 * FIM_SIZE_LIMIT} guard"
-        )
-    vv = profile_vector(v)
-    rx = covariance(r_x).matrix
-    phi_g = vv[:, None] * g                       # Phi @ G
-    inner = phi_g.conj() @ rx.conj() @ phi_g.T    # Phi* G* R_x* G^T Phi^T
-    kern = np.kron(inner, np.eye(k))
-    scale = 2.0 * t / sigma2
-    top = np.hstack([kern.real, -kern.imag])
-    bot = np.hstack([kern.imag, kern.real])
-    return scale * np.vstack([top, bot])
 
 
 def crb_extended(r_x, g: np.ndarray, k: int, t: int,

@@ -1,4 +1,4 @@
-"""Fisher information and closed-form DoA bound for a point target.
+"""Closed-form DoA bound for a point target, reduced from its Fisher information.
 
 The received echo mean is alpha * vec(E X) with the effective matrix
 E = b a^T diag(v) G.  Because the steering vectors are centroid-referenced,
@@ -8,10 +8,10 @@ information measure f(R_x, V) = tr(W V) - |tr(C V)|^2 / tr(Q V) at
 V = v v^H, with Q = L L^H for the N x M factor L = conj(A G R_x^{1/2}),
 W = gamma Q + D Q D and C = D Q.  This module owns f, which also scores
 every design of the beamforming optimizer, as the kernel (L, gamma, d).
-The closed form is evaluated next to the full matrix-inverse route so the
-two can cross-check each other.  Each design input has one rule, applied
-where it enters a public function: R_x by :func:`covariance`, v by
-:func:`profile_vector` and theta by ``config.check``.
+Only the closed form is evaluated here; the 3x3 information matrix and
+its inverse are kept in the test suite as its oracle.  Each design input
+has one rule, applied where it enters a public function: R_x by
+:func:`covariance`, v by :func:`profile_vector` and theta by the scene.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .arrays import centered_index, target_steering
-from .config import PointTargetScene, SystemConfig, check
+from .config import PointTargetScene, SystemConfig
 
 HERMITIAN_RTOL = 1e-12
 EIG_FLOOR_RTOL = 1e-9
@@ -81,37 +81,6 @@ def profile_vector(v) -> np.ndarray:
     return (v if isinstance(v, PhaseProfile) else PhaseProfile(v)).v
 
 
-def effective_matrix(b: np.ndarray, a: np.ndarray, v,
-                     g: np.ndarray) -> np.ndarray:
-    """Rank-one effective matrix E = b (v * a)^T G of shape [K, M]."""
-    b = np.asarray(b, dtype=complex)
-    a = np.asarray(a, dtype=complex)
-    vv = profile_vector(v)
-    g = np.asarray(g, dtype=complex)
-    if g.shape[0] != a.shape[0] or vv.shape[0] != a.shape[0]:
-        raise ValueError(
-            f"inconsistent dimensions: a has {a.shape[0]} entries, v has "
-            f"{vv.shape[0]}, G has {g.shape[0]} rows"
-        )
-    return np.outer(b, (vv * a) @ g)
-
-
-def effective_matrix_derivative(b: np.ndarray, a: np.ndarray, v,
-                                g: np.ndarray, theta: float, d_hat: float,
-                                lambda_r: float) -> np.ndarray:
-    """Angular derivative of :func:`effective_matrix` at ``theta``."""
-    check("theta", theta)
-    b = np.asarray(b, dtype=complex)
-    a = np.asarray(a, dtype=complex)
-    vv = profile_vector(v)
-    g = np.asarray(g, dtype=complex)
-    idx_b = centered_index(b.shape[0])
-    idx_a = centered_index(a.shape[0])
-    factor = 1j * np.pi * (d_hat / lambda_r) * np.cos(theta)
-    return factor * (np.outer(idx_b * b, (vv * a) @ g)
-                     + np.outer(b, (vv * idx_a * a) @ g))
-
-
 Kernel = tuple[np.ndarray, float, np.ndarray | float]   # (L, gamma, d); d = 0: v^H L L^H v
 
 
@@ -142,27 +111,6 @@ def _profile_scores(kernel: Kernel, profiles: np.ndarray) -> np.ndarray:
     power = np.sum(np.abs(b) ** 2, axis=1)
     return _info_measure(gamma * power + np.sum(np.abs(w) ** 2, axis=1),
                          np.sum(w.conj() * b, axis=1), power)
-
-
-def fim_point(scene: PointTargetScene, r_x, v, g: np.ndarray,
-              config: SystemConfig) -> np.ndarray:
-    """3x3 real symmetric Fisher information over (theta, Re alpha, Im alpha);
-    its alpha block is a nonnegative multiple of I."""
-    a = target_steering(scene.theta, config.N, config.spacing, config.wavelength)
-    b = target_steering(scene.theta, config.K, config.spacing, config.wavelength)
-    e = effective_matrix(b, a, v, g)
-    e_dot = effective_matrix_derivative(b, a, v, g, scene.theta,
-                                        config.spacing, config.wavelength)
-    rx = covariance(r_x).matrix
-    scale = 2.0 * config.T / config.noise_power
-    alpha = complex(scene.alpha)
-
-    f_tt = float(abs(alpha) ** 2 * scale * np.real(np.trace(e_dot @ rx @ e_dot.conj().T)))
-    cross = np.trace(e @ rx @ e_dot.conj().T)
-    f_ta = scale * np.real(np.conj(alpha) * cross * np.array([1.0, 1j]))
-    f_aa = scale * np.real(np.trace(e @ rx @ e.conj().T)) * np.eye(2)
-
-    return np.block([[np.array([[f_tt]]), f_ta[None, :]], [f_ta[:, None], f_aa]])
 
 
 def crb_point_closed(scene: PointTargetScene, r_x, v, g: np.ndarray,

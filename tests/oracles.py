@@ -1,18 +1,22 @@
 """Independent oracles used to cross-check the library.
 
-Everything here is intentionally built from first principles (explicit
-model assembly, finite differences, grid refinement, projected gradient)
-rather than through the code paths under test.  The exceptions are
-``parent_transmit_program``, which poses the library's own transmit program
-in its former inequality form, ``parent_isotropic_profile``, the
-isotropic-transmit reflection design as it was made before the phase ascent,
-``parent_fully_passive``, the fully-passive sweep bound as it was evaluated
-before its transmit factor came from the closed form, ``_alternate``,
-the alternating optimizer that ``ao_minimize_crb`` ran where its fixed point
-did not certify, before the exact two-branch solve, and
-``dense_info_kernels`` and ``dense_phase_ascent``, the N x N kernels of f
-and the ascent on them as they were formed before f was carried by its
-N x M factor.
+Everything here is intentionally built from first principles (explicit model
+assembly, finite differences, grid refinement, projected gradient) rather
+than through the code paths under test.  The exceptions are ``fim_point``
+with ``effective_matrix`` and ``effective_matrix_derivative``, and
+``fim_extended`` with its ``FIM_SIZE_LIMIT`` guard: the dense Fisher
+information matrices, built on the library's steering vectors and covariance
+acceptor, that the closed-form bounds reduce; the library keeps only the
+closed forms.  The others are ``parent_transmit_program``, which poses the
+library's own transmit program in its former inequality form,
+``parent_isotropic_profile``, the isotropic-transmit reflection design as it
+was made before the phase ascent, ``parent_fully_passive``, the
+fully-passive sweep bound as it was evaluated before its transmit factor
+came from the closed form, ``_alternate``, the alternating optimizer that
+``ao_minimize_crb`` ran where its fixed point did not certify, before the
+exact two-branch solve, and ``dense_info_kernels`` and
+``dense_phase_ascent``, the N x N kernels of f and the ascent on them as
+they were formed before f was carried by its N x M factor.
 """
 
 from __future__ import annotations
@@ -24,15 +28,17 @@ import numpy as np
 from irscrb.ao import (FIXED_POINT_ATOL, FIXED_POINT_MAX_ITER, _schur_program,
                        _transmit_kernels, gaussian_randomization, irs_subproblem,
                        transmit_closed_form)
+from irscrb.arrays import centered_index, target_steering
 from irscrb.channel import rician_channel
-from irscrb.config import derive_seed
+from irscrb.config import PointTargetScene, SystemConfig, derive_seed
 from irscrb.conic import ConicProgram
 from irscrb.extended import crb_fully_passive, optimal_transmit_extended
-from irscrb.pointcrb import _info_kernels, _profile_scores
+from irscrb.pointcrb import _info_kernels, _profile_scores, covariance
 from irscrb.sweep import _RETURN
 
 AO_TOL = 1e-6                     # relative objective gain that ends the AO
 AO_MAX_ITER = 50
+FIM_SIZE_LIMIT = 512              # largest K N of a dense fim_extended
 
 
 def steering_direct(theta: float, count: int, d_hat: float,
@@ -83,6 +89,71 @@ def fd_fim_point(theta: float, alpha: complex, r_x: np.ndarray,
                     / (2.0 * step))
     jac = np.stack(cols, axis=1)
     return 2.0 / sigma2 * np.real(jac.conj().T @ jac)
+
+
+def effective_matrix(b: np.ndarray, a: np.ndarray, v: np.ndarray,
+                     g: np.ndarray) -> np.ndarray:
+    """Rank-one effective matrix E = b (v * a)^T G of shape [K, M]."""
+    return np.outer(b, (np.asarray(v, dtype=complex) * a) @ g)
+
+
+def effective_matrix_derivative(b: np.ndarray, a: np.ndarray, v: np.ndarray,
+                                g: np.ndarray, theta: float, d_hat: float,
+                                lambda_r: float) -> np.ndarray:
+    """Angular derivative of :func:`effective_matrix` at ``theta``."""
+    vv = np.asarray(v, dtype=complex)
+    idx_b = centered_index(b.shape[0])
+    idx_a = centered_index(a.shape[0])
+    factor = 1j * np.pi * (d_hat / lambda_r) * np.cos(theta)
+    return factor * (np.outer(idx_b * b, (vv * a) @ g)
+                     + np.outer(b, (vv * idx_a * a) @ g))
+
+
+def fim_point(scene: PointTargetScene, r_x, v: np.ndarray, g: np.ndarray,
+              config: SystemConfig) -> np.ndarray:
+    """3x3 real symmetric Fisher information over (theta, Re alpha, Im alpha);
+    its alpha block is a nonnegative multiple of I."""
+    a = target_steering(scene.theta, config.N, config.spacing, config.wavelength)
+    b = target_steering(scene.theta, config.K, config.spacing, config.wavelength)
+    e = effective_matrix(b, a, v, g)
+    e_dot = effective_matrix_derivative(b, a, v, g, scene.theta,
+                                        config.spacing, config.wavelength)
+    rx = covariance(r_x).matrix
+    scale = 2.0 * config.T / config.noise_power
+    alpha = complex(scene.alpha)
+
+    f_tt = float(abs(alpha) ** 2 * scale * np.real(np.trace(e_dot @ rx @ e_dot.conj().T)))
+    cross = np.trace(e @ rx @ e_dot.conj().T)
+    f_ta = scale * np.real(np.conj(alpha) * cross * np.array([1.0, 1j]))
+    f_aa = scale * np.real(np.trace(e @ rx @ e.conj().T)) * np.eye(2)
+
+    return np.block([[np.array([[f_tt]]), f_ta[None, :]], [f_ta[:, None], f_aa]])
+
+
+def fim_extended(r_x, v: np.ndarray, g: np.ndarray, k: int, t: int,
+                 sigma2: float) -> np.ndarray:
+    """Dense 2KN x 2KN Fisher information of the stacked real parameters.
+
+    Ordered as (Re vec H, Im vec H); both diagonal blocks equal
+    (2T/sigma^2) Re{(Phi* G* R_x* G^T Phi^T) kron I_K} and the off-diagonal
+    blocks carry the matching imaginary part.  Refused beyond order
+    2 FIM_SIZE_LIMIT.
+    """
+    g = np.asarray(g, dtype=complex)
+    n = g.shape[0]
+    if k * n > FIM_SIZE_LIMIT:
+        raise ValueError(
+            f"dense information matrix of order {2 * k * n} exceeds the "
+            f"{2 * FIM_SIZE_LIMIT} guard"
+        )
+    rx = covariance(r_x).matrix
+    phi_g = np.asarray(v, dtype=complex)[:, None] * g      # Phi @ G
+    inner = phi_g.conj() @ rx.conj() @ phi_g.T    # Phi* G* R_x* G^T Phi^T
+    kern = np.kron(inner, np.eye(k))
+    scale = 2.0 * t / sigma2
+    top = np.hstack([kern.real, -kern.imag])
+    bot = np.hstack([kern.imag, kern.real])
+    return scale * np.vstack([top, bot])
 
 
 def random_covariance(rng: np.random.Generator, m: int,

@@ -21,13 +21,12 @@ from irscrb.config import (PointTargetScene, SystemConfig, derive_seed, make_rng
                            point_scene)
 from irscrb.conic import ConicProgram, solve
 from irscrb.extended import (crb_extended, crb_extended_iso, crb_extended_opt,
-                             crb_fully_passive, fim_extended, gap_db,
-                             optimal_transmit_extended, semi_passive_preferred)
-from irscrb.pointcrb import (_info_kernels, crb_point_closed, fim_point,
-                             single_antenna_optimum)
+                             crb_fully_passive, gap_db, optimal_transmit_extended,
+                             semi_passive_preferred)
+from irscrb.pointcrb import _info_kernels, crb_point_closed, single_antenna_optimum
 from irscrb.sweep import _CHANNEL, SCHEMES, SweepSpec, reference_config, run_sweep
 
-from oracles import (fd_fim_point, exhaustive_phase_grid,
+from oracles import (fd_fim_point, exhaustive_phase_grid, fim_extended, fim_point,
                      projected_gradient_extended, random_covariance,
                      random_unit_profile)
 

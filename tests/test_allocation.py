@@ -1,8 +1,10 @@
+import re
+
 import numpy as np
 import pytest
 
-from irscrb.allocation import (allocate_exhaustive, allocate_optimal,
-                               allocate_suboptimal, split_cubic, split_gain,
+from irscrb.allocation import (AllocationDomainError, allocate_exhaustive,
+                               allocate_optimal, allocate_suboptimal, split_cubic,
                                split_objective)
 
 BUDGETS = [(400.0, 0.2), (400.0, 1.0), (600.0, 0.2), (600.0, 0.5),
@@ -39,7 +41,8 @@ class TestOptimal:
             q2 = q_tot ** 2
             beta4 = -2.0 * (q2 - 1.0) / (q2 + 1.0)
             grid = np.linspace(-2.0 / beta4 + 1e-9, 10.0 * r.varsigma, 10_000)
-            gains = split_gain(grid, q_tot, w_i, 1.0)
+            # W_I N + W_s K = Q at N = Q/((1+s) W_I), K = s Q/((1+s) W_s), W_s = 1
+            gains = split_objective(q_tot / ((1.0 + grid) * w_i), grid * q_tot / (1.0 + grid))
             assert r.objective >= gains.max() * (1.0 - 1e-9)
 
     def test_tiny_budget_rejected(self):
@@ -93,6 +96,14 @@ class TestExhaustive:
     def test_empty_grid_rejected(self):
         with pytest.raises(ValueError, match="feasible"):
             allocate_exhaustive(4.0, 1.0, 1.0, 50.0)
+
+    @pytest.mark.parametrize("q_tot, w_i, w_s, step", [(600.0, 1.0, 1e-300, 1.0),
+                                                       (1e200, 1.0, 1.0, 1e194)])
+    def test_overflow_names_the_inputs(self, q_tot, w_i, w_s, step):
+        # once a bare "overflow encountered in power" (or "in square") warning
+        with pytest.raises(AllocationDomainError,
+                           match=re.escape(f"q_tot = {q_tot}, w_i = {w_i} and w_s = {w_s} ")):
+            allocate_exhaustive(q_tot, w_i, w_s, step)
 
 
 def test_result_requires_positive_counts():

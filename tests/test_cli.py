@@ -96,11 +96,20 @@ def test_allocate_prints_both_solutions(capsys):
         assert float(k) > float(n)
 
 
-def test_allocate_exhaustive_flag(capsys):
-    rc = cli_main(["allocate", "--qtot", "600", "--wi", "1", "--ws", "1",
-                   "--exhaustive", "--step", "0.5"])
+@pytest.mark.parametrize("flags, step", [(["--exhaustive"], "0.25"),
+                                         (["--exhaustive", "--step", "0.5"], "0.5")])
+def test_allocate_exhaustive_flag(capsys, flags, step):
+    rc = cli_main(["allocate", "--qtot", "600", "--wi", "1", "--ws", "1", *flags])
     assert rc == 0
-    assert "exhaustive" in capsys.readouterr().out
+    assert re.search(rf"^exhaustive .*\(step {step}\)$", capsys.readouterr().out, re.M)
+
+
+def test_allocate_step_without_exhaustive_is_usage_error(capsys):
+    # once ignored with exit 0
+    rc = cli_main(["allocate", "--qtot", "600", "--wi", "1", "--ws", "1", "--step", "5"])
+    out, err = capsys.readouterr()
+    assert rc == 1 and not out
+    assert "--step" in err
 
 
 def test_allocate_infeasible_budget_is_rejected(capsys):
@@ -373,6 +382,15 @@ def test_crb_extended_full_rank(tmp_path, capsys):
     out = capsys.readouterr().out
     assert rc == 0
     assert "crb_opt" in out and "gap" in out
+
+
+def test_crb_extended_scheme_is_usage_error(capsys):
+    # once ignored with exit 0
+    rc = cli_main(["crb", "extended", "--config", str(CONFIGS / "extended_k.ini"),
+                   "--scheme", "proposed_ao"])
+    out, err = capsys.readouterr()
+    assert rc == 1 and not out
+    assert "--scheme" in err
 
 
 def test_unknown_flag_is_usage_error(capsys):

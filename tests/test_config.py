@@ -6,8 +6,7 @@ import pytest
 
 import irscrb.config
 from irscrb.config import (SpacingWarning, SystemConfig, db_to_linear,
-                           dbm_to_watt, derive_seed, linear_to_db, make_rng,
-                           watt_to_dbm)
+                           dbm_to_watt, derive_seed, make_rng)
 
 
 class TestSystemConfig:
@@ -79,13 +78,16 @@ class TestRng:
 
 
 class TestUnits:
-    def test_db_round_trip(self):
-        assert linear_to_db(db_to_linear(7.3)) == pytest.approx(7.3, abs=1e-12)
+    def test_db_reference_points(self):
+        assert db_to_linear(0.0) == 1.0
+        assert db_to_linear(10.0) == pytest.approx(10.0, rel=1e-15)
+        assert db_to_linear(-30.0) == pytest.approx(1e-3, rel=1e-15)
+        assert db_to_linear(7.3) == pytest.approx(5.370317963702527, rel=1e-15)
 
     def test_dbm_reference_points(self):
         assert dbm_to_watt(30.0) == pytest.approx(1.0)
         assert dbm_to_watt(0.0) == pytest.approx(1e-3)
-        assert watt_to_dbm(1.0) == pytest.approx(30.0)
+        assert dbm_to_watt(-90.0) == pytest.approx(1e-12, rel=1e-15)
 
 
 def test_config_imports_nothing_from_the_package():

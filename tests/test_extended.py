@@ -2,12 +2,12 @@ import numpy as np
 import pytest
 
 from irscrb.extended import (EstimabilityError, crb_extended, crb_extended_iso,
-                             crb_extended_opt, crb_fully_passive, fim_extended,
-                             gap_db, optimal_transmit_extended,
-                             semi_passive_preferred)
+                             crb_extended_opt, crb_fully_passive, gap_db,
+                             optimal_transmit_extended, semi_passive_preferred)
 from irscrb.pointcrb import TransmitCovariance
 
-from oracles import projected_gradient_extended, random_covariance, random_unit_profile
+from oracles import (fim_extended, projected_gradient_extended, random_covariance,
+                     random_unit_profile)
 
 RNG = np.random.default_rng(11)
 

@@ -20,10 +20,23 @@ from irscrb.sweep import (_CHANNEL, _RANDOMIZE, SCHEMES, Scheme,
                           emit_csv, load_config, read_csv, reference_config,
                           run_sweep)
 
+from golden_rows import golden_mismatches
 from oracles import parent_fully_passive, parent_isotropic_profile
 
 THETA = np.deg2rad(60.0)
 ROOT = Path(__file__).resolve().parents[1]
+
+
+def _shipped_rows(name: str, tmp_path) -> dict[str, list[SweepRecord]]:
+    """Each scheme's rows of the shipped config ``name``, once every row is
+    checked ``ok`` and their CSV matches its golden rows in tests/golden."""
+    rows = {spec.scheme: run_sweep(spec)
+            for spec in load_config(str(ROOT / "configs" / name))[2]}
+    assert all(r.status == "ok" for scheme_rows in rows.values() for r in scheme_rows)
+    out = tmp_path / "sweep.csv"
+    emit_csv([r for scheme_rows in rows.values() for r in scheme_rows], str(out))
+    assert golden_mismatches(out, ROOT / "tests" / "golden" / f"{Path(name).stem}.csv") == []
+    return rows
 
 
 def _spec(**kw):
@@ -446,10 +459,8 @@ class TestProposedAo:
     @pytest.mark.parametrize("name", sorted(
         path.name for path in (Path(__file__).resolve().parents[1] / "configs").glob("*.ini")
         if load_config(str(path))[2][0].target == "point"))
-    def test_shipped_point_config_rows_are_ok_and_ordered(self, name):
-        config = Path(__file__).resolve().parents[1] / "configs" / name
-        rows = {spec.scheme: run_sweep(spec) for spec in load_config(str(config))[2]}
-        assert all(r.status == "ok" for scheme_rows in rows.values() for r in scheme_rows)
+    def test_shipped_point_config_rows_are_ok_and_ordered(self, name, tmp_path):
+        rows = _shipped_rows(name, tmp_path)
         for row, *baselines in zip(rows["proposed_ao"], rows["random_phase"],
                                    rows["isotropic_tx"]):
             assert all(row.crb_mean <= b.crb_mean for b in baselines), (row, baselines)
@@ -612,11 +623,9 @@ alpha_draws = 5
 @pytest.mark.parametrize("name", sorted(
     path.name for path in (ROOT / "configs").glob("*.ini")
     if load_config(str(path))[2][0].target == "extended"))
-def test_shipped_extended_config_rows_are_ok_and_ordered(name):
+def test_shipped_extended_config_rows_are_ok_and_ordered(name, tmp_path):
     # the optimal covariance never loses to the isotropic one when M >= N
-    rows = {spec.scheme: run_sweep(spec)
-            for spec in load_config(str(ROOT / "configs" / name))[2]}
-    assert all(r.status == "ok" for scheme_rows in rows.values() for r in scheme_rows)
+    rows = _shipped_rows(name, tmp_path)
     for opt, iso in zip(rows["extended_opt"], rows["extended_iso"], strict=True):
         assert opt.crb_mean <= iso.crb_mean, (opt, iso)
 
