@@ -46,7 +46,25 @@ class TestTargetSteering:
             assert np.linalg.norm(v) ** 2 == pytest.approx(k, rel=1e-14)
 
 
+def _central_difference(theta, count, d, lam, step=1e-6):
+    return (target_steering(theta + step, count, d, lam)
+            - target_steering(theta - step, count, d, lam)) / (2.0 * step)
+
+
 class TestSteeringDerivative:
+    def test_endfire_derivative_vanishes(self):
+        v_dot = _central_difference(np.pi / 2, 8, 0.1, 0.2)
+        np.testing.assert_allclose(v_dot, 0.0, atol=1e-8)
+
+    def test_matches_scaled_index_product(self):
+        # the closed forms take dv/dtheta = i pi (d/lambda) cos(theta) diag(idx) v
+        theta, count, d, lam = 0.3, 7, 0.08, 0.2
+        v = target_steering(theta, count, d, lam)
+        taper = np.diag(centered_index(count).astype(float))
+        expected = 1j * np.pi * (d / lam) * np.cos(theta) * (taper @ v)
+        np.testing.assert_allclose(_central_difference(theta, count, d, lam), expected,
+                                   rtol=1e-8, atol=1e-8)
+
     def test_orthogonality_to_response(self):
         # centroid referencing makes v_dot^H v exactly zero for any angle; the
         # angular derivative is a multiple of centered_index(count) * v

@@ -1,13 +1,13 @@
 import numpy as np
 import pytest
 
-from irscrb.ao import transmit_closed_form
+from irscrb.ao import sdr_objective, transmit_closed_form
 from irscrb.arrays import centered_index, target_steering
 from irscrb.channel import rician_channel
 from irscrb.config import PointTargetScene, SystemConfig, path_gain, point_scene
 from irscrb.extended import crb_extended, crb_fully_passive
-from irscrb.pointcrb import (PhaseProfile, TransmitCovariance, crb_point_closed,
-                             single_antenna_optimum)
+from irscrb.pointcrb import (PhaseProfile, TransmitCovariance, covariance, crb_point_closed,
+                             profile_vector, single_antenna_optimum)
 from irscrb.sweep import SweepSpec
 
 from oracles import (effective_matrix, effective_matrix_derivative, fd_fim_point, fim_point,
@@ -65,11 +65,17 @@ _ENTRIES = {
     "crb_point_closed": (("r_x", "v"), lambda d: crb_point_closed(
         _SCENE, d["r_x"], d["v"], _G, _CFG)),
     "transmit_closed_form": (("v",), lambda d: transmit_closed_form(d["v"], _A, _G, 4, 1.0)),
+    "sdr_objective": (("r_x",), lambda d: sdr_objective(d["r_x"], np.ones((3, 3)), _A, _G, 4)),
+    "covariance": (("r_x",), lambda d: covariance(d["r_x"])),
+    "TransmitCovariance": (("r_x",), lambda d: TransmitCovariance(d["r_x"], 1.0)),
+    "profile_vector": (("v",), lambda d: profile_vector(d["v"])),
+    "PhaseProfile": (("v",), lambda d: PhaseProfile(d["v"])),
     "crb_extended": (("r_x",), lambda d: crb_extended(d["r_x"], _G, 4, 8, 1.0)),
     "crb_fully_passive": (("r_x",), lambda d: crb_fully_passive(d["r_x"], _G, _G.T, 8, 1.0)),
     "SweepSpec": (("theta",), lambda d: SweepSpec(base=_CFG, theta=d["theta"], vary="P0",
                                                   values=(10.0,), scheme="random_phase")),
     "PointTargetScene": (("theta",), lambda d: PointTargetScene(theta=d["theta"], alpha=1.0)),
+    "point_scene": (("theta",), lambda d: point_scene(_CFG, d["theta"])),
 }
 # (input, bad value, the one refusal every entry gives for it)
 _BAD_INPUTS = {
