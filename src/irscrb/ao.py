@@ -87,46 +87,36 @@ def sdr_objective(r_x, v_lifted: np.ndarray, a: np.ndarray, g: np.ndarray,
     return float(_info_measure(w.real, c, q.real))
 
 
-# Kernels picking out the entries of the 2x2 Schur block U.
-_U11 = np.array([[1.0, 0.0], [0.0, 0.0]], dtype=complex)
-_U22 = np.array([[0.0, 0.0], [0.0, 1.0]], dtype=complex)
-_U12_RE = np.array([[0.0, 0.5], [0.5, 0.0]], dtype=complex)
-_U12_IM = np.array([[0.0, 0.5j], [-0.5j, 0.0]], dtype=complex)
+# Kernels picking out U_11, Re U_12, Im U_12 and U_22 of the 2x2 Schur block U.
+_U = np.array([[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.5], [0.5, 0.0]],
+               [[0.0, 0.5j], [-0.5j, 0.0]], [[0.0, 0.0], [0.0, 1.0]]])
 
 
-def _with_u(x_part: np.ndarray, u_part: np.ndarray) -> np.ndarray:
-    """diag(x_part, u_part), stacked or not: coefficients on X and U as ones on diag(X, U)."""
-    n = x_part.shape[-1]
-    out = np.zeros(x_part.shape[:-2] + (n + 2, n + 2), np.result_type(x_part, u_part))
-    out[..., :n, :n] = x_part
-    out[..., n:, n:] = u_part
-    return out
-
-
-def _schur_program(quad_obj: np.ndarray, cross_kernel: np.ndarray,
-                   power_kernel: np.ndarray) -> ConicProgram:
-    """Common epigraph program: min U_11 - tr(quad_obj X) with U tied to X.
+def _schur_program(quad_obj: np.ndarray, cross_kernel: np.ndarray, power_kernel: np.ndarray,
+                   rows: np.ndarray, rhs) -> ConicProgram:
+    """Epigraph program: min U_11 - tr(quad_obj X) with U tied to X, and the
+    caller's rows <rows[j], X> = rhs[j] on X.
 
     The program's matrix is diag(X, U), of order n + 2.  Its 2x2 Hermitian
     corner U carries the fractional term: U_12 = tr(cross_kernel X), U_22 =
     tr(power_kernel X), and PSD-ness of U forces U_11 >= |U_12|^2 / U_22.
-    Each row of U is normalized on its own: the objective by its largest
-    entry s_q, the power kernel by its own s_p and the cross kernel by
-    sqrt(s_q s_p).  That is the congruence D U D / s_q with D = diag(1,
-    sqrt(s_q / s_p)), so it keeps U's PSD-ness and the optimal X.  Under one
-    shared scale, U_22 of the transmit program is near 2e-8 at N = 64 and
-    its solves stall above the acceptance floor.
+    The three rows tying U to X come first.  Each row of U is normalized:
+    the objective by its largest entry s_q, the power kernel by its own s_p
+    and the cross kernel by sqrt(s_q s_p).  That is the congruence D U D /
+    s_q with D = diag(1, sqrt(s_q / s_p)), so it keeps U's PSD-ness and the
+    optimal X.  Under one shared scale, U_22 of the transmit program is near
+    2e-8 at N = 64 and its solves stall above the acceptance floor.
     """
     s_q = max(np.abs(quad_obj).max(), 1e-300)
     s_p = max(np.abs(power_kernel).max(), 1e-300)
-    program = ConicProgram(quad_obj.shape[0] + 2)
-    program.set_objective(_with_u(-quad_obj / s_q, _U11))
     cross = cross_kernel / np.sqrt(s_q * s_p)
     # Hermitian kernels extracting Re tr(C X) and Im tr(C X)
     re_k, im_k = (cross + cross.conj().T) / 2.0, (cross - cross.conj().T) / 2.0j
-    program.add_eq(_with_u(np.array([re_k, im_k, power_kernel / s_p]),
-                           -np.array([_U12_RE, _U12_IM, _U22])), np.zeros(3))
-    return program
+    n = quad_obj.shape[0]
+    coeffs = np.zeros((4 + len(rows), n + 2, n + 2), dtype=complex)
+    coeffs[:, :n, :n] = np.concatenate([[-quad_obj / s_q, re_k, im_k, power_kernel / s_p], rows])
+    coeffs[0, n:, n:], coeffs[1:4, n:, n:] = _U[0], -_U[1:]
+    return ConicProgram(coeffs[0], coeffs[1:], np.concatenate([np.zeros(3), rhs]))
 
 
 def _transmit_kernels(v_lifted: np.ndarray, a: np.ndarray, g: np.ndarray, k: int
@@ -166,9 +156,8 @@ def transmit_subproblem(v_lifted: np.ndarray, a: np.ndarray, g: np.ndarray,
     that it is PSD in the one eigendecomposition it keeps.
     """
     quad_obj, cross_kernel, power_kernel = _transmit_kernels(v_lifted, a, g, k)
-    program = _schur_program(quad_obj, cross_kernel, power_kernel)
     m = quad_obj.shape[0]
-    program.add_eq(_with_u(np.eye(m), np.zeros((2, 2))), 1.0)
+    program = _schur_program(quad_obj, cross_kernel, power_kernel, np.eye(m)[None], [1.0])
     sol = _checked(solver(program, tol=SUBPROBLEM_TOL), "transmit subproblem")
     x = sol.x[:m, :m]
     return TransmitCovariance(matrix=(p0 / np.trace(x).real) * x, budget=p0), sol
@@ -211,9 +200,8 @@ def irs_subproblem(kernel: Kernel, solver: Callable[..., ConicSolution] = conic.
     if n > MAX_REFLECTION_N:
         raise SubproblemError(f"reflection program at N = {n} > {MAX_REFLECTION_N} needs "
                               f"{16e-9 * (n + 3) * (n + 2) ** 2:.2g} GB a stack copy")
-    program = _schur_program(*_dense(kernel))
     # the rows V_ii = 1, with the e_i e_i^T stacked
-    program.add_eq(_with_u(np.eye(n)[:, :, None] * np.eye(n), np.zeros((2, 2))), np.ones(n))
+    program = _schur_program(*_dense(kernel), np.eye(n)[:, :, None] * np.eye(n), np.ones(n))
     sol = _checked(solver(program, tol=SUBPROBLEM_TOL), f"reflection subproblem at N = {n}")
     return sol.x[:n, :n], sol
 

@@ -17,8 +17,8 @@ dual iterates equal the same diagonal, which keeps the corrector step a
 cheap elementwise division.  A Mehrotra predictor picks the centering
 weight.
 
-The solver stacks the rows into one array of shape (m, n, n), flattened
-once per solve and its NT-scaled copy once per iteration, so each operator
+A program holds its rows as one array of shape (m, n, n), flattened once
+per solve and its NT-scaled copy once per iteration, so each operator
 (the constraint map, its adjoint, the Schur complement and the Newton
 right-hand side) is one matrix product.  Each iteration inverts the Schur complement
 once, from its inverse Cholesky factor, so each of a step's six Schur
@@ -30,7 +30,7 @@ The solver is deterministic: identical programs produce identical iterates.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Literal
 
 import numpy as np
@@ -44,20 +44,6 @@ _log = logging.getLogger(__name__)
 
 
 # -- program container -------------------------------------------------------
-
-def _hermitian_stack(order: int, stack) -> np.ndarray:
-    """The Hermitian part of a (k, n, n) stack of coefficient matrices, after
-    checking its shape and that each matrix is Hermitian."""
-    m = np.asarray(stack, dtype=complex if np.iscomplexobj(stack) else float)
-    if m.ndim != 3 or m.shape[1:] != (order, order) or len(m) == 0:
-        raise ValueError(f"coefficients must be {order}x{order} matrices, got shape {m.shape}")
-    scale = np.maximum(np.abs(m).max(axis=(1, 2)), 1.0)
-    skewed = np.abs(m - m.conj().swapaxes(1, 2)).max(axis=(1, 2)) > SYMMETRY_ATOL * scale
-    if skewed.any():
-        raise ValueError(f"coefficient matrix {np.argmax(skewed)} of {len(m)} "
-                         "is not Hermitian symmetric")
-    return _hermitian_part(m)
-
 
 def _hermitian_part(mat: np.ndarray) -> np.ndarray:
     return (mat + mat.conj().swapaxes(-1, -2)) / 2.0
@@ -73,38 +59,49 @@ def _adjoint(y: np.ndarray, a_stack: np.ndarray) -> np.ndarray:
     return (y @ a_stack.reshape(len(y), -1)).reshape(a_stack.shape[1:])
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class ConicProgram:
-    """A minimization over one PSD matrix of order ``order`` with linear
-    equality rows.
+    """minimize <objective, X> subject to <rows[j], X> = rhs[j], X PSD.
 
-    Only ``order`` is a constructor argument; the objective (zero until
-    set) and the rows enter through the checking methods below.
+    The constructor is the one check: a square objective of order n >= 1,
+    an ``(m, n, n)`` stack of rows with m >= 1, one finite right-hand side
+    per row, finite coefficients, and each coefficient Hermitian within
+    ``SYMMETRY_ATOL`` of its largest entry.  It stores their Hermitian
+    parts, read-only, in one dtype: complex if any coefficient is complex
+    and float64 otherwise.
     """
 
-    order: int
-    objective: np.ndarray = field(init=False)
-    eq: list[tuple[np.ndarray, float]] = field(init=False, default_factory=list)
+    objective: np.ndarray
+    rows: np.ndarray
+    rhs: np.ndarray
 
     def __post_init__(self):
-        if int(self.order) < 1:
-            raise ValueError(f"the matrix order must be a positive integer, got {self.order}")
-        self.order = int(self.order)
-        self.objective = np.zeros((self.order, self.order))
+        c, a = np.asarray(self.objective), np.asarray(self.rows)
+        n, m = c.shape[0] if c.ndim == 2 else 0, len(a) if a.ndim == 3 else 0
+        if c.shape != (n, n) or n < 1:
+            raise ValueError(f"the objective must be a square matrix, got shape {c.shape}")
+        if a.shape != (m, n, n) or m < 1:
+            raise ValueError(f"rows must be m >= 1 {n}x{n} matrices, got shape {a.shape}")
+        rhs = np.array(self.rhs, dtype=float)
+        if rhs.shape != (m,):
+            raise ValueError(f"{m} rows need {m} right-hand sides, got shape {rhs.shape}")
+        mats = np.concatenate([c[None], a], dtype=np.result_type(c, a, float))
 
-    def set_objective(self, matrix) -> None:
-        self.objective = _hermitian_stack(self.order, [matrix])[0]
-
-    def add_eq(self, coeffs, rhs) -> None:
-        """Add the row <coeffs, X> = rhs, or for a (k, n, n) stack the k rows
-        <coeffs[j], X> = rhs[j]."""
-        single = np.ndim(coeffs) == 2
-        stack = _hermitian_stack(self.order, [coeffs] if single else coeffs)
-        rhs = np.asarray([rhs] if single else rhs, dtype=float)
-        if rhs.shape != (len(stack),):
-            raise ValueError(f"{len(stack)} rows need {len(stack)} right-hand sides, "
-                             f"got shape {rhs.shape}")
-        self.eq += zip(stack, rhs.tolist())
+        def name(j):
+            return "the objective" if j == 0 else f"coefficient matrix {j - 1} of {m}"
+        bad = ~np.isfinite(mats).all(axis=(1, 2))
+        if bad.any():
+            raise ValueError(f"{name(np.argmax(bad))} has a non-finite entry")
+        if not np.isfinite(rhs).all():
+            raise ValueError(f"right-hand side {np.argmax(~np.isfinite(rhs))} of {m} is not finite")
+        scale = np.maximum(np.abs(mats).max(axis=(1, 2)), 1.0)
+        skewed = np.abs(mats - mats.conj().swapaxes(1, 2)).max(axis=(1, 2)) > SYMMETRY_ATOL * scale
+        if skewed.any():
+            raise ValueError(f"{name(np.argmax(skewed))} is not Hermitian symmetric")
+        mats = _hermitian_part(mats)
+        mats.flags.writeable = rhs.flags.writeable = False
+        for key, value in (("objective", mats[0]), ("rows", mats[1:]), ("rhs", rhs)):
+            object.__setattr__(self, key, value)
 
 
 @dataclass(frozen=True)
@@ -130,17 +127,6 @@ class ConicSolution:
 
 # -- residual bookkeeping ----------------------------------------------------
 
-def _program_arrays(program: ConicProgram):
-    """Dense solver data of ``program``: the objective matrix, the stacked
-    ``(m, n, n)`` constraint array and the m right-hand sides.  The matrices
-    are complex if any coefficient is complex and float64 otherwise.
-    """
-    a_stack = np.stack([a for a, _ in program.eq])
-    dtype = np.result_type(program.objective, a_stack)
-    return (program.objective.astype(dtype, copy=False), a_stack.astype(dtype, copy=False),
-            np.array([r for _, r in program.eq], dtype=float))
-
-
 def kkt_residuals(program: ConicProgram, sol: ConicSolution) -> KktResiduals:
     """Normalized primal/dual/gap residuals of a candidate primal-dual pair.
 
@@ -149,12 +135,12 @@ def kkt_residuals(program: ConicProgram, sol: ConicSolution) -> KktResiduals:
     Gap: objective mismatch |primal - dual| and complementarity <X, S>,
     both relative to 1 + |primal objective|.
     """
-    return _kkt(*_program_arrays(program), sol.x, np.asarray(sol.y, dtype=float), sol.s)
+    return _kkt(program, sol.x, np.asarray(sol.y, dtype=float), sol.s)
 
 
-def _kkt(c_mat: np.ndarray, a_stack: np.ndarray, rhs: np.ndarray,
-         x: np.ndarray, y: np.ndarray, s: np.ndarray) -> KktResiduals:
-    """:func:`kkt_residuals` on the arrays of :func:`_program_arrays`."""
+def _kkt(program: ConicProgram, x: np.ndarray, y: np.ndarray, s: np.ndarray) -> KktResiduals:
+    """:func:`kkt_residuals` on the iterates ``x``, ``y`` and ``s``."""
+    c_mat, a_stack, rhs = program.objective, program.rows, program.rhs
     pobj = float(_inner(c_mat, x))
     primal = float(np.max(np.abs(_inner(a_stack, x) - rhs) / (1.0 + np.abs(rhs))))
     dual = float(np.linalg.norm(c_mat - s - _adjoint(y, a_stack)) / (1.0 + np.linalg.norm(c_mat)))
@@ -236,9 +222,7 @@ def solve(program: ConicProgram, tol: float = DEFAULT_TOL) -> ConicSolution:
     dual values is bounded by ``tol * (1 + |objective|)``, so
     ``[primal - gap, dual + gap]`` brackets the true optimum.
     """
-    if not program.eq:
-        raise ValueError("program has no equality rows")
-    c_mat, a_stack, rhs = _program_arrays(program)
+    c_mat, a_stack, rhs = program.objective, program.rows, program.rhs
     m, n = a_stack.shape[:2]
     a_flat = a_stack.reshape(m, -1)     # row j is vec(A_j): each map is one matvec
     a_tall = a_stack.reshape(m * n, n)  # the A_j stacked as rows, to multiply at once
@@ -341,7 +325,7 @@ def solve(program: ConicProgram, tol: float = DEFAULT_TOL) -> ConicSolution:
 
     if status != "infeasible" and best_state is not None:
         x, y, s = best_state
-    kkt = _kkt(c_mat, a_stack, rhs, x, y, s)
+    kkt = _kkt(program, x, y, s)
     if status != "infeasible":
         status = "optimal" if kkt.max() <= tol else "max_iter"
     return ConicSolution(x=x, objective=float(_inner(c_mat, x)), status=status, kkt=kkt,

@@ -385,10 +385,11 @@ def read_csv(path: str) -> list[SweepRecord]:
 def load_config(path: str) -> tuple[SystemConfig, float, list[SweepSpec]]:
     """Read an INI config; returns (system, theta, one spec per scheme).
 
-    A section or key outside the key tables, or a ``[sweep]`` without
-    ``values`` or ``schemes``, is refused with a ``ValueError`` naming the
-    file, the section and the key, and a file ``configparser`` cannot read
-    (a duplicate key, a bare ``%``) with one naming the file.
+    A section or key outside the key tables, a ``[sweep]`` without
+    ``values`` or ``schemes``, or a scheme listed twice is refused with a
+    ``ValueError`` naming the file, the section and the key or scheme, and a
+    file ``configparser`` cannot read (a duplicate key, a bare ``%``) with
+    one naming the file.
     """
     parser = configparser.ConfigParser(inline_comment_prefixes=(";", "#"))
     try:
@@ -421,8 +422,11 @@ def load_config(path: str) -> tuple[SystemConfig, float, list[SweepSpec]]:
     sweep = sections["sweep"]
     settings = {key: parse(sweep[key]) for key, parse in _SWEEP_KEYS.items() if key in sweep}
     settings.setdefault("vary", "P0")
-    specs = [SweepSpec(base=base, theta=theta, scheme=scheme.strip(), **settings)
-             for scheme in sweep["schemes"].split(",")]
+    schemes = [scheme.strip() for scheme in sweep["schemes"].split(",")]
+    repeated = [scheme for i, scheme in enumerate(schemes) if scheme in schemes[:i]]
+    if repeated:
+        raise ValueError(f"{path}: scheme {repeated[0]!r} is listed twice in section [sweep]")
+    specs = [SweepSpec(base=base, theta=theta, scheme=scheme, **settings) for scheme in schemes]
     target = sweep.get("target")
     for spec in specs:
         if target is not None and spec.target != target:

@@ -362,13 +362,10 @@ def parent_transmit_program(v_lifted: np.ndarray, a: np.ndarray, g: np.ndarray,
     """
     kernels = _transmit_kernels(v_lifted, a, g, k)
     m = kernels[0].shape[0]
-    epigraph = _schur_program(*kernels)
-    program = ConicProgram(m + 3)
-    program.set_objective(np.pad(epigraph.objective, (0, 1)))
-    program.add_eq(np.pad([coeffs for coeffs, _ in epigraph.eq], ((0, 0), (0, 1), (0, 1))),
-                   [rhs for _, rhs in epigraph.eq])
-    program.add_eq(np.diag([1.0] * m + [0.0, 0.0, 1.0]), p0)
-    return program
+    epigraph = _schur_program(*kernels, np.eye(m)[None], [p0])
+    rows = np.pad(epigraph.rows, ((0, 0), (0, 1), (0, 1)))
+    rows[-1, -1, -1] = 1.0                  # the slack s in tr X + s = P0
+    return ConicProgram(np.pad(epigraph.objective, (0, 1)), rows, epigraph.rhs)
 
 
 def parent_isotropic_profile(r_x: np.ndarray, a: np.ndarray, g: np.ndarray,

@@ -334,10 +334,7 @@ def test_criterion_10_conic_solver(single_antenna_runs, ao_instances,
     for _ in range(10):
         c = rng.standard_normal((5, 5))
         c = (c + c.T) / 2.0
-        p = ConicProgram(5)
-        p.set_objective(c)
-        p.add_eq(np.eye(5), 1.0)
-        sol = solve(p, tol=1e-9)
+        sol = solve(ConicProgram(c, np.eye(5)[None], [1.0]), tol=1e-9)
         assert sol.status == "optimal"
         worst_eig = max(worst_eig,
                         abs(sol.objective - np.linalg.eigvalsh(c).min()))

@@ -314,7 +314,7 @@ class TestIrsSubproblem:
             pass
 
         def solver(program, **kwargs):
-            assert program.order == n + 2 and len(program.eq) == n + 3
+            assert program.rows.shape == (n + 3, n + 2, n + 2)
             raise Reached
 
         with pytest.raises(Reached):
@@ -334,12 +334,12 @@ class TestIrsSubproblem:
 
         irs_subproblem(_info_kernels(g, r_x, a, 4), solver=recording)
         (program,) = programs
-        assert program.order == n + 2 and len(program.eq) == n + 3
+        assert program.rows.shape == (n + 3, n + 2, n + 2)
         corners = np.zeros((n + 2, n + 2), dtype=bool)
         corners[:n, :n] = corners[n:, n:] = True
-        for coeffs in [program.objective] + [row for row, _ in program.eq]:
+        for coeffs in [program.objective, *program.rows]:
             assert not coeffs[~corners].any()
-        for i, (row, rhs) in enumerate(program.eq[3:]):
+        for i, (row, rhs) in enumerate(zip(program.rows[3:], program.rhs[3:])):
             assert np.array_equal(row, np.diag(np.eye(n + 2)[i])) and rhs == 1.0
 
 
@@ -516,12 +516,7 @@ class TestCertifiedOptimum:
     def _unit_diagonal_sdr(h):
         # max tr(H X) over diag X = 1, X PSD, posed directly at unit scale
         n, scale = h.shape[0], np.abs(h).max()
-        program = ConicProgram(n)
-        program.set_objective(-h / scale)
-        for i in range(n):
-            e_ii = np.zeros((n, n))
-            e_ii[i, i] = 1.0
-            program.add_eq(e_ii, 1.0)
+        program = ConicProgram(-h / scale, np.eye(n)[:, :, None] * np.eye(n), np.ones(n))
         sol = conic.solve(program, tol=1e-10)
         assert sol.status == "optimal"
         return -sol.objective * scale
@@ -776,7 +771,7 @@ def test_subproblems_solve_native_hermitian_blocks():
     orders = []
 
     def recording(program, **kwargs):
-        orders.append(program.order)
+        orders.append(len(program.objective))
         return conic.solve(program, **kwargs)
 
     v = random_unit_profile(np.random.default_rng(10), 5)

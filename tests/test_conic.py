@@ -29,10 +29,7 @@ def _random_hermitian(n, rng=RNG):
 
 
 def _eigen_sdp(c):
-    p = ConicProgram(c.shape[0])
-    p.set_objective(c)
-    p.add_eq(np.eye(c.shape[0]), 1.0)
-    return p
+    return ConicProgram(c, np.eye(c.shape[0])[None], [1.0])
 
 
 class TestSolve:
@@ -51,10 +48,7 @@ class TestSolve:
 
     def test_scalar_block_is_a_bounded_lp(self):
         # x <= 3 posed as x + s = 3 with a slack diagonal entry s
-        p = ConicProgram(2)
-        p.set_objective(np.diag([-2.0, 0.0]))
-        p.add_eq(np.eye(2), 3.0)
-        sol = solve(p)
+        sol = solve(ConicProgram(np.diag([-2.0, 0.0]), np.eye(2)[None], [3.0]))
         assert sol.status == "optimal"
         assert sol.objective == pytest.approx(-6.0, abs=1e-8)
 
@@ -66,11 +60,7 @@ class TestSolve:
             c = _random_symmetric(4, rng)
             a = _random_symmetric(4, rng)
             b = float(np.trace(a)) / 4.0
-            p = ConicProgram(4)
-            p.set_objective(c)
-            p.add_eq(np.eye(4), 1.0)
-            p.add_eq(a, b)
-            sol = solve(p)
+            sol = solve(ConicProgram(c, np.array([np.eye(4), a]), [1.0, b]))
             assert sol.status == "optimal"
             oracle = dual_grid_sdp(c, a, b)
             assert sol.objective == pytest.approx(oracle, abs=1e-4)
@@ -78,10 +68,7 @@ class TestSolve:
     def test_hermitian_block_through_embedding(self):
         # complex data is solved on its native Hermitian block
         h = _random_hermitian(4)
-        p = ConicProgram(4)
-        p.set_objective(h)
-        p.add_eq(np.eye(4), 1.0)
-        sol = solve(p, tol=1e-9)
+        sol = solve(_eigen_sdp(h), tol=1e-9)
         assert sol.status == "optimal"
         assert sol.x.dtype == np.complex128
         assert sol.objective == pytest.approx(np.linalg.eigvalsh(h).min(), abs=1e-8)
@@ -115,10 +102,7 @@ class TestSolve:
         # with the smaller bottom eigenvalue
         rng = np.random.default_rng(7)
         c1, c2 = _random_symmetric(3, rng), _random_symmetric(4, rng)
-        p = ConicProgram(7)
-        p.set_objective(block_diag(c1, c2))
-        p.add_eq(np.eye(7), 1.0)
-        sol = solve(p, tol=1e-9)
+        sol = solve(_eigen_sdp(block_diag(c1, c2)), tol=1e-9)
         expected = min(np.linalg.eigvalsh(c1).min(), np.linalg.eigvalsh(c2).min())
         assert sol.objective == pytest.approx(expected, abs=1e-8)
 
@@ -129,11 +113,10 @@ class TestSolve:
         rng = np.random.default_rng(8)
         c1, c2 = _random_symmetric(3, rng), _random_symmetric(4, rng)
         z3, z4, z1 = np.zeros((3, 3)), np.zeros((4, 4)), np.zeros((1, 1))
-        p = ConicProgram(8)
-        p.set_objective(block_diag(c1, c2, z1))
-        p.add_eq(block_diag(np.eye(3), z4, z1), 1.0)
-        p.add_eq(block_diag(z3, np.eye(4), z1), 2.0)
-        p.add_eq(block_diag(z3, np.eye(4), np.eye(1)), 5.0)
+        p = ConicProgram(block_diag(c1, c2, z1),
+                         np.array([block_diag(np.eye(3), z4, z1), block_diag(z3, np.eye(4), z1),
+                                   block_diag(z3, np.eye(4), np.eye(1))]),
+                         [1.0, 2.0, 5.0])
         sol = solve(p, tol=1e-9)
         assert sol.status == "optimal"
         expected = np.linalg.eigvalsh(c1).min() + 2.0 * np.linalg.eigvalsh(c2).min()
@@ -141,62 +124,60 @@ class TestSolve:
         assert sol.x.shape == (8, 8) and sol.y.shape == (3,)
 
     def test_infeasible_program(self):
-        p = ConicProgram(2)
-        p.set_objective(np.zeros((2, 2)))
-        p.add_eq(np.eye(2), -1.0)
-        assert solve(p).status == "infeasible"
+        assert solve(ConicProgram(np.zeros((2, 2)), np.eye(2)[None], [-1.0])).status \
+            == "infeasible"
 
-    def test_rejects_asymmetric_coefficients(self):
-        # the complex coefficient is symmetric but not Hermitian
-        p = ConicProgram(2)
-        for coeff in (np.array([[0.0, 1.0], [0.0, 0.0]]),
-                      np.array([[1.0, 1j], [1j, 0.0]])):
-            with pytest.raises(ValueError, match="symmetric"):
-                p.add_eq(coeff, 0.0)
+_SKEWED_RNG = np.random.default_rng(12)
+SKEWED = np.array([_random_hermitian(3, _SKEWED_RNG) for _ in range(3)])
+SKEWED[1, 0, 2] += 1.0                          # one non-Hermitian row
+EYE = np.eye(3)
 
-    def test_stacked_rows_are_checked_before_any_is_added(self):
-        rng = np.random.default_rng(12)
-        stack = np.array([_random_hermitian(3, rng) for _ in range(3)])
-        stack[1, 0, 2] += 1.0           # one non-Hermitian row
-        p = ConicProgram(3)
-        with pytest.raises(ValueError, match="matrix 1 of 3 is not Hermitian"):
-            p.add_eq(stack, np.zeros(3))
-        for coeffs in (np.zeros((3, 2, 2)),       # wrong order
-                       np.zeros((0, 3, 3)),       # no rows
-                       np.zeros((1, 1, 3, 3))):   # not a stack
-            with pytest.raises(ValueError, match="got shape"):
-                p.add_eq(coeffs, np.zeros(len(coeffs)))
-        with pytest.raises(ValueError, match="right-hand sides"):
-            p.add_eq(np.zeros((2, 3, 3)), np.zeros(3))
-        with pytest.raises(ValueError, match="got shape"):
-            p.set_objective(np.zeros((2, 3, 3)))   # an objective is one matrix
-        assert p.eq == []
-        p.add_eq(stack[[0, 2]], [1.0, 2.0])
-        assert len(p.eq) == 2 and [rhs for _, rhs in p.eq] == [1.0, 2.0]
 
-    def test_data_enters_only_through_the_checking_methods(self):
-        with pytest.raises(TypeError):
-            ConicProgram(1, objective=[[-2.0]])
-        with pytest.raises(TypeError):
-            ConicProgram(2, eq=[([[1, 5], [0, 1]], 1.0)])
+class TestConicProgram:
+    @pytest.mark.parametrize("objective, rows, rhs, message", [
+        (EYE, np.array([[[0.0, 1.0, 0.0], [0.0] * 3, [0.0] * 3]]), [0.0],
+         "coefficient matrix 0 of 1 is not Hermitian"),
+        # symmetric but not Hermitian
+        (EYE, np.array([[[1.0, 1j, 0.0], [1j, 0.0, 0.0], [0.0] * 3]]), [0.0],
+         "coefficient matrix 0 of 1 is not Hermitian"),
+        (EYE, SKEWED, np.zeros(3), "coefficient matrix 1 of 3 is not Hermitian"),
+        (SKEWED[1], EYE[None], [1.0], "the objective is not Hermitian"),
+        (EYE, np.zeros((3, 2, 2)), np.zeros(3), "got shape"),        # wrong order
+        (EYE, np.zeros((1, 1, 3, 3)), np.zeros(1), "got shape"),     # not a stack
+        (np.zeros((2, 3, 3)), EYE[None], [1.0], "got shape"),        # one objective
+        (np.zeros((0, 0)), np.zeros((1, 0, 0)), [0.0], "got shape"),  # order 0
+        (EYE, np.zeros((2, 3, 3)), np.zeros(3), "2 rows need 2 right-hand sides"),
+        (EYE, EYE[None], 1.0, "1 rows need 1 right-hand sides"),
+        (EYE, np.zeros((0, 3, 3)), [], r"got shape \(0, 3, 3\)"),   # no rows
+        (np.diag([np.nan, 1.0, 1.0]), EYE[None], [1.0], "the objective has a non-finite entry"),
+        (np.diag([np.inf, 0.0, 0.0]), EYE[None], [1.0], "the objective has a non-finite"),
+        (EYE, np.array([EYE, np.diag([1.0, np.nan, 1.0])]), [1.0, 1.0],
+         "coefficient matrix 1 of 2 has a non-finite entry"),
+        (EYE, np.array([EYE, np.diag([0.0, -np.inf, 0.0])]), [1.0, 1.0],
+         "coefficient matrix 1 of 2 has a non-finite entry"),
+        (EYE, np.array([EYE, EYE]), [1.0, np.nan], "right-hand side 1 of 2 is not finite"),
+        (EYE, EYE[None], [np.inf], "right-hand side 0 of 1 is not finite"),
+    ], ids=["real_skewed", "complex_symmetric", "one_row_of_three", "objective_skewed",
+            "wrong_order", "not_a_stack", "objective_stack", "order_0", "rhs_count",
+            "rhs_scalar", "no_rows", "nan_objective", "inf_objective", "nan_row",
+            "inf_row", "nan_rhs", "inf_rhs"])
+    def test_constructor_refuses(self, objective, rows, rhs, message):
+        with pytest.raises(ValueError, match=message):
+            ConicProgram(objective, rows, rhs)
 
-    def test_non_finite_data_raises(self):
-        # a NaN objective reaches the Schur right-hand side and is refused there
-        p = ConicProgram(2)
-        p.set_objective(np.array([[np.nan, 0.0], [0.0, 1.0]]))
-        p.add_eq(np.eye(2), 1.0)
-        with pytest.raises(ValueError, match="infs or NaNs"):
-            solve(p)
-
-    def test_program_without_equality_rows_is_refused(self):
-        p = ConicProgram(2)
-        p.set_objective(np.eye(2))
-        with pytest.raises(ValueError, match="no equality rows"):
-            solve(p)
-
-    def test_rejects_bad_block_order(self):
-        with pytest.raises(ValueError, match="matrix order"):
-            ConicProgram(0)
+    def test_program_is_frozen_in_one_dtype(self):
+        rows = SKEWED[[0, 2]]
+        p = ConicProgram(np.eye(3), rows, [1, 2])
+        assert p.objective.dtype == p.rows.dtype == np.complex128
+        assert p.rhs.dtype == np.float64 and p.rhs.tolist() == [1.0, 2.0]
+        assert np.array_equal(p.rows, rows) and np.array_equal(p.objective, np.eye(3))
+        with pytest.raises(AttributeError):
+            p.rhs = np.zeros(2)
+        with pytest.raises(ValueError, match="read-only"):
+            p.rows[0, 0, 0] = 1.0
+        rows[0, 0, 0] = 5.0        # the program keeps its own copy
+        assert p.rows[0, 0, 0] != 5.0
+        assert ConicProgram(np.eye(3), EYE[None], [1]).rows.dtype == np.float64
 
 
 class TestCholeskySolver:

@@ -609,8 +609,11 @@ alpha_draws = 5
          r"unknown key 'average_alpha' in section \[sweep\]"),
         ("seed = 3", "seed = 3\nao_samples = 50",
          r"unknown key 'ao_samples' in section \[sweep\]"),
+        ("schemes = single_antenna_closed", "schemes = single_antenna_closed, "
+         "random_phase,single_antenna_closed",
+         r"scheme 'single_antenna_closed' is listed twice in section \[sweep\]"),
     ], ids=["section", "sweep_key", "added_key", "scene_key", "missing_key",
-            "average_alpha", "ao_samples"])
+            "average_alpha", "ao_samples", "repeated_scheme"])
     def test_unknown_and_missing_keys_are_refused(self, tmp_path, old, new, message):
         # each of these once ran silently with the defaults in its place
         path = tmp_path / "cfg.ini"
