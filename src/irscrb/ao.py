@@ -332,7 +332,8 @@ def ao_minimize_crb(scene: PointTargetScene, g: np.ndarray,
     L's top left singular vector, on (L, 1, 0) for branch 1 and on (L, 0, d)
     for branch 2.  U_DQD bounds |L^H D v|^2 >= |w2|^2: it is the
     :func:`phase_ascent` bound on (D L, 1, 0) from the top phases of D L
-    where M > 1, and 0 where M = 1, at which w2 = 0 for every v.  Branch 2
+    where M > 1 and N > 1, and 0 otherwise: at M = 1, w2 = 0 for every v,
+    and at N = 1, D = 0, so |L^H D v|^2 = 0 for every v.  Branch 2
     runs only where it can win: U_DQD > gamma f_1, with f_1 = |L^H v|^2 of
     branch 1.  The design is the first best by f of the two branch profiles
     and the top phases of L, each with its closed-form R_x and the bound at
@@ -350,7 +351,7 @@ def ao_minimize_crb(scene: PointTargetScene, g: np.ndarray,
     top_q = _top_phases(factor)
     scaled = d[:, None] * factor                            # D L
     upper_dqd = (phase_ascent((scaled, 1.0, 0.0), _top_phases(scaled))[2]
-                 if config.M > 1 else 0.0)
+                 if config.M > 1 and config.N > 1 else 0.0)
     branches = [_reflect((factor, 1.0, 0.0), top_q, seed)]
     v, upper_q, _ = branches[0]
     if upper_dqd > gamma * _profile_scores((factor, 1.0, 0.0), v[None, :])[0]:

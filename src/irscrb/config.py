@@ -39,7 +39,7 @@ DOMAINS = {
                      "rcs", "q_tot", "w_i", "w_s", "step"), _POSITIVE),
     # a negative path-loss exponent would gain with distance
     **dict.fromkeys(("alpha_bi", "rician_factor"), Domain("nonnegative", 0.0)),
-    **dict.fromkeys(("los_aod", "los_aoa", "values"), Domain()),
+    "values": Domain(),
     "theta": Domain("within +-pi/2", -math.pi / 2, math.pi / 2),
     # +-90 degrees is endfire, where the DoA bound is finite only by rounding
     "theta_deg": Domain("within +-89 degrees", -89.0, 89.0),
@@ -80,8 +80,6 @@ class SystemConfig:
     alpha_bi: float = 2.5       # BS-IRS path-loss exponent
     rician_factor: float = 10 ** 0.5  # linear Rician factor of the BS-IRS link
     rcs: float = 10 ** 0.7      # m^2, target radar cross section
-    los_aod: float = 0.0        # rad, departure angle of the BS-IRS LoS ray
-    los_aoa: float = 0.0        # rad, arrival angle of the BS-IRS LoS ray
 
     def __post_init__(self):
         for name in self.__dataclass_fields__:

@@ -574,6 +574,23 @@ class TestCertifiedOptimum:
             assert res.f_upper == cfg.P0 * (k ** 2 - 1) / 3.0 * upper_q
             assert res.status == "certified" and res.iterations == 0
 
+    @pytest.mark.parametrize("rician_factor", [10 ** 0.5, 0.0], ids=["rician5dB", "rician0"])
+    def test_single_element_designs_certify(self, rician_factor):
+        # at N = 1, D = 0, so |L^H D v|^2 = 0 for every v and U_DQD = 0: no
+        # ascent runs on D L, whose step would divide 0 by 0; every profile
+        # gives f = P0 gamma |G|^2, the value of the design and of f_upper
+        cfg = reference_config(M=4, N=1, K=8, P0=1.0, rician_factor=rician_factor)
+        scene = point_scene(cfg, np.deg2rad(60.0))
+        gamma = (cfg.K ** 2 - 1) / 3.0
+        for seed in range(4):
+            g = rician_channel(cfg, seed=seed).G
+            res = ao_minimize_crb(scene, g, cfg, seed=seed)
+            f = cfg.P0 * gamma * np.linalg.norm(g) ** 2
+            assert res.status == "certified" and res.iterations == 0
+            assert res.f_upper == pytest.approx(f, rel=1e-12)
+            assert res.crb == pytest.approx(_bound_from_info(scene, cfg, cfg.K * f),
+                                            rel=1e-12)
+
     def test_certified_design_dominates_the_alternation(self):
         # the alternation the optimizer ran where its fixed point did not
         # certify, from the same start, does no better on the grid of the

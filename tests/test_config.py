@@ -45,7 +45,7 @@ class TestSystemConfig:
     def test_non_finite_fields_rejected(self):
         # NaN passes every sign check; p0_dbm = nan once wrote ok rows
         for field in ("P0", "wavelength", "spacing", "noise_power", "d_bi", "d_it", "c0",
-                      "alpha_bi", "rician_factor", "rcs", "los_aod", "los_aoa"):
+                      "alpha_bi", "rician_factor", "rcs"):
             for value in (np.nan, np.inf):
                 with pytest.raises(ValueError, match=f"{field} must be finite"):
                     SystemConfig(**{field: value})
