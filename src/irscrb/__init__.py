@@ -22,7 +22,6 @@ from .extended import (EstimabilityError, ExtendedCrbReport, crb_extended,
                        semi_passive_preferred)
 from .pointcrb import (PhaseProfile, TransmitCovariance, covariance,
                        crb_point_closed, profile_vector, single_antenna_optimum)
-from .sweep import (SweepRecord, SweepSpec, emit_csv, load_config, read_csv,
-                    reference_config, run_sweep)
+from .sweep import SweepRecord, SweepSpec, emit_csv, load_config, read_csv, run_sweep
 
 __version__ = "0.1.0"

@@ -3,10 +3,10 @@
 Subcommands::
 
     irscrb sweep --config FILE --out CSV
-    irscrb allocate --qtot X --wi X --ws X [--exhaustive [--step X]]
+    irscrb allocate --qtot X --wi X --ws X [--exhaustive [STEP]]
     irscrb crb point --config FILE [--scheme NAME] [--seed N]
     irscrb crb extended --config FILE [--seed N]
-    irscrb selftest [--fast]
+    irscrb selftest
 
 Exit codes: 0 success, 1 usage error, 2 numerical failure.
 """
@@ -24,10 +24,9 @@ import numpy as np
 
 from .allocation import allocate_exhaustive, allocate_optimal, allocate_suboptimal
 from .channel import rician_channel
-from .config import check
+from .config import SystemConfig, check
 from .extended import EstimabilityError, gap_db
-from .sweep import (POINT_SCHEMES, SCHEMES, SweepSpec, emit_csv, load_config,
-                    reference_config, run_sweep)
+from .sweep import POINT_SCHEMES, SCHEMES, SweepSpec, emit_csv, load_config, run_sweep
 
 USAGE_EXIT = 1
 NUMERICAL_EXIT = 2
@@ -58,23 +57,20 @@ def _build_parser() -> _Parser:
     p_alloc.add_argument("--qtot", type=float, required=True)
     p_alloc.add_argument("--wi", type=float, required=True)
     p_alloc.add_argument("--ws", type=float, required=True)
-    p_alloc.add_argument("--exhaustive", action="store_true")
-    p_alloc.add_argument("--step", type=float, default=None,
-                         help=f"grid step of --exhaustive; defaults to {EXHAUSTIVE_STEP}")
+    p_alloc.add_argument("--exhaustive", nargs="?", type=float, const=EXHAUSTIVE_STEP,
+                         metavar="STEP", help="also search the grid of this step; "
+                                              f"{EXHAUSTIVE_STEP} when none is given")
 
     p_crb = sub.add_parser("crb", help="evaluate the bound for one setup")
     p_crb.add_argument("target", choices=["point", "extended"])
     p_crb.add_argument("--config", required=True)
-    p_crb.add_argument("--scheme", default=None,
-                       help="point target only; defaults to proposed_ao "
-                            "(single_antenna_closed when M = 1)")
+    p_crb.add_argument("--scheme", choices=POINT_SCHEMES, default=None,
+                       help="point target only; defaults to proposed_ao")
     p_crb.add_argument("--seed", type=int, default=0,
                        help="channel seed; a scheme's own draws derive from "
                             "it as in trial 0 of a sweep")
 
-    p_self = sub.add_parser("selftest", help="run the monotone-trend checks")
-    p_self.add_argument("--fast", action="store_true",
-                        help="smaller sweeps, closed-form schemes only")
+    sub.add_parser("selftest", help="run the monotone-trend checks")
     return parser
 
 
@@ -122,15 +118,12 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_allocate(args) -> int:
-    if args.step is not None and not args.exhaustive:
-        raise _UsageError("--step applies only with --exhaustive")
-    step = EXHAUSTIVE_STEP if args.step is None else args.step
     rows = {"optimal    ": allocate_optimal(args.qtot, args.wi, args.ws),
             "sub-optimal": allocate_suboptimal(args.qtot, args.wi, args.ws)}
-    if args.exhaustive:     # a refused step stops the command before any output
-        rows["exhaustive "] = allocate_exhaustive(args.qtot, args.wi, args.ws, step)
+    if args.exhaustive is not None:     # a refused step stops the command before any output
+        rows["exhaustive "] = allocate_exhaustive(args.qtot, args.wi, args.ws, args.exhaustive)
     for label, r in rows.items():
-        note = f"  (step {step})" if r.mode == "exhaustive" else ""
+        note = f"  (step {args.exhaustive})" if r.mode == "exhaustive" else ""
         print(f"{label} N = {r.n_cont:12.4f}  K = {r.k_cont:12.4f}  "
               f"objective = {r.objective:.6e}{note}")
     return 0
@@ -156,11 +149,7 @@ def _cmd_crb(args) -> int:
         print(f"gap     = {gap_db(ch.G):.4f} dB")
         return 0
 
-    scheme = args.scheme or ("single_antenna_closed" if base.M == 1
-                             else "proposed_ao")
-    if scheme not in POINT_SCHEMES:
-        raise _UsageError(f"unknown point scheme {scheme!r}")
-    crb = bound(scheme)
+    crb = bound(args.scheme or "proposed_ao")
     if np.isfinite(crb):
         print(f"crb = {crb:.6e} rad^2  ({10 * np.log10(crb):.3f} dB)")
     else:
@@ -175,18 +164,16 @@ class Trend(NamedTuple):
     label: str
     vary: str
     values: tuple[int, ...]
-    scheme: str | None          # None: the point scheme under test
+    scheme: str
     overrides: dict             # applied to the base config
     direction: str              # "down" | "up"
 
 
 TRENDS = (
-    Trend("point crb vs P0 (dBm)", "P0", (10, 20, 30), None, {}, "down"),
-    # the vs-M gain needs transmit beamforming; isotropic power per antenna
-    # shrinks with M, so this trend always runs the optimizer
+    Trend("point crb vs P0 (dBm)", "P0", (10, 20, 30), "proposed_ao", {}, "down"),
     Trend("point crb vs M", "M", (2, 4, 8), "proposed_ao", {}, "down"),
-    Trend("point crb vs N", "N", (2, 4, 8), None, {}, "down"),
-    Trend("point crb vs K", "K", (2, 4, 8), None, {}, "down"),
+    Trend("point crb vs N", "N", (2, 4, 8), "proposed_ao", {}, "down"),
+    Trend("point crb vs K", "K", (2, 4, 8), "proposed_ao", {}, "down"),
     Trend("extended crb vs K", "K", (4, 8, 16), "extended_opt", {"M": 8}, "up"),
     Trend("extended crb vs N", "N", (2, 4, 6), "extended_opt", {"M": 8}, "up"),
     Trend("extended crb vs M", "M", (8, 12, 16), "extended_opt", {}, "down"),
@@ -195,14 +182,12 @@ TRENDS = (
 
 
 def _cmd_selftest(args) -> int:
-    base = reference_config(M=4, N=4, K=4)
-    point_scheme = "isotropic_tx" if args.fast else "proposed_ao"
+    base = SystemConfig(M=4, N=4, K=4)
     ok = True
     for trend in TRENDS:
         spec = SweepSpec(base=replace(base, **trend.overrides), theta=np.deg2rad(60.0),
-                         vary=trend.vary, values=trend.values,
-                         scheme=trend.scheme or point_scheme, trials=2, seed=7,
-                         alpha_draws=10)
+                         vary=trend.vary, values=trend.values, scheme=trend.scheme,
+                         trials=2, seed=7, alpha_draws=10)
         crbs = [rec.crb_mean for rec in run_sweep(spec)]
         pairs = list(zip(crbs, crbs[1:]))
         passed = all(b <= a * (1 + 1e-12) for a, b in pairs) if trend.direction == "down" \

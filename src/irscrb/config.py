@@ -72,7 +72,8 @@ class SystemConfig:
     T: int = 64                 # probing symbols per coherent block
     P0: float = 1.0             # W, transmit power budget
     wavelength: float = 0.2     # m, carrier wavelength
-    spacing: float = 0.1        # m, shared inter-element/inter-sensor spacing
+    spacing: float | None = None  # m, shared inter-element/inter-sensor spacing;
+                                  # wavelength / 2 when not given
     noise_power: float = 1e-12  # W, sensor noise power
     d_bi: float = 60.0          # m, BS-IRS distance
     d_it: float = 20.0          # m, IRS-target distance
@@ -82,6 +83,8 @@ class SystemConfig:
     rcs: float = 10 ** 0.7      # m^2, target radar cross section
 
     def __post_init__(self):
+        if self.spacing is None:
+            object.__setattr__(self, "spacing", self.wavelength / 2)
         for name in self.__dataclass_fields__:
             check(name, getattr(self, name))
         if self.spacing_warning:

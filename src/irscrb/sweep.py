@@ -9,7 +9,8 @@ point-by-point and dropping a trial leaves the others untouched.
 Configuration files are INI-style with three sections; powers are given in
 dBm, ratios in dB and angles in degrees, mirroring how the quantities are
 usually plotted.  An absent key takes the ``SystemConfig`` or ``SweepSpec``
-default; any other section or key is refused::
+default; any other section or key is refused, and so is a ``[sweep]`` key
+that none of the file's sweeps reads::
 
     [system]
     m = 8               ; BS antennas
@@ -31,16 +32,15 @@ default; any other section or key is refused::
     theta_deg = 60      ; within +-89 degrees
 
     [sweep]
-    target = point      ; point | extended
     vary = P0           ; P0 | M | N | K | beta_BI | W_I | Q_tot
     values = 10, 20, 30 ; dBm for P0, dB for beta_BI, whole numbers for M, N, K
     schemes = proposed_ao, random_phase
     trials = 3
     seed = 1234
-    alpha_draws = 50    ; fading draws averaged per trial, 1 for a single draw
-    q_tot = 600         ; only for W_I / Q_tot sweeps
-    w_i = 1
-    w_s = 1
+    alpha_draws = 50    ; point schemes only: fading draws averaged per trial
+    ; q_tot = 600       ; W_I sweeps only
+    ; w_i = 1           ; Q_tot sweeps only
+    ; w_s = 1           ; W_I and Q_tot sweeps only
 
 Sweeps over ``W_I`` or ``Q_tot`` first solve the element/sensor allocation
 for each value, round the continuous split to integers and then evaluate
@@ -132,7 +132,12 @@ _SWEEP_KEYS = {"vary": str, "values": lambda text: tuple(float(x) for x in text.
                "trials": _count, "seed": _count, "alpha_draws": _count, "q_tot": float,
                "w_i": float, "w_s": float}
 _SECTION_KEYS = {"system": _SYSTEM_KEYS, "scene": ("theta_deg",),
-                 "sweep": (*_SWEEP_KEYS, "schemes", "target")}
+                 "sweep": (*_SWEEP_KEYS, "schemes")}
+# [sweep] key -> whether a spec reads it; the other keys every spec reads
+_READ_BY = {"q_tot": lambda spec: spec.vary == "W_I",
+            "w_i": lambda spec: spec.vary == "Q_tot",
+            "w_s": lambda spec: spec.vary in ("W_I", "Q_tot"),
+            "alpha_draws": lambda spec: spec.target == "point"}
 THETA_DEG = 60.0                    # target DoA when [scene] gives none
 
 CSV_HEADER = ("vary", "value", "scheme", "crb", "crb_db", "trials", "status",
@@ -145,7 +150,8 @@ _CHANNEL, _AO, _PHASE, _RANDOMIZE, _ALPHA, _RETURN = range(6)
 
 
 def reference_config(**overrides) -> SystemConfig:
-    """The desk-scale ``SystemConfig`` defaults with ``overrides`` applied."""
+    """``SystemConfig(**overrides)``; kept only because perfbench/workloads.py
+    imports it."""
     return SystemConfig(**overrides)
 
 
@@ -386,10 +392,10 @@ def load_config(path: str) -> tuple[SystemConfig, float, list[SweepSpec]]:
     """Read an INI config; returns (system, theta, one spec per scheme).
 
     A section or key outside the key tables, a ``[sweep]`` without
-    ``values`` or ``schemes``, or a scheme listed twice is refused with a
-    ``ValueError`` naming the file, the section and the key or scheme, and a
-    file ``configparser`` cannot read (a duplicate key, a bare ``%``) with
-    one naming the file.
+    ``values`` or ``schemes``, a scheme listed twice, or a ``[sweep]`` key
+    that no spec reads is refused with a ``ValueError`` naming the file, the
+    section and the key or scheme, and a file ``configparser`` cannot read
+    (a duplicate key, a bare ``%``) with one naming the file.
     """
     parser = configparser.ConfigParser(inline_comment_prefixes=(";", "#"))
     try:
@@ -411,8 +417,6 @@ def load_config(path: str) -> tuple[SystemConfig, float, list[SweepSpec]]:
     system = sections.get("system", {})
     fields = {field: parse(float(system[key]))
               for key, (field, parse) in _SYSTEM_KEYS.items() if key in system}
-    if "wavelength" in fields:
-        fields.setdefault("spacing", fields["wavelength"] / 2.0)
     base = SystemConfig(**fields)
     theta_deg = check("theta_deg", float(sections.get("scene", {}).get("theta_deg", THETA_DEG)))
     theta = float(np.deg2rad(theta_deg))
@@ -427,8 +431,8 @@ def load_config(path: str) -> tuple[SystemConfig, float, list[SweepSpec]]:
     if repeated:
         raise ValueError(f"{path}: scheme {repeated[0]!r} is listed twice in section [sweep]")
     specs = [SweepSpec(base=base, theta=theta, scheme=scheme, **settings) for scheme in schemes]
-    target = sweep.get("target")
-    for spec in specs:
-        if target is not None and spec.target != target:
-            raise ValueError(f"scheme {spec.scheme!r} does not match target {target!r}")
+    for key, reads in _READ_BY.items():     # after the specs check each value
+        if key in sweep and not any(reads(spec) for spec in specs):
+            raise ValueError(f"{path}: key {key!r} in section [sweep] is read by none "
+                             f"of its sweeps")
     return base, theta, specs

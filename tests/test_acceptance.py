@@ -296,9 +296,9 @@ def test_criterion_9_trend_suite():
     # falls with antennas and power
     trend_crbs = {}
     for trend in TRENDS:
-        scheme = trend.scheme or "proposed_ao"
-        vals = crbs(trend.vary, trend.values, scheme, cfg=replace(base, **trend.overrides),
-                    trials=2 if SCHEMES[scheme].target == "extended" else 3)
+        vals = crbs(trend.vary, trend.values, trend.scheme,
+                    cfg=replace(base, **trend.overrides),
+                    trials=2 if SCHEMES[trend.scheme].target == "extended" else 3)
         sign = -1.0 if trend.direction == "down" else 1.0
         assert np.all(sign * np.diff(vals) > 0.0), (trend.label, vals)
         trend_crbs[trend.label] = vals

@@ -97,19 +97,35 @@ def test_allocate_prints_both_solutions(capsys):
 
 
 @pytest.mark.parametrize("flags, step", [(["--exhaustive"], "0.25"),
-                                         (["--exhaustive", "--step", "0.5"], "0.5")])
+                                         (["--exhaustive", "0.5"], "0.5"),
+                                         (["--exhaustive=0.5"], "0.5")])
 def test_allocate_exhaustive_flag(capsys, flags, step):
     rc = cli_main(["allocate", "--qtot", "600", "--wi", "1", "--ws", "1", *flags])
     assert rc == 0
     assert re.search(rf"^exhaustive .*\(step {step}\)$", capsys.readouterr().out, re.M)
 
 
-def test_allocate_step_without_exhaustive_is_usage_error(capsys):
-    # once ignored with exit 0
-    rc = cli_main(["allocate", "--qtot", "600", "--wi", "1", "--ws", "1", "--step", "5"])
+@pytest.mark.parametrize("argv, name", [
+    (["selftest", "--fast"], "--fast"),
+    (["allocate", "--qtot", "600", "--wi", "1", "--ws", "1", "--step", "0.5"], "--step"),
+    (["allocate", "--qtot", "600", "--wi", "1", "--ws", "1", "--exhaustive", "--step", "0.5"],
+     "--step"),
+])
+def test_removed_flags_are_refused_by_name(capsys, argv, name):
+    # --fast swapped the point scheme of three trends; --step is --exhaustive's value
+    assert cli_main(argv) == 1
     out, err = capsys.readouterr()
-    assert rc == 1 and not out
-    assert "--step" in err
+    assert not out and err.startswith("usage error:") and name in err, err
+
+
+def test_removed_target_key_is_refused_by_name(tmp_path, capsys):
+    # the scheme table fixes each scheme's target
+    cfg = tmp_path / "cfg.ini"
+    cfg.write_text(_edited("sweep", {"target": "point"}))
+    assert cli_main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "x.csv")]) == 1
+    out, err = capsys.readouterr()
+    assert not out and "unknown key 'target' in section [sweep]" in err, err
+    assert not (tmp_path / "x.csv").exists()
 
 
 def test_allocate_infeasible_budget_is_rejected(capsys):
@@ -215,7 +231,7 @@ NUMERIC_INPUTS = [
     ("sweep", "seed", "seed", ["2.5"]), ("sweep", "alpha_draws", "alpha_draws", ["2.5"]),
     ("sweep", "q_tot", "q_tot", []), ("sweep", "w_i", "w_i", []), ("sweep", "w_s", "w_s", []),
     ("allocate", "--qtot", "q_tot", []), ("allocate", "--wi", "w_i", []),
-    ("allocate", "--ws", "w_s", []), ("allocate", "--step", "step", ["1e-9"]),
+    ("allocate", "--ws", "w_s", []), ("allocate", "--exhaustive", "step", ["1e-9"]),
     ("crb", "--seed", "seed", ["2.5"]),
 ]
 # (where, edits, name, expected): an out-of-range value is "refused" by
@@ -312,12 +328,17 @@ def test_estimability_error_is_numerical_failure(monkeypatch, capsys):
 
 
 def test_crb_point_single_antenna(tmp_path, capsys):
+    # at M = 1 the default proposed_ao prints the closed-form optimum's line
     cfg = tmp_path / "cfg.ini"
     cfg.write_text(POINT_CONFIG)
-    rc = cli_main(["crb", "point", "--config", str(cfg)])
-    out = capsys.readouterr().out
-    assert rc == 0
-    assert "crb =" in out and "rad^2" in out
+    for seed in range(5):
+        lines = []
+        for scheme in ([], ["--scheme", "single_antenna_closed"]):
+            assert cli_main(["crb", "point", "--config", str(cfg), "--seed", str(seed),
+                             *scheme]) == 0
+            lines.append(capsys.readouterr().out)
+        assert lines[0] == lines[1] and re.fullmatch(r"crb = \S+ rad\^2  \(\S+ dB\)\n",
+                                                     lines[0]), lines
 
 
 def test_crb_point_optimizing_schemes(tmp_path, capsys):
@@ -359,11 +380,14 @@ def test_single_antenna_closed_on_a_multi_antenna_config_is_usage_error(
     assert not out and not csv.exists()
 
 
-def test_crb_point_bad_scheme_is_usage_error(tmp_path):
+@pytest.mark.parametrize("scheme", ["nonsense", "extended_opt"])
+def test_crb_point_bad_scheme_is_usage_error(tmp_path, capsys, scheme):
     cfg = tmp_path / "cfg.ini"
     cfg.write_text(POINT_CONFIG)
     assert cli_main(["crb", "point", "--config", str(cfg),
-                     "--scheme", "nonsense"]) == 1
+                     "--scheme", scheme]) == 1
+    out, err = capsys.readouterr()
+    assert not out and "--scheme" in err and scheme in err, err
 
 
 def test_crb_extended_rank_deficient_prints_inf(tmp_path, capsys):
@@ -436,8 +460,8 @@ def test_one_parser_serves_every_call_of_a_process(tmp_path, capsys):
     assert shared[1][3] == shared[2][3]
 
 
-def test_selftest_fast(capsys):
-    rc = cli_main(["selftest", "--fast"])
+def test_selftest(capsys):
+    rc = cli_main(["selftest"])
     out = capsys.readouterr().out
     assert rc == 0
     assert "selftest: PASS" in out

@@ -1,6 +1,7 @@
 import logging
 import re
 import textwrap
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -12,7 +13,8 @@ import irscrb.sweep
 from irscrb.ao import RANDOMIZATION_SAMPLES, SubproblemError, _top_phases, phase_ascent
 from irscrb.arrays import target_steering
 from irscrb.channel import rician_channel
-from irscrb.config import SystemConfig, dbm_to_watt, derive_seed, point_scene
+from irscrb.config import (SpacingWarning, SystemConfig, dbm_to_watt, derive_seed,
+                           point_scene)
 from irscrb.extended import EstimabilityError, crb_extended, optimal_transmit_extended
 from irscrb.pointcrb import _info_kernels, crb_point_closed
 from irscrb.sweep import (_CHANNEL, _RANDOMIZE, SCHEMES, Scheme,
@@ -537,7 +539,6 @@ rician_db = 5
 theta_deg = 89
 
 [sweep]
-target = point
 vary = P0
 values = 10, 20
 schemes = single_antenna_closed
@@ -562,11 +563,43 @@ alpha_draws = 5
         with pytest.raises(ValueError, match=r"theta_deg must be within \+-89 degrees, got 95"):
             load_config(str(path))
 
-    def test_target_mismatch_rejected(self, tmp_path):
+    def test_spacing_defaults_to_half_the_wavelength_on_both_routes(self, tmp_path):
+        # the library once kept 0.1 m, with a SpacingWarning, where a file got 0.05 m
         path = tmp_path / "cfg.ini"
-        path.write_text(self.CONFIG.replace("target = point", "target = extended"))
-        with pytest.raises(ValueError, match="target"):
+        path.write_text(self.CONFIG.replace("wavelength_m = 0.2", "wavelength_m = 0.1"))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", SpacingWarning)
+            library = SystemConfig(wavelength=0.1)
+            base = load_config(str(path))[0]
+        assert library.spacing == base.spacing == 0.05
+        assert SystemConfig(wavelength=0.1, spacing=0.04).spacing == 0.04
+        assert replace(library, wavelength=0.2).spacing == 0.05
+
+    @pytest.mark.parametrize("vary, values", [("P0", "10, 20"), ("W_I", "0.5, 1"),
+                                              ("Q_tot", "100, 200")])
+    @pytest.mark.parametrize("key", ["q_tot", "w_i", "w_s"])
+    def test_allocation_keys_are_refused_where_no_sweep_reads_them(self, tmp_path, vary,
+                                                                   values, key):
+        path = tmp_path / "cfg.ini"
+        path.write_text(self.CONFIG.replace("vary = P0", f"vary = {vary}")
+                        .replace("values = 10, 20", f"values = {values}\n{key} = 600"))
+        read = {"q_tot": ("W_I",), "w_i": ("Q_tot",), "w_s": ("W_I", "Q_tot")}[key]
+        if vary in read:
+            assert getattr(load_config(str(path))[2][0], key) == 600.0
+            return
+        with pytest.raises(ValueError, match=rf"key '{key}' in section \[sweep\] is read "
+                                             "by none of its sweeps") as info:
             load_config(str(path))
+        assert str(path) in str(info.value)
+
+    def test_alpha_draws_is_refused_where_every_scheme_is_extended(self, tmp_path):
+        path = tmp_path / "cfg.ini"
+        extended = self.CONFIG.replace("m = 1", "m = 8")
+        path.write_text(extended.replace("single_antenna_closed", "extended_opt, fully_passive"))
+        with pytest.raises(ValueError, match=r"key 'alpha_draws' in section \[sweep\]"):
+            load_config(str(path))
+        path.write_text(extended.replace("single_antenna_closed", "extended_opt, random_phase"))
+        assert [spec.alpha_draws for spec in load_config(str(path))[2]] == [5, 5]
 
     def test_defaults_are_the_system_defaults(self, tmp_path):
         assert reference_config() == SystemConfig()
