@@ -380,14 +380,14 @@ def test_single_antenna_closed_on_a_multi_antenna_config_is_usage_error(
     assert not out and not csv.exists()
 
 
-@pytest.mark.parametrize("scheme", ["nonsense", "extended_opt"])
-def test_crb_point_bad_scheme_is_usage_error(tmp_path, capsys, scheme):
+def test_crb_point_bad_scheme_is_usage_error(tmp_path, capsys):
     cfg = tmp_path / "cfg.ini"
     cfg.write_text(POINT_CONFIG)
-    assert cli_main(["crb", "point", "--config", str(cfg),
-                     "--scheme", scheme]) == 1
-    out, err = capsys.readouterr()
-    assert not out and "--scheme" in err and scheme in err, err
+    for scheme in ("nonsense", "extended_opt"):
+        assert cli_main(["crb", "point", "--config", str(cfg),
+                         "--scheme", scheme]) == 1
+        out, err = capsys.readouterr()
+        assert not out and "--scheme" in err and scheme in err, err
 
 
 def test_crb_extended_rank_deficient_prints_inf(tmp_path, capsys):
