@@ -199,7 +199,7 @@ def irs_subproblem(kernel: Kernel, solver: Callable[..., ConicSolution] = conic.
     n = kernel[0].shape[0]
     if n > MAX_REFLECTION_N:
         raise SubproblemError(f"reflection program at N = {n} > {MAX_REFLECTION_N} needs "
-                              f"{16e-9 * (n + 3) * (n + 2) ** 2:.2g} GB a stack copy")
+                              f"{16e-9 * (n + 3) * (n + 2) ** 2:.2g} GB for a stack copy")
     # the rows V_ii = 1, with the e_i e_i^T stacked
     program = _schur_program(*_dense(kernel), np.eye(n)[:, :, None] * np.eye(n), np.ones(n))
     sol = _checked(solver(program, tol=SUBPROBLEM_TOL), f"reflection subproblem at N = {n}")

@@ -135,8 +135,8 @@ def _cmd_crb(args) -> int:
     base, theta, _ = load_config(args.config)
     ch = rician_channel(base, seed=check("seed", args.seed))
 
-    def bound(scheme: str) -> float:
-        return SCHEMES[scheme].evaluate(base, ch, theta, args.seed, 0)
+    def bound(scheme: str) -> float:     # trial 0 of a sweep, as a one-trial batch
+        return SCHEMES[scheme].evaluate(base, ch.G[None], theta, args.seed, [0])[0]
 
     if args.target == "extended":
         opt = bound("extended_opt")

@@ -9,6 +9,8 @@ oracle.  The optimal covariance follows from the SVD of G, which also yields
 the bound itself, the isotropic baseline and their ratio in closed form.
 Every bound is a sum over singular values under one rank rule (one at most
 ``RANK_RTOL * s_max`` is zero) and is infinite, not raised, short of rank N.
+The closed-form bounds also take a stack of channels, shape (..., N, M),
+and give one bound and one rank deficiency per channel.
 A raw R_x is checked by the rule of :mod:`irscrb.pointcrb` before it is used.
 """
 
@@ -18,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .pointcrb import TransmitCovariance, covariance
+from .pointcrb import TransmitCovariance, _scalar_or_array, covariance
 
 RANK_RTOL = 1e-10
 
@@ -29,31 +31,37 @@ class EstimabilityError(ValueError):
 
 @dataclass(frozen=True)
 class ExtendedCrbReport:
-    """Trace bound for the response-matrix estimate."""
+    """Trace bound for the response-matrix estimate; arrays for a stack of
+    channels."""
 
-    crb: float
-    rank_deficiency: int = 0        # positive when the bound is infinite
-
-
-def _rank_deficiency(sv: np.ndarray, n: int) -> int:
-    """N minus the rank: a singular value at most RANK_RTOL * s_max is zero."""
-    return n - min(int(np.sum(sv > RANK_RTOL * sv.max(initial=0.0))), n)
+    crb: float | np.ndarray
+    rank_deficiency: int | np.ndarray = 0   # positive where the bound is infinite
 
 
-def _inverse_sum(a: np.ndarray, power: int) -> tuple[float, int]:
-    """(sum_i 1/s_i^power, rank deficiency) over the singular values of the
-    [N, *] matrix ``a``; the sum is infinite when the deficiency is positive."""
+def _rank_deficiency(sv: np.ndarray, n: int) -> np.ndarray:
+    """N minus the rank of each set of singular values on the last axis of
+    ``sv``: a singular value at most RANK_RTOL * s_max is zero."""
+    rank = np.sum(sv > RANK_RTOL * sv.max(axis=-1, initial=0.0, keepdims=True), axis=-1)
+    return n - np.minimum(rank, n)
+
+
+def _inverse_sum(a: np.ndarray, power: int):
+    """(sum_i 1/s_i^power, rank deficiency) over the singular values of each
+    [N, *] matrix on the last two axes of ``a``; the sum is infinite where the
+    deficiency is positive.  A float and an int for one matrix."""
     a = np.asarray(a, dtype=complex)
     sv = np.linalg.svd(a, compute_uv=False)
-    deficiency = _rank_deficiency(sv, a.shape[0])
-    if deficiency:
-        return float("inf"), deficiency
-    return float(np.sum(1.0 / sv ** power)), 0
+    deficiency = _rank_deficiency(sv, a.shape[-2])
+    with np.errstate(divide="ignore", over="ignore"):   # only where deficient
+        sums = np.sum(1.0 / sv ** power, axis=-1)
+    return (_scalar_or_array(np.where(deficiency > 0, np.inf, sums)),
+            _scalar_or_array(deficiency))
 
 
 def _return_factor(g_r: np.ndarray) -> float:
-    """tr((G_r^H G_r)^{-1}) of the [m_r, N] return channel; inf below rank N."""
-    return _inverse_sum(np.asarray(g_r).T, 2)[0]
+    """tr((G_r^H G_r)^{-1}) of each [m_r, N] return channel on the last two
+    axes of ``g_r``; inf below rank N."""
+    return _inverse_sum(np.swapaxes(g_r, -1, -2), 2)[0]
 
 
 def crb_extended(r_x, g: np.ndarray, k: int, t: int,
@@ -95,7 +103,9 @@ def optimal_transmit_extended(g: np.ndarray, p0: float) -> TransmitCovariance:
 def crb_extended_opt(g: np.ndarray, p0: float, k: int, t: int,
                      sigma2: float) -> ExtendedCrbReport:
     """Closed-form bound (sigma^2 K / (P0 T)) (sum_i 1/s_i)^2 at the optimum;
-    infinite where M < N or G is rank deficient."""
+    infinite where M < N or G is rank deficient.  A stack of channels
+    (..., N, M) gives arrays of shape (...), entry by entry each one's report.
+    """
     inv_sum, deficiency = _inverse_sum(g, 1)
     return ExtendedCrbReport(sigma2 * k / (p0 * t) * inv_sum ** 2, deficiency)
 
@@ -103,9 +113,11 @@ def crb_extended_opt(g: np.ndarray, p0: float, k: int, t: int,
 def crb_extended_iso(g: np.ndarray, p0: float, k: int, t: int,
                      sigma2: float) -> ExtendedCrbReport:
     """Bound (sigma^2 K M / (P0 T)) sum_i 1/s_i^2 under R_x = (P0/M) I,
-    with M the column count of G."""
+    with M the column count of G.  A stack of channels (..., N, M) gives
+    arrays of shape (...), entry by entry each one's report.
+    """
     inv_sum, deficiency = _inverse_sum(g, 2)
-    return ExtendedCrbReport(sigma2 * k * np.shape(g)[1] / (p0 * t) * inv_sum, deficiency)
+    return ExtendedCrbReport(sigma2 * k * np.shape(g)[-1] / (p0 * t) * inv_sum, deficiency)
 
 
 def gap_db(g: np.ndarray) -> float:
@@ -129,10 +141,13 @@ def crb_fully_passive(r_x, g: np.ndarray, g_r: np.ndarray, t: int,
 
 
 def crb_fully_passive_opt(g: np.ndarray, g_r: np.ndarray, p0: float, t: int,
-                          sigma2: float) -> float:
+                          sigma2: float) -> float | np.ndarray:
     """``crb_fully_passive`` at the optimal transmit covariance in closed form:
-    the ``crb_extended_opt`` bound at K = 1 times tr((G_r^H G_r)^{-1})."""
-    return float(crb_extended_opt(g, p0, 1, t, sigma2).crb * _return_factor(g_r))
+    the ``crb_extended_opt`` bound at K = 1 times tr((G_r^H G_r)^{-1}).
+    Stacks ``g`` (..., N, M) and ``g_r`` (..., m_r, N) give an array of
+    bounds, entry by entry each pair's; one pair gives a float.
+    """
+    return crb_extended_opt(g, p0, 1, t, sigma2).crb * _return_factor(g_r)
 
 
 def semi_passive_preferred(k: int, g_r: np.ndarray) -> bool:

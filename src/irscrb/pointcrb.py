@@ -130,22 +130,29 @@ def crb_point_closed(scene: PointTargetScene, r_x, v, g: np.ndarray,
     return _bound_from_info(scene, config, config.K * float(info))
 
 
-def _bound_from_info(scene: PointTargetScene, config: SystemConfig,
-                     info: float) -> float:
-    """Bound sigma^2 lambda^2 / (2 T |alpha|^2 pi^2 d^2 cos^2(theta) info).
+def _bound_from_info(scene: PointTargetScene, config: SystemConfig, info):
+    """Bound sigma^2 lambda^2 / (2 T |alpha|^2 pi^2 d^2 cos^2(theta) info),
+    elementwise over ``info``.
 
-    Returns ``inf`` when the information is not positive.
+    Gives ``inf`` where the information is not positive, and a float for a
+    scalar ``info``.
     """
     cos2 = np.cos(scene.theta) ** 2
     denom = (2.0 * config.T * abs(scene.alpha) ** 2 * np.pi ** 2
              * config.spacing ** 2 * cos2 * info)
-    if denom <= 0.0:
-        return float("inf")
-    return float(config.noise_power * config.wavelength ** 2 / denom)
+    with np.errstate(divide="ignore"):     # where denom is 0, replaced by inf
+        bound = config.noise_power * config.wavelength ** 2 / denom
+    return _scalar_or_array(np.where(denom <= 0.0, np.inf, bound))
+
+
+def _scalar_or_array(x):
+    """A 0-d result as a Python scalar; a stack of results as its array."""
+    x = np.asarray(x)
+    return x.item() if x.ndim == 0 else x
 
 
 def single_antenna_optimum(scene: PointTargetScene, h: np.ndarray,
-                           config: SystemConfig) -> tuple[np.ndarray, float]:
+                           config: SystemConfig) -> tuple[np.ndarray, float | np.ndarray]:
     """Optimal phases and DoA bound for a single-antenna BS, ``h`` = G[:, 0].
 
     The full budget P0 is used and each reflection phase cancels the combined
@@ -155,6 +162,9 @@ def single_antenna_optimum(scene: PointTargetScene, h: np.ndarray,
 
         3 sigma^2 lambda^2 /
         (2 T |alpha|^2 pi^2 cos^2(theta) d^2 P0 (K^3 - K) (sum_n |h_n|)^2).
+
+    A stack of channels ``h`` (..., N) gives phases of that shape and bounds
+    of shape (...), entry by entry each channel's; one channel a float bound.
     """
     if config.M != 1:
         raise ValueError(f"single-antenna optimum requires M = 1, got M = {config.M}")
@@ -162,7 +172,7 @@ def single_antenna_optimum(scene: PointTargetScene, h: np.ndarray,
     a = target_steering(scene.theta, config.N, config.spacing, config.wavelength)
     phases = np.angle(np.exp(-1j * (np.angle(a) + np.angle(h))))
 
-    coherent_gain = float(np.sum(np.abs(h))) ** 2
+    coherent_gain = np.sum(np.abs(h), axis=-1) ** 2
     k = config.K
     info = config.P0 * (k ** 3 - k) * coherent_gain / 3.0
     return phases, _bound_from_info(scene, config, info)

@@ -51,15 +51,22 @@ trial is evaluated at ``P0 = 1 W`` and a row's mean is scaled by ``1/P0``.
 The ``extended_opt`` and ``extended_iso`` bounds are also exactly
 proportional to K, so they are evaluated at the base config's K and scaled
 by ``K / K_base`` too; ``fully_passive`` is not, since its return channel
-has K rows.  Values with the same unit config reuse the trial results, so a
-``P0`` sweep, and a ``K`` sweep of those two schemes, solves each trial
-once.  ``fully_passive`` is ``crb_fully_passive_opt``, the ``extended_opt``
-bound at K = 1 times the return-channel factor ``tr((G_r^H G_r)^{-1})``.  Each
-trial's channel seed and fading factor are drawn once per sweep, and its
-channel once per distinct ``DRAW_FIELDS`` (once for a ``K`` sweep), by the
-first row that needs it; ``wall_ms`` counts a row's own draws, solves and
-scaling, so rows after the first that reuse its results report near-zero
-times.
+has K rows.  ``fully_passive`` is ``crb_fully_passive_opt``, the
+``extended_opt`` bound at K = 1 times the return-channel factor
+``tr((G_r^H G_r)^{-1})``.
+
+The unit of evaluation is a row group: one distinct unit config and all of
+its trials.  Its trials are evaluated as one batch: the closed-form schemes
+make one call on the stacked trial channels, since their bounds accept a
+stack of channels, while ``proposed_ao``, ``random_phase`` and
+``isotropic_tx`` are called one trial at a time, so that a failing trial
+fails alone.  Values with the same unit config reuse the group's bounds, so
+a ``P0`` sweep, and a ``K`` sweep of ``extended_opt`` or ``extended_iso``,
+evaluates each trial once.  Each trial's channel seed and fading factor are
+drawn once per sweep, before its first row, and its channel once per
+distinct ``DRAW_FIELDS`` (once for a ``K`` sweep), by the first row that
+needs it; ``wall_ms`` counts a row's own draws, solves and scaling, so rows
+after the first that reuse its group report near-zero times.
 
 The CSV contract: header ``vary,value,scheme,crb,crb_db,trials,status,
 wall_ms``, one row per (value, scheme), floats in full-precision scientific
@@ -72,7 +79,6 @@ from __future__ import annotations
 
 import configparser
 import csv
-import functools
 import logging
 import time
 from dataclasses import dataclass, replace
@@ -221,60 +227,74 @@ def _config_for(spec: SweepSpec, value: float) -> SystemConfig:
 class Scheme(NamedTuple):
     """A bounding scheme: the target model it applies to and its evaluator.
 
-    ``evaluate(cfg, ch, theta, seed, trial)`` returns the bound for the
-    channel draw ``ch``; point-target bounds are for a unit small-scale draw
-    (alpha0 = 1).  Any further randomness comes from the (seed, trial)
-    substreams.  ``linear_in_k`` marks a bound exactly proportional to K.
+    ``evaluate(cfg, g, theta, seed, trials)`` returns one bound per trial
+    for the stacked channel draws ``g`` ([T, N, M]) of the trials ``trials``;
+    point-target bounds are for a unit small-scale draw (alpha0 = 1).  Any
+    further randomness comes from the (seed, trial) substreams.
+    ``per_trial`` marks a scheme the sweep evaluates one trial at a time, so
+    that a failing trial fails alone; ``linear_in_k`` marks a bound exactly
+    proportional to K.
     """
 
     target: str                         # "point" | "extended"
-    evaluate: Callable[..., float]
+    evaluate: Callable[..., np.ndarray]
+    per_trial: bool = False
     linear_in_k: bool = False
 
 
-def _proposed_ao(cfg, ch, theta, seed, trial) -> float:
-    return ao_minimize_crb(point_scene(cfg, theta), ch.G, cfg,
+def _each_trial(evaluate: Callable[..., float]) -> Callable[..., np.ndarray]:
+    """The batch evaluator of ``evaluate(cfg, G, theta, seed, trial)``."""
+    return lambda cfg, g, theta, seed, trials: np.array(
+        [evaluate(cfg, g_t, theta, seed, trial) for g_t, trial in zip(g, trials)])
+
+
+@_each_trial
+def _proposed_ao(cfg, g, theta, seed, trial) -> float:
+    return ao_minimize_crb(point_scene(cfg, theta), g, cfg,
                            seed=derive_seed(seed, trial, _AO)).crb
 
 
-def _random_phase(cfg, ch, theta, seed, trial) -> float:
+@_each_trial
+def _random_phase(cfg, g, theta, seed, trial) -> float:
     a = target_steering(theta, cfg.N, cfg.spacing, cfg.wavelength)
     v = np.exp(1j * make_rng(seed, trial, _PHASE).uniform(0.0, 2.0 * np.pi, cfg.N))
-    r_x, _ = transmit_closed_form(v, a, ch.G, cfg.K, cfg.P0)
-    return crb_point_closed(point_scene(cfg, theta), r_x, v, ch.G, cfg)
+    r_x, _ = transmit_closed_form(v, a, g, cfg.K, cfg.P0)
+    return crb_point_closed(point_scene(cfg, theta), r_x, v, g, cfg)
 
 
-def _isotropic_tx(cfg, ch, theta, seed, trial) -> float:
+@_each_trial
+def _isotropic_tx(cfg, g, theta, seed, trial) -> float:
     a = target_steering(theta, cfg.N, cfg.spacing, cfg.wavelength)
     r_iso = TransmitCovariance((cfg.P0 / cfg.M) * np.eye(cfg.M, dtype=complex), cfg.P0)
-    kernel = _info_kernels(ch.G, r_iso, a, cfg.K)
+    kernel = _info_kernels(g, r_iso, a, cfg.K)
     v = _reflect(kernel, _top_phases(kernel[0]), derive_seed(seed, trial, _RANDOMIZE))[0]
-    return crb_point_closed(point_scene(cfg, theta), r_iso, v, ch.G, cfg)
+    return crb_point_closed(point_scene(cfg, theta), r_iso, v, g, cfg)
 
 
-def _single_antenna_closed(cfg, ch, theta, seed, trial) -> float:
-    return single_antenna_optimum(point_scene(cfg, theta), ch.G[:, 0], cfg)[1]
+def _single_antenna_closed(cfg, g, theta, seed, trials) -> np.ndarray:
+    return single_antenna_optimum(point_scene(cfg, theta), g[..., 0], cfg)[1]
 
 
-def _extended_opt(cfg, ch, theta, seed, trial) -> float:
-    return crb_extended_opt(ch.G, cfg.P0, cfg.K, cfg.T, cfg.noise_power).crb
+def _extended_opt(cfg, g, theta, seed, trials) -> np.ndarray:
+    return crb_extended_opt(g, cfg.P0, cfg.K, cfg.T, cfg.noise_power).crb
 
 
-def _extended_iso(cfg, ch, theta, seed, trial) -> float:
-    return crb_extended_iso(ch.G, cfg.P0, cfg.K, cfg.T, cfg.noise_power).crb
+def _extended_iso(cfg, g, theta, seed, trials) -> np.ndarray:
+    return crb_extended_iso(g, cfg.P0, cfg.K, cfg.T, cfg.noise_power).crb
 
 
-def _fully_passive(cfg, ch, theta, seed, trial) -> float:
+def _fully_passive(cfg, g, theta, seed, trials) -> np.ndarray:
     # echoes return through the IRS to K BS receive antennas
     back_cfg = replace(cfg, M=cfg.K)
-    g_r = rician_channel(back_cfg, seed=derive_seed(seed, trial, _RETURN)).G.T
-    return crb_fully_passive_opt(ch.G, g_r, cfg.P0, cfg.T, cfg.noise_power)
+    g_r = np.stack([rician_channel(back_cfg, seed=derive_seed(seed, trial, _RETURN)).G.T
+                    for trial in trials])
+    return crb_fully_passive_opt(g, g_r, cfg.P0, cfg.T, cfg.noise_power)
 
 
 SCHEMES = {
-    "proposed_ao": Scheme("point", _proposed_ao),
-    "random_phase": Scheme("point", _random_phase),
-    "isotropic_tx": Scheme("point", _isotropic_tx),
+    "proposed_ao": Scheme("point", _proposed_ao, per_trial=True),
+    "random_phase": Scheme("point", _random_phase, per_trial=True),
+    "isotropic_tx": Scheme("point", _isotropic_tx, per_trial=True),
     "single_antenna_closed": Scheme("point", _single_antenna_closed),
     "extended_opt": Scheme("extended", _extended_opt, linear_in_k=True),
     "extended_iso": Scheme("extended", _extended_iso, linear_in_k=True),
@@ -298,49 +318,67 @@ def _alpha_factor(spec: SweepSpec, trial: int) -> float:
     return float(np.mean(1.0 / np.abs(a0) ** 2))
 
 
-def _trial_runner(spec: SweepSpec) -> Callable[[SystemConfig, int], tuple[float, str]]:
-    """``run(cfg, trial)`` for one sweep, keeping results and draws: a trial's
-    channel seed and fading factor, and its channel per ``DRAW_FIELDS``."""
+def _row_runner(spec: SweepSpec) -> Callable[[SystemConfig], tuple[np.ndarray, str]]:
+    """``run(unit)`` for one sweep: the bound of every trial at the unit config
+    ``unit`` and their status, kept per unit config.
+
+    Each trial's channel seed and fading factor are drawn once, and its
+    channel once per ``DRAW_FIELDS``.  A failed trial is nan and a
+    rank-deficient one inf; the status is the first error, else
+    ``rank_deficient`` if a trial is, else ``ok``.
+    """
+    scheme = SCHEMES[spec.scheme]
+    trials = range(spec.trials)
+    seeds = [derive_seed(spec.seed, trial, _CHANNEL) for trial in trials]
+    alpha = (np.array([_alpha_factor(spec, trial) for trial in trials])
+             if scheme.target == "point" else np.ones(spec.trials))
     channels = {}
-    seed = functools.cache(lambda trial: derive_seed(spec.seed, trial, _CHANNEL))
-    alpha = functools.cache(lambda trial: _alpha_factor(spec, trial))
-    @functools.cache
-    def run(cfg: SystemConfig, trial: int) -> tuple[float, str]:
-        scheme = SCHEMES[spec.scheme]
+    rows = {}
+
+    def channel(cfg: SystemConfig, trial: int) -> np.ndarray:
+        key = (trial, *(getattr(cfg, name) for name in DRAW_FIELDS))
+        if key not in channels:
+            channels[key] = rician_channel(cfg, seed=seeds[trial]).G
+        return channels[key]
+
+    def evaluate(cfg: SystemConfig, batch: list[int]) -> tuple[np.ndarray, str]:
         try:
-            key = (trial, *(getattr(cfg, name) for name in DRAW_FIELDS))
-            if key not in channels:
-                channels[key] = rician_channel(cfg, seed=seed(trial))
-            crb = scheme.evaluate(cfg, channels[key], spec.theta, spec.seed, trial)
-            if scheme.target == "point" and np.isfinite(crb):
-                crb *= alpha(trial)
+            g = np.stack([channel(cfg, trial) for trial in batch])
+            crb = scheme.evaluate(cfg, g, spec.theta, spec.seed, batch) * alpha[batch]
         except (ArithmeticError, RuntimeError) as exc:
-            _log.warning("%s failed at P0=%g M=%d N=%d K=%d, seed %d, trial %d: %s: %s",
-                         spec.scheme, cfg.P0, cfg.M, cfg.N, cfg.K, spec.seed, trial,
+            _log.warning("%s failed at P0=%g M=%d N=%d K=%d, seed %d, trial%s %s: %s: %s",
+                         spec.scheme, cfg.P0, cfg.M, cfg.N, cfg.K, spec.seed,
+                         "s" if len(batch) > 1 else "", ", ".join(map(str, batch)),
                          type(exc).__name__, exc)
-            return float("nan"), f"error:{type(exc).__name__}"
-        if not np.isfinite(crb):
-            return float("inf"), "rank_deficient"
-        return float(crb), "ok"
+            return np.full(len(batch), np.nan), f"error:{type(exc).__name__}"
+        return np.where(np.isfinite(crb), crb, np.inf), "ok"
+
+    def run(unit: SystemConfig) -> tuple[np.ndarray, str]:
+        if unit not in rows:
+            batches = [[trial] for trial in trials] if scheme.per_trial else [list(trials)]
+            results = [evaluate(unit, batch) for batch in batches]
+            crbs = np.concatenate([crb for crb, _ in results])
+            status = next((s for _, s in results if s != "ok"),
+                          "rank_deficient" if np.isinf(crbs).any() else "ok")
+            rows[unit] = crbs, status
+        return rows[unit]
     return run
 
 
 def run_sweep(spec: SweepSpec) -> list[SweepRecord]:
-    """Evaluate the scheme over all (value, trial) items at 1 W (and at the
-    base K for a bound linear in K), average, and scale by 1/P0 (and K)."""
+    """Evaluate the scheme on each row group, one unit config and all of its
+    trials, at 1 W (and at the base K for a bound linear in K), average, and
+    scale by 1/P0 (and K)."""
     records = []
-    run = _trial_runner(spec)
+    run = _row_runner(spec)
     linear_in_k = SCHEMES[spec.scheme].linear_in_k
     for value in spec.values:
         cfg = _config_for(spec, value)
         tic = time.perf_counter()
         unit = replace(cfg, P0=1.0, K=spec.base.K if linear_in_k else cfg.K)
-        results = [run(unit, trial) for trial in range(spec.trials)]
-        statuses = [status for _, status in results]
-        status = next((s for s in statuses if s.startswith("error")),
-                      "rank_deficient" if "rank_deficient" in statuses else "ok")
+        crbs, status = run(unit)
         # a failed trial is nan and a rank-deficient one inf, and so is the mean
-        mean = float(np.mean([crb for crb, _ in results])) * (cfg.K / unit.K) / cfg.P0
+        mean = float(np.mean(crbs)) * (cfg.K / unit.K) / cfg.P0
         crb_db = 10.0 * np.log10(mean) if mean > 0 else float("nan")
         records.append(SweepRecord(
             vary=spec.vary, value=float(value), scheme=spec.scheme,

@@ -156,6 +156,17 @@ def fim_extended(r_x, v: np.ndarray, g: np.ndarray, k: int, t: int,
     return scale * np.vstack([top, bot])
 
 
+def assert_within_one_ulp(stacked, singles) -> None:
+    """Each entry of ``stacked`` equals the matching entry of ``singles``, an
+    infinite one exactly and a finite one to within one ulp."""
+    stacked, singles = np.asarray(stacked), np.asarray(singles, dtype=float)
+    assert stacked.shape == singles.shape
+    finite = np.isfinite(singles)
+    np.testing.assert_array_equal(stacked[~finite], singles[~finite])
+    assert np.all(np.abs(stacked[finite] - singles[finite])
+                  <= np.spacing(np.abs(singles[finite]))), (stacked, singles)
+
+
 def random_covariance(rng: np.random.Generator, m: int,
                       budget: float) -> np.ndarray:
     """Random Hermitian PSD matrix with trace exactly ``budget``."""

@@ -911,7 +911,7 @@ def test_instances_whose_reflection_solve_stalled_return(caplog, scheme, m, n, k
     ch = rician_channel(cfg, seed=seed)
     with caplog.at_level(logging.WARNING, logger="irscrb.ao"):
         if scheme == "isotropic_tx":
-            crb = SCHEMES[scheme].evaluate(cfg, ch, scene.theta, seed, 0)
+            (crb,) = SCHEMES[scheme].evaluate(cfg, ch.G[None], scene.theta, seed, [0])
         else:
             crb = ao_minimize_crb(scene, ch.G, cfg, seed=seed).crb
     assert np.isfinite(crb) and crb > 0

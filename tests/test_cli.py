@@ -361,7 +361,7 @@ def test_crb_point_random_phase_uses_the_seeded_channel(tmp_path, capsys):
                        "--scheme", "random_phase", "--seed", str(seed)])
         assert rc == 0
         ch = rician_channel(base, seed=seed)
-        crb = SCHEMES["random_phase"].evaluate(base, ch, theta, seed, 0)
+        (crb,) = SCHEMES["random_phase"].evaluate(base, ch.G[None], theta, seed, [0])
         assert f"crb = {crb:.6e} rad^2" in capsys.readouterr().out
 
 

@@ -2,12 +2,12 @@ import numpy as np
 import pytest
 
 from irscrb.extended import (EstimabilityError, crb_extended, crb_extended_iso,
-                             crb_extended_opt, crb_fully_passive, gap_db,
-                             optimal_transmit_extended, semi_passive_preferred)
+                             crb_extended_opt, crb_fully_passive, crb_fully_passive_opt,
+                             gap_db, optimal_transmit_extended, semi_passive_preferred)
 from irscrb.pointcrb import TransmitCovariance
 
-from oracles import (fim_extended, projected_gradient_extended, random_covariance,
-                     random_unit_profile)
+from oracles import (assert_within_one_ulp, fim_extended, projected_gradient_extended,
+                     random_covariance, random_unit_profile)
 
 RNG = np.random.default_rng(11)
 
@@ -245,6 +245,47 @@ class TestRankRule:
         report = crb_extended(r_x, g, 2, 8, 0.4)
         assert np.isinf(report.crb) and report.rank_deficiency == 3
         assert np.isinf(crb_fully_passive(r_x, g, _channel(5, 4, rng), 8, 0.4))
+
+
+class TestStackedChannels:
+    """On a stack of five channels each closed form gives, entry by entry,
+    its value on that channel alone; entry 2 is rank one, and the scales
+    1 to 1e-16 put the stack's largest singular values 16 decades apart, so
+    each entry must take the rank rule on its own."""
+
+    @staticmethod
+    def _stack(n, m, rng):
+        g = np.stack([10.0 ** (-4 * t) * _channel(n, m, rng) for t in range(5)])
+        g[2] = np.outer(g[2][:, 0], g[2][0])
+        return g
+
+    @pytest.mark.parametrize("n, m", [(4, 6), (4, 4), (4, 3)])     # (4, 3): M < N
+    @pytest.mark.parametrize("bound", [crb_extended_opt, crb_extended_iso])
+    def test_each_entry_is_the_bound_of_its_channel(self, bound, n, m):
+        g = self._stack(n, m, np.random.default_rng(23))
+        stacked = bound(g, 0.5, 4, 16, 1e-12)
+        singles = [bound(g_t, 0.5, 4, 16, 1e-12) for g_t in g]
+        assert_within_one_ulp(stacked.crb, [r.crb for r in singles])
+        assert stacked.rank_deficiency.tolist() == [r.rank_deficiency for r in singles] \
+            == [n - 1 if t == 2 else max(n - m, 0) for t in range(5)]
+        assert np.isinf(stacked.crb).tolist() == [t == 2 or m < n for t in range(5)]
+        assert all(type(r.crb) is float and type(r.rank_deficiency) is int
+                   for r in singles)
+        # every leading axis is a batch axis
+        nested = bound(g.reshape(1, 5, n, m), 0.5, 4, 16, 1e-12)
+        np.testing.assert_array_equal(nested.crb, stacked.crb[None])
+
+    @pytest.mark.parametrize("n, m", [(4, 6), (4, 3)])
+    def test_fully_passive_entry_is_the_bound_of_its_pair(self, n, m):
+        rng = np.random.default_rng(29)
+        g = self._stack(n, m, rng)
+        g_r = np.stack([_channel(6, n, rng) for _ in range(5)])
+        g_r[4] = np.outer(g_r[4][:, 0], g_r[4][0])          # a rank-one return
+        stacked = crb_fully_passive_opt(g, g_r, 0.5, 16, 1e-12)
+        singles = [crb_fully_passive_opt(a, b, 0.5, 16, 1e-12) for a, b in zip(g, g_r)]
+        assert_within_one_ulp(stacked, singles)
+        assert np.isinf(stacked).tolist() == [t in (2, 4) or m < n for t in range(5)]
+        assert all(type(crb) is float for crb in singles)
 
 
 class TestGap:

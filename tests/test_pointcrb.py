@@ -10,8 +10,9 @@ from irscrb.pointcrb import (PhaseProfile, TransmitCovariance, covariance, crb_p
                              profile_vector, single_antenna_optimum)
 from irscrb.sweep import SweepSpec
 
-from oracles import (effective_matrix, effective_matrix_derivative, fd_fim_point, fim_point,
-                     random_covariance, random_unit_profile, steered_gram)
+from oracles import (assert_within_one_ulp, effective_matrix, effective_matrix_derivative,
+                     fd_fim_point, fim_point, random_covariance, random_unit_profile,
+                     steered_gram)
 
 def _random_instance(rng, m, n):
     g = (rng.standard_normal((n, m)) + 1j * rng.standard_normal((n, m)))
@@ -374,3 +375,16 @@ class TestSingleAntennaOptimum:
         phases, crb = single_antenna_optimum(scene, ch.G[:, 0], cfg)
         assert np.isfinite(crb) and crb > 0
         assert phases.shape == (6,)
+
+    def test_stack_of_channels_is_each_channel_alone(self):
+        # entry 2 reflects nothing, so its bound is infinite
+        cfg = SystemConfig(M=1, N=6, K=4)
+        scene = point_scene(cfg, np.deg2rad(60.0))
+        h = np.stack([rician_channel(cfg, seed=seed).G[:, 0] for seed in range(5)])
+        h[2] = 0.0
+        phases, crbs = single_antenna_optimum(scene, h, cfg)
+        singles = [single_antenna_optimum(scene, h_t, cfg) for h_t in h]
+        assert_within_one_ulp(crbs, [crb for _, crb in singles])
+        np.testing.assert_array_equal(phases, [p for p, _ in singles])
+        assert np.isinf(crbs).tolist() == [t == 2 for t in range(5)]
+        assert all(type(crb) is float for _, crb in singles)

@@ -17,10 +17,9 @@ from irscrb.config import (SpacingWarning, SystemConfig, dbm_to_watt, derive_see
                            point_scene)
 from irscrb.extended import EstimabilityError, crb_extended, optimal_transmit_extended
 from irscrb.pointcrb import _info_kernels, crb_point_closed
-from irscrb.sweep import (_CHANNEL, _RANDOMIZE, SCHEMES, Scheme,
-                          SweepRecord, SweepSpec, _config_for, _trial_runner,
-                          emit_csv, load_config, read_csv, reference_config,
-                          run_sweep)
+from irscrb.sweep import (_CHANNEL, _RANDOMIZE, SCHEMES, SweepRecord, SweepSpec,
+                          _alpha_factor, _config_for, _row_runner, emit_csv,
+                          load_config, read_csv, reference_config, run_sweep)
 
 from golden_rows import golden_mismatches
 from oracles import parent_fully_passive, parent_isotropic_profile
@@ -39,6 +38,15 @@ def _shipped_rows(name: str, tmp_path) -> dict[str, list[SweepRecord]]:
     emit_csv([r for scheme_rows in rows.values() for r in scheme_rows], str(out))
     assert golden_mismatches(out, ROOT / "tests" / "golden" / f"{Path(name).stem}.csv") == []
     return rows
+
+
+def _one_trial(spec, cfg, trial):
+    """Trial ``trial`` of ``spec`` at ``cfg`` evaluated on its own, as a
+    one-trial batch on a fresh draw, times its fading factor at a point target."""
+    scheme = SCHEMES[spec.scheme]
+    g = rician_channel(cfg, seed=derive_seed(spec.seed, trial, _CHANNEL)).G
+    (crb,) = scheme.evaluate(cfg, g[None], spec.theta, spec.seed, [trial])
+    return crb * (_alpha_factor(spec, trial) if scheme.target == "point" else 1.0)
 
 
 def _spec(**kw):
@@ -168,16 +176,18 @@ class TestRunSweep:
         spec2 = _spec(base=reference_config(M=1, N=4, K=4), trials=2)
         spec5 = _spec(base=reference_config(M=1, N=4, K=4), trials=5)
         cfg = _config_for(spec2, 30.0)
-        assert _trial_runner(spec2)(cfg, 0) == _trial_runner(spec5)(cfg, 0)
-        assert _trial_runner(spec2)(cfg, 1) == _trial_runner(spec5)(cfg, 1)
+        (crbs2, status2), (crbs5, status5) = _row_runner(spec2)(cfg), _row_runner(spec5)(cfg)
+        assert status2 == status5 == "ok"
+        assert crbs2[0] == crbs5[0]
+        assert crbs2[1] == crbs5[1]
 
     def test_shipped_point_config_random_phase_at_25_dbm(self):
         # configs/point_p0.ini, trial 1: random_phase takes its transmit
         # step in closed form, so the trial solves no program
         spec = _spec(base=reference_config(M=4, N=8, K=8), values=(25.0,),
                      scheme="random_phase", trials=3, seed=1234)
-        crb, status = _trial_runner(spec)(_config_for(spec, 25.0), 1)
-        assert status == "ok" and np.isfinite(crb)
+        crbs, status = _row_runner(spec)(_config_for(spec, 25.0))
+        assert status == "ok" and np.isfinite(crbs[1])
 
     def test_rician_factor_sweep_runs(self):
         spec = _spec(base=reference_config(M=2, N=4, K=4), vary="beta_BI",
@@ -198,12 +208,13 @@ class TestRunSweep:
 
 
 def _counted(monkeypatch, name):
-    """Calls of ``irscrb.sweep.<name>`` from now on, one entry each."""
+    """Calls of ``irscrb.sweep.<name>`` from now on, one entry each: the
+    positional arguments of the call."""
     calls = []
     fn = getattr(irscrb.sweep, name)
 
     def counted(*args, **kwargs):
-        calls.append(1)
+        calls.append(args)
         return fn(*args, **kwargs)
 
     monkeypatch.setattr(irscrb.sweep, name, counted)
@@ -231,12 +242,13 @@ class TestUnitPower:
     @pytest.mark.parametrize("scheme, bound", [("extended_opt", "crb_extended_opt"),
                                                ("extended_iso", "crb_extended_iso")])
     def test_k_sweep_evaluates_each_trial_once(self, monkeypatch, scheme, bound):
-        # both bounds are exactly proportional to K
+        # both bounds are exactly proportional to K; one call takes the
+        # stacked channels of every trial
         calls = _counted(monkeypatch, bound)
         spec = _spec(base=_BASES["extended"], vary="K", values=(2.0, 4.0, 12.0, 16.0),
                      scheme=scheme, trials=3)
         assert [r.status for r in run_sweep(spec)] == ["ok"] * 4
-        assert len(calls) == spec.trials
+        assert [np.shape(g) for g, *_ in calls] == [(spec.trials, 4, 8)]
 
     def test_k_sweep_draws_each_trial_channel_once(self, monkeypatch):
         # K does not enter the channel draw
@@ -272,9 +284,9 @@ class TestUnitPower:
         (scheme, vary) for scheme in SCHEMES for vary in _VALUES
         if SCHEMES[scheme].target == "point" or vary not in ("W_I", "Q_tot")])
     def test_matches_evaluation_at_each_value_own_power(self, scheme, vary):
-        # a row equals trials evaluated on their own, each with fresh draws:
-        # bitwise at 1 W (and the base K for a bound linear in K), and to
-        # rounding at the row's own power and K
+        # a row equals its row group's bounds at 1 W (and the base K for a
+        # bound linear in K) bitwise, and, to rounding, the trials at the
+        # row's own power and K evaluated on their own, each with fresh draws
         kind = scheme if scheme == "single_antenna_closed" else SCHEMES[scheme].target
         values = (1.0,) if (kind, vary) == ("single_antenna_closed", "M") else _VALUES[vary]
         spec = _spec(scheme=scheme, base=_BASES[kind], vary=vary, values=values,
@@ -285,21 +297,22 @@ class TestUnitPower:
             cfg = _config_for(spec, record.value)
             unit_cfg = replace(cfg, P0=1.0,
                                K=spec.base.K if SCHEMES[scheme].linear_in_k else cfg.K)
-            unit = [_trial_runner(spec)(unit_cfg, t) for t in range(spec.trials)]
-            assert [status for _, status in unit] == ["ok"] * spec.trials
-            assert record.crb_mean == (float(np.mean([crb for crb, _ in unit]))
+            unit, status = _row_runner(spec)(unit_cfg)
+            assert status == "ok" and len(unit) == spec.trials
+            assert record.crb_mean == (float(np.mean(unit))
                                        * (cfg.K / unit_cfg.K) / cfg.P0)
-            direct = [_trial_runner(spec)(cfg, t) for t in range(spec.trials)]
-            assert [status for _, status in direct] == ["ok"] * spec.trials
-            expected = np.mean([crb for crb, _ in direct])
+            direct = [_one_trial(spec, cfg, t) for t in range(spec.trials)]
+            assert np.isfinite(direct).all()
+            expected = np.mean(direct)
             assert record.crb_mean == pytest.approx(expected, rel=1e-6)
 
     @staticmethod
     def _failing(monkeypatch):
-        def evaluate(cfg, ch, theta, seed, trial):
+        def evaluate(cfg, g, theta, seed, trials):
             raise SubproblemError("transmit solve ended max_iter, kkt 3.0e-07")
 
-        monkeypatch.setitem(SCHEMES, "random_phase", Scheme("point", evaluate))
+        monkeypatch.setitem(SCHEMES, "random_phase",
+                            SCHEMES["random_phase"]._replace(evaluate=evaluate))
 
     def test_error_status_reaches_every_row(self, monkeypatch):
         self._failing(monkeypatch)
@@ -328,12 +341,90 @@ class TestUnitPower:
             fail()
             caplog.clear()
             with caplog.at_level(logging.WARNING, logger="irscrb.sweep"):
-                crb, status = _trial_runner(spec)(_config_for(spec, 20.0), 0)
+                (crb,), status = _row_runner(spec)(_config_for(spec, 20.0))
             assert np.isnan(crb) and status == "error:" + text.split(":")[0]
             (record,) = [r for r in caplog.records if r.name == "irscrb.sweep"]
             assert record.levelno == logging.WARNING
             assert record.getMessage() == (
                 "random_phase failed at P0=0.1 M=2 N=4 K=4, seed 11, trial 0: " + text)
+
+    def test_failed_batch_logs_one_warning_naming_its_trials(self, monkeypatch, caplog):
+        # a closed-form row group is one call, so a failure fails every trial
+        def failing_draw(cfg, seed):
+            raise FloatingPointError("overflow in the NLoS draw")
+
+        monkeypatch.setattr(irscrb.sweep, "rician_channel", failing_draw)
+        spec = _spec(base=_BASES["single_antenna_closed"], trials=3)
+        with caplog.at_level(logging.WARNING, logger="irscrb.sweep"):
+            records = run_sweep(spec)
+        assert [r.status for r in records] == ["error:FloatingPointError"] * 3
+        assert all(np.isnan(r.crb_mean) for r in records)
+        (record,) = [r for r in caplog.records if r.name == "irscrb.sweep"]
+        assert record.getMessage() == (
+            "single_antenna_closed failed at P0=1 M=1 N=4 K=4, seed 11, trials 0, 1, 2: "
+            "FloatingPointError: overflow in the NLoS draw")
+
+    def test_failed_trial_fails_the_row_and_the_other_trials_still_run(self, monkeypatch,
+                                                                       caplog):
+        # an optimizing scheme is called one trial at a time
+        evaluated = []
+        evaluate = SCHEMES["random_phase"].evaluate
+
+        def failing_trial_1(cfg, g, theta, seed, trials):
+            evaluated.extend(trials)
+            if trials == [1]:
+                raise SubproblemError("transmit solve ended max_iter, kkt 3.0e-07")
+            return evaluate(cfg, g, theta, seed, trials)
+
+        monkeypatch.setitem(SCHEMES, "random_phase",
+                            SCHEMES["random_phase"]._replace(evaluate=failing_trial_1))
+        spec = _spec(scheme="random_phase", values=(20.0,), trials=3, **self.SMALL)
+        with caplog.at_level(logging.WARNING, logger="irscrb.sweep"):
+            (record,) = run_sweep(spec)
+        assert record.status == "error:SubproblemError" and np.isnan(record.crb_mean)
+        assert evaluated == [0, 1, 2]
+        (warning,) = [r for r in caplog.records if r.name == "irscrb.sweep"]
+        assert warning.levelno == logging.WARNING
+        assert warning.getMessage().endswith(
+            ", trial 1: SubproblemError: transmit solve ended max_iter, kkt 3.0e-07")
+        crbs, status = _row_runner(spec)(replace(_config_for(spec, 20.0), P0=1.0))
+        assert status == record.status
+        assert np.isfinite(crbs[[0, 2]]).all() and np.isnan(crbs[1])
+
+    def test_one_rank_deficient_trial_makes_the_row_rank_deficient(self, monkeypatch):
+        spec = _spec(scheme="extended_opt", base=_BASES["extended"], trials=3)
+        draw = irscrb.sweep.rician_channel
+
+        def rank_one_trial_1(cfg, seed):
+            ch = draw(cfg, seed)
+            if seed != derive_seed(spec.seed, 1, _CHANNEL):
+                return ch
+            return replace(ch, G=np.outer(ch.G[:, 0], ch.G[0]))
+
+        monkeypatch.setattr(irscrb.sweep, "rician_channel", rank_one_trial_1)
+        records = run_sweep(spec)
+        assert [r.status for r in records] == ["rank_deficient"] * 3
+        assert all(r.crb_mean == np.inf for r in records)
+        crbs, _ = _row_runner(spec)(replace(spec.base, P0=1.0))
+        assert np.isinf(crbs).tolist() == [False, True, False]
+
+    @pytest.mark.parametrize("scheme, vary", [
+        ("single_antenna_closed", "P0"), ("extended_opt", "P0"), ("extended_iso", "P0"),
+        ("fully_passive", "P0"), ("extended_opt", "K")])
+    def test_closed_form_sweep_calls_its_evaluator_once(self, monkeypatch, scheme, vary):
+        calls = []
+        evaluate = SCHEMES[scheme].evaluate
+
+        def counted(cfg, g, theta, seed, trials):
+            calls.append(list(trials))
+            return evaluate(cfg, g, theta, seed, trials)
+
+        monkeypatch.setitem(SCHEMES, scheme, SCHEMES[scheme]._replace(evaluate=counted))
+        kind = scheme if scheme == "single_antenna_closed" else SCHEMES[scheme].target
+        spec = _spec(scheme=scheme, base=_BASES[kind], vary=vary, values=_VALUES[vary],
+                     trials=3)
+        assert [r.status for r in run_sweep(spec)] == ["ok"] * len(_VALUES[vary])
+        assert calls == [[0, 1, 2]]
 
     def test_oversized_reflection_program_keeps_the_ascent_profile(self, caplog):
         # the allocation gives N = 480, K = 360; the reflection program is
@@ -365,7 +456,7 @@ class TestIsotropicTx:
             r_iso = np.eye(m, dtype=complex) / m
             for seed in range(5):
                 ch = rician_channel(cfg, seed=seed)
-                crb = SCHEMES["isotropic_tx"].evaluate(cfg, ch, THETA, seed, 0)
+                (crb,) = SCHEMES["isotropic_tx"].evaluate(cfg, ch.G[None], THETA, seed, [0])
                 v = parent_isotropic_profile(r_iso, a, ch.G, k, RANDOMIZATION_SAMPLES,
                                              derive_seed(seed, 0, _RANDOMIZE))
                 parent = crb_point_closed(point_scene(cfg, THETA), r_iso, v, ch.G, cfg)
@@ -386,8 +477,7 @@ class TestIsotropicTx:
             return solve(*args, **kwargs)
 
         monkeypatch.setattr(irscrb.ao, "irs_subproblem", counted)
-        crb, status = _trial_runner(spec)(replace(spec.base, P0=1.0), trial)
-        assert status == "ok" and np.isfinite(crb)
+        assert np.isfinite(_one_trial(spec, replace(spec.base, P0=1.0), trial))
         return len(calls)
 
     def test_certified_trial_solves_no_program(self, monkeypatch, caplog):
@@ -430,7 +520,8 @@ class TestFullyPassive:
                 cfg = reference_config(M=m, N=n, K=k, P0=p0, rician_factor=rician_factor)
                 for seed in range(5):
                     ch = rician_channel(cfg, seed=seed)
-                    crb = SCHEMES["fully_passive"].evaluate(cfg, ch, THETA, seed, 1)
+                    (crb,) = SCHEMES["fully_passive"].evaluate(cfg, ch.G[None], THETA,
+                                                               seed, [1])
                     parent = self._bound(lambda: parent_fully_passive(cfg, ch.G, seed, 1))
                     assert np.isfinite(crb) == np.isfinite(parent) == finite
                     if finite:
@@ -439,9 +530,10 @@ class TestFullyPassive:
     def test_rank_deficient_channel(self):
         cfg = reference_config(M=8, N=4, K=8)
         ch = rician_channel(cfg, seed=0)
-        deficient = replace(ch, G=np.outer(ch.G[:, 0], ch.G[0]))
-        assert np.isinf(SCHEMES["fully_passive"].evaluate(cfg, deficient, THETA, 0, 0))
-        assert np.isinf(self._bound(lambda: parent_fully_passive(cfg, deficient.G, 0, 0)))
+        deficient = np.outer(ch.G[:, 0], ch.G[0])
+        (crb,) = SCHEMES["fully_passive"].evaluate(cfg, deficient[None], THETA, 0, [0])
+        assert np.isinf(crb)
+        assert np.isinf(self._bound(lambda: parent_fully_passive(cfg, deficient, 0, 0)))
 
 
 class TestProposedAo:
@@ -453,7 +545,7 @@ class TestProposedAo:
             cfg = reference_config(M=m, N=n, K=k, P0=1.0, rician_factor=rician_factor)
             for seed in range(6):
                 ch = rician_channel(cfg, seed=seed)
-                crb = {scheme: SCHEMES[scheme].evaluate(cfg, ch, THETA, seed, 0)
+                crb = {scheme: SCHEMES[scheme].evaluate(cfg, ch.G[None], THETA, seed, [0])[0]
                        for scheme in ("proposed_ao", "random_phase", "isotropic_tx")}
                 assert crb["proposed_ao"] <= min(crb["random_phase"],
                                                  crb["isotropic_tx"]), (seed, crb)
