@@ -107,7 +107,8 @@ def crb_extended_opt(g: np.ndarray, p0: float, k: int, t: int,
     (..., N, M) gives arrays of shape (...), entry by entry each one's report.
     """
     inv_sum, deficiency = _inverse_sum(g, 1)
-    return ExtendedCrbReport(sigma2 * k / (p0 * t) * inv_sum ** 2, deficiency)
+    # x * x as on a stack: one channel's x ** 2 is C pow, which can round apart
+    return ExtendedCrbReport(sigma2 * k / (p0 * t) * (inv_sum * inv_sum), deficiency)
 
 
 def crb_extended_iso(g: np.ndarray, p0: float, k: int, t: int,

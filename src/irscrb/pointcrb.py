@@ -172,7 +172,8 @@ def single_antenna_optimum(scene: PointTargetScene, h: np.ndarray,
     a = target_steering(scene.theta, config.N, config.spacing, config.wavelength)
     phases = np.angle(np.exp(-1j * (np.angle(a) + np.angle(h))))
 
-    coherent_gain = np.sum(np.abs(h), axis=-1) ** 2
+    amplitude = np.sum(np.abs(h), axis=-1)
+    coherent_gain = amplitude * amplitude       # not ** 2: see crb_extended_opt
     k = config.K
     info = config.P0 * (k ** 3 - k) * coherent_gain / 3.0
     return phases, _bound_from_info(scene, config, info)

@@ -62,11 +62,17 @@ stack of channels, while ``proposed_ao``, ``random_phase`` and
 ``isotropic_tx`` are called one trial at a time, so that a failing trial
 fails alone.  Values with the same unit config reuse the group's bounds, so
 a ``P0`` sweep, and a ``K`` sweep of ``extended_opt`` or ``extended_iso``,
-evaluates each trial once.  Each trial's channel seed and fading factor are
-drawn once per sweep, before its first row, and its channel once per
-distinct ``DRAW_FIELDS`` (once for a ``K`` sweep), by the first row that
-needs it; ``wall_ms`` counts a row's own draws, solves and scaling, so rows
-after the first that reuse its group report near-zero times.
+evaluates each trial once.  Each trial's fading factor is drawn once per
+sweep, before its first row.  Its channel stream, ``2 N M`` standard
+normals of its channel substream at the sweep's largest ``N M``, is drawn
+once per sweep, by the first row group that evaluates the trial.  Every row
+group's channel is a prefix of that stream, scaled, and equals bit for bit
+the channel ``rician_channel`` draws on its own.  ``fully_passive`` gets its
+return channels the same way, from one return stream per trial at the
+sweep's largest ``N K``.  ``wall_ms`` counts a row's own work: the streams
+it drew, the slicing and scaling of its group's channels, its solves and
+its scaling; so the first row also counts the draws for every later row,
+and rows that reuse its group report near-zero times.
 
 The CSV contract: header ``vary,value,scheme,crb,crb_db,trials,status,
 wall_ms``, one row per (value, scheme), floats in full-precision scientific
@@ -91,7 +97,9 @@ from .allocation import allocate_optimal
 from .ao import (_reflect, _top_phases, ao_minimize_crb, gaussian_randomization,
                  irs_subproblem, transmit_closed_form, transmit_subproblem)
 from .arrays import target_steering
-from .channel import DRAW_FIELDS, rician_channel
+from .channel import channel_from_normals
+# only perfbench/tracing.py uses rician_channel here
+from .channel import rician_channel
 from .config import (SystemConfig, check, db_to_linear, dbm_to_watt, derive_seed,
                      make_rng, point_scene)
 # only perfbench/tracing.py uses crb_fully_passive and optimal_transmit_extended here
@@ -233,13 +241,15 @@ class Scheme(NamedTuple):
     further randomness comes from the (seed, trial) substreams.
     ``per_trial`` marks a scheme the sweep evaluates one trial at a time, so
     that a failing trial fails alone; ``linear_in_k`` marks a bound exactly
-    proportional to K.
+    proportional to K; ``return_link`` marks an evaluator that also takes
+    ``returns``, the trials' return-link normals (see :func:`_fully_passive`).
     """
 
     target: str                         # "point" | "extended"
     evaluate: Callable[..., np.ndarray]
     per_trial: bool = False
     linear_in_k: bool = False
+    return_link: bool = False
 
 
 def _each_trial(evaluate: Callable[..., float]) -> Callable[..., np.ndarray]:
@@ -283,11 +293,14 @@ def _extended_iso(cfg, g, theta, seed, trials) -> np.ndarray:
     return crb_extended_iso(g, cfg.P0, cfg.K, cfg.T, cfg.noise_power).crb
 
 
-def _fully_passive(cfg, g, theta, seed, trials) -> np.ndarray:
-    # echoes return through the IRS to K BS receive antennas
-    back_cfg = replace(cfg, M=cfg.K)
-    g_r = np.stack([rician_channel(back_cfg, seed=derive_seed(seed, trial, _RETURN)).G.T
-                    for trial in trials])
+def _fully_passive(cfg, g, theta, seed, trials, returns=None) -> np.ndarray:
+    """Echoes return through the IRS to K BS receive antennas over G_r [K, N],
+    the transpose of an N x K draw from each trial's ``_RETURN`` stream:
+    ``returns`` [T, >= 2NK] as a sweep draws them, else drawn here."""
+    if returns is None:
+        returns = np.stack([_normals(seed, trial, _RETURN, 2 * cfg.N * cfg.K)
+                            for trial in trials])
+    g_r = np.swapaxes(channel_from_normals(replace(cfg, M=cfg.K), returns), -1, -2)
     return crb_fully_passive_opt(g, g_r, cfg.P0, cfg.T, cfg.noise_power)
 
 
@@ -298,9 +311,15 @@ SCHEMES = {
     "single_antenna_closed": Scheme("point", _single_antenna_closed),
     "extended_opt": Scheme("extended", _extended_opt, linear_in_k=True),
     "extended_iso": Scheme("extended", _extended_iso, linear_in_k=True),
-    "fully_passive": Scheme("extended", _fully_passive),
+    "fully_passive": Scheme("extended", _fully_passive, return_link=True),
 }
 POINT_SCHEMES = tuple(name for name, s in SCHEMES.items() if s.target == "point")
+
+
+def _normals(seed: int, trial: int, tag: int, length: int) -> np.ndarray:
+    """``length`` standard normals of the stream that ``rician_channel``
+    draws from at ``derive_seed(seed, trial, tag)``."""
+    return make_rng(derive_seed(seed, trial, tag)).standard_normal(length)
 
 
 def _alpha_factor(spec: SweepSpec, trial: int) -> float:
@@ -318,33 +337,44 @@ def _alpha_factor(spec: SweepSpec, trial: int) -> float:
     return float(np.mean(1.0 / np.abs(a0) ** 2))
 
 
-def _row_runner(spec: SweepSpec) -> Callable[[SystemConfig], tuple[np.ndarray, str]]:
-    """``run(unit)`` for one sweep: the bound of every trial at the unit config
-    ``unit`` and their status, kept per unit config.
+def _row_runner(spec: SweepSpec, configs: list[SystemConfig]
+                ) -> Callable[[SystemConfig], tuple[np.ndarray, str]]:
+    """``run(unit)`` for one sweep over the row configs ``configs``: the bound
+    of every trial at the unit config ``unit`` and their status, kept per
+    unit config.
 
-    Each trial's channel seed and fading factor are drawn once, and its
-    channel once per ``DRAW_FIELDS``.  A failed trial is nan and a
-    rank-deficient one inf; the status is the first error, else
-    ``rank_deficient`` if a trial is, else ``ok``.
+    Each trial's fading factor is drawn once.  Its channel stream, and its
+    return stream where the scheme takes one, is drawn once, by the first
+    row group that evaluates the trial, long enough for every config in
+    ``configs``; each row group's channels are a prefix of each stream,
+    scaled in one call.  A failed trial is nan and a rank-deficient one inf;
+    the status is the first error, else ``rank_deficient`` if a trial is,
+    else ``ok``.
     """
     scheme = SCHEMES[spec.scheme]
     trials = range(spec.trials)
-    seeds = [derive_seed(spec.seed, trial, _CHANNEL) for trial in trials]
     alpha = (np.array([_alpha_factor(spec, trial) for trial in trials])
              if scheme.target == "point" else np.ones(spec.trials))
-    channels = {}
+    lengths = {_CHANNEL: 2 * max(cfg.N * cfg.M for cfg in configs)}
+    if scheme.return_link:
+        lengths[_RETURN] = 2 * max(cfg.N * cfg.K for cfg in configs)
+    streams = {tag: np.empty((spec.trials, length)) for tag, length in lengths.items()}
+    drawn = {tag: set() for tag in lengths}
     rows = {}
 
-    def channel(cfg: SystemConfig, trial: int) -> np.ndarray:
-        key = (trial, *(getattr(cfg, name) for name in DRAW_FIELDS))
-        if key not in channels:
-            channels[key] = rician_channel(cfg, seed=seeds[trial]).G
-        return channels[key]
+    def normals(tag: int, batch: list[int]) -> np.ndarray:
+        for trial in batch:
+            if trial not in drawn[tag]:
+                streams[tag][trial] = _normals(spec.seed, trial, tag, lengths[tag])
+                drawn[tag].add(trial)
+        return streams[tag][batch]
 
     def evaluate(cfg: SystemConfig, batch: list[int]) -> tuple[np.ndarray, str]:
         try:
-            g = np.stack([channel(cfg, trial) for trial in batch])
-            crb = scheme.evaluate(cfg, g, spec.theta, spec.seed, batch) * alpha[batch]
+            g = channel_from_normals(cfg, normals(_CHANNEL, batch))
+            returns = {"returns": normals(_RETURN, batch)} if scheme.return_link else {}
+            crb = scheme.evaluate(cfg, g, spec.theta, spec.seed, batch,
+                                  **returns) * alpha[batch]
         except (ArithmeticError, RuntimeError) as exc:
             _log.warning("%s failed at P0=%g M=%d N=%d K=%d, seed %d, trial%s %s: %s: %s",
                          spec.scheme, cfg.P0, cfg.M, cfg.N, cfg.K, spec.seed,
@@ -370,10 +400,10 @@ def run_sweep(spec: SweepSpec) -> list[SweepRecord]:
     trials, at 1 W (and at the base K for a bound linear in K), average, and
     scale by 1/P0 (and K)."""
     records = []
-    run = _row_runner(spec)
+    configs = [_config_for(spec, value) for value in spec.values]
+    run = _row_runner(spec, configs)
     linear_in_k = SCHEMES[spec.scheme].linear_in_k
-    for value in spec.values:
-        cfg = _config_for(spec, value)
+    for value, cfg in zip(spec.values, configs):
         tic = time.perf_counter()
         unit = replace(cfg, P0=1.0, K=spec.base.K if linear_in_k else cfg.K)
         crbs, status = run(unit)

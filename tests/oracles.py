@@ -12,11 +12,13 @@ library's own transmit program in its former inequality form,
 ``parent_isotropic_profile``, the isotropic-transmit reflection design as it
 was made before the phase ascent, ``parent_fully_passive``, the
 fully-passive sweep bound as it was evaluated before its transmit factor
-came from the closed form, ``_alternate``, the alternating optimizer that
-``ao_minimize_crb`` ran where its fixed point did not certify, before the
-exact two-branch solve, and ``dense_info_kernels`` and
-``dense_phase_ascent``, the N x N kernels of f and the ascent on them as
-they were formed before f was carried by its N x M factor.
+came from the closed form, with ``parent_return_link``, its return channel
+drawn on its own as before the sweep sliced it from one stream per trial,
+``_alternate``, the alternating optimizer that ``ao_minimize_crb`` ran where
+its fixed point did not certify, before the exact two-branch solve, and
+``dense_info_kernels`` and ``dense_phase_ascent``, the N x N kernels of f
+and the ascent on them as they were formed before f was carried by its
+N x M factor.
 """
 
 from __future__ import annotations
@@ -391,11 +393,17 @@ def parent_isotropic_profile(r_x: np.ndarray, a: np.ndarray, g: np.ndarray,
     return gaussian_randomization(lifted, kernels, samples, seed).v
 
 
+def parent_return_link(cfg, seed: int, trial: int) -> np.ndarray:
+    """The return channel G_r [K, N] of the sweep's ``(seed, trial)``
+    substream, drawn on its own at ``cfg``'s N and K."""
+    back_cfg = replace(cfg, M=cfg.K)
+    return rician_channel(back_cfg, seed=derive_seed(seed, trial, _RETURN)).G.T
+
+
 def parent_fully_passive(cfg, g: np.ndarray, seed: int, trial: int) -> float:
     """``crb_fully_passive`` at ``optimal_transmit_extended(g, P0)``, with the
     return channel of the sweep's ``(seed, trial)`` substream."""
-    back_cfg = replace(cfg, M=cfg.K)
-    g_r = rician_channel(back_cfg, seed=derive_seed(seed, trial, _RETURN)).G.T
+    g_r = parent_return_link(cfg, seed, trial)
     r_x = optimal_transmit_extended(g, cfg.P0)
     return crb_fully_passive(r_x, g, g_r, cfg.T, cfg.noise_power)
 

@@ -6,8 +6,8 @@ import pytest
 
 from irscrb.ao import ao_minimize_crb
 from irscrb.arrays import large_scale_path_loss
-from irscrb.channel import DRAW_FIELDS, rician_channel
-from irscrb.config import SystemConfig, point_scene
+from irscrb.channel import DRAW_FIELDS, channel_from_normals, rician_channel
+from irscrb.config import SystemConfig, make_rng, point_scene
 from irscrb.extended import crb_extended_iso, crb_extended_opt, crb_fully_passive_opt
 from irscrb.pointcrb import crb_point_closed, single_antenna_optimum
 
@@ -53,8 +53,8 @@ def test_different_seeds_differ():
 
 
 def test_draw_reads_exactly_its_fields():
-    # a sweep reuses one draw across configs equal on DRAW_FIELDS; the
-    # broadside LoS dyad reads neither the wavelength nor the spacing
+    # the draw reads exactly DRAW_FIELDS; the broadside LoS dyad reads
+    # neither the wavelength nor the spacing
     cfg = _config()
     g = rician_channel(cfg, seed=3).G
     read = dict(M=4, N=6, d_bi=70.0, c0=2e-3, alpha_bi=2.2, rician_factor=2.0)
@@ -93,6 +93,27 @@ def test_draw_bytes_are_pinned(m, n, beta, seed):
     g = rician_channel(SystemConfig(M=m, N=n, rician_factor=beta), seed).G
     assert g.shape == (n, m)
     assert hashlib.sha256(g.tobytes()).hexdigest() == _DRAW_SHA256[m, n, beta, seed]
+
+
+@pytest.mark.parametrize("m, n", [(1, 1), (1, 8), (4, 8), (8, 4), (8, 32), (1, 480),
+                                  (4, 480)])
+@pytest.mark.parametrize("changed", [{}, {"d_bi": 35.0}, {"rician_factor": 0.0},
+                                     {"rician_factor": 1e9},
+                                     {"c0": 2e-3, "alpha_bi": 2.2}])
+def test_draw_is_a_prefix_of_a_longer_stream(m, n, changed):
+    # a sweep slices every row group's channels from one stream per trial,
+    # drawn at the sweep's largest N * M
+    cfg = SystemConfig(M=m, N=n, **changed)
+    length = 2 * 480 * 8
+    for seed in (0, 9, 2**63 - 1):
+        g = channel_from_normals(cfg, make_rng(seed).standard_normal(length))
+        fresh = rician_channel(cfg, seed).G
+        assert g.shape == fresh.shape == (n, m) and g.tobytes() == fresh.tobytes()
+    # a stack of streams gives the stack of draws
+    streams = np.stack([make_rng(seed).standard_normal(length) for seed in range(3)])
+    fresh = np.stack([rician_channel(cfg, seed).G for seed in range(3)])
+    g = channel_from_normals(cfg, streams)
+    assert g.shape == fresh.shape and g.tobytes() == fresh.tobytes()
 
 
 class TestRotationInvariance:

@@ -15,14 +15,15 @@ from irscrb.arrays import target_steering
 from irscrb.channel import rician_channel
 from irscrb.config import (SpacingWarning, SystemConfig, dbm_to_watt, derive_seed,
                            point_scene)
-from irscrb.extended import EstimabilityError, crb_extended, optimal_transmit_extended
-from irscrb.pointcrb import _info_kernels, crb_point_closed
-from irscrb.sweep import (_CHANNEL, _RANDOMIZE, SCHEMES, SweepRecord, SweepSpec,
+from irscrb.extended import (EstimabilityError, crb_extended, crb_extended_opt,
+                             optimal_transmit_extended)
+from irscrb.pointcrb import _info_kernels, crb_point_closed, single_antenna_optimum
+from irscrb.sweep import (_CHANNEL, _RANDOMIZE, _RETURN, SCHEMES, SweepRecord, SweepSpec,
                           _alpha_factor, _config_for, _row_runner, emit_csv,
                           load_config, read_csv, reference_config, run_sweep)
 
 from golden_rows import golden_mismatches
-from oracles import parent_fully_passive, parent_isotropic_profile
+from oracles import parent_fully_passive, parent_isotropic_profile, parent_return_link
 
 THETA = np.deg2rad(60.0)
 ROOT = Path(__file__).resolve().parents[1]
@@ -47,6 +48,11 @@ def _one_trial(spec, cfg, trial):
     g = rician_channel(cfg, seed=derive_seed(spec.seed, trial, _CHANNEL)).G
     (crb,) = scheme.evaluate(cfg, g[None], spec.theta, spec.seed, [trial])
     return crb * (_alpha_factor(spec, trial) if scheme.target == "point" else 1.0)
+
+
+def _runner(spec):
+    """The sweep's row runner over the configs of every value of ``spec``."""
+    return _row_runner(spec, [_config_for(spec, value) for value in spec.values])
 
 
 def _spec(**kw):
@@ -176,7 +182,7 @@ class TestRunSweep:
         spec2 = _spec(base=reference_config(M=1, N=4, K=4), trials=2)
         spec5 = _spec(base=reference_config(M=1, N=4, K=4), trials=5)
         cfg = _config_for(spec2, 30.0)
-        (crbs2, status2), (crbs5, status5) = _row_runner(spec2)(cfg), _row_runner(spec5)(cfg)
+        (crbs2, status2), (crbs5, status5) = _runner(spec2)(cfg), _runner(spec5)(cfg)
         assert status2 == status5 == "ok"
         assert crbs2[0] == crbs5[0]
         assert crbs2[1] == crbs5[1]
@@ -186,7 +192,7 @@ class TestRunSweep:
         # step in closed form, so the trial solves no program
         spec = _spec(base=reference_config(M=4, N=8, K=8), values=(25.0,),
                      scheme="random_phase", trials=3, seed=1234)
-        crbs, status = _row_runner(spec)(_config_for(spec, 25.0))
+        crbs, status = _runner(spec)(_config_for(spec, 25.0))
         assert status == "ok" and np.isfinite(crbs[1])
 
     def test_rician_factor_sweep_runs(self):
@@ -252,11 +258,31 @@ class TestUnitPower:
 
     def test_k_sweep_draws_each_trial_channel_once(self, monkeypatch):
         # K does not enter the channel draw
-        calls = _counted(monkeypatch, "rician_channel")
+        calls = _counted(monkeypatch, "_normals")
         spec = _spec(base=_BASES["extended"], vary="K", values=(2.0, 4.0, 8.0, 16.0),
                      scheme="extended_opt", trials=3)
         assert [r.status for r in run_sweep(spec)] == ["ok"] * 4
         assert len(calls) == spec.trials
+        assert calls == [(spec.seed, trial, _CHANNEL, 2 * 4 * 8) for trial in range(3)]
+
+    @pytest.mark.parametrize("scheme, vary", [
+        ("single_antenna_closed", "N"), ("random_phase", "Q_tot"), ("extended_iso", "M"),
+        ("isotropic_tx", "beta_BI"), ("fully_passive", "K"), ("fully_passive", "N")])
+    def test_sweep_draws_each_trial_stream_once(self, monkeypatch, scheme, vary):
+        # one channel stream per trial per call, long enough for every value,
+        # and one return stream per trial for fully_passive
+        calls = _counted(monkeypatch, "_normals")
+        kind = scheme if scheme == "single_antenna_closed" else SCHEMES[scheme].target
+        spec = _spec(scheme=scheme, base=_BASES[kind], vary=vary, values=_VALUES[vary],
+                     trials=3, alpha_draws=5, q_tot=20.0)
+        assert [r.status for r in run_sweep(spec)] == ["ok"] * len(spec.values)
+        configs = [_config_for(spec, value) for value in spec.values]
+        expected = [(spec.seed, trial, _CHANNEL, 2 * max(c.N * c.M for c in configs))
+                    for trial in range(spec.trials)]
+        if scheme == "fully_passive":
+            expected += [(spec.seed, trial, _RETURN, 2 * max(c.N * c.K for c in configs))
+                         for trial in range(spec.trials)]
+        assert sorted(calls) == sorted(expected)
 
     def test_n_sweep_draws_each_trial_fading_factor_once(self, monkeypatch):
         calls = _counted(monkeypatch, "_alpha_factor")
@@ -297,7 +323,7 @@ class TestUnitPower:
             cfg = _config_for(spec, record.value)
             unit_cfg = replace(cfg, P0=1.0,
                                K=spec.base.K if SCHEMES[scheme].linear_in_k else cfg.K)
-            unit, status = _row_runner(spec)(unit_cfg)
+            unit, status = _runner(spec)(unit_cfg)
             assert status == "ok" and len(unit) == spec.trials
             assert record.crb_mean == (float(np.mean(unit))
                                        * (cfg.K / unit_cfg.K) / cfg.P0)
@@ -328,20 +354,19 @@ class TestUnitPower:
 
     def test_failed_trial_logs_the_exception_and_its_instance(self, monkeypatch,
                                                              caplog):
-        def failing_draw(cfg, seed):
+        def failing_draw(seed, trial, tag, length):
             raise FloatingPointError("overflow in the NLoS draw")
 
         spec = _spec(scheme="random_phase", trials=1, **self.SMALL)
         for fail, text in [
                 (lambda: self._failing(monkeypatch),
                  "SubproblemError: transmit solve ended max_iter, kkt 3.0e-07"),
-                (lambda: monkeypatch.setattr(irscrb.sweep, "rician_channel",
-                                             failing_draw),
+                (lambda: monkeypatch.setattr(irscrb.sweep, "_normals", failing_draw),
                  "FloatingPointError: overflow in the NLoS draw")]:
             fail()
             caplog.clear()
             with caplog.at_level(logging.WARNING, logger="irscrb.sweep"):
-                (crb,), status = _row_runner(spec)(_config_for(spec, 20.0))
+                (crb,), status = _runner(spec)(_config_for(spec, 20.0))
             assert np.isnan(crb) and status == "error:" + text.split(":")[0]
             (record,) = [r for r in caplog.records if r.name == "irscrb.sweep"]
             assert record.levelno == logging.WARNING
@@ -350,10 +375,10 @@ class TestUnitPower:
 
     def test_failed_batch_logs_one_warning_naming_its_trials(self, monkeypatch, caplog):
         # a closed-form row group is one call, so a failure fails every trial
-        def failing_draw(cfg, seed):
+        def failing_draw(seed, trial, tag, length):
             raise FloatingPointError("overflow in the NLoS draw")
 
-        monkeypatch.setattr(irscrb.sweep, "rician_channel", failing_draw)
+        monkeypatch.setattr(irscrb.sweep, "_normals", failing_draw)
         spec = _spec(base=_BASES["single_antenna_closed"], trials=3)
         with caplog.at_level(logging.WARNING, logger="irscrb.sweep"):
             records = run_sweep(spec)
@@ -387,25 +412,24 @@ class TestUnitPower:
         assert warning.levelno == logging.WARNING
         assert warning.getMessage().endswith(
             ", trial 1: SubproblemError: transmit solve ended max_iter, kkt 3.0e-07")
-        crbs, status = _row_runner(spec)(replace(_config_for(spec, 20.0), P0=1.0))
+        crbs, status = _runner(spec)(replace(_config_for(spec, 20.0), P0=1.0))
         assert status == record.status
         assert np.isfinite(crbs[[0, 2]]).all() and np.isnan(crbs[1])
 
     def test_one_rank_deficient_trial_makes_the_row_rank_deficient(self, monkeypatch):
         spec = _spec(scheme="extended_opt", base=_BASES["extended"], trials=3)
-        draw = irscrb.sweep.rician_channel
+        draw = irscrb.sweep._normals
 
-        def rank_one_trial_1(cfg, seed):
-            ch = draw(cfg, seed)
-            if seed != derive_seed(spec.seed, 1, _CHANNEL):
-                return ch
-            return replace(ch, G=np.outer(ch.G[:, 0], ch.G[0]))
+        def rank_one_trial_1(seed, trial, tag, length):
+            # no NLoS term: trial 1's channel is the rank-one LoS dyad
+            normals = draw(seed, trial, tag, length)
+            return np.zeros_like(normals) if (trial, tag) == (1, _CHANNEL) else normals
 
-        monkeypatch.setattr(irscrb.sweep, "rician_channel", rank_one_trial_1)
+        monkeypatch.setattr(irscrb.sweep, "_normals", rank_one_trial_1)
         records = run_sweep(spec)
         assert [r.status for r in records] == ["rank_deficient"] * 3
         assert all(r.crb_mean == np.inf for r in records)
-        crbs, _ = _row_runner(spec)(replace(spec.base, P0=1.0))
+        crbs, _ = _runner(spec)(replace(spec.base, P0=1.0))
         assert np.isinf(crbs).tolist() == [False, True, False]
 
     @pytest.mark.parametrize("scheme, vary", [
@@ -415,9 +439,9 @@ class TestUnitPower:
         calls = []
         evaluate = SCHEMES[scheme].evaluate
 
-        def counted(cfg, g, theta, seed, trials):
+        def counted(cfg, g, theta, seed, trials, **kwargs):
             calls.append(list(trials))
-            return evaluate(cfg, g, theta, seed, trials)
+            return evaluate(cfg, g, theta, seed, trials, **kwargs)
 
         monkeypatch.setitem(SCHEMES, scheme, SCHEMES[scheme]._replace(evaluate=counted))
         kind = scheme if scheme == "single_antenna_closed" else SCHEMES[scheme].target
@@ -442,6 +466,79 @@ class TestUnitPower:
         message = warning.getMessage()
         assert message.count("N = 480") == 1 and "GB" in message
         assert "SubproblemError" in message and "ascent profile" in message
+
+
+def _same_bits(a, b) -> bool:
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+class TestStreams:
+    """A sweep draws one channel stream (and one return stream) per trial and
+    slices every row group's draws from it; each equals a fresh draw."""
+
+    @pytest.mark.parametrize("scheme, vary", [
+        ("single_antenna_closed", "N"), ("extended_opt", "M"), ("random_phase", "beta_BI"),
+        ("single_antenna_closed", "W_I"), ("random_phase", "Q_tot")])
+    def test_row_group_channels_are_fresh_draws(self, monkeypatch, scheme, vary):
+        seen = []
+        evaluate = SCHEMES[scheme].evaluate
+
+        def recorded(cfg, g, theta, seed, trials, **kwargs):
+            seen.append((cfg, g, list(trials)))
+            return evaluate(cfg, g, theta, seed, trials, **kwargs)
+
+        monkeypatch.setitem(SCHEMES, scheme, SCHEMES[scheme]._replace(evaluate=recorded))
+        kind = scheme if scheme == "single_antenna_closed" else SCHEMES[scheme].target
+        spec = _spec(scheme=scheme, base=_BASES[kind], vary=vary, values=_VALUES[vary],
+                     trials=3, alpha_draws=5, q_tot=20.0)
+        assert [r.status for r in run_sweep(spec)] == ["ok"] * len(spec.values)
+        assert len({cfg for cfg, _, _ in seen}) == len(spec.values)
+        assert len({cfg.N * cfg.M for cfg, _, _ in seen}) > 1 or vary == "beta_BI"
+        for cfg, g, trials in seen:
+            fresh = np.stack([rician_channel(cfg, derive_seed(spec.seed, t, _CHANNEL)).G
+                              for t in trials])
+            assert _same_bits(g, fresh), (cfg, trials)
+
+    @pytest.mark.parametrize("vary", ["K", "N"])
+    def test_return_links_are_fresh_draws(self, monkeypatch, vary):
+        seen = []
+        bound = irscrb.sweep.crb_fully_passive_opt
+
+        def recorded(g, g_r, *args):
+            seen.append(g_r)
+            return bound(g, g_r, *args)
+
+        monkeypatch.setattr(irscrb.sweep, "crb_fully_passive_opt", recorded)
+        spec = _spec(scheme="fully_passive", base=_BASES["extended"], vary=vary,
+                     values=_VALUES[vary], trials=3)
+        assert [r.status for r in run_sweep(spec)] == ["ok"] * len(spec.values)
+        configs = [_config_for(spec, value) for value in spec.values]
+        assert len(seen) == len(configs)
+        for cfg, g_r in zip(configs, seen):
+            oracle = np.stack([parent_return_link(cfg, spec.seed, t) for t in range(3)])
+            assert _same_bits(g_r, oracle), cfg
+        # called on its own, the scheme draws the same return link
+        seen.clear()
+        cfg = configs[-1]
+        g = rician_channel(cfg, derive_seed(spec.seed, 2, _CHANNEL)).G
+        SCHEMES["fully_passive"].evaluate(cfg, g[None], THETA, spec.seed, [2])
+        assert _same_bits(seen[0][0], parent_return_link(cfg, spec.seed, 2))
+
+    # (N, channels): a stack and its channels one at a time round alike
+    @pytest.mark.parametrize("n, count", [(8, 900), (32, 600), (200, 20)])
+    def test_closed_forms_agree_alone_and_stacked(self, n, count):
+        cfg = SystemConfig(M=n, N=n, K=8)
+        g = np.stack([rician_channel(cfg, seed).G for seed in range(count)])
+        stacked = crb_extended_opt(g, 1.0, cfg.K, cfg.T, cfg.noise_power).crb
+        alone = [crb_extended_opt(g_t, 1.0, cfg.K, cfg.T, cfg.noise_power).crb for g_t in g]
+        assert _same_bits(stacked, alone)
+        cfg = SystemConfig(M=1, N=n, K=8)
+        scene = point_scene(cfg, THETA)
+        h = np.stack([rician_channel(cfg, seed).G[:, 0] for seed in range(1000)])
+        stacked = single_antenna_optimum(scene, h, cfg)[1]
+        alone = [single_antenna_optimum(scene, h_t, cfg)[1] for h_t in h]
+        assert _same_bits(stacked, alone)
 
 
 class TestIsotropicTx:
