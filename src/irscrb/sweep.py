@@ -62,17 +62,16 @@ stack of channels, while ``proposed_ao``, ``random_phase`` and
 ``isotropic_tx`` are called one trial at a time, so that a failing trial
 fails alone.  Values with the same unit config reuse the group's bounds, so
 a ``P0`` sweep, and a ``K`` sweep of ``extended_opt`` or ``extended_iso``,
-evaluates each trial once.  Each trial's fading factor is drawn once per
-sweep, before its first row.  Its channel stream, ``2 N M`` standard
-normals of its channel substream at the sweep's largest ``N M``, is drawn
-once per sweep, by the first row group that evaluates the trial.  Every row
+evaluates each trial once.  Each trial's fading factor and its channel
+stream, ``2 N M`` standard normals of its channel substream at the sweep's
+largest ``N M``, are drawn once per sweep, before its first row.  Every row
 group's channel is a prefix of that stream, scaled, and equals bit for bit
 the channel ``rician_channel`` draws on its own.  ``fully_passive`` gets its
 return channels the same way, from one return stream per trial at the
-sweep's largest ``N K``.  ``wall_ms`` counts a row's own work: the streams
-it drew, the slicing and scaling of its group's channels, its solves and
-its scaling; so the first row also counts the draws for every later row,
-and rows that reuse its group report near-zero times.
+sweep's largest ``N K``.  ``wall_ms`` counts a row's own work: the slicing
+and scaling of its group's channels, its solves and its scaling; the first
+row also counts the draws for every row, and rows that reuse its group
+report near-zero times.
 
 The CSV contract: header ``vary,value,scheme,crb,crb_db,trials,status,
 wall_ms``, one row per (value, scheme), floats in full-precision scientific
@@ -199,6 +198,10 @@ class SweepSpec:
             raise ValueError("values must be strictly increasing")
         if self.vary in ("W_I", "Q_tot") and self.target == "extended":
             raise ValueError("allocation sweeps apply to the point-target model")
+        antennas = self.values if self.vary == "M" else (self.base.M,)
+        if self.scheme == "single_antenna_closed" and any(m != 1 for m in antennas):
+            raise ValueError(f"scheme 'single_antenna_closed' requires M = 1, got M = "
+                             f"{max(antennas):g}")
 
     @property
     def target(self) -> str:
@@ -242,7 +245,7 @@ class Scheme(NamedTuple):
     ``per_trial`` marks a scheme the sweep evaluates one trial at a time, so
     that a failing trial fails alone; ``linear_in_k`` marks a bound exactly
     proportional to K; ``return_link`` marks an evaluator that also takes
-    ``returns``, the trials' return-link normals (see :func:`_fully_passive`).
+    ``returns``, the trials' return streams (see :func:`_fully_passive`).
     """
 
     target: str                         # "point" | "extended"
@@ -293,13 +296,10 @@ def _extended_iso(cfg, g, theta, seed, trials) -> np.ndarray:
     return crb_extended_iso(g, cfg.P0, cfg.K, cfg.T, cfg.noise_power).crb
 
 
-def _fully_passive(cfg, g, theta, seed, trials, returns=None) -> np.ndarray:
+def _fully_passive(cfg, g, theta, seed, trials, returns) -> np.ndarray:
     """Echoes return through the IRS to K BS receive antennas over G_r [K, N],
-    the transpose of an N x K draw from each trial's ``_RETURN`` stream:
-    ``returns`` [T, >= 2NK] as a sweep draws them, else drawn here."""
-    if returns is None:
-        returns = np.stack([_normals(seed, trial, _RETURN, 2 * cfg.N * cfg.K)
-                            for trial in trials])
+    the transpose of the N x K channel scaled from ``returns`` [T, >= 2NK],
+    each trial's ``_RETURN`` stream."""
     g_r = np.swapaxes(channel_from_normals(replace(cfg, M=cfg.K), returns), -1, -2)
     return crb_fully_passive_opt(g, g_r, cfg.P0, cfg.T, cfg.noise_power)
 
@@ -343,38 +343,32 @@ def _row_runner(spec: SweepSpec, configs: list[SystemConfig]
     of every trial at the unit config ``unit`` and their status, kept per
     unit config.
 
-    Each trial's fading factor is drawn once.  Its channel stream, and its
-    return stream where the scheme takes one, is drawn once, by the first
-    row group that evaluates the trial, long enough for every config in
-    ``configs``; each row group's channels are a prefix of each stream,
-    scaled in one call.  A failed trial is nan and a rank-deficient one inf;
-    the status is the first error, else ``rank_deficient`` if a trial is,
-    else ``ok``.
+    Each trial's fading factor, its channel stream and, where the scheme
+    takes one, its return stream are drawn once, here, each stream long
+    enough for every config in ``configs``; each row group's channels are a
+    prefix of each stream, scaled in one call.  A failed trial is nan and a
+    rank-deficient one inf; the status is the first error, else
+    ``rank_deficient`` if a trial is, else ``ok``.
     """
     scheme = SCHEMES[spec.scheme]
     trials = range(spec.trials)
     alpha = (np.array([_alpha_factor(spec, trial) for trial in trials])
              if scheme.target == "point" else np.ones(spec.trials))
-    lengths = {_CHANNEL: 2 * max(cfg.N * cfg.M for cfg in configs)}
-    if scheme.return_link:
-        lengths[_RETURN] = 2 * max(cfg.N * cfg.K for cfg in configs)
-    streams = {tag: np.empty((spec.trials, length)) for tag, length in lengths.items()}
-    drawn = {tag: set() for tag in lengths}
-    rows = {}
 
-    def normals(tag: int, batch: list[int]) -> np.ndarray:
-        for trial in batch:
-            if trial not in drawn[tag]:
-                streams[tag][trial] = _normals(spec.seed, trial, tag, lengths[tag])
-                drawn[tag].add(trial)
-        return streams[tag][batch]
+    def streams(tag: int, size: int) -> np.ndarray:    # [trials, 2 * size]
+        return np.stack([_normals(spec.seed, trial, tag, 2 * size) for trial in trials])
+
+    channels = streams(_CHANNEL, max(cfg.N * cfg.M for cfg in configs))
+    returns = (streams(_RETURN, max(cfg.N * cfg.K for cfg in configs))
+               if scheme.return_link else None)
+    rows = {}
 
     def evaluate(cfg: SystemConfig, batch: list[int]) -> tuple[np.ndarray, str]:
         try:
-            g = channel_from_normals(cfg, normals(_CHANNEL, batch))
-            returns = {"returns": normals(_RETURN, batch)} if scheme.return_link else {}
+            g = channel_from_normals(cfg, channels[batch])
+            extra = {"returns": returns[batch]} if scheme.return_link else {}
             crb = scheme.evaluate(cfg, g, spec.theta, spec.seed, batch,
-                                  **returns) * alpha[batch]
+                                  **extra) * alpha[batch]
         except (ArithmeticError, RuntimeError) as exc:
             _log.warning("%s failed at P0=%g M=%d N=%d K=%d, seed %d, trial%s %s: %s: %s",
                          spec.scheme, cfg.P0, cfg.M, cfg.N, cfg.K, spec.seed,
@@ -401,10 +395,10 @@ def run_sweep(spec: SweepSpec) -> list[SweepRecord]:
     scale by 1/P0 (and K)."""
     records = []
     configs = [_config_for(spec, value) for value in spec.values]
-    run = _row_runner(spec, configs)
     linear_in_k = SCHEMES[spec.scheme].linear_in_k
+    tic = time.perf_counter()       # the first row's clock counts the draws
+    run = _row_runner(spec, configs)
     for value, cfg in zip(spec.values, configs):
-        tic = time.perf_counter()
         unit = replace(cfg, P0=1.0, K=spec.base.K if linear_in_k else cfg.K)
         crbs, status = run(unit)
         # a failed trial is nan and a rank-deficient one inf, and so is the mean
@@ -415,6 +409,7 @@ def run_sweep(spec: SweepSpec) -> list[SweepRecord]:
             crb_mean=mean, crb_db=float(crb_db), trials_used=spec.trials,
             wall_ms=(time.perf_counter() - tic) * 1e3, status=status,
         ))
+        tic = time.perf_counter()
     return records
 
 
@@ -456,14 +451,25 @@ def read_csv(path: str) -> list[SweepRecord]:
 
 # -- config files -------------------------------------------------------------
 
+def _parsed(path: str, section: str, key: str, text: str, parse: Callable):
+    """``parse(text)``; a value it cannot read is refused with a
+    ``ValueError`` naming the file, the section and the key."""
+    try:
+        return parse(text)
+    except ValueError as exc:
+        raise ValueError(f"{path}: key {key!r} in section [{section}] has a malformed "
+                         f"value: {exc}") from exc
+
+
 def load_config(path: str) -> tuple[SystemConfig, float, list[SweepSpec]]:
     """Read an INI config; returns (system, theta, one spec per scheme).
 
-    A section or key outside the key tables, a ``[sweep]`` without
-    ``values`` or ``schemes``, a scheme listed twice, or a ``[sweep]`` key
-    that no spec reads is refused with a ``ValueError`` naming the file, the
-    section and the key or scheme, and a file ``configparser`` cannot read
-    (a duplicate key, a bare ``%``) with one naming the file.
+    A section or key outside the key tables, a value that is not a number
+    where one is read, a ``[sweep]`` without ``values`` or ``schemes``, a
+    scheme listed twice, or a ``[sweep]`` key that no spec reads is refused
+    with a ``ValueError`` naming the file, the section and the key or
+    scheme, and a file ``configparser`` cannot read (a duplicate key, a bare
+    ``%``) with one naming the file.
     """
     parser = configparser.ConfigParser(inline_comment_prefixes=(";", "#"))
     try:
@@ -483,16 +489,19 @@ def load_config(path: str) -> tuple[SystemConfig, float, list[SweepSpec]]:
                 raise ValueError(f"{path}: unknown key {key!r} in section [{name}]")
 
     system = sections.get("system", {})
-    fields = {field: parse(float(system[key]))
+    fields = {field: parse(_parsed(path, "system", key, system[key], float))
               for key, (field, parse) in _SYSTEM_KEYS.items() if key in system}
     base = SystemConfig(**fields)
-    theta_deg = check("theta_deg", float(sections.get("scene", {}).get("theta_deg", THETA_DEG)))
+    scene = sections.get("scene", {})
+    theta_deg = check("theta_deg", _parsed(path, "scene", "theta_deg",
+                                           scene.get("theta_deg", THETA_DEG), float))
     theta = float(np.deg2rad(theta_deg))
 
     if "sweep" not in sections:
         return base, theta, []
     sweep = sections["sweep"]
-    settings = {key: parse(sweep[key]) for key, parse in _SWEEP_KEYS.items() if key in sweep}
+    settings = {key: _parsed(path, "sweep", key, sweep[key], parse)
+                for key, parse in _SWEEP_KEYS.items() if key in sweep}
     settings.setdefault("vary", "P0")
     schemes = [scheme.strip() for scheme in sweep["schemes"].split(",")]
     repeated = [scheme for i, scheme in enumerate(schemes) if scheme in schemes[:i]]

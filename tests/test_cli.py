@@ -343,7 +343,9 @@ def test_crb_point_single_antenna(tmp_path, capsys):
 
 def test_crb_point_optimizing_schemes(tmp_path, capsys):
     cfg = tmp_path / "cfg.ini"
-    cfg.write_text(POINT_CONFIG.replace("m = 1", "m = 2"))
+    # crb point reads no [sweep] key, but the file's sweep must be valid at M = 2
+    cfg.write_text(POINT_CONFIG.replace("m = 1", "m = 2")
+                   .replace("schemes = single_antenna_closed", "schemes = random_phase"))
     for scheme in ("proposed_ao", "isotropic_tx", "random_phase"):
         rc = cli_main(["crb", "point", "--config", str(cfg),
                        "--scheme", scheme])
@@ -354,7 +356,9 @@ def test_crb_point_optimizing_schemes(tmp_path, capsys):
 def test_crb_point_random_phase_uses_the_seeded_channel(tmp_path, capsys):
     # every point scheme evaluates rician_channel(base, seed=--seed)
     cfg = tmp_path / "cfg.ini"
-    cfg.write_text(POINT_CONFIG.replace("m = 1", "m = 2"))
+    # crb point reads no [sweep] key, but the file's sweep must be valid at M = 2
+    cfg.write_text(POINT_CONFIG.replace("m = 1", "m = 2")
+                   .replace("schemes = single_antenna_closed", "schemes = random_phase"))
     base, theta, _ = load_config(str(cfg))
     for seed in range(4):
         rc = cli_main(["crb", "point", "--config", str(cfg),
@@ -368,7 +372,8 @@ def test_crb_point_random_phase_uses_the_seeded_channel(tmp_path, capsys):
 @pytest.mark.parametrize("command", ["crb", "sweep"])
 def test_single_antenna_closed_on_a_multi_antenna_config_is_usage_error(
         tmp_path, capsys, command):
-    # single_antenna_optimum makes the one M = 1 check of this scheme
+    # the sweep spec refuses the scheme at M = 4 before any row runs, and
+    # single_antenna_optimum refuses it for crb point
     cfg, csv = tmp_path / "cfg.ini", tmp_path / "x.csv"
     cfg.write_text(POINT_CONFIG.replace("m = 1", "m = 4"))
     argv = {"crb": ["crb", "point", "--config", str(CONFIGS / "point_p0.ini"),

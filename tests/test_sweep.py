@@ -19,7 +19,7 @@ from irscrb.extended import (EstimabilityError, crb_extended, crb_extended_opt,
                              optimal_transmit_extended)
 from irscrb.pointcrb import _info_kernels, crb_point_closed, single_antenna_optimum
 from irscrb.sweep import (_CHANNEL, _RANDOMIZE, _RETURN, SCHEMES, SweepRecord, SweepSpec,
-                          _alpha_factor, _config_for, _row_runner, emit_csv,
+                          _alpha_factor, _config_for, _normals, _row_runner, emit_csv,
                           load_config, read_csv, reference_config, run_sweep)
 
 from golden_rows import golden_mismatches
@@ -41,12 +41,18 @@ def _shipped_rows(name: str, tmp_path) -> dict[str, list[SweepRecord]]:
     return rows
 
 
+def _returns(cfg, seed, trials):
+    """The return streams [T, 2NK] of the sweep's ``(seed, trial)`` substreams."""
+    return np.stack([_normals(seed, trial, _RETURN, 2 * cfg.N * cfg.K) for trial in trials])
+
+
 def _one_trial(spec, cfg, trial):
     """Trial ``trial`` of ``spec`` at ``cfg`` evaluated on its own, as a
     one-trial batch on a fresh draw, times its fading factor at a point target."""
     scheme = SCHEMES[spec.scheme]
     g = rician_channel(cfg, seed=derive_seed(spec.seed, trial, _CHANNEL)).G
-    (crb,) = scheme.evaluate(cfg, g[None], spec.theta, spec.seed, [trial])
+    returns = {"returns": _returns(cfg, spec.seed, [trial])} if scheme.return_link else {}
+    (crb,) = scheme.evaluate(cfg, g[None], spec.theta, spec.seed, [trial], **returns)
     return crb * (_alpha_factor(spec, trial) if scheme.target == "point" else 1.0)
 
 
@@ -56,7 +62,7 @@ def _runner(spec):
 
 
 def _spec(**kw):
-    base = dict(base=reference_config(), theta=THETA, vary="P0",
+    base = dict(base=reference_config(M=1), theta=THETA, vary="P0",
                 values=(10.0, 20.0, 30.0), scheme="single_antenna_closed",
                 trials=2, seed=11, alpha_draws=10)
     base.update(kw)
@@ -104,6 +110,17 @@ class TestSpecValidation:
     def test_allocation_sweep_needs_point_model(self):
         with pytest.raises(ValueError, match="point-target"):
             _spec(vary="W_I", values=(0.5, 1.0), scheme="extended_opt")
+
+    def test_single_antenna_closed_needs_one_antenna(self):
+        # such a sweep once failed only at its first row, after every earlier
+        # scheme of its file had run
+        refused = r"scheme 'single_antenna_closed' requires M = 1, got M = "
+        with pytest.raises(ValueError, match=refused + "4$"):
+            _spec(base=reference_config(M=4))
+        with pytest.raises(ValueError, match=refused + "2$"):
+            _spec(vary="M", values=(1.0, 2.0))
+        assert _spec(base=reference_config(M=1)).base.M == 1
+        assert _spec(base=reference_config(M=4), vary="M", values=(1.0,)).values == (1.0,)
 
     def test_target_is_derived_from_scheme(self):
         assert _spec().target == "point"
@@ -354,31 +371,24 @@ class TestUnitPower:
 
     def test_failed_trial_logs_the_exception_and_its_instance(self, monkeypatch,
                                                              caplog):
-        def failing_draw(seed, trial, tag, length):
-            raise FloatingPointError("overflow in the NLoS draw")
-
+        self._failing(monkeypatch)
         spec = _spec(scheme="random_phase", trials=1, **self.SMALL)
-        for fail, text in [
-                (lambda: self._failing(monkeypatch),
-                 "SubproblemError: transmit solve ended max_iter, kkt 3.0e-07"),
-                (lambda: monkeypatch.setattr(irscrb.sweep, "_normals", failing_draw),
-                 "FloatingPointError: overflow in the NLoS draw")]:
-            fail()
-            caplog.clear()
-            with caplog.at_level(logging.WARNING, logger="irscrb.sweep"):
-                (crb,), status = _runner(spec)(_config_for(spec, 20.0))
-            assert np.isnan(crb) and status == "error:" + text.split(":")[0]
-            (record,) = [r for r in caplog.records if r.name == "irscrb.sweep"]
-            assert record.levelno == logging.WARNING
-            assert record.getMessage() == (
-                "random_phase failed at P0=0.1 M=2 N=4 K=4, seed 11, trial 0: " + text)
+        with caplog.at_level(logging.WARNING, logger="irscrb.sweep"):
+            (crb,), status = _runner(spec)(_config_for(spec, 20.0))
+        assert np.isnan(crb) and status == "error:SubproblemError"
+        (record,) = [r for r in caplog.records if r.name == "irscrb.sweep"]
+        assert record.levelno == logging.WARNING
+        assert record.getMessage() == (
+            "random_phase failed at P0=0.1 M=2 N=4 K=4, seed 11, trial 0: "
+            "SubproblemError: transmit solve ended max_iter, kkt 3.0e-07")
 
     def test_failed_batch_logs_one_warning_naming_its_trials(self, monkeypatch, caplog):
         # a closed-form row group is one call, so a failure fails every trial
-        def failing_draw(seed, trial, tag, length):
+        def evaluate(cfg, g, theta, seed, trials):
             raise FloatingPointError("overflow in the NLoS draw")
 
-        monkeypatch.setattr(irscrb.sweep, "_normals", failing_draw)
+        monkeypatch.setitem(SCHEMES, "single_antenna_closed",
+                            SCHEMES["single_antenna_closed"]._replace(evaluate=evaluate))
         spec = _spec(base=_BASES["single_antenna_closed"], trials=3)
         with caplog.at_level(logging.WARNING, logger="irscrb.sweep"):
             records = run_sweep(spec)
@@ -479,7 +489,8 @@ class TestStreams:
 
     @pytest.mark.parametrize("scheme, vary", [
         ("single_antenna_closed", "N"), ("extended_opt", "M"), ("random_phase", "beta_BI"),
-        ("single_antenna_closed", "W_I"), ("random_phase", "Q_tot")])
+        ("single_antenna_closed", "W_I"), ("random_phase", "Q_tot"), ("proposed_ao", "N"),
+        ("isotropic_tx", "M")])
     def test_row_group_channels_are_fresh_draws(self, monkeypatch, scheme, vary):
         seen = []
         evaluate = SCHEMES[scheme].evaluate
@@ -518,11 +529,13 @@ class TestStreams:
         for cfg, g_r in zip(configs, seen):
             oracle = np.stack([parent_return_link(cfg, spec.seed, t) for t in range(3)])
             assert _same_bits(g_r, oracle), cfg
-        # called on its own, the scheme draws the same return link
+        # called on its own with trial 2's return stream, the scheme scales
+        # the same return link
         seen.clear()
         cfg = configs[-1]
         g = rician_channel(cfg, derive_seed(spec.seed, 2, _CHANNEL)).G
-        SCHEMES["fully_passive"].evaluate(cfg, g[None], THETA, spec.seed, [2])
+        SCHEMES["fully_passive"].evaluate(cfg, g[None], THETA, spec.seed, [2],
+                                          returns=_returns(cfg, spec.seed, [2]))
         assert _same_bits(seen[0][0], parent_return_link(cfg, spec.seed, 2))
 
     # (N, channels): a stack and its channels one at a time round alike
@@ -617,8 +630,8 @@ class TestFullyPassive:
                 cfg = reference_config(M=m, N=n, K=k, P0=p0, rician_factor=rician_factor)
                 for seed in range(5):
                     ch = rician_channel(cfg, seed=seed)
-                    (crb,) = SCHEMES["fully_passive"].evaluate(cfg, ch.G[None], THETA,
-                                                               seed, [1])
+                    (crb,) = SCHEMES["fully_passive"].evaluate(
+                        cfg, ch.G[None], THETA, seed, [1], returns=_returns(cfg, seed, [1]))
                     parent = self._bound(lambda: parent_fully_passive(cfg, ch.G, seed, 1))
                     assert np.isfinite(crb) == np.isfinite(parent) == finite
                     if finite:
@@ -628,7 +641,8 @@ class TestFullyPassive:
         cfg = reference_config(M=8, N=4, K=8)
         ch = rician_channel(cfg, seed=0)
         deficient = np.outer(ch.G[:, 0], ch.G[0])
-        (crb,) = SCHEMES["fully_passive"].evaluate(cfg, deficient[None], THETA, 0, [0])
+        (crb,) = SCHEMES["fully_passive"].evaluate(cfg, deficient[None], THETA, 0, [0],
+                                                   returns=_returns(cfg, 0, [0]))
         assert np.isinf(crb)
         assert np.isinf(self._bound(lambda: parent_fully_passive(cfg, deficient, 0, 0)))
 
@@ -834,10 +848,18 @@ alpha_draws = 5
         ("schemes = single_antenna_closed", "schemes = single_antenna_closed, "
          "random_phase,single_antenna_closed",
          r"scheme 'single_antenna_closed' is listed twice in section \[sweep\]"),
+        ("m = 1", "m = one", r"key 'm' in section \[system\] has a malformed value: "
+         r"could not convert string to float: 'one'"),
+        ("theta_deg = 89", "theta_deg = sixty", r"key 'theta_deg' in section \[scene\] has "
+         r"a malformed value: could not convert string to float: 'sixty'"),
+        ("values = 10, 20", "values = 10, 20,", r"key 'values' in section \[sweep\] has a "
+         r"malformed value: could not convert string to float: ''"),
     ], ids=["section", "sweep_key", "added_key", "scene_key", "missing_key",
-            "average_alpha", "ao_samples", "repeated_scheme"])
+            "average_alpha", "ao_samples", "repeated_scheme", "malformed_system",
+            "malformed_scene", "malformed_sweep"])
     def test_unknown_and_missing_keys_are_refused(self, tmp_path, old, new, message):
-        # each of these once ran silently with the defaults in its place
+        # each of these once ran silently with the defaults in its place, or,
+        # a malformed value, was refused without naming its file, section or key
         path = tmp_path / "cfg.ini"
         path.write_text(self.CONFIG.replace(old, new))
         with pytest.raises(ValueError, match=message) as info:
