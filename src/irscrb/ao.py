@@ -109,7 +109,7 @@ def _schur_program(quad_obj: np.ndarray, cross_kernel: np.ndarray, power_kernel:
     """
     s_q = max(np.abs(quad_obj).max(), 1e-300)
     s_p = max(np.abs(power_kernel).max(), 1e-300)
-    cross = cross_kernel / np.sqrt(s_q * s_p)
+    cross = cross_kernel / (np.sqrt(s_q) * np.sqrt(s_p))
     # Hermitian kernels extracting Re tr(C X) and Im tr(C X)
     re_k, im_k = (cross + cross.conj().T) / 2.0, (cross - cross.conj().T) / 2.0j
     n = quad_obj.shape[0]

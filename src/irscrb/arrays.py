@@ -15,7 +15,7 @@ import warnings
 
 import numpy as np
 
-from .config import check
+from .config import check, link_gain
 
 
 def ula_steering(direction: float, count: int) -> np.ndarray:
@@ -40,7 +40,7 @@ def centered_index(count: int) -> np.ndarray:
 
 
 def large_scale_path_loss(d: float, alpha_d: float, c0: float) -> float:
-    """Linear power gain c0 * d^{-alpha_d} relative to the 1 m reference."""
+    """``config.link_gain``: power gain c0 * d^{-alpha_d} relative to the 1 m reference."""
     check("d", d, "d_bi")
     check("alpha_d", alpha_d, "alpha_bi")
     check("c0", c0)
@@ -50,4 +50,4 @@ def large_scale_path_loss(d: float, alpha_d: float, c0: float) -> float:
             UserWarning,
             stacklevel=2,
         )
-    return float(c0 * d ** (-alpha_d))
+    return float(link_gain(d, alpha_d, c0))

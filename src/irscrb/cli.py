@@ -33,15 +33,12 @@ NUMERICAL_EXIT = 2
 EXHAUSTIVE_STEP = 0.25
 
 
-class _UsageError(Exception):
-    pass
-
-
 class _Parser(argparse.ArgumentParser):
-    """argparse that reports usage problems through exit code 1."""
+    """argparse that raises a usage problem, and its usage line, as a
+    ``ValueError``: exit code 1."""
 
     def error(self, message):
-        raise _UsageError(message)
+        raise ValueError(f"{message}\n{self.format_usage().rstrip()}")
 
 
 @functools.cache       # one parser per process: parsing leaves it unchanged
@@ -75,15 +72,8 @@ def _build_parser() -> _Parser:
 
 
 def cli_main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
-    except _UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        parser.print_usage(sys.stderr)
-        return USAGE_EXIT
-
-    try:
+        args = _build_parser().parse_args(argv)
         if args.command == "sweep":
             return _cmd_sweep(args)
         if args.command == "allocate":
@@ -91,10 +81,10 @@ def cli_main(argv: list[str] | None = None) -> int:
         if args.command == "crb":
             return _cmd_crb(args)
         return _cmd_selftest(args)
-    except (EstimabilityError, ArithmeticError) as exc:
+    except (EstimabilityError, np.linalg.LinAlgError, ArithmeticError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return NUMERICAL_EXIT
-    except (_UsageError, OSError, ValueError) as exc:
+    except (OSError, ValueError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return USAGE_EXIT
 
@@ -102,13 +92,13 @@ def cli_main(argv: list[str] | None = None) -> int:
 def _cmd_sweep(args) -> int:
     _, _, specs = load_config(args.config)
     if not specs:
-        raise _UsageError(f"{args.config} has no [sweep] section")
+        raise ValueError(f"{args.config} has no [sweep] section")
     # refused before the sweep, created only by emit_csv: a failure leaves no file
     parent = os.path.dirname(args.out) or "."
     writable = os.path.isdir(parent) and os.access(parent, os.W_OK | os.X_OK)
     if os.path.isdir(args.out) or not writable:
-        raise _UsageError(f"cannot write --out {args.out}: it is a directory, or its "
-                          f"parent directory is missing or not writable")
+        raise ValueError(f"cannot write --out {args.out}: it is a directory, or its "
+                         f"parent directory is missing or not writable")
     records = []
     for spec in specs:
         records.extend(run_sweep(spec))
@@ -131,7 +121,7 @@ def _cmd_allocate(args) -> int:
 
 def _cmd_crb(args) -> int:
     if args.target == "extended" and args.scheme is not None:
-        raise _UsageError("--scheme applies only to crb point")
+        raise ValueError("--scheme applies only to crb point")
     base, theta, _ = load_config(args.config)
     ch = rician_channel(base, seed=check("seed", args.seed))
 

@@ -87,6 +87,9 @@ class SystemConfig:
             object.__setattr__(self, "spacing", self.wavelength / 2)
         for name in self.__dataclass_fields__:
             check(name, getattr(self, name))
+        if not 0.0 < (gain := link_gain(self.d_bi, self.alpha_bi, self.c0)) < math.inf:
+            raise ValueError(f"the BS-IRS gain c0 * d_bi^-alpha_bi = {self.c0:g} * {self.d_bi:g}"
+                             f"^-{self.alpha_bi:g} must be positive and finite, got {gain:g}")
         if self.spacing_warning:
             warnings.warn(
                 f"spacing {self.spacing} m exceeds half the wavelength "
@@ -115,6 +118,11 @@ class PointTargetScene:
 
     def __post_init__(self):
         check("theta", self.theta)
+
+
+def link_gain(d: float, alpha: float, c0: float) -> float:
+    """Power gain c0 * d^-alpha relative to the 1 m reference, inf past the float range."""
+    return c0 * _power(d, -alpha)
 
 
 def path_gain(d_it: float, kappa: float, lambda_r: float) -> float:
@@ -168,18 +176,18 @@ def derive_seed(seed: int, *stream: int) -> int:
 
 # -- unit conversions --------------------------------------------------------
 
-def _pow10(exponent: float) -> float:
-    """10 ** exponent, inf past the float range for ``check`` to refuse."""
+def _power(base: float, exponent: float) -> float:
+    """base ** exponent, inf past the float range for a check to refuse."""
     try:
-        return 10.0 ** exponent
+        return base ** exponent
     except OverflowError:
         return math.inf
 
 
 def db_to_linear(value_db: float) -> float:
     """Power ratio in dB to linear."""
-    return _pow10(value_db / 10.0)
+    return _power(10.0, value_db / 10.0)
 
 
 def dbm_to_watt(value_dbm: float) -> float:
-    return _pow10((value_dbm - 30.0) / 10.0)
+    return _power(10.0, (value_dbm - 30.0) / 10.0)

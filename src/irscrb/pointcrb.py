@@ -99,7 +99,7 @@ def _info_measure(w_trace, c_trace, q_trace):
         raise DegenerateObjectiveError(
             f"reflected power term is {np.min(q_trace):g}; the objective is undefined"
         )
-    return w_trace - np.abs(c_trace) ** 2 / q_trace
+    return w_trace - np.abs(c_trace) * (np.abs(c_trace) / q_trace)
 
 
 def _profile_scores(kernel: Kernel, profiles: np.ndarray) -> np.ndarray:

@@ -71,7 +71,10 @@ return channels the same way, from one return stream per trial at the
 sweep's largest ``N K``.  ``wall_ms`` counts a row's own work: the slicing
 and scaling of its group's channels, its solves and its scaling; the first
 row also counts the draws for every row, and rows that reuse its group
-report near-zero times.
+report near-zero times.  A row owns every failure of its evaluation: the
+spec checked each input, so an ``ArithmeticError``, ``RuntimeError`` or
+``ValueError`` (``LinAlgError`` too) is numerical, makes the row
+``error:<type>`` and logs one warning, and the sweep goes on.
 
 The CSV contract: header ``vary,value,scheme,crb,crb_db,trials,status,
 wall_ms``, one row per (value, scheme), floats in full-precision scientific
@@ -346,8 +349,9 @@ def _row_runner(spec: SweepSpec, configs: list[SystemConfig]
     Each trial's fading factor, its channel stream and, where the scheme
     takes one, its return stream are drawn once, here, each stream long
     enough for every config in ``configs``; each row group's channels are a
-    prefix of each stream, scaled in one call.  A failed trial is nan and a
-    rank-deficient one inf; the status is the first error, else
+    prefix of each stream, scaled in one call.  A trial that raises (the row
+    owns every ``ArithmeticError``, ``RuntimeError`` and ``ValueError``) is
+    nan and a rank-deficient one inf; the status is the first error, else
     ``rank_deficient`` if a trial is, else ``ok``.
     """
     scheme = SCHEMES[spec.scheme]
@@ -369,7 +373,7 @@ def _row_runner(spec: SweepSpec, configs: list[SystemConfig]
             extra = {"returns": returns[batch]} if scheme.return_link else {}
             crb = scheme.evaluate(cfg, g, spec.theta, spec.seed, batch,
                                   **extra) * alpha[batch]
-        except (ArithmeticError, RuntimeError) as exc:
+        except (ArithmeticError, RuntimeError, ValueError) as exc:
             _log.warning("%s failed at P0=%g M=%d N=%d K=%d, seed %d, trial%s %s: %s: %s",
                          spec.scheme, cfg.P0, cfg.M, cfg.N, cfg.K, spec.seed,
                          "s" if len(batch) > 1 else "", ", ".join(map(str, batch)),
@@ -451,65 +455,63 @@ def read_csv(path: str) -> list[SweepRecord]:
 
 # -- config files -------------------------------------------------------------
 
-def _parsed(path: str, section: str, key: str, text: str, parse: Callable):
+def _parsed(section: str, key: str, text: str, parse: Callable):
     """``parse(text)``; a value it cannot read is refused with a
-    ``ValueError`` naming the file, the section and the key."""
+    ``ValueError`` naming the section and the key."""
     try:
         return parse(text)
     except ValueError as exc:
-        raise ValueError(f"{path}: key {key!r} in section [{section}] has a malformed "
-                         f"value: {exc}") from exc
+        raise ValueError(f"key {key!r} in section [{section}] has a malformed value: "
+                         f"{exc}") from exc
 
 
 def load_config(path: str) -> tuple[SystemConfig, float, list[SweepSpec]]:
     """Read an INI config; returns (system, theta, one spec per scheme).
 
-    A section or key outside the key tables, a value that is not a number
-    where one is read, a ``[sweep]`` without ``values`` or ``schemes``, a
-    scheme listed twice, or a ``[sweep]`` key that no spec reads is refused
-    with a ``ValueError`` naming the file, the section and the key or
-    scheme, and a file ``configparser`` cannot read (a duplicate key, a bare
-    ``%``) with one naming the file.
+    Its own refusals name the section and the key or scheme (a section or
+    key outside the key tables, a value that is not a number, a ``[sweep]``
+    without ``values`` or ``schemes``, a scheme listed twice, a ``[sweep]``
+    key no spec reads); those of ``check``, ``SystemConfig`` and
+    ``SweepSpec`` name the field.  One handler raises each of them, and each
+    ``configparser`` error, again as a ``ValueError`` led by the file's path.
     """
     parser = configparser.ConfigParser(inline_comment_prefixes=(";", "#"))
     try:
-        if not parser.read(path):
-            raise FileNotFoundError(path)
+        with open(path, encoding="utf-8") as fh:
+            parser.read_file(fh)
         sections = {name: dict(parser[name]) for name in parser.sections()}
-    except configparser.Error as exc:
+        for key in ("values", "schemes"):
+            if "sweep" in sections and key not in sections["sweep"]:
+                raise ValueError(f"section [sweep] needs the key {key!r}")
+        for name in parser:
+            if name != parser.default_section and name not in _SECTION_KEYS:
+                raise ValueError(f"unknown section [{name}]")
+            for key in parser[name]:
+                if key not in _SECTION_KEYS.get(name, ()):
+                    raise ValueError(f"unknown key {key!r} in section [{name}]")
+        system = sections.get("system", {})
+        fields = {field: parse(_parsed("system", key, system[key], float))
+                  for key, (field, parse) in _SYSTEM_KEYS.items() if key in system}
+        base = SystemConfig(**fields)
+        scene = sections.get("scene", {})
+        theta_deg = check("theta_deg", _parsed("scene", "theta_deg",
+                                               scene.get("theta_deg", THETA_DEG), float))
+        theta = float(np.deg2rad(theta_deg))
+        if "sweep" not in sections:
+            return base, theta, []
+        sweep = sections["sweep"]
+        settings = {key: _parsed("sweep", key, sweep[key], parse)
+                    for key, parse in _SWEEP_KEYS.items() if key in sweep}
+        settings.setdefault("vary", "P0")
+        schemes = [scheme.strip() for scheme in sweep["schemes"].split(",")]
+        repeated = [scheme for i, scheme in enumerate(schemes) if scheme in schemes[:i]]
+        if repeated:
+            raise ValueError(f"scheme {repeated[0]!r} is listed twice in section [sweep]")
+        specs = [SweepSpec(base=base, theta=theta, scheme=scheme, **settings)
+                 for scheme in schemes]
+        for key, reads in _READ_BY.items():     # after the specs check each value
+            if key in sweep and not any(reads(spec) for spec in specs):
+                raise ValueError(f"key {key!r} in section [sweep] is read by none of its sweeps")
+        return base, theta, specs
+    except (configparser.Error, ValueError) as exc:
         raise ValueError(f"{path}: {exc}") from exc
-    for key in ("values", "schemes"):
-        if "sweep" in sections and key not in sections["sweep"]:
-            raise ValueError(f"{path}: section [sweep] needs the key {key!r}")
-    for name in parser:
-        if name != parser.default_section and name not in _SECTION_KEYS:
-            raise ValueError(f"{path}: unknown section [{name}]")
-        for key in parser[name]:
-            if key not in _SECTION_KEYS.get(name, ()):
-                raise ValueError(f"{path}: unknown key {key!r} in section [{name}]")
-
-    system = sections.get("system", {})
-    fields = {field: parse(_parsed(path, "system", key, system[key], float))
-              for key, (field, parse) in _SYSTEM_KEYS.items() if key in system}
-    base = SystemConfig(**fields)
-    scene = sections.get("scene", {})
-    theta_deg = check("theta_deg", _parsed(path, "scene", "theta_deg",
-                                           scene.get("theta_deg", THETA_DEG), float))
-    theta = float(np.deg2rad(theta_deg))
-
-    if "sweep" not in sections:
-        return base, theta, []
-    sweep = sections["sweep"]
-    settings = {key: _parsed(path, "sweep", key, sweep[key], parse)
-                for key, parse in _SWEEP_KEYS.items() if key in sweep}
-    settings.setdefault("vary", "P0")
-    schemes = [scheme.strip() for scheme in sweep["schemes"].split(",")]
-    repeated = [scheme for i, scheme in enumerate(schemes) if scheme in schemes[:i]]
-    if repeated:
-        raise ValueError(f"{path}: scheme {repeated[0]!r} is listed twice in section [sweep]")
-    specs = [SweepSpec(base=base, theta=theta, scheme=scheme, **settings) for scheme in schemes]
-    for key, reads in _READ_BY.items():     # after the specs check each value
-        if key in sweep and not any(reads(spec) for spec in specs):
-            raise ValueError(f"{path}: key {key!r} in section [sweep] is read by none "
-                             f"of its sweeps")
-    return base, theta, specs

@@ -4,6 +4,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import irscrb
@@ -266,10 +267,14 @@ def _edited(section: str, edits: dict) -> str:
     *[("system", {key: value}, name, "finite") for key, value, name in OVERFLOW_DB],
     ("sweep", {"values": "20, 4000"}, "values", "finite"),
     ("sweep", {"vary": "beta_BI", "values": "5, 4000"}, "values", "finite"),
+    # a BS-IRS gain c0 d_bi^-alpha_bi of 0, and one past the float range
+    ("system", {"d_bi_m": "1e12", "alpha_bi": "40"}, "d_bi", "refused"),
+    ("system", {"d_bi_m": "0.5", "alpha_bi": "1100"}, "alpha_bi", "refused"),
     *FUZZ_CASES,
 ], ids=["p0_dbm", "noise_dbm", "values", "theta_deg",
         *[f"{key}={value}" for key, value, _ in OVERFLOW_DB],
         "values=20, 4000", "vary=beta_BI values=5, 4000",
+        "d_bi_m=1e12 alpha_bi=40", "d_bi_m=0.5 alpha_bi=1100",
         *[" ".join(f"{k}={v}" for k, v in edits.items()) for _, edits, _, _ in FUZZ_CASES]])
 def test_non_finite_config_value_is_usage_error(tmp_path, capsys, where, edits, name, expected):
     # the first four once wrote rows with status ok or rank_deficient and
@@ -325,6 +330,17 @@ def test_estimability_error_is_numerical_failure(monkeypatch, capsys):
     monkeypatch.setattr("irscrb.cli.allocate_optimal", rank_deficient)
     assert cli_main(["allocate", "--qtot", "600", "--wi", "1", "--ws", "1"]) == 2
     assert capsys.readouterr().err.startswith("numerical failure:")
+
+
+def test_linalg_error_is_numerical_failure(monkeypatch, capsys):
+    # LinAlgError is a ValueError too; crb point once read it as a usage error
+    def unconverged(*args):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+    monkeypatch.setitem(SCHEMES, "proposed_ao",
+                        SCHEMES["proposed_ao"]._replace(evaluate=unconverged))
+    assert cli_main(["crb", "point", "--config", str(CONFIGS / "point_p0.ini")]) == 2
+    out, err = capsys.readouterr()
+    assert not out and err.startswith("numerical failure: Eigenvalues did not converge"), err
 
 
 def test_crb_point_single_antenna(tmp_path, capsys):

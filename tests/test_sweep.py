@@ -138,6 +138,20 @@ class TestRunSweep:
         drops = [a.crb_db - b.crb_db for a, b in zip(records, records[1:])]
         np.testing.assert_allclose(drops, 10.0, atol=1e-9)
 
+    @pytest.mark.parametrize("scheme", ["proposed_ao", "random_phase", "isotropic_tx"])
+    def test_point_bound_times_gain_is_exact(self, scheme):
+        # every point bound is proportional to 1/gain; two intermediates once
+        # squared a gain-sized number, so below a gain of about 1e-154 the
+        # rows drifted from it while still reading ok
+        gains = (1e-7, 1e-50, 1e-100, 1e-160, 1e-200, 1e-250)
+        scaled = []
+        for gain in gains:
+            records = run_sweep(_spec(scheme=scheme, base=reference_config(
+                M=4, N=8, K=2, d_bi=1.0, c0=gain), alpha_draws=5))
+            assert all(r.status == "ok" for r in records)
+            scaled.append([r.crb_mean * gain for r in records])
+        np.testing.assert_allclose(scaled, [scaled[0]] * len(gains), rtol=1e-9, atol=0)
+
     def test_proposed_beats_random_phase_pairwise(self):
         base = reference_config(M=4, N=4, K=4)
         kw = dict(base=base, values=(20.0, 30.0), trials=2, alpha_draws=5)
@@ -381,6 +395,30 @@ class TestUnitPower:
         assert record.getMessage() == (
             "random_phase failed at P0=0.1 M=2 N=4 K=4, seed 11, trial 0: "
             "SubproblemError: transmit solve ended max_iter, kkt 3.0e-07")
+
+    def test_linalg_error_fails_its_rows_and_the_other_schemes_still_run(
+            self, monkeypatch, caplog, tmp_path):
+        # a LinAlgError is a ValueError; it once ended the whole command as a
+        # usage error, with no CSV
+        def evaluate(cfg, g, theta, seed, trials):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setitem(SCHEMES, "random_phase",
+                            SCHEMES["random_phase"]._replace(evaluate=evaluate))
+        specs = [_spec(scheme=scheme, trials=1, **self.SMALL)
+                 for scheme in ("random_phase", "isotropic_tx")]
+        with caplog.at_level(logging.WARNING, logger="irscrb.sweep"):
+            out = tmp_path / "sweep.csv"
+            emit_csv([r for spec in specs for r in run_sweep(spec)], str(out))
+        rows = read_csv(str(out))
+        assert [r.status for r in rows] == ["error:LinAlgError"] * 3 + ["ok"] * 3
+        assert all(np.isnan(r.crb_mean) for r in rows[:3])
+        assert all(np.isfinite(r.crb_mean) for r in rows[3:])
+        (record,) = [r for r in caplog.records if r.name == "irscrb.sweep"]
+        assert record.levelno == logging.WARNING
+        assert record.getMessage() == (
+            "random_phase failed at P0=1 M=2 N=4 K=4, seed 11, trial 0: "
+            "LinAlgError: Eigenvalues did not converge")
 
     def test_failed_batch_logs_one_warning_naming_its_trials(self, monkeypatch, caplog):
         # a closed-form row group is one call, so a failure fails every trial
@@ -865,6 +903,31 @@ alpha_draws = 5
         with pytest.raises(ValueError, match=message) as info:
             load_config(str(path))
         assert str(path) in str(info.value)
+
+    @pytest.mark.parametrize("old, new, message", [
+        ("values = 10, 20", "values = 10, 10", "values must be strictly increasing"),
+        ("trials = 2", "trials = 0", "trials must be at least 1, got 0"),
+        ("m = 1", "m = 0", "M must be positive, got 0"),
+        ("vary = P0", "vary = Q", "unknown vary 'Q'"),
+        ("m = 1", "m = 4", "scheme 'single_antenna_closed' requires M = 1, got M = 4"),
+        ("rician_db = 5", "rician_db = 5\nd_bi_m = 1e12\nalpha_bi = 40",
+         "the BS-IRS gain c0 * d_bi^-alpha_bi = 0.001 * 1e+12^-40 must be positive and "
+         "finite, got 0"),
+        ("rician_db = 5", "rician_db = 5\nd_bi_m = 0.5\nalpha_bi = 1100",
+         "the BS-IRS gain c0 * d_bi^-alpha_bi = 0.001 * 0.5^-1100 must be positive and "
+         "finite, got inf"),
+    ], ids=["values", "trials", "m", "vary", "single_antenna_closed", "zero_gain",
+            "infinite_gain"])
+    def test_field_refusals_start_with_the_path(self, tmp_path, old, new, message):
+        # SweepSpec and SystemConfig refusals once named neither the file nor
+        # its section; a gain of 0 once gave a usage error from an eigenvalue
+        # solver mid-sweep, and an infinite one error:OverflowError rows
+        path = tmp_path / "cfg.ini"
+        path.write_text(self.CONFIG.replace(old, new))
+        with pytest.raises(ValueError) as info:
+            load_config(str(path))
+        assert str(info.value).startswith(f"{path}: {message}"), info.value
+
 
 
 @pytest.mark.parametrize("name", sorted(
