@@ -26,7 +26,8 @@ from .allocation import allocate_exhaustive, allocate_optimal, allocate_suboptim
 from .channel import rician_channel
 from .config import SystemConfig, check
 from .extended import EstimabilityError, gap_db
-from .sweep import POINT_SCHEMES, SCHEMES, SweepSpec, emit_csv, load_config, run_sweep
+from .sweep import (POINT_SCHEMES, SCHEMES, SweepSpec, emit_csv, load_config, run_sweep,
+                    unit_scaling)
 
 USAGE_EXIT = 1
 NUMERICAL_EXIT = 2
@@ -123,23 +124,24 @@ def _cmd_crb(args) -> int:
     if args.target == "extended" and args.scheme is not None:
         raise ValueError("--scheme applies only to crb point")
     base, theta, _ = load_config(args.config)
-    ch = rician_channel(base, seed=check("seed", args.seed))
 
-    def bound(scheme: str) -> float:     # trial 0 of a sweep, as a one-trial batch
-        return SCHEMES[scheme].evaluate(base, ch.G[None], theta, args.seed, [0])[0]
+    def bound(scheme: str) -> tuple[float, np.ndarray]:    # trial 0 of a row, unit-gain G
+        unit, scale = unit_scaling(SCHEMES[scheme], base, base.K)
+        g = rician_channel(unit, seed=check("seed", args.seed)).G
+        return scale(SCHEMES[scheme].evaluate(unit, g[None], theta, args.seed, [0])[0]), g
 
     if args.target == "extended":
-        opt = bound("extended_opt")
+        opt, g = bound("extended_opt")
         if not np.isfinite(opt):
             print("crb_opt = inf  (rank-deficient channel)")
             return 0
-        iso = bound("extended_iso")
+        iso, _ = bound("extended_iso")
         print(f"crb_opt = {opt:.6e}  ({10 * np.log10(opt):.3f} dB)")
         print(f"crb_iso = {iso:.6e}  ({10 * np.log10(iso):.3f} dB)")
-        print(f"gap     = {gap_db(ch.G):.4f} dB")
+        print(f"gap     = {gap_db(g):.4f} dB")
         return 0
 
-    crb = bound(args.scheme or "proposed_ao")
+    crb, _ = bound(args.scheme or "proposed_ao")
     if np.isfinite(crb):
         print(f"crb = {crb:.6e} rad^2  ({10 * np.log10(crb):.3f} dB)")
     else:

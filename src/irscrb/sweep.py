@@ -46,14 +46,14 @@ Sweeps over ``W_I`` or ``Q_tot`` first solve the element/sensor allocation
 for each value, round the continuous split to integers and then evaluate
 the scheme with those counts.
 
-Every bound is homogeneous of degree -1 in the transmit budget, so each
-trial is evaluated at ``P0 = 1 W`` and a row's mean is scaled by ``1/P0``.
-The ``extended_opt`` and ``extended_iso`` bounds are also exactly
-proportional to K, so they are evaluated at the base config's K and scaled
-by ``K / K_base`` too; ``fully_passive`` is not, since its return channel
-has K rows.  ``fully_passive`` is ``crb_fully_passive_opt``, the
-``extended_opt`` bound at K = 1 times the return-channel factor
-``tr((G_r^H G_r)^{-1})``.
+Every bound is exactly proportional to ``1/P0`` and to ``1/g_BI``, the
+BS-IRS gain ``c0 d_bi^-alpha_bi`` (``fully_passive`` to ``1/g_BI^2``), so
+each row is evaluated at 1 W and unit gain and scaled (:func:`unit_scaling`).
+``extended_opt`` and ``extended_iso`` are also exactly proportional to K, so
+they are evaluated at the base config's K and scaled by ``K / K_base`` too;
+``fully_passive`` is not, since its return channel has K rows.
+``fully_passive`` is ``crb_fully_passive_opt``, the ``extended_opt`` bound
+at K = 1 times the return-channel factor ``tr((G_r^H G_r)^{-1})``.
 
 The unit of evaluation is a row group: one distinct unit config and all of
 its trials.  Its trials are evaluated as one batch: the closed-form schemes
@@ -71,16 +71,17 @@ return channels the same way, from one return stream per trial at the
 sweep's largest ``N K``.  ``wall_ms`` counts a row's own work: the slicing
 and scaling of its group's channels, its solves and its scaling; the first
 row also counts the draws for every row, and rows that reuse its group
-report near-zero times.  A row owns every failure of its evaluation: the
-spec checked each input, so an ``ArithmeticError``, ``RuntimeError`` or
-``ValueError`` (``LinAlgError`` too) is numerical, makes the row
-``error:<type>`` and logs one warning, and the sweep goes on.
+report near-zero times.  A row owns every failure of its evaluation and
+scaling (an ``OverflowError`` past the float range too): the spec checked
+each input, so an ``ArithmeticError``, ``RuntimeError`` or ``ValueError``
+(``LinAlgError`` too) is numerical, makes the row ``error:<type>`` and logs
+one warning, and the sweep goes on.
 
 The CSV contract: header ``vary,value,scheme,crb,crb_db,trials,status,
 wall_ms``, one row per (value, scheme), floats in full-precision scientific
-notation, infinite bounds spelled ``inf`` with status ``rank_deficient``,
-UTF-8 with LF line endings.  All columns except ``wall_ms`` are
-deterministic for a fixed config and seed.
+notation, status ``ok``, ``rank_deficient`` (crb ``inf``) or ``error:<type>``
+(crb ``nan``), UTF-8 with LF line endings.  All columns except ``wall_ms``
+are deterministic for a fixed config and seed.
 """
 
 from __future__ import annotations
@@ -98,7 +99,7 @@ from .allocation import allocate_optimal
 # only perfbench/tracing.py uses the subproblems and the randomization here
 from .ao import (_reflect, _top_phases, ao_minimize_crb, gaussian_randomization,
                  irs_subproblem, transmit_closed_form, transmit_subproblem)
-from .arrays import target_steering
+from .arrays import large_scale_path_loss, target_steering
 from .channel import channel_from_normals
 # only perfbench/tracing.py uses rician_channel here
 from .channel import rician_channel
@@ -319,6 +320,23 @@ SCHEMES = {
 POINT_SCHEMES = tuple(name for name, s in SCHEMES.items() if s.target == "point")
 
 
+def unit_scaling(kind: Scheme, cfg: SystemConfig, base_k: int) -> tuple[SystemConfig, Callable]:
+    """The unit config of a row at ``cfg`` (1 W, ``d_bi = c0 = 1`` for unit
+    BS-IRS gain, ``base_k`` for a bound linear in K) and the map from a bound
+    there to one at ``cfg``: times ``K / base_k``, over ``P0``, over the gain
+    (twice for a return link), a factor at a time, ``OverflowError`` past the float range."""
+    unit = replace(cfg, P0=1.0, d_bi=1.0, c0=1.0, K=base_k if kind.linear_in_k else cfg.K)
+    gain = large_scale_path_loss(cfg.d_bi, cfg.alpha_bi, cfg.c0)    # warns below 1 m
+
+    def scale(bound: float) -> float:   # on Python floats, which overflow to inf with no warning
+        scaled = float(bound) * (cfg.K / unit.K) / float(cfg.P0) / gain
+        scaled = scaled / gain if kind.return_link else scaled
+        if scaled == np.inf and bound != np.inf:
+            raise OverflowError(f"bound {bound:g} over gain {gain:g} passes the float range")
+        return scaled
+    return unit, scale
+
+
 def _normals(seed: int, trial: int, tag: int, length: int) -> np.ndarray:
     """``length`` standard normals of the stream that ``rician_channel``
     draws from at ``derive_seed(seed, trial, tag)``."""
@@ -340,11 +358,19 @@ def _alpha_factor(spec: SweepSpec, trial: int) -> float:
     return float(np.mean(1.0 / np.abs(a0) ** 2))
 
 
+def _failed(spec: SweepSpec, cfg: SystemConfig, trials: list[int], exc: Exception) -> str:
+    """The status of a row whose ``trials`` at ``cfg`` raised ``exc``, logged once."""
+    _log.warning("%s failed at P0=%g M=%d N=%d K=%d, seed %d, trial%s %s: %s: %s", spec.scheme,
+                 cfg.P0, cfg.M, cfg.N, cfg.K, spec.seed, "s" if len(trials) > 1 else "",
+                 ", ".join(map(str, trials)), type(exc).__name__, exc)
+    return f"error:{type(exc).__name__}"
+
+
 def _row_runner(spec: SweepSpec, configs: list[SystemConfig]
                 ) -> Callable[[SystemConfig], tuple[np.ndarray, str]]:
     """``run(unit)`` for one sweep over the row configs ``configs``: the bound
     of every trial at the unit config ``unit`` and their status, kept per
-    unit config.
+    unit config; ``run_sweep`` scales them to each row's config.
 
     Each trial's fading factor, its channel stream and, where the scheme
     takes one, its return stream are drawn once, here, each stream long
@@ -374,11 +400,7 @@ def _row_runner(spec: SweepSpec, configs: list[SystemConfig]
             crb = scheme.evaluate(cfg, g, spec.theta, spec.seed, batch,
                                   **extra) * alpha[batch]
         except (ArithmeticError, RuntimeError, ValueError) as exc:
-            _log.warning("%s failed at P0=%g M=%d N=%d K=%d, seed %d, trial%s %s: %s: %s",
-                         spec.scheme, cfg.P0, cfg.M, cfg.N, cfg.K, spec.seed,
-                         "s" if len(batch) > 1 else "", ", ".join(map(str, batch)),
-                         type(exc).__name__, exc)
-            return np.full(len(batch), np.nan), f"error:{type(exc).__name__}"
+            return np.full(len(batch), np.nan), _failed(spec, cfg, batch, exc)
         return np.where(np.isfinite(crb), crb, np.inf), "ok"
 
     def run(unit: SystemConfig) -> tuple[np.ndarray, str]:
@@ -395,18 +417,18 @@ def _row_runner(spec: SweepSpec, configs: list[SystemConfig]
 
 def run_sweep(spec: SweepSpec) -> list[SweepRecord]:
     """Evaluate the scheme on each row group, one unit config and all of its
-    trials, at 1 W (and at the base K for a bound linear in K), average, and
-    scale by 1/P0 (and K)."""
+    trials (see :func:`unit_scaling`), average, and scale to the row."""
     records = []
     configs = [_config_for(spec, value) for value in spec.values]
-    linear_in_k = SCHEMES[spec.scheme].linear_in_k
     tic = time.perf_counter()       # the first row's clock counts the draws
     run = _row_runner(spec, configs)
     for value, cfg in zip(spec.values, configs):
-        unit = replace(cfg, P0=1.0, K=spec.base.K if linear_in_k else cfg.K)
+        unit, scale = unit_scaling(SCHEMES[spec.scheme], cfg, spec.base.K)
         crbs, status = run(unit)
-        # a failed trial is nan and a rank-deficient one inf, and so is the mean
-        mean = float(np.mean(crbs)) * (cfg.K / unit.K) / cfg.P0
+        try:    # a failed trial is nan and a rank-deficient one inf, and so is the mean
+            mean = scale(float(np.mean(crbs)))
+        except OverflowError as exc:
+            mean, status = float("nan"), _failed(spec, cfg, list(range(spec.trials)), exc)
         crb_db = 10.0 * np.log10(mean) if mean > 0 else float("nan")
         records.append(SweepRecord(
             vary=spec.vary, value=float(value), scheme=spec.scheme,

@@ -705,6 +705,37 @@ class TestPhaseAscent:
             assert phase_ascent(kernels, v)[1] >= f
 
 
+@pytest.mark.parametrize("seed", [0, 5])
+def test_point_bounds_times_channel_gain_are_exact(monkeypatch, seed):
+    # every point bound is exactly proportional to 1/|c|^2 on the channel
+    # c G: _schur_program scales by sqrt(s_q) sqrt(s_p) and _info_measure
+    # takes |c| (|c| / q), where sqrt(s_q s_p) and |c|^2 / q underflow
+    # below a gain of about 1e-154
+    cfg = SystemConfig(M=4, N=8, K=2, d_bi=1.0, c0=1.0)
+    scene = point_scene(cfg, np.deg2rad(60.0))
+    a = target_steering(scene.theta, cfg.N, cfg.spacing, cfg.wavelength)
+    g0 = rician_channel(cfg, seed=seed).G
+    v0 = np.exp(1j * make_rng(seed).uniform(0.0, 2.0 * np.pi, cfg.N))
+    r_iso = TransmitCovariance(np.eye(cfg.M, dtype=complex) / cfg.M, cfg.P0)
+    solves = []
+    solve = irscrb.ao.irs_subproblem
+    monkeypatch.setattr(irscrb.ao, "irs_subproblem",
+                        lambda *args: solves.append(1) or solve(*args))
+    gains = (1e-7, 1e-50, 1e-100, 1e-160, 1e-200, 1e-250)
+    scaled = []
+    for gain in gains:
+        g = np.sqrt(gain) * g0
+        designed = ao_minimize_crb(scene, g, cfg, seed=seed).crb
+        r_x, _ = transmit_closed_form(v0, a, g, cfg.K, cfg.P0)
+        closed = crb_point_closed(scene, r_x, v0, g, cfg)
+        kernel = _info_kernels(g, r_iso, a, cfg.K)
+        v = _reflect(kernel, _top_phases(kernel[0]), seed)[0]
+        reflected = crb_point_closed(scene, r_iso, v, g, cfg)
+        scaled.append([designed * gain, closed * gain, reflected * gain])
+    assert len(solves) == 2 * len(gains)     # each _reflect fell back to the SDR
+    np.testing.assert_allclose(scaled, [scaled[0]] * len(gains), rtol=1e-9, atol=0)
+
+
 class TestFactorKernel:
     """The N x M factor kernel (L, gamma, d) against the dense kernels it replaced."""
 

@@ -343,6 +343,31 @@ def test_linalg_error_is_numerical_failure(monkeypatch, capsys):
     assert not out and err.startswith("numerical failure: Eigenvalues did not converge"), err
 
 
+def test_crb_point_past_the_float_range_is_numerical_failure(tmp_path, capsys):
+    # at a subnormal BS-IRS gain and 0 dBm the bound passes the float range
+    cfg = tmp_path / "cfg.ini"
+    cfg.write_text(POINT_CONFIG.replace("p0_dbm = 30", "p0_dbm = 30\nd_bi_m = 1e12\n"
+                                        "alpha_bi = 26"))
+    assert cli_main(["crb", "point", "--config", str(cfg)]) == 0
+    assert re.fullmatch(r"crb = \S+e\+30\d rad\^2  \(\S+ dB\)\n", capsys.readouterr().out)
+    cfg.write_text(cfg.read_text().replace("p0_dbm = 30", "p0_dbm = 0"))
+    assert cli_main(["crb", "point", "--config", str(cfg)]) == 2
+    out, err = capsys.readouterr()
+    assert not out and err.startswith("numerical failure: bound "), err
+
+
+@pytest.mark.parametrize("command", ["sweep", "crb"])
+def test_bs_irs_distance_below_one_meter_warns(tmp_path, command):
+    # the rows are evaluated at d_bi = 1, so the warning comes from the gain
+    # the bounds are scaled by
+    cfg = tmp_path / "cfg.ini"
+    cfg.write_text(POINT_CONFIG.replace("p0_dbm = 30", "p0_dbm = 30\nd_bi_m = 0.5"))
+    argv = {"sweep": ["sweep", "--config", str(cfg), "--out", str(tmp_path / "x.csv")],
+            "crb": ["crb", "point", "--config", str(cfg)]}[command]
+    with pytest.warns(UserWarning, match="distance 0.5 m is below the 1 m reference"):
+        assert cli_main(argv) == 0
+
+
 def test_crb_point_single_antenna(tmp_path, capsys):
     # at M = 1 the default proposed_ao prints the closed-form optimum's line
     cfg = tmp_path / "cfg.ini"
@@ -370,7 +395,7 @@ def test_crb_point_optimizing_schemes(tmp_path, capsys):
 
 
 def test_crb_point_random_phase_uses_the_seeded_channel(tmp_path, capsys):
-    # every point scheme evaluates rician_channel(base, seed=--seed)
+    # every point scheme's bound is that on rician_channel(base, seed=--seed)
     cfg = tmp_path / "cfg.ini"
     # crb point reads no [sweep] key, but the file's sweep must be valid at M = 2
     cfg.write_text(POINT_CONFIG.replace("m = 1", "m = 2")

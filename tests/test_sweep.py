@@ -265,6 +265,10 @@ _VALUES = {"P0": (10.0, 20.0, 40.0), "M": (4.0, 8.0), "N": (2.0, 4.0, 8.0),
 _BASES = {"point": reference_config(M=2, N=4, K=4),
           "single_antenna_closed": reference_config(M=1, N=4, K=4),
           "extended": reference_config(M=8, N=4, K=8)}
+# input -> the exponent of every bound in it; d_bi enters the BS-IRS gain as
+# d_bi^-alpha_bi, and fully_passive's bound takes the gain twice
+_EXPONENTS = {"P0": -1.0, "c0": -1.0, "d_bi": _BASES["point"].alpha_bi, "noise_power": 1.0,
+              "T": -1.0, "rcs": -1.0, "K": 1.0}
 
 
 class TestUnitPower:
@@ -341,9 +345,10 @@ class TestUnitPower:
         (scheme, vary) for scheme in SCHEMES for vary in _VALUES
         if SCHEMES[scheme].target == "point" or vary not in ("W_I", "Q_tot")])
     def test_matches_evaluation_at_each_value_own_power(self, scheme, vary):
-        # a row equals its row group's bounds at 1 W (and the base K for a
-        # bound linear in K) bitwise, and, to rounding, the trials at the
-        # row's own power and K evaluated on their own, each with fresh draws
+        # a row equals its row group's bounds at 1 W and unit BS-IRS gain
+        # (and the base K for a bound linear in K), scaled one factor at a
+        # time, bitwise, and, to rounding, the trials at the row's own
+        # power, gain and K evaluated on their own, each with fresh draws
         kind = scheme if scheme == "single_antenna_closed" else SCHEMES[scheme].target
         values = (1.0,) if (kind, vary) == ("single_antenna_closed", "M") else _VALUES[vary]
         spec = _spec(scheme=scheme, base=_BASES[kind], vary=vary, values=values,
@@ -352,16 +357,63 @@ class TestUnitPower:
         assert [r.status for r in records] == ["ok"] * len(values)
         for record in records:
             cfg = _config_for(spec, record.value)
-            unit_cfg = replace(cfg, P0=1.0,
+            unit_cfg = replace(cfg, P0=1.0, d_bi=1.0, c0=1.0,
                                K=spec.base.K if SCHEMES[scheme].linear_in_k else cfg.K)
             unit, status = _runner(spec)(unit_cfg)
             assert status == "ok" and len(unit) == spec.trials
-            assert record.crb_mean == (float(np.mean(unit))
-                                       * (cfg.K / unit_cfg.K) / cfg.P0)
+            gain = cfg.c0 * cfg.d_bi ** -cfg.alpha_bi
+            scaled = float(np.mean(unit)) * (cfg.K / unit_cfg.K) / cfg.P0 / gain
+            if SCHEMES[scheme].return_link:
+                scaled /= gain
+            assert record.crb_mean == scaled
             direct = [_one_trial(spec, cfg, t) for t in range(spec.trials)]
             assert np.isfinite(direct).all()
             expected = np.mean(direct)
             assert record.crb_mean == pytest.approx(expected, rel=1e-6)
+
+    @pytest.mark.parametrize("scheme, field", [
+        (scheme, field) for scheme in SCHEMES for field in _EXPONENTS
+        if (field != "rcs" or SCHEMES[scheme].target == "point")
+        and (field != "K" or SCHEMES[scheme].linear_in_k)])
+    def test_every_row_scales_exactly(self, scheme, field):
+        # doubling one input of the base config scales every row of a sweep
+        # over another input by 2 ** exponent
+        kind = scheme if scheme == "single_antenna_closed" else SCHEMES[scheme].target
+        base = _BASES[kind]
+        assert base.alpha_bi == _EXPONENTS["d_bi"]
+        spec = _spec(scheme=scheme, base=base, vary="beta_BI", values=_VALUES["beta_BI"],
+                     alpha_draws=5)
+        doubled = replace(spec, base=replace(base, **{field: 2 * getattr(base, field)}))
+        twice = SCHEMES[scheme].return_link and field in ("c0", "d_bi")
+        exponent = _EXPONENTS[field] * (2 if twice else 1)
+        rows, scaled = run_sweep(spec), run_sweep(doubled)
+        assert [r.status for r in rows + scaled] == ["ok"] * 2 * len(spec.values)
+        np.testing.assert_allclose([r.crb_mean for r in scaled],
+                                   [r.crb_mean * 2.0 ** exponent for r in rows],
+                                   rtol=1e-12, atol=0)
+
+    def test_bound_past_the_float_range_fails_its_row(self, caplog):
+        # rows are evaluated at unit BS-IRS gain and scaled; a subnormal gain
+        # once ended the sweep in a RuntimeWarning, and fully_passive's bound
+        # once read inf with status rank_deficient on a full-rank channel
+        subnormal = reference_config(M=4, N=8, K=8, d_bi=1e12, alpha_bi=26.0)
+        tiny = replace(_BASES["extended"], d_bi=1.0, c0=1e-200)
+        specs = [_spec(scheme="proposed_ao", base=subnormal, trials=1, alpha_draws=5),
+                 _spec(scheme="extended_opt", base=tiny),
+                 _spec(scheme="fully_passive", base=tiny)]
+        with caplog.at_level(logging.WARNING, logger="irscrb.sweep"):
+            designed, opt, passive = (run_sweep(spec) for spec in specs)
+        assert [r.status for r in designed] == ["error:OverflowError", "ok", "ok"]
+        assert np.isnan(designed[0].crb_mean) and 1e306 < designed[2].crb_mean < np.inf
+        assert [r.status for r in opt] == ["ok"] * 3
+        assert [r.status for r in passive] == ["error:OverflowError"] * 3
+        assert all(np.isnan(r.crb_mean) for r in passive)
+        messages = [r.getMessage() for r in caplog.records if r.name == "irscrb.sweep"]
+        assert len(messages) == 4
+        assert messages[0].startswith("proposed_ao failed at P0=0.01 M=4 N=8 K=8, seed 11, "
+                                      "trial 0: OverflowError: bound ")
+        assert messages[1].startswith("fully_passive failed at P0=0.01 M=8 N=4 K=8, seed 11, "
+                                      "trials 0, 1: OverflowError: bound ")
 
     @staticmethod
     def _failing(monkeypatch):
@@ -565,7 +617,8 @@ class TestStreams:
         configs = [_config_for(spec, value) for value in spec.values]
         assert len(seen) == len(configs)
         for cfg, g_r in zip(configs, seen):
-            oracle = np.stack([parent_return_link(cfg, spec.seed, t) for t in range(3)])
+            unit = replace(cfg, P0=1.0, d_bi=1.0, c0=1.0)   # the row's unit config
+            oracle = np.stack([parent_return_link(unit, spec.seed, t) for t in range(3)])
             assert _same_bits(g_r, oracle), cfg
         # called on its own with trial 2's return stream, the scheme scales
         # the same return link
